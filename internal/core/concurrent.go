@@ -105,9 +105,16 @@ func (c *concurrent) quiesce() { c.ctl.Quiesce() }
 // release lets the driver resume after a pause.
 func (c *concurrent) release() { c.ctl.Release() }
 
-// submitDecs hands a pause's decrement batch to the driver. Must be
-// called while quiescent.
+// submitDecs hands a pause's decrement batch to the driver, which takes
+// the slice itself when it holds nothing (always, as the pipeline runs:
+// a pause finishes the previous batch before it builds the next) and
+// may then pop from it, append to it or pass it on as a loan's seed
+// until the batch has drained. Must be called while quiescent.
 func (c *concurrent) submitDecs(decs []mem.Address) {
+	if len(c.pendingDecs) == 0 {
+		c.pendingDecs = decs
+		return
+	}
 	c.pendingDecs = append(c.pendingDecs, decs...)
 }
 

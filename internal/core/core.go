@@ -235,6 +235,15 @@ type LXR struct {
 	copiedY   atomic.Int64 // young bytes evacuated this epoch
 	promoted  atomic.Int64 // young objects promoted this epoch
 
+	// rootItems[i] == rootTag|i: the increment drain's root segment,
+	// kept across pauses because its contents never change.
+	rootItems []mem.Address
+	// decBuf backs each pause's decrement batch. From dec-submit the
+	// concurrent driver owns its contents (submitDecs takes the slice,
+	// not a copy); the next pause finishes whatever is left of the batch
+	// in step 2 and only then refills the buffer.
+	decBuf []mem.Address
+
 	epoch atomic.Uint64 // completed RC epochs
 
 	// Residue accumulators for mutators that deregistered mid-epoch;
@@ -473,11 +482,12 @@ func (p *LXR) UnbindMutator(m *vm.Mutator) {
 }
 
 // onSpan prepares a span handed to a bump allocator: reused lines get
-// their reuse counters bumped (remset staleness guard) and all metadata
-// cleared so new objects start with Logged fields, no straddle markers
-// and no stale marks.
+// their reuse counters bumped (remset staleness guard, needed only when
+// mature evacuation can record an entry) and all metadata cleared so
+// new objects start with Logged fields, no straddle markers and no
+// stale marks.
 func (p *LXR) onSpan(start, end mem.Address, recycled bool) {
-	if recycled {
+	if recycled && p.cfg.matureEvacOn() {
 		p.reuse.BumpRange(start, end)
 	}
 	if verifyEnabled {

@@ -85,11 +85,13 @@ func (p *LXR) pausePipeline(cause string) string {
 	// may be reclaimed below), barrier buffers, and the per-mutator
 	// epoch counters — the published residues in the global atomics plus
 	// each mutator's unpublished tail add up to the exact epoch totals.
-	// Modified-field captures stay segment-granular: the segments are
-	// handed to the scheduler whole instead of being flattened into one
-	// copy.
-	var decSeeds []mem.Address
-	var modSegs [][]mem.Address
+	// Barrier captures stay segment-granular: the mutators' buffer
+	// segments are handed to the tracer and the scheduler whole, and
+	// the flush allocates nothing in proportion to the batch. Fresh Go
+	// heap is first-touch page faults when the embedding process's heap
+	// rarely collects, and here they would land inside the pause
+	// (DESIGN.md, "Pause scratch").
+	var decSegs, modSegs [][]mem.Address
 	allocVol := p.allocSince.Swap(0)
 	allocObjs := p.allocObjects.Swap(0)
 	slowOps := p.barrierSlow.Swap(0)
@@ -106,23 +108,27 @@ func (p *LXR) pausePipeline(cause string) string {
 		pt.objs += ms.allocObjs
 		pt.slow += ms.slowOps
 		ms.largeSince, ms.allocObjs, ms.slowOps, ms.slowPub = 0, 0, 0, 0
-		pt.decs = ms.decBuf.TakeInto(pt.decs)
-		pt.segs = append(pt.segs, ms.modBuf.TakeSegs()...)
+		pt.decs = append(pt.decs, ms.decBuf.TakeSegs()...)
+		pt.mods = append(pt.mods, ms.modBuf.TakeSegs()...)
 	})
 	for i := range parts {
 		allocVol += parts[i].vol
 		allocObjs += parts[i].objs
 		slowOps += parts[i].slow
-		decSeeds = append(decSeeds, parts[i].decs...)
-		modSegs = append(modSegs, parts[i].segs...)
+		decSegs = append(decSegs, parts[i].decs...)
+		modSegs = append(modSegs, parts[i].mods...)
 	}
-	decSeeds = append(decSeeds, p.conc.decs.Take()...)
+	decSegs = append(decSegs, p.conc.decs.TakeSegs()...)
 	modSegs = append(modSegs, p.conc.mods.TakeSegs()...)
+	nDecSeeds := 0
+	for _, s := range decSegs {
+		nDecSeeds += len(s)
+	}
 	p.logsSince.Store(0)
 	st.Add(CtrAllocBytes, allocVol)
 	st.Add(CtrAllocObjects, allocObjs)
 	st.Add(CtrBarrierSlow, slowOps)
-	ev.PhaseArg(trace.NameFlush, ph, uint64(len(decSeeds)))
+	ev.PhaseArg(trace.NameFlush, ph, uint64(nDecSeeds))
 
 	// 2. Finish unfinished lazy decrements first (§3.2.1): if the
 	// previous epoch's decrements have not drained, the pause completes
@@ -139,7 +145,7 @@ func (p *LXR) pausePipeline(cause string) string {
 		ev.Phase(trace.NameDecs, ph)
 	}
 
-	// 3. SATB seeding and (maybe) completion. decSeeds are the
+	// 3. SATB seeding and (maybe) completion. decSegs hold the
 	// overwritten referents: both RC decrements and SATB snapshot edges
 	// (§3.2.2). The trace completes in the pause that finds the tracer
 	// idle — by then every snapshot edge captured up to the previous
@@ -150,7 +156,9 @@ func (p *LXR) pausePipeline(cause string) string {
 		ph = time.Now()
 		p.traceEpochs++
 		wasIdle := !p.tracer.Pending()
-		p.tracer.Seed(decSeeds)
+		for _, s := range decSegs {
+			p.tracer.Seed(s)
+		}
 		if wasIdle || p.cfg.NoConcurrentSATB || cause == pauseCauseEmergency ||
 			p.traceEpochs >= p.cfg.MaxTraceEpochs {
 			p.tracer.DrainParallel(p.pool)
@@ -168,19 +176,19 @@ func (p *LXR) pausePipeline(cause string) string {
 	ph = time.Now()
 	p.collectRootSlots()
 	if n := len(p.rootSlots); n > 0 {
-		rootItems := make([]mem.Address, n)
-		p.parFor(n, parGatherThreshold, func(start, end int) {
-			for i := start; i < end; i++ {
-				rootItems[i] = rootTag | mem.Address(i)
-			}
-		})
-		modSegs = append(modSegs, rootItems)
+		// Item i is always rootTag|i and drains only read their seeds,
+		// so the segment is extended when the root count grows and
+		// otherwise reused as it stands.
+		for i := len(p.rootItems); i < n; i++ {
+			p.rootItems = append(p.rootItems, rootTag|mem.Address(i))
+		}
+		modSegs = append(modSegs, p.rootItems[:n])
 	}
 	p.drainIncrements(modSegs)
 	ev.PhaseArg(trace.NameIncrements, ph, uint64(len(modSegs)))
 
 	// 4b. The SATB inbox may hold snapshot edges captured before this
-	// pause's young evacuations (decSeeds seeded in step 3, plus
+	// pause's young evacuations (decSegs seeded in step 3, plus
 	// barrier captures from earlier epochs). Rewrite them through the
 	// still-intact forwarding words before the moved-from blocks can be
 	// released and reused: an unresolved entry would be filtered as
@@ -200,12 +208,16 @@ func (p *LXR) pausePipeline(cause string) string {
 
 	// 5. Deferred root decrements: last epoch's root referents receive
 	// decrements now; this epoch's roots are buffered for the next.
-	// decSeeds may be aliased by the tracer inbox (Seed is zero-copy),
-	// so the combined batch goes into a fresh slice.
+	// The tracer inbox owns decSegs from step 3 (Seed is zero-copy), so
+	// the combined batch goes into a slice of its own: decBuf, free
+	// again since step 2 (see the field's comment).
 	ph = time.Now()
-	decs := make([]mem.Address, 0, len(decSeeds)+len(p.rootDecs))
-	decs = append(decs, decSeeds...)
+	decs := p.decBuf[:0]
+	for _, s := range decSegs {
+		decs = append(decs, s...)
+	}
 	decs = append(decs, p.rootDecs...)
+	p.decBuf = decs
 	p.rootDecs = p.gatherRootDecs(p.rootDecs[:0])
 
 	// 5a. Resolve the batch through forwarding NOW, while the pointers
@@ -331,11 +343,10 @@ func (p *LXR) pausePipeline(cause string) string {
 
 // flushPartial is one rendezvous shard's share of the step-1 mutator
 // flush: volume counters plus the harvested decrement and modified-field
-// buffers, merged serially after the parallel walk.
+// buffer segments, merged serially after the parallel walk.
 type flushPartial struct {
 	vol, objs, slow int64
-	decs            []mem.Address
-	segs            [][]mem.Address
+	decs, mods      [][]mem.Address
 }
 
 // Serial-fallback thresholds for the pause's data-parallel loops. Waking

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -15,12 +16,13 @@ import (
 // it selects evacuation sets (blocks under the occupancy threshold,
 // lowest occupancy first, §3.3.2), resets the line reuse counters that
 // validate remembered-set entries, and seeds the tracer with the current
-// root set.
+// root set. Without mature evacuation nothing records or validates a
+// remembered-set entry, so the counters are left alone (as in onSpan).
 func (p *LXR) startSATB() {
 	if p.cfg.matureEvacOn() {
 		p.selectEvacSets()
+		p.parFor(p.reuse.Len(), parClearThreshold, p.reuse.ResetRange)
 	}
-	p.parFor(p.reuse.Len(), parClearThreshold, p.reuse.ResetRange)
 	p.tracer.Begin()
 	seeds := p.gatherRootDecs(make([]obj.Ref, 0, len(p.rootSlots)))
 	p.tracer.Seed(seeds)
@@ -95,7 +97,10 @@ func (p *LXR) finalizeSATB() {
 func (p *LXR) sweepUnmarked() {
 	var dead atomic.Int64
 	n := p.bt.Blocks()
-	p.pool.ParallelFor(n, func(_, start, end int) {
+	p.pool.ParallelFor(n, func(w, start, end int) {
+		// Totals are batched per claimed range: one add to the shared
+		// cell and one to the worker's counter shard, not one per block.
+		died, skipped := 0, 0
 		for i := start; i < end; i++ {
 			idx := i + 1 // main blocks are 1-based
 			st := p.bt.State(idx)
@@ -105,8 +110,9 @@ func (p *LXR) sweepUnmarked() {
 			if p.bt.HasFlag(idx, immix.FlagEvacuating) {
 				continue
 			}
-			d := p.sweepBlockUnmarked(idx)
-			dead.Add(int64(d))
+			d, sk := p.sweepBlockUnmarked(idx)
+			died += d
+			skipped += sk
 			// Only full, unlisted blocks may change state here; blocks
 			// already on the recycled list stay put (their free lines
 			// are found on reuse), and defrag targets are released
@@ -121,6 +127,10 @@ func (p *LXR) sweepUnmarked() {
 				}
 			}
 		}
+		dead.Add(int64(died))
+		if skipped > 0 {
+			p.ctr.skip.AddAt(w+1, int64(skipped))
+		}
 	})
 	// Large object space.
 	p.bt.LOS().Each(func(a mem.Address) {
@@ -134,26 +144,31 @@ func (p *LXR) sweepUnmarked() {
 }
 
 // sweepBlockUnmarked clears the metadata of unmarked objects in one
-// block, returning how many died.
-func (p *LXR) sweepBlockUnmarked(idx int) int {
-	dead := 0
-	start := mem.BlockStart(idx)
-	for g := 0; g < mem.GranulesPerBlock; g++ {
-		a := start + mem.Address(g)<<mem.GranuleLog
-		if p.rc.Get(a) == 0 || p.straddle.Get(a) || p.marks.Get(a) {
-			continue
+// block, returning how many died and how many counted granules were
+// skipped because they do not decode to an object. It walks metadata
+// words, not granules: a free line costs one RC-word load, a live line
+// three loads (meta.RCTable.UnmarkedStarts), and only a granule whose
+// mask bit is set — an unmarked, counted object start — is looked at.
+// The mask is taken per line, when the walk reaches it: reclaiming an
+// object clears the straddle markers on its later lines, and those
+// lines must then read as the per-granule walk would have read them.
+func (p *LXR) sweepBlockUnmarked(idx int) (dead, skipped int) {
+	first := idx * mem.LinesPerBlock
+	for l := first; l < first+mem.LinesPerBlock; l++ {
+		for m := p.rc.UnmarkedStarts(l, p.marks, p.straddle); m != 0; m &= m - 1 {
+			a := mem.LineStart(l) + mem.Address(bits.TrailingZeros32(m))<<mem.GranuleLog
+			if !p.saneRef(a) {
+				// A counted granule that does not decode to an object:
+				// clear the stray count but leave neighbours alone.
+				p.rc.Set(a, 0)
+				skipped++
+				continue
+			}
+			p.reclaimObjectMeta(a)
+			dead++
 		}
-		if !p.saneRef(a) {
-			// A counted granule that does not decode to an object:
-			// clear the stray count but leave neighbours alone.
-			p.rc.Set(a, 0)
-			p.vm.Stats.Add(CtrDefensiveSkip, 1)
-			continue
-		}
-		p.reclaimObjectMeta(a)
-		dead++
 	}
-	return dead
+	return dead, skipped
 }
 
 // reclaimObjectMeta clears the RC count and straddle markers of a dead

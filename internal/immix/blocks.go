@@ -233,13 +233,9 @@ func (bt *BlockTable) ClearLiveAll() {
 // ClearLiveRange zeroes the live-byte scratch for blocks [lo, hi), so
 // pause code can split the full clear across gcwork.ParallelFor workers
 // (partition over [0, Arena.Blocks())) instead of walking every block's
-// live word serially at each cycle start.
-func (bt *BlockTable) ClearLiveRange(lo, hi int) {
-	ls := bt.live[lo:hi:hi]
-	for i := range ls {
-		atomic.StoreInt32(&ls[i], 0)
-	}
-}
+// live word serially at each cycle start. Stopped world only, plain
+// stores: see meta.BitTable.ClearWords.
+func (bt *BlockTable) ClearLiveRange(lo, hi int) { clear(bt.live[lo:hi]) }
 
 // --- lock-free lists --------------------------------------------------------
 

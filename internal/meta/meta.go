@@ -9,6 +9,7 @@
 package meta
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"lxr/internal/mem"
@@ -231,19 +232,44 @@ func setBits32(w *uint32, mask uint32) {
 	}
 }
 
+// countedEven returns w's counted positions in place: bit 2i is set when
+// the 2-bit count at position i is non-zero.
+func countedEven(w uint32) uint32 { return (w | w>>1) & 0x5555_5555 }
+
+// countedMask folds one line's RC word to a 16-bit mask: bit i is set
+// when granule i of the line carries a non-zero count. The counted
+// positions sit on the even bits; the shift-or ladder packs them into
+// the low half word.
+func countedMask(w uint32) uint32 {
+	x := countedEven(w)
+	x = (x | x>>1) & 0x3333_3333
+	x = (x | x>>2) & 0x0f0f_0f0f
+	x = (x | x>>4) & 0x00ff_00ff
+	return (x | x>>8) & 0xffff
+}
+
+// UnmarkedStarts returns the 16-bit mask of granules on global line idx
+// that carry a non-zero count and have neither their marks nor their
+// straddle bit set: the object starts a completed SATB trace left
+// unmarked. One line is one RC word and half a word of each granule bit
+// table, so three loads decide sixteen granules — and a zero RC word
+// decides them with one. Both bit tables must be granule-unit tables.
+func (t *RCTable) UnmarkedStarts(idx int, marks, straddle *BitTable) uint32 {
+	w := atomic.LoadUint32(&t.words[idx])
+	if w == 0 {
+		return 0
+	}
+	return countedMask(w) &^ (marks.lineBits(idx) | straddle.lineBits(idx))
+}
+
 // BlockLiveGranules counts granules in block idx with a non-zero count.
 // It is the occupancy upper bound the evacuation-set selector uses.
 func (t *RCTable) BlockLiveGranules(idx int) int {
 	first := idx * mem.LinesPerBlock
 	live := 0
-	for i := first; i < first+mem.LinesPerBlock; i++ {
-		w := atomic.LoadUint32(&t.words[i])
-		for w != 0 {
-			if w&RCMax != 0 {
-				live++
-			}
-			w >>= RCBits
-		}
+	ws := t.words[first : first+mem.LinesPerBlock]
+	for i := range ws {
+		live += bits.OnesCount32(countedEven(atomic.LoadUint32(&ws[i])))
 	}
 	return live
 }
@@ -332,12 +358,9 @@ func (t *BitTable) TryClear(addr mem.Address) bool {
 	}
 }
 
-// ClearAll clears every bit in the table.
-func (t *BitTable) ClearAll() {
-	for i := range t.words {
-		atomic.StoreUint32(&t.words[i], 0)
-	}
-}
+// ClearAll clears every bit in the table. Stopped world only: see
+// ClearWords.
+func (t *BitTable) ClearAll() { clear(t.words) }
 
 // Words returns the number of 32-bit words backing the table, for
 // callers that partition a full-table operation across workers.
@@ -346,11 +369,23 @@ func (t *BitTable) Words() int { return len(t.words) }
 // ClearWords clears words [lo, hi) of the table. Combined with Words it
 // lets pause code parallelize a full clear over gcwork.ParallelFor
 // instead of walking the whole table on one thread.
-func (t *BitTable) ClearWords(lo, hi int) {
-	ws := t.words[lo:hi:hi]
-	for i := range ws {
-		atomic.StoreUint32(&ws[i], 0)
+//
+// Stopped world only. The clear is plain stores (a memclr), not one
+// atomic store — an XCHG on amd64 — per word: the caller must be inside
+// a pause with mutators parked and any concurrent collector thread
+// quiesced, so the rendezvous and the pool dispatch order it against
+// every atomic access to the table outside the pause (DESIGN.md,
+// "Stopped-world table clears"). The same holds for ClearAll,
+// LineCounters.ResetRange/ResetAll and immix.BlockTable.ClearLiveRange.
+func (t *BitTable) ClearWords(lo, hi int) { clear(t.words[lo:hi]) }
+
+// lineBits returns the 16 bits covering the granules of global line idx.
+// Only a granule-unit table has a line as half a word.
+func (t *BitTable) lineBits(idx int) uint32 {
+	if t.unitLog != mem.GranuleLog {
+		panic("meta: lineBits on a table whose unit is not the granule")
 	}
+	return (atomic.LoadUint32(&t.words[idx>>1]) >> (uint(idx&1) * mem.GranulesPerLine)) & 0xffff
 }
 
 // rangeWords maps [start, end) to the unit-index range the equivalent
@@ -456,7 +491,7 @@ func (c *LineCounters) BumpRange(start, end mem.Address) {
 // Reset zeroes the counter for global line idx.
 func (c *LineCounters) Reset(idx int) { atomic.StoreUint32(&c.counts[idx], 0) }
 
-// ResetAll zeroes every counter. Called at each SATB start.
+// ResetAll zeroes every counter. Called at each SATB start, in the pause.
 func (c *LineCounters) ResetAll() {
 	c.ResetRange(0, len(c.counts))
 }
@@ -465,10 +500,6 @@ func (c *LineCounters) ResetAll() {
 func (c *LineCounters) Len() int { return len(c.counts) }
 
 // ResetRange zeroes counters [lo, hi), so the full reset can be
-// partitioned across pause workers.
-func (c *LineCounters) ResetRange(lo, hi int) {
-	cs := c.counts[lo:hi:hi]
-	for i := range cs {
-		atomic.StoreUint32(&cs[i], 0)
-	}
-}
+// partitioned across pause workers. Stopped world only, plain stores:
+// see BitTable.ClearWords.
+func (c *LineCounters) ResetRange(lo, hi int) { clear(c.counts[lo:hi]) }

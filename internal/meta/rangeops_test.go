@@ -152,3 +152,13 @@ func TestRCFreeLineBitsMatchesLineFree(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkClearWords times the stopped-world clear of a granule bit
+// table the size the benchmark heaps use (16 MB arena: 32 Ki words).
+func BenchmarkClearWords(b *testing.B) {
+	t := meta.NewBitTable(mem.NewArena(16<<20), mem.GranuleLog)
+	b.SetBytes(int64(t.Words()) * 4)
+	for b.Loop() {
+		t.ClearWords(0, t.Words())
+	}
+}
