@@ -233,7 +233,6 @@ type LXR struct {
 	rootSlots []*obj.Ref
 	survived  atomic.Int64 // young bytes surviving this epoch
 	copiedY   atomic.Int64 // young bytes evacuated this epoch
-	promoted  atomic.Int64 // young objects promoted this epoch
 
 	// rootItems[i] == rootTag|i: the increment drain's root segment,
 	// kept across pauses because its contents never change.

@@ -165,6 +165,134 @@ func TestCycleReclamationViaSATB(t *testing.T) {
 	}
 }
 
+// fanIn stores val into `holders` fresh objects chained from root slot
+// `root`, so one referent receives several increments at the next
+// pause: the first promotes (and maybe copies) it, the rest meet the
+// copy's forwarding word or, for an already counted referent, take the
+// count-only path.
+func fanIn(m *vm.Mutator, root int, valRoot int, holders int) {
+	for i := 0; i < holders; i++ {
+		h := m.Alloc(2, 2, 8)
+		m.Store(h, 0, m.Roots[valRoot])
+		if prev := m.Roots[root]; !prev.IsNil() {
+			m.Store(h, 1, prev)
+		}
+		m.Roots[root] = h
+	}
+}
+
+// TestYoungEvacuationAmongCountedTargets drives the increment drain's
+// three target kinds on a heap with clean blocks to copy out of, which
+// neither listed benchmark workload has: young objects on their first
+// increment (evacuated), the same objects again through the forwarding
+// word, and counted mature objects, whose increment never loads the
+// header. CI runs it under LXR_VERIFY=1 -race, where the count-only
+// path still loads the forwarding word and panics on a counted object
+// that is forwarded.
+func TestYoungEvacuationAmongCountedTargets(t *testing.T) {
+	v := newVM(t, core.Config{HeapBytes: 32 << 20})
+	m := v.RegisterMutator(8)
+	defer m.Deregister()
+
+	m.Roots[1] = buildList(m, 1500)
+	m.RequestGC() // the list is mature from here on
+	for round := 0; round < 12; round++ {
+		// Mature fields take young referents: a table object that
+		// survived the last pause is rewired to this round's objects.
+		table := m.Alloc(3, 16, 8)
+		m.Roots[3] = table
+		for i := 0; i < 16; i++ {
+			y := m.Alloc(1, 1, 24)
+			m.WritePayload(y, 0, uint64(round*16+i))
+			m.Roots[4] = y
+			fanIn(m, 5, 4, 3) // young referent, four increments in all
+			m.Store(m.Roots[3], i, m.Roots[4])
+		}
+		fanIn(m, 5, 1, 4) // counted referent: the list head
+		for i := 0; i < 30000; i++ {
+			m.Roots[2] = m.Alloc(1, 1, 32)
+		}
+		m.RequestGC()
+		table = m.Roots[3]
+		for i := 0; i < 16; i++ {
+			if got := m.ReadPayload(m.Load(table, i), 0); got != uint64(round*16+i) {
+				t.Fatalf("round %d: table slot %d reads %d", round, i, got)
+			}
+		}
+		m.Roots[5] = 0
+	}
+	checkList(t, m, m.Roots[1], 1500)
+	st := v.Stats
+	if st.Counter(core.CtrYoungEvacBytes) == 0 {
+		t.Fatal("no young object was evacuated")
+	}
+	if st.Counter(core.CtrStuck) == 0 {
+		t.Fatal("no count stuck: the fan-in never reached a counted object three times")
+	}
+	if got := st.Counter(core.CtrDefensiveSkip); got != 0 {
+		t.Fatalf("%d defensive skips", got)
+	}
+}
+
+// TestMatureEvacuationAmongIncrements runs the same drain with mature
+// evacuation on, so forwarding words also sit on mature sources while
+// roots that walk the list keep sending increments at the moved nodes:
+// a forwarded source has a zero count (ensureEvacuated clears it
+// first), so an increment that still reaches one takes the slow path
+// and follows the word, and one that reaches the copy takes the
+// count-only path. CI runs it under LXR_VERIFY=1 -race.
+//
+// Twelve pauses, about five evacuations: mature evacuation is off by
+// default because it still loses an incoming reference now and then on
+// longer runs (ROADMAP item 2), and this test is about the increment
+// drain, not about that.
+func TestMatureEvacuationAmongIncrements(t *testing.T) {
+	v := newVM(t, core.Config{EnableMatureEvac: true, CleanBlockThreshold: 1 << 30})
+	m := v.RegisterMutator(8)
+	defer m.Deregister()
+
+	// 64-byte nodes: a block full of them has 512 counted granules,
+	// under the evacuation-candidate ceiling.
+	const n = 4000
+	for i := n - 1; i >= 0; i-- {
+		node := m.Alloc(1, 1, 40)
+		m.WritePayload(node, 0, uint64(i))
+		if head := m.Roots[1]; !head.IsNil() {
+			m.Store(node, 0, head)
+		}
+		m.Roots[1] = node
+	}
+	for round := 0; round < 12; round++ {
+		cur := m.Roots[1]
+		for r := 3; r <= 6; r++ {
+			for j := 0; j < n/5+round; j++ {
+				cur = m.Load(cur, 0)
+			}
+			m.Roots[r] = cur
+		}
+		// Young survivors with fan-in, unrelated to the list.
+		y := m.Alloc(1, 1, 24)
+		m.WritePayload(y, 0, uint64(round))
+		m.Roots[7] = y
+		fanIn(m, 2, 7, 3)
+		for i := 0; i < 4000; i++ {
+			m.Roots[0] = m.Alloc(1, 1, 16)
+		}
+		m.RequestGC()
+		if got := m.ReadPayload(m.Load(m.Roots[2], 0), 0); got != uint64(round) {
+			t.Fatalf("round %d: young survivor reads %d", round, got)
+		}
+		m.Roots[2] = 0
+	}
+	checkList(t, m, m.Roots[1], n)
+	if v.Stats.Counter(core.CtrMatureEvacObjs) == 0 {
+		t.Fatal("no mature object was evacuated")
+	}
+	if v.Stats.Counter(core.CtrYoungEvacBytes) == 0 {
+		t.Fatal("no young object was evacuated")
+	}
+}
+
 func TestAblationsRun(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{NoConcurrentSATB: true},

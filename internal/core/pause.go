@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -172,7 +173,6 @@ func (p *LXR) pausePipeline(cause string) string {
 	// evacuated on their first increment (§3.3.2).
 	p.survived.Store(0)
 	p.copiedY.Store(0)
-	p.promoted.Store(0)
 	ph = time.Now()
 	p.collectRootSlots()
 	if n := len(p.rootSlots); n > 0 {
@@ -194,8 +194,11 @@ func (p *LXR) pausePipeline(cause string) string {
 	// released and reused: an unresolved entry would be filtered as
 	// dead (the old address reads RC 0) and silently cut the snapshot
 	// closure — the same hazard G1 fixes with ResolvePending after its
-	// evacuation pauses.
-	if p.satbActive.Load() {
+	// evacuation pauses. With no forwarding word installed anywhere
+	// there is nothing to rewrite, and the pass would be one header
+	// miss per queued address for nothing.
+	fwdLive := p.forwardingLive()
+	if fwdLive && p.satbActive.Load() {
 		ph = time.Now()
 		p.tracer.ResolvePending(func(r obj.Ref) obj.Ref {
 			if !p.plausibleRef(r) {
@@ -230,14 +233,17 @@ func (p *LXR) pausePipeline(cause string) string {
 	// blocks against exactly this; young evacuation relies on this
 	// pre-release resolution instead). Items are independent, so the
 	// batch partitions over the pause workers; this was the last
-	// serial O(decrements) loop in the pause.
-	p.parFor(len(decs), parResolveThreshold, func(start, end int) {
-		for i, a := range decs[start:end] {
-			if r := obj.Ref(a); p.plausibleRef(r) {
-				decs[start+i] = mem.Address(p.om.Resolve(r))
+	// serial O(decrements) loop in the pause. Skipped, like 4b, when no
+	// forwarding word is installed: every address is then already final.
+	if fwdLive {
+		p.parFor(len(decs), parResolveThreshold, func(start, end int) {
+			for i, a := range decs[start:end] {
+				if r := obj.Ref(a); p.plausibleRef(r) {
+					decs[start+i] = mem.Address(p.om.Resolve(r))
+				}
 			}
-		}
-	})
+		})
+	}
 	ev.PhaseArg(trace.NameRootDecs, ph, uint64(len(decs)))
 
 	// 5b. Release the blocks the concurrent thread's completed
@@ -425,12 +431,43 @@ func (p *LXR) collectRootSlots() {
 
 // --- increment processing -----------------------------------------------------
 
+// incScratch is one pause worker's private state for the increment
+// drain: its survivor copy allocator (young evacuation needs no lock)
+// and the epoch's promotion tallies, which reach the shared cells once
+// per worker at teardown instead of once per promoted object.
+type incScratch struct {
+	alloc            immix.Allocator
+	survived, copied int64 // young bytes surviving, and the share of them evacuated
+	promoted, stuck  int64 // objects promoted; counts pinned at the maximum
+}
+
+func (sc *incScratch) noteStuck(old uint32) {
+	if old == 2 { // 2→3 transition pins the count
+		sc.stuck++
+	}
+}
+
+// forwardingLive reports whether any object in the heap may carry an
+// installed forwarding word right now, i.e. whether an address captured
+// before a copy can still need rewriting: this pause's increments
+// evacuated a young object, or a mature evacuation's source blocks are
+// still quarantined for the decrements that refer into them. It reads
+// what happened, not what is configured. Call it after the increment
+// drain and before releaseReclaimable lifts the quarantine.
+func (p *LXR) forwardingLive() bool {
+	return p.copiedY.Load() > 0 || len(p.conc.evacBlocks) > 0
+}
+
 // drainIncrements processes the increment closure in parallel. Seed
 // work arrives segment-granular (modified-field buffer segments plus a
 // segment of rootTag-tagged root indices); items are either heap slot
 // addresses (from the buffers or from scanning newly promoted objects)
-// or rootTag-tagged root indices. Each worker owns a survivor copy
-// allocator so young evacuation needs no locking.
+// or rootTag-tagged root indices.
+//
+// The drain is a chain of dependent misses into a heap the mutator has
+// just streamed through — slot, then the target's count — so each item
+// first prefetches the slot of the item a few pops ahead on the
+// worker's stack (a root index is no arena address and is ignored).
 func (p *LXR) drainIncrements(segs [][]mem.Address) {
 	seeded := int64(0)
 	for _, s := range segs {
@@ -438,117 +475,133 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 	}
 	p.pool.DrainSegs(segs,
 		func(w *gcwork.Worker) {
-			w.Scratch = &immix.Allocator{
+			w.Scratch = &incScratch{alloc: immix.Allocator{
 				BT:          p.bt,
 				Lines:       lineMap{p.rc},
 				UseRecycled: true, // survivors compact into partially free blocks
 				OnSpan:      p.onSpan,
-			}
+			}}
 		},
 		func(w *gcwork.Worker, item mem.Address) {
+			if a, ok := w.Ahead(gcwork.PrefetchAhead); ok {
+				p.om.A.Prefetch(a)
+			}
+			sc := w.Scratch.(*incScratch)
 			if item&rootTag != 0 {
 				slot := p.rootSlots[int(item&^rootTag)]
-				if v := *slot; !v.IsNil() && !p.saneRef(v) {
+				v := *slot
+				if v.IsNil() {
+					return
+				}
+				if !p.saneRef(v) {
 					p.ctr.skip.AddAt(w.ID+1, 1)
 					return
 				}
-				p.applyInc(w, func() obj.Ref { return *slot }, func(v obj.Ref) { *slot = v })
-			} else {
-				p.logs.SetUnlogged(item) // re-arm the barrier for this field
-				if verifyEnabled {
-					if v := p.om.A.LoadRef(item); !v.IsNil() {
-						if !p.plausibleRef(v) {
-							p.diagnoseSlot(item, v)
-						} else if s := p.om.Size(v); s < 16 || (s > 16<<10 && !p.om.IsLarge(v)) || p.om.NumRefs(v) > 8000 {
-							p.diagnoseSlot(item, v)
-						}
-					}
+				if nv := p.applyInc(w, sc, v); nv != v {
+					*slot = nv
 				}
-				p.applyInc(w,
-					func() obj.Ref { return p.om.A.LoadRef(item) },
-					func(v obj.Ref) { p.om.A.StoreRef(item, v) })
+				return
+			}
+			p.logs.SetUnlogged(item) // re-arm the barrier for this field
+			v := p.om.A.LoadRef(item)
+			if v.IsNil() {
+				return
+			}
+			if verifyEnabled {
+				if !p.plausibleRef(v) {
+					p.diagnoseSlot(item, v)
+				} else if s := p.om.Size(v); s < 16 || (s > 16<<10 && !p.om.IsLarge(v)) || p.om.NumRefs(v) > 8000 {
+					p.diagnoseSlot(item, v)
+				}
+			}
+			if nv := p.applyInc(w, sc, v); nv != v {
+				p.om.A.StoreRef(item, nv)
 			}
 		},
 		func(w *gcwork.Worker) {
-			w.Scratch.(*immix.Allocator).Flush()
+			sc := w.Scratch.(*incScratch)
+			sc.alloc.Flush()
+			p.survived.Add(sc.survived)
+			p.copiedY.Add(sc.copied)
+			p.ctr.promoted.AddAt(w.ID+1, sc.promoted)
+			p.ctr.evacYoung.AddAt(w.ID+1, sc.copied)
+			p.ctr.stuck.AddAt(w.ID+1, sc.stuck)
 		})
 	p.vm.Stats.Add(CtrIncrements, seeded)
 }
 
-// applyInc applies one coalesced increment to the referent of a slot,
-// promoting (and opportunistically evacuating) young objects receiving
-// their first increment. get/set abstract the slot so heap slots and
-// root slots share the logic.
-func (p *LXR) applyInc(w *gcwork.Worker, get func() obj.Ref, set func(obj.Ref)) {
-	val := get()
-	if val.IsNil() {
-		return
-	}
+// applyInc applies one coalesced increment to val, the non-nil referent
+// of a slot, and returns the address the slot must hold afterwards: val
+// itself, or the copy when val was evacuated — by this call, on the
+// first increment a young object receives, or earlier.
+//
+// The count decides before the object is touched. A counted object is
+// never forwarded, so its increment needs no header load (DESIGN.md,
+// "Metadata before memory"): young evacuation counts only the copy,
+// mature evacuation zeroes the source's count before it installs the
+// forwarding word (ensureEvacuated), and the one claim ever held on a
+// counted object is an in-place promotion's, between its count and its
+// abandon, which leaves the object where it is. Only a zero count —
+// young, or an evacuation's source — goes on to the forwarding word.
+func (p *LXR) applyInc(w *gcwork.Worker, sc *incScratch, val obj.Ref) obj.Ref {
 	for {
+		if p.rc.Get(val) != 0 {
+			if verifyEnabled {
+				if to := p.om.SpinForwarded(val); to != val {
+					panic(fmt.Sprintf("lxr verify epoch %d: counted object %x (rc %d) is forwarded to %x",
+						p.epoch.Load(), uint64(val), p.rc.Get(val), uint64(to)))
+				}
+			}
+			sc.noteStuck(p.rc.Inc(val))
+			return val
+		}
 		fw := p.om.ForwardingWord(val)
 		switch fw & 3 {
 		case obj.FwdForwarded:
 			nv := obj.Ref(fw >> 2)
-			set(nv)
-			p.incEstablished(w, nv)
-			return
+			sc.noteStuck(p.rc.Inc(nv))
+			return nv
 		case obj.FwdBusy:
 			continue // another worker is copying; spin until published
 		}
-		if p.rc.Get(val) == 0 {
-			if !p.saneRef(val) {
-				p.ctr.skip.AddAt(w.ID+1, 1)
-				return
-			}
-			// Young object receiving its 0→1 increment (§3.3.2): it is
-			// promoted now, and — when it sits in an all-young block and
-			// space permits — evacuated.
-			if p.youngEvacCandidate(val) {
-				if !p.om.TryClaimForwarding(val) {
-					continue // racing promoter; spin
-				}
-				if p.rc.Get(val) != 0 { // raced with in-place promotion
-					p.om.AbandonForwarding(val)
-					continue
-				}
-				size := p.om.Size(val)
-				sa := w.Scratch.(*immix.Allocator)
-				if dst, ok := sa.Alloc(size); ok {
-					p.om.CopyTo(val, dst)
-					if old := p.rc.Inc(dst); old != 0 && testDoubleAllocHook != nil {
-						testDoubleAllocHook(p, val, dst, old, sa)
-					}
-					p.finishPromotion(w, dst, true)
-					p.om.InstallForwarding(val, dst)
-					set(dst)
-					return
-				}
-				// No space: increment in place before abandoning the
-				// claim so racing claimants observe a non-zero count.
-				p.rc.Inc(val)
-				p.finishPromotion(w, val, false)
-				p.om.AbandonForwarding(val)
-				return
-			}
-			if old := p.rc.Inc(val); old == 0 {
-				p.finishPromotion(w, val, false)
-			} else {
-				p.noteStuck(w, old)
-			}
-			return
+		if !p.saneRef(val) {
+			p.ctr.skip.AddAt(w.ID+1, 1)
+			return val
 		}
-		p.noteStuck(w, p.rc.Inc(val))
-		return
-	}
-}
-
-func (p *LXR) incEstablished(w *gcwork.Worker, val obj.Ref) {
-	p.noteStuck(w, p.rc.Inc(val))
-}
-
-func (p *LXR) noteStuck(w *gcwork.Worker, old uint32) {
-	if old == 2 { // 2→3 transition pins the count
-		p.ctr.stuck.AddAt(w.ID+1, 1)
+		// Young object receiving its 0→1 increment (§3.3.2): it is
+		// promoted now, and — when it sits in an all-young block and
+		// space permits — evacuated.
+		if p.youngEvacCandidate(val) {
+			if !p.om.TryClaimForwarding(val) {
+				continue // racing promoter; spin
+			}
+			if p.rc.Get(val) != 0 { // raced with in-place promotion
+				p.om.AbandonForwarding(val)
+				continue
+			}
+			size := p.om.Size(val)
+			if dst, ok := sc.alloc.Alloc(size); ok {
+				p.om.CopyTo(val, dst)
+				if old := p.rc.Inc(dst); old != 0 && testDoubleAllocHook != nil {
+					testDoubleAllocHook(p, val, dst, old, &sc.alloc)
+				}
+				p.finishPromotion(w, sc, dst, true)
+				p.om.InstallForwarding(val, dst)
+				return dst
+			}
+			// No space: increment in place before abandoning the
+			// claim so racing claimants observe a non-zero count.
+			p.rc.Inc(val)
+			p.finishPromotion(w, sc, val, false)
+			p.om.AbandonForwarding(val)
+			return val
+		}
+		if old := p.rc.Inc(val); old == 0 {
+			p.finishPromotion(w, sc, val, false)
+		} else {
+			sc.noteStuck(old)
+		}
+		return val
 	}
 }
 
@@ -568,24 +621,21 @@ func (p *LXR) youngEvacCandidate(ref obj.Ref) bool {
 // lines (§3.1), arm the write barrier for its fields (ending its
 // implicitly-dead status), keep it live for an in-flight SATB trace, and
 // enqueue recursive increments for its referents.
-func (p *LXR) finishPromotion(w *gcwork.Worker, ref obj.Ref, copied bool) {
+func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, copied bool) {
 	size := p.om.Size(ref)
-	p.survived.Add(int64(size))
-	p.promoted.Add(1)
-	p.ctr.promoted.AddAt(w.ID+1, 1)
+	sc.survived += int64(size)
+	sc.promoted++
 	if copied {
-		p.copiedY.Add(int64(size))
-		p.ctr.evacYoung.AddAt(w.ID+1, int64(size))
+		sc.copied += int64(size)
 	}
 	p.markStraddleLines(ref, size)
 	satb := p.satbActive.Load()
 	if satb {
 		p.marks.Set(ref)
 	}
-	n := p.om.NumRefs(ref)
-	for i := 0; i < n; i++ {
-		slot := p.om.SlotAddr(ref, i)
-		p.logs.SetUnlogged(slot)
+	first, end := p.om.SlotAddr(ref, 0), p.om.SlotAddr(ref, p.om.NumRefs(ref))
+	p.logs.SetUnloggedRange(first, end)
+	for slot := first; slot < end; slot += mem.WordSize {
 		if child := p.om.A.LoadRef(slot); !child.IsNil() {
 			if !p.plausibleRef(child) {
 				p.ctr.skip.AddAt(w.ID+1, 1)
@@ -634,7 +684,14 @@ func (p *LXR) sweepYoung() int {
 	var freed atomic.Int64
 	p.pool.ParallelFor(len(dirty), func(_, start, end int) {
 		for _, idx := range dirty[start:end] {
-			if p.bt.State(idx) != immix.StateFull || p.bt.HasFlag(idx, immix.FlagEvacuating) {
+			// An evacuation-set block stays off the recycled list, as in
+			// maybeReleaseAfterDecs and sweepUnmarked: it is dirty only
+			// because the last pause's copy allocators filled it after
+			// that pause's sweep, it holds no young object, and handing
+			// its free lines out would put new objects (this pause's
+			// evacuation copies among them) into a block about to be
+			// evacuated and quarantined.
+			if p.bt.State(idx) != immix.StateFull || p.bt.HasFlag(idx, immix.FlagEvacuating) || p.bt.HasFlag(idx, immix.FlagDefrag) {
 				p.bt.ClearFlag(idx, immix.FlagYoung|immix.FlagDirty)
 				continue
 			}

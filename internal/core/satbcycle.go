@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 	"sync/atomic"
@@ -314,11 +315,15 @@ func (p *LXR) ensureEvacuated(w *gcwork.Worker, copied *atomic.Int64, val obj.Re
 		p.om.CopyTo(val, d)
 		p.rc.Set(d, p.rc.Get(val))
 		p.markStraddleLines(d, size)
-		n := p.om.NumRefs(d)
-		for i := 0; i < n; i++ {
-			p.logs.SetUnlogged(p.om.SlotAddr(d, i))
-		}
+		p.logs.SetUnloggedRange(p.om.SlotAddr(d, 0), p.om.SlotAddr(d, p.om.NumRefs(d)))
+		// The source's count goes to zero BEFORE the forwarding word is
+		// published: "counted ⇒ not forwarded" is what lets applyInc
+		// increment a counted object without loading its header.
 		p.reclaimObjectMeta(val) // free the source lines (block quarantined)
+		if verifyEnabled && p.rc.Get(val) != 0 {
+			panic(fmt.Sprintf("lxr verify epoch %d: evacuation source %x still counted (rc %d) as its forwarding word is published",
+				p.epoch.Load(), uint64(val), p.rc.Get(val)))
+		}
 		p.om.InstallForwarding(val, d)
 		copied.Add(1)
 		return d, true, true

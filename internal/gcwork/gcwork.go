@@ -56,6 +56,13 @@ import (
 // reference arrays (the scalability fix noted in §3.5).
 const chunkSize = 512
 
+// PrefetchAhead is how many pops ahead of the item in hand a drain
+// should prefetch for (Worker.Ahead): far enough that the line has
+// arrived by the time the item is popped — a pause's per-item work is
+// a few tens of nanoseconds against a memory miss of about a hundred —
+// and near enough that the items pushed in between rarely displace it.
+const PrefetchAhead = 8
+
 // Pool is a reusable parallel worker pool. Its N worker goroutines are
 // created on first use and persist — parked on their wake channels —
 // until Stop, so consecutive collection phases (and consecutive
@@ -282,6 +289,19 @@ func (w *Worker) Push(a mem.Address) {
 	if len(w.local) >= 2*chunkSize {
 		w.publish()
 	}
+}
+
+// Ahead returns the item that the k-th pop from now (k ≥ 1) will hand
+// this worker if nothing is pushed in between, so a processing function
+// can prefetch for it while it works on the item in hand. ok is false
+// when the local stack holds fewer than k items: the lookahead stops at
+// the stack's floor and never sees the worker's published chunks, the
+// injector or other workers' deques, whose next taker is not known.
+func (w *Worker) Ahead(k int) (a mem.Address, ok bool) {
+	if n := len(w.local); k >= 1 && k <= n {
+		return w.local[n-k], true
+	}
+	return mem.Nil, false
 }
 
 // publish moves the oldest chunkSize local items onto the worker's deque

@@ -14,6 +14,7 @@ package mem
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Heap geometry. These mirror the constants used by Immix and LXR
@@ -167,6 +168,17 @@ func (a *Arena) LoadRef(addr Address) Address {
 // StoreRef writes a reference slot at addr.
 func (a *Arena) StoreRef(addr Address, v Address) {
 	a.Store(addr, uint64(v))
+}
+
+// Prefetch hints that the word at addr is about to be read. It is a
+// hint and nothing else: no load the memory model or the race detector
+// can see, no fault, no effect on any result, so a caller may issue it
+// for an address it has not validated (one outside the arena is
+// ignored).
+func (a *Arena) Prefetch(addr Address) {
+	if addr < a.size {
+		prefetch(unsafe.Pointer(&a.words[addr>>WordLog]))
+	}
 }
 
 // Zero clears n bytes starting at addr. addr and n must be word aligned.

@@ -127,3 +127,16 @@ func TestBlockLineStarts(t *testing.T) {
 		}
 	}
 }
+
+// Prefetch is a hint: any address is acceptable and nothing changes.
+func TestPrefetchTouchesNothing(t *testing.T) {
+	a := mem.NewArena(2 * mem.BlockSize)
+	a.Store(mem.BlockStart(1), 42)
+	for _, addr := range []mem.Address{0, 3, mem.BlockStart(1), mem.BlockStart(1) + 5, mem.Address(a.Size()) - 1,
+		mem.Address(a.Size()), mem.Address(a.Size()) + 8, 1 << 63, ^mem.Address(0)} {
+		a.Prefetch(addr)
+	}
+	if got := a.Load(mem.BlockStart(1)); got != 42 {
+		t.Fatalf("word reads %d after prefetches", got)
+	}
+}

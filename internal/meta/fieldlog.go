@@ -93,25 +93,59 @@ func (t *FieldLogTable) set(slot mem.Address, v uint32) {
 // words need a masked CAS. This runs on every bump-span reset, which is
 // why the per-field CAS loop it replaces was worth killing.
 func (t *FieldLogTable) ClearRange(start, end mem.Address) {
+	t.setRange(start, end, 0)
+}
+
+// unloggedWord is sixteen fields' worth of LogUnlogged.
+const unloggedWord = 0x5555_5555
+
+// SetUnloggedRange re-arms the barrier for every field in [start, end):
+// what a SetUnlogged per field does, a word of sixteen fields at a
+// time. The collector calls it on the reference slots of an object at
+// its final address (promotion, evacuation), so interior words belong
+// to that object alone and are single atomic stores; the boundary
+// words are shared with neighbouring objects, whose fields another
+// pause worker may be arming, and take a masked CAS that leaves every
+// field outside the range — a Busy one included — as it was.
+func (t *FieldLogTable) SetUnloggedRange(start, end mem.Address) {
+	t.setRange(start, end, unloggedWord)
+}
+
+// setRange gives every field in [start, end) the state pattern holds
+// for it (a word of one repeated 2-bit state).
+func (t *FieldLogTable) setRange(start, end mem.Address, pattern uint32) {
 	if start >= end {
 		return
 	}
+	// The fields the per-field loop would visit, stepping by the word
+	// size from start (which need not be aligned).
 	f0 := uint64(start) >> mem.WordLog
 	f1 := uint64(start+((end-start-1)/mem.WordSize)*mem.WordSize)>>mem.WordLog + 1
 	w0, s0 := int(f0/16), uint(f0%16)*2
 	w1, s1 := int(f1/16), uint(f1%16)*2
 	if w0 == w1 {
-		clearBits32(&t.words[w0], (^uint32(0)<<s0)&^(^uint32(0)<<s1))
+		setMasked32(&t.words[w0], (^uint32(0)<<s0)&^(^uint32(0)<<s1), pattern)
 		return
 	}
 	if s0 != 0 {
-		clearBits32(&t.words[w0], ^uint32(0)<<s0)
+		setMasked32(&t.words[w0], ^uint32(0)<<s0, pattern)
 		w0++
 	}
 	for w := w0; w < w1; w++ {
-		atomic.StoreUint32(&t.words[w], 0)
+		atomic.StoreUint32(&t.words[w], pattern)
 	}
 	if s1 != 0 {
-		clearBits32(&t.words[w1], ^(^uint32(0) << s1))
+		setMasked32(&t.words[w1], ^(^uint32(0) << s1), pattern)
+	}
+}
+
+// setMasked32 atomically replaces the masked bits of *w with those of v.
+func setMasked32(w *uint32, mask, v uint32) {
+	for {
+		old := atomic.LoadUint32(w)
+		new := old&^mask | v&mask
+		if old == new || atomic.CompareAndSwapUint32(w, old, new) {
+			return
+		}
 	}
 }

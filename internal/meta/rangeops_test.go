@@ -129,6 +129,93 @@ func TestFieldLogClearRangeMatchesScalar(t *testing.T) {
 	}
 }
 
+// logArena sizes the field-log tables of unloggedRangeCase; a table
+// reads nothing of its arena but the size.
+var logArena = arena()
+
+// unloggedRangeCase fills a window of fields with a seeded mix of the
+// three log states, arms [s, e) once with SetUnloggedRange and once with
+// the per-field SetUnlogged loop it replaces, and asks for the same
+// state in every field of the window: the range all Unlogged (a Busy
+// field inside it included — SetUnlogged forces the state), everything
+// outside it, Busy neighbours sharing a boundary word included,
+// untouched.
+func unloggedRangeCase(t *testing.T, seed int64, s, e mem.Address) {
+	t.Helper()
+	lo, hi := testRegion()
+	r := rand.New(rand.NewSource(seed))
+	fast := meta.NewFieldLogTable(logArena)
+	slow := meta.NewFieldLogTable(logArena)
+	for a := lo; a < hi; a += mem.WordSize {
+		switch r.Intn(3) {
+		case 0: // Logged (the zero state)
+		case 1:
+			fast.SetUnlogged(a)
+			slow.SetUnlogged(a)
+		case 2: // Busy, reachable only through the log protocol
+			fast.SetUnlogged(a)
+			fast.TryBeginLog(a)
+			slow.SetUnlogged(a)
+			slow.TryBeginLog(a)
+		}
+	}
+	fast.SetUnloggedRange(s, e)
+	for a := s; a < e; a += mem.WordSize {
+		slow.SetUnlogged(a)
+	}
+	for a := lo; a < hi; a += mem.WordSize {
+		if f, w := fast.Get(a), slow.Get(a); f != w {
+			t.Fatalf("seed %d range [%#x,%#x): field %#x got %d want %d", seed, s, e, a, f, w)
+		}
+	}
+}
+
+func TestFieldLogSetUnloggedRangeMatchesScalar(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	lo, hi := testRegion()
+	for trial := 0; trial < rangeTrials; trial++ {
+		s, e := randRange(r, lo, hi, mem.WordSize)
+		if trial%4 == 0 {
+			// An object's reference slots: a short run that starts
+			// anywhere in a 16-field word and often straddles into the
+			// next one.
+			e = s + mem.Address(r.Intn(40))*mem.WordSize
+			if e > hi {
+				e = hi
+			}
+		}
+		unloggedRangeCase(t, int64(trial), s, e)
+	}
+	unloggedRangeCase(t, 1, lo, lo)                         // empty
+	unloggedRangeCase(t, 2, lo+8, lo+16)                    // one field
+	unloggedRangeCase(t, 3, lo+15*8, lo+17*8)               // two fields across a word boundary
+	unloggedRangeCase(t, 4, lo, lo+16*mem.WordSize)         // exactly one word
+	unloggedRangeCase(t, 5, lo+3, lo+3+5*mem.WordSize)      // unaligned start
+	unloggedRangeCase(t, 6, hi-16*mem.WordSize, hi)         // the window's last word
+	unloggedRangeCase(t, 7, lo+8*mem.WordSize, lo+40*8+4*8) // partial, whole, partial
+	unloggedRangeCase(t, 8, lo+16*mem.WordSize, lo+48*8)    // whole words only
+}
+
+func FuzzSetUnloggedRange(f *testing.F) {
+	f.Add(int64(1), uint32(0), uint32(0))
+	f.Add(int64(2), uint32(15), uint32(2))
+	f.Add(int64(3), uint32(7), uint32(64))
+	f.Add(int64(4), uint32(1<<13-1), uint32(1))
+	f.Add(int64(5), uint32(100), uint32(1<<13))
+	lo, hi := testRegion()
+	f.Fuzz(func(t *testing.T, seed int64, firstField, fields uint32) {
+		s := lo + mem.Address(firstField)*mem.WordSize + mem.Address(seed&7) // any alignment
+		if s >= hi {
+			s = lo + (s-lo)%(hi-lo)
+		}
+		e := s + mem.Address(fields)*mem.WordSize
+		if e > hi || e < s {
+			e = hi
+		}
+		unloggedRangeCase(t, seed, s, e)
+	})
+}
+
 func TestRCFreeLineBitsMatchesLineFree(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	rc := meta.NewRCTable(arena())

@@ -78,7 +78,7 @@ func (l Layout) Validate() error {
 	if l.NumRefs < 0 || l.NumRefs > MaxRefs {
 		return fmt.Errorf("obj: invalid ref count %d", l.NumRefs)
 	}
-	if l.Size < MinSize || l.Size > MaxSize {
+	if l.Size < MinSize || int64(l.Size) > MaxSize {
 		return fmt.Errorf("obj: invalid size %d", l.Size)
 	}
 	if l.Size < HeaderBytes+l.NumRefs*mem.WordSize {

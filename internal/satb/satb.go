@@ -138,10 +138,23 @@ func (t *Tracer) MarkAndScan(ref obj.Ref) {
 	t.visit(ref, func(a mem.Address) { t.stack = append(t.stack, a) })
 }
 
+// alreadyMarked reports whether ref's mark bit is set, so a visit can
+// stop before the Filter runs. The outcome is the one the old order
+// reached — rejected by the Filter or refused by TrySet, a marked ref
+// was dropped either way, and marks are only cleared between traces —
+// but a Filter that decodes the header (LXR's does) costs a miss into
+// the heap, and most seeds and edges of a trace's closing pause land on
+// objects the concurrent trace marked long ago. The arena test keeps a
+// stale queue entry from indexing the table out of range; the Filter
+// still sees every ref that is not marked.
+func (t *Tracer) alreadyMarked(ref obj.Ref) bool {
+	return t.OM.A.Contains(ref) && t.Marks.Get(ref)
+}
+
 // visit marks ref (subject to Filter) and feeds its reference slots to
 // push.
 func (t *Tracer) visit(ref obj.Ref, push func(mem.Address)) {
-	if ref.IsNil() {
+	if ref.IsNil() || t.alreadyMarked(ref) {
 		return
 	}
 	if t.Filter != nil && !t.Filter(ref) {
@@ -185,7 +198,7 @@ func (t *Tracer) DrainParallel(pool *gcwork.Pool) {
 // DrainParallel and StepParallel. It reports whether ref was newly
 // marked by this call.
 func (t *Tracer) visitParallel(ref obj.Ref, w *gcwork.Worker) bool {
-	if ref.IsNil() {
+	if ref.IsNil() || t.alreadyMarked(ref) {
 		return false
 	}
 	if t.Filter != nil && !t.Filter(ref) {
