@@ -5,23 +5,17 @@
 //
 //	lxr-bench -experiment table1|table3|table4|table5|table6|table7|figure5|figure7|sensitivity|heapsens|mutscale|all
 //	          [-scale quick|default] [-gcthreads N] [-concworkers N]
-//	          [-adaptive] [-mmufloor F] [-pacing static|adaptive] [-interval D]
-//	          [-bench name,name,...] [-json file|-] [-hist file]
+//	          [-interval D] [-bench name,name,...] [-json file|-] [-hist file]
 //
 // -json additionally emits every executed run as a machine-readable
 // JSON array of summaries (pause percentiles — overall and per phase —
 // MMU curves, throughput, STW totals) to the given file, or to stdout
 // with "-". -hist archives every run's full latency/pause/worker-item
-// histograms as sparse bucket dumps. -adaptive sizes the concurrent
-// borrow width from observed mutator utilization (optionally targeting
-// an MMU floor with -mmufloor) and records the governor's width trace
-// in the JSON output. -pacing adaptive drives every collector's
-// collection triggers through the adaptive policy pacers (load-scaled
-// LXR epoch lengths, headroom-based G1 IHOP, churn-aware free-fraction
-// triggers); the pacing decision archive lands under "pacing" in the
-// JSON output in both modes. -interval emits periodic per-window
-// latency and pause percentiles during each run; windows whose p99
-// departs more than 2x from the trailing mean are marked drift:true.
+// histograms as sparse bucket dumps. Every run's pacing decision
+// archive lands under "pacing" in the JSON output. -interval emits
+// periodic per-window latency and pause percentiles during each run;
+// windows whose p99 departs more than 2x from the trailing mean are
+// marked drift:true.
 // See EXPERIMENTS.md.
 package main
 

@@ -15,8 +15,7 @@
 //
 //	lxr-trace -bench lusearch -collector LXR -heap 2.0 -trace out.json
 //	          [-flight N] [-interval D] [-scale quick|default]
-//	          [-gcthreads N] [-concworkers N] [-adaptive] [-mmufloor F]
-//	          [-pacing static|adaptive] [-json file|-]
+//	          [-gcthreads N] [-concworkers N] [-json file|-]
 //	lxr-trace -validate out.json
 package main
 

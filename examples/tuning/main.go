@@ -29,7 +29,6 @@ func main() {
 		{"small survival threshold (1MB)", lxr.LXRConfig{SurvivalThresholdBytes: 1 << 20}},
 		{"large survival threshold (32MB)", lxr.LXRConfig{SurvivalThresholdBytes: 32 << 20}},
 		{"no young evacuation", lxr.LXRConfig{NoYoungEvac: true}},
-		{"no mature evacuation", lxr.LXRConfig{NoMatureEvac: true}},
 		{"stop-the-world (-SATB -LD)", lxr.LXRConfig{NoConcurrentSATB: true, NoLazyDecrements: true}},
 	}
 

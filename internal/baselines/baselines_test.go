@@ -9,7 +9,6 @@ import (
 
 	"lxr/internal/baselines"
 	"lxr/internal/core"
-	"lxr/internal/policy"
 	"lxr/internal/vm"
 )
 
@@ -309,11 +308,10 @@ func TestG1TightHeapEvacuationFailure(t *testing.T) {
 // held, reading occupancy — including the large-object space's, which
 // used to take the LOS mutex — concurrently with mutators allocating
 // large objects. Every read on that path must be lock-free and
-// race-clean, and adaptive pacing must keep cycles firing.
+// race-clean, and the trigger must keep cycles firing.
 func TestShenPacedTriggerUnderChurn(t *testing.T) {
 	const heap = 12 << 20
 	p := baselines.NewShenandoah(heap, 2)
-	p.SetPacing(policy.Adaptive)
 	v := vm.New(p, 8)
 	defer v.Shutdown()
 
@@ -358,8 +356,8 @@ func TestShenPacedTriggerUnderChurn(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no pacing trace")
 	}
-	if tr.Collector != "Shenandoah" || tr.Mode != "adaptive" {
-		t.Fatalf("trace identity %s/%s", tr.Collector, tr.Mode)
+	if tr.Collector != "Shenandoah" {
+		t.Fatalf("trace identity %s", tr.Collector)
 	}
 	if tr.Fired == 0 {
 		t.Fatal("sustained occupancy above the threshold never fired the free-fraction trigger")

@@ -56,17 +56,11 @@ type base struct {
 	// concWorkers is the between-pause borrow width: how many pool
 	// workers the plan's concurrent phase driver (G1's marking thread,
 	// Shenandoah's cycle controller) lends for each trace advance.
-	// With the adaptive governor it is only the initial width.
 	concWorkers int
-	// adaptive/mmuFloor select the conctrl governor (SetAdaptive).
-	adaptive bool
-	mmuFloor float64
-	gov      *conctrl.Governor
 
-	// pacing selects the policy mode; each plan constructs its pacer in
-	// Boot and routes every start decision through it.
-	pacing policy.Mode
-	pacer  policy.Pacer
+	// pacer is constructed in each plan's Boot; every start decision
+	// routes through it.
+	pacer policy.Pacer
 
 	// events is the optional event tracer (nil when tracing is off —
 	// every recording site stays one predictable nil check). Named to
@@ -120,25 +114,6 @@ func (b *base) SetConcWorkers(n int) {
 // ConcWorkers reports the configured between-pause borrow width.
 func (b *base) ConcWorkers() int { return b.concWorkers }
 
-// SetAdaptive enables the conctrl governor: the plan's concurrent
-// driver sizes its worker loans adaptively from observed mutator
-// utilization, starting at the configured borrow width, with mmuFloor
-// as an optional MMU-floor target (0 disables the floor). Must be
-// called before Boot.
-func (b *base) SetAdaptive(mmuFloor float64) {
-	b.adaptive = true
-	b.mmuFloor = mmuFloor
-}
-
-// GovernorTrace returns the adaptive-width governor's run record, or
-// nil when the borrow width is static (harness telemetry).
-func (b *base) GovernorTrace() *conctrl.Trace {
-	if b.gov == nil {
-		return nil
-	}
-	return b.gov.Trace()
-}
-
 // SetTracer attaches the structured event tracer: the pool records loan
 // spans, the concurrent controller records quantum spans, the pacer
 // records trigger instants, and each plan's pause phases record spans on
@@ -148,12 +123,6 @@ func (b *base) SetTracer(t *trace.Tracer) {
 	b.events = t
 	b.pool.SetTracer(t)
 }
-
-// SetPacing selects the pacing mode (policy.Static reproduces each
-// collector's historical trigger behavior exactly; policy.Adaptive
-// drives the thresholds from the observed signals). Must be called
-// before Boot, which constructs the plan's pacer.
-func (b *base) SetPacing(m policy.Mode) { b.pacing = m }
 
 // PacingTrace returns the pacer's archived decision record (harness
 // telemetry, emitted under "pacing" in the -json output).
@@ -173,28 +142,12 @@ func (b *base) armTracer() {
 }
 
 // newController builds the plan's shared concurrent controller around
-// its cycle driver, attaching the adaptive governor when enabled.
-// stats may be nil for drivers that account their concurrent slices
-// themselves (Shenandoah's full-cycle quantum contains pauses); poll
-// selects the idle re-check period for occupancy-triggered drivers.
-// Call from Boot, once the VM exists.
-func (b *base) newController(d conctrl.CycleDriver, v *vm.VM, stats *vm.Stats, poll time.Duration) *conctrl.Controller {
-	cfg := conctrl.Config{Stats: stats, Width: b.concWorkers, Signals: v, Poll: poll, Trace: b.events}
-	if b.adaptive {
-		b.gov = conctrl.NewCollectorGovernor(b.pool.N, b.concWorkers, b.mmuFloor)
-		cfg.Governor = b.gov
-	}
-	if b.pacing == policy.Adaptive {
-		// An adaptive pacer that consumes utilization windows subscribes
-		// to the controller's export, so trigger thresholds and the loan
-		// width act on the same estimator. Pacers that adapt on cycle
-		// boundaries only are not WindowObservers, and wiring them would
-		// make the controller sample windows nobody reads.
-		if wo, ok := b.pacer.(policy.WindowObserver); ok {
-			cfg.WindowSink = wo.ObserveWindow
-		}
-	}
-	return conctrl.NewController(d, cfg)
+// its cycle driver. stats may be nil for drivers that account their
+// concurrent slices themselves (Shenandoah's full-cycle quantum
+// contains pauses); poll selects the idle re-check period for
+// occupancy-triggered drivers. Call from Boot, once the VM exists.
+func (b *base) newController(d conctrl.CycleDriver, stats *vm.Stats, poll time.Duration) *conctrl.Controller {
+	return conctrl.NewController(d, conctrl.Config{Stats: stats, Width: b.concWorkers, Poll: poll, Trace: b.events})
 }
 
 // GCWorkerStats exposes the pool's per-worker utilization, split into

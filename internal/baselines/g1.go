@@ -69,7 +69,7 @@ func NewG1(heapBytes, gcThreads int) *G1 {
 	p.marks = markBits(p.bt.Arena)
 	p.logs = meta.NewFieldLogTable(p.bt.Arena)
 	p.reuse = meta.NewLineCounters(p.bt.Arena)
-	p.rem = remset.NewTable(p.reuse, 0)
+	p.rem = remset.NewTable(p.reuse)
 	p.tracer = &satb.Tracer{
 		OM:    p.om,
 		Marks: p.marks,
@@ -84,7 +84,7 @@ func NewG1(heapBytes, gcThreads int) *G1 {
 		OnEdge: func(slot mem.Address, v obj.Ref) {
 			if v&(mem.Granule-1) == 0 && p.om.A.Contains(v) &&
 				p.bt.HasFlag(v.Block(), immix.FlagDefrag) {
-				p.rem.Record(slot, v.Block())
+				p.rem.Record(slot)
 			}
 		},
 	}
@@ -116,12 +116,11 @@ type g1Mut struct {
 func (p *G1) Boot(v *vm.VM) {
 	p.vm = v
 	p.pacer = policy.NewG1Pacer(policy.G1PacerConfig{
-		Mode:              p.pacing,
 		BudgetBlocks:      p.bt.BudgetBlocks(),
 		YoungTargetBlocks: int(p.youngTarget),
 	})
 	p.armTracer()
-	p.ctl = p.newController(p.mark, v, v.Stats, 0)
+	p.ctl = p.newController(p.mark, v.Stats, 0)
 	p.ctl.Start()
 }
 
@@ -201,7 +200,7 @@ func (p *G1) WriteRef(m *vm.Mutator, src obj.Ref, i int, val obj.Ref) {
 	}
 	p.om.A.StoreRef(slot, val)
 	if !val.IsNil() && (p.marking.Load() || p.markDone.Load()) && p.bt.HasFlag(val.Block(), immix.FlagDefrag) {
-		p.rem.Record(slot, val.Block())
+		p.rem.Record(slot)
 	}
 }
 
@@ -447,8 +446,7 @@ func (p *G1) collect() string {
 	ev.Phase(trace.NameFree, ph)
 
 	// Trigger a concurrent mark when occupancy crosses the pacer's
-	// IHOP threshold (fixed 45% of budget under static pacing;
-	// headroom-based under adaptive pacing).
+	// IHOP threshold (45% of budget).
 	if !p.marking.Load() && !p.markDone.Load() &&
 		p.pacer.ShouldStartCycle(policy.Signals{
 			HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
@@ -505,7 +503,7 @@ func (p *G1) evacuate(w *gcwork.Worker, ref obj.Ref, evacMarks *meta.BitTable) (
 				// this (now-marked) object: feed the mixed-collection
 				// remembered sets, or evacuation would miss the slot.
 				if (marking || p.markDone.Load()) && p.bt.HasFlag(v.Block(), immix.FlagDefrag) {
-					p.rem.Record(slot, v.Block())
+					p.rem.Record(slot)
 				}
 				if marking {
 					// The copy is marked without ever being scanned by
@@ -586,10 +584,6 @@ func (p *G1) startMark(rootSlots []*obj.Ref) {
 	}
 	p.tracer.Seed(seeds)
 	p.marking.Store(true)
-	p.pacer.ObserveCycleStart(policy.Signals{
-		HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
-		BudgetBlocks: p.bt.BudgetBlocks(),
-	})
 }
 
 // finishMark runs when the tracer drains: liveness figures select the
@@ -616,10 +610,6 @@ func (p *G1) finishMark() {
 	}
 	p.tracer.Finish()
 	p.markDone.Store(true)
-	p.pacer.ObserveCycleEnd(policy.Signals{
-		HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
-		BudgetBlocks: p.bt.BudgetBlocks(),
-	})
 }
 
 // --- concurrent mark driver ---------------------------------------------------

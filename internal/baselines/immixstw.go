@@ -78,7 +78,7 @@ func (p *Immix) Boot(v *vm.VM) {
 	p.vm = v
 	// Limit 0: collections are driven purely by allocation failure; the
 	// pacer archives each heap-full fire with its occupancy snapshot.
-	p.pacer = policy.NewHeapFullPacer(p.name, p.pacing, 0)
+	p.pacer = policy.NewHeapFullPacer(p.name, 0)
 	p.armTracer()
 }
 

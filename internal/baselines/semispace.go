@@ -49,7 +49,7 @@ type ssMut struct{ alloc immix.Allocator }
 // Boot implements vm.Plan.
 func (p *SemiSpace) Boot(v *vm.VM) {
 	p.vm = v
-	p.pacer = policy.NewHeapFullPacer(p.name, p.pacing, p.halfBudget())
+	p.pacer = policy.NewHeapFullPacer(p.name, p.halfBudget())
 	p.armTracer()
 }
 

@@ -112,12 +112,11 @@ type shenMut struct {
 func (p *Shen) Boot(v *vm.VM) {
 	p.vm = v
 	p.pacer = policy.NewFreeFractionPacer(policy.FreeFractionPacerConfig{
-		Mode:         p.pacing,
 		Collector:    p.name,
 		BudgetBlocks: p.bt.BudgetBlocks(),
 	})
 	p.armTracer()
-	p.ctl = p.newController(&shenCycles{p: p}, v, nil, 2*time.Millisecond)
+	p.ctl = p.newController(&shenCycles{p: p}, nil, 2*time.Millisecond)
 	p.ctl.Start()
 }
 
@@ -321,8 +320,8 @@ func (d *shenCycles) HasWork() bool {
 }
 
 // Quantum implements conctrl.CycleDriver: one full collection cycle.
-// The width argument is ignored — cycles re-read the controller's width
-// at every trace advance, so a governor resize applies mid-cycle.
+// The width argument is ignored — cycles read the controller's width
+// at every trace advance.
 func (d *shenCycles) Quantum(int) {
 	p := d.p
 	p.runCycle()
@@ -344,12 +343,11 @@ func (d *shenCycles) OnStop(failure any) {
 }
 
 // cycleDue asks the pacer whether free memory has fallen under the
-// trigger fraction (historically 30% of budget; adaptive pacing backs
-// the threshold off under churn). It runs on the controller goroutine
+// trigger fraction (30% of budget). It runs on the controller goroutine
 // with the controller lock held, so every read here is lock-free:
 // occupancy comes from the block table's atomic counters (including the
 // large-object space's, made atomic for exactly this path) and the
-// pacer's threshold is an atomic load.
+// pacer's threshold is fixed.
 func (p *Shen) cycleDue() bool {
 	return p.pacer.ShouldStartCycle(policy.Signals{
 		HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
@@ -387,10 +385,6 @@ func (p *Shen) runCycle() {
 			p.tracer.Seed(p.vm.SnapshotRootsParallel(p.pool, nil))
 			ev.Phase(trace.NameRoots, pt)
 			p.phase.Store(phMark)
-			p.pacer.ObserveCycleStart(policy.Signals{
-				HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
-				BudgetBlocks: p.bt.BudgetBlocks(),
-			})
 		})
 		p.recordPauseWorkerItems("init-mark")
 	})
@@ -398,17 +392,13 @@ func (p *Shen) runCycle() {
 	// Concurrent mark. The cycle driver is the tracer's owner thread
 	// and also the only thread that initiates pauses, so loans taken
 	// here can never overlap a pause; no interrupt wiring is needed
-	// (unlike G1, whose pauses originate on mutator threads). The
-	// quantum spans the whole cycle, so the governor is sampled here
-	// (Controller.Govern) and the width re-read at every advance —
-	// resizes genuinely take effect mid-cycle.
+	// (unlike G1, whose pauses originate on mutator threads).
 	cm := time.Now()
 	for {
 		t0 := time.Now()
 		for _, s := range p.satbIn.TakeSegs() {
 			p.tracer.Seed(refsOf(s))
 		}
-		p.ctl.Govern()
 		var idle bool
 		if k := p.ctl.Width(); k > 1 {
 			idle = p.tracer.StepParallel(p.pool, k, nil)
@@ -473,7 +463,6 @@ func (p *Shen) runCycle() {
 	evacAl := &immix.Allocator{BT: p.bt}
 	aborted := map[int]bool{}
 	for _, idx := range p.cset {
-		p.ctl.Govern()
 		t0 := time.Now()
 		start := mem.BlockStart(idx)
 		for g := 0; g < mem.GranulesPerBlock; g++ {
@@ -512,7 +501,6 @@ func (p *Shen) runCycle() {
 		if p.bt.HasFlag(idx, immix.FlagEvacuating) {
 			return
 		}
-		p.ctl.Govern()
 		t0 := time.Now()
 		p.updateBlockRefs(idx)
 		p.vm.Stats.AddConcurrentWork(time.Since(t0))
@@ -540,10 +528,6 @@ func (p *Shen) runCycle() {
 			p.cset = p.cset[:0]
 			ev.Phase(trace.NameFree, pt)
 			p.phase.Store(phIdle)
-			p.pacer.ObserveCycleEnd(policy.Signals{
-				HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
-				BudgetBlocks: p.bt.BudgetBlocks(),
-			})
 		})
 		p.vm.Stats.AddGCWork(dur)
 		p.recordPauseWorkerItems("final-update")

@@ -10,17 +10,9 @@
 // duplicated that loop; this package owns it once, parameterised by a
 // per-collector CycleDriver that supplies only the collector-specific
 // work.
-//
-// On top of the controller sits the Governor: an adaptive loan-width
-// policy that sizes how many pool workers the concurrent phases borrow
-// between pauses, driven by a cheap windowed utilization estimator —
-// shrink the loans when mutators are CPU-starved, grow them when cores
-// sit idle — with an optional MMU-floor target, the way HotSpot sizes
-// its concurrent GC threads.
 package conctrl
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -54,18 +46,6 @@ type ReleaseNotifier interface {
 	OnRelease()
 }
 
-// UrgencyWeighted is an optional CycleDriver extension: Urgency returns
-// the driver's MMU-floor vote weight (≥ 1) for the adaptive loan-width
-// governor. A window violating the MMU floor contributes this many grow
-// votes instead of one, so the grow step lands fastest on the driver
-// whose backlog the pauses directly absorb — LXR's decrement drain
-// lengthens the very next pause, while G1-style marking only delays a
-// future mixed collection. NewController installs the weight on the
-// configured governor.
-type UrgencyWeighted interface {
-	Urgency() float64
-}
-
 // StopNotifier is an optional CycleDriver extension: OnStop runs once
 // when the controller goroutine exits — after Stop, or after a quantum
 // panic was parked. failure is the parked panic (nil on a clean stop).
@@ -83,22 +63,8 @@ type Config struct {
 	// waiting (Shenandoah's full-cycle quantum) must pass nil and
 	// account their concurrent slices themselves.
 	Stats *vm.Stats
-	// Width is the static borrow width handed to Quantum when no
-	// Governor is installed (clamped to ≥ 1).
+	// Width is the borrow width handed to Quantum (clamped to ≥ 1).
 	Width int
-	// Governor, when non-nil, drives the borrow width adaptively; Width
-	// is ignored. The controller samples Signals between quanta.
-	Governor *Governor
-	// Signals supplies the governor's cumulative feedback inputs
-	// (vm.VM implements it). Required when Governor or WindowSink is
-	// set.
-	Signals Signals
-	// WindowSink, when non-nil, receives every utilization-estimator
-	// window the controller samples — (windowed mutator utilization,
-	// total CPU load fraction) — whether or not a Governor is
-	// installed. Adaptive pacing policies subscribe here so trigger
-	// thresholds and the loan width act on the same estimator.
-	WindowSink func(util, load float64)
 	// Poll, when non-zero, makes an idle controller re-check HasWork on
 	// this period instead of sleeping until Kick — for drivers whose
 	// work condition is a heap-occupancy threshold no event announces
@@ -109,19 +75,6 @@ type Config struct {
 	// runs whole cycles per quantum — which live on the GC shard, so
 	// the timelines stay independently well-nested).
 	Trace *trace.Tracer
-}
-
-// Signals supplies the cumulative inputs the governor differences into
-// windows: total mutator busy time, total collector work, total
-// stop-the-world time, and the live mutator count. Implementations must
-// be cheap and O(1)-ish in mutator count — the governor samples this
-// every few milliseconds (vm.VM derives busy time from per-shard
-// aggregates rather than walking mutators). Samples may run slightly
-// ahead of or behind the per-mutator truth while parks or registration
-// changes are in flight; the windowed consumers clamp the resulting
-// small negative deltas.
-type Signals interface {
-	ConcSignals() (mutBusy, gcWork, pause time.Duration, mutators int)
 }
 
 // Controller runs a CycleDriver on a dedicated goroutine and owns the
@@ -138,8 +91,8 @@ type Signals interface {
 //     re-raised by the next Quiesce — on the pause path, a mutator
 //     goroutine protected by the workload guard — so driver failures
 //     become Failed data points exactly like in-pause ones.
-//   - the width plumbing: each quantum receives the current borrow
-//     width, static or governed.
+//   - the width plumbing: each quantum receives the configured borrow
+//     width.
 type Controller struct {
 	d   CycleDriver
 	cfg Config
@@ -160,13 +113,6 @@ type Controller struct {
 
 	started bool
 	done    chan struct{}
-
-	// Governor sampling state (controller goroutine only).
-	epoch      time.Time
-	lastSample time.Time
-	prevMut    time.Duration
-	prevGC     time.Duration
-	prevPause  time.Duration
 }
 
 // NewController creates a controller around a driver. Call Start to
@@ -174,11 +120,6 @@ type Controller struct {
 func NewController(d CycleDriver, cfg Config) *Controller {
 	if cfg.Width < 1 {
 		cfg.Width = 1
-	}
-	if cfg.Governor != nil {
-		if uw, ok := d.(UrgencyWeighted); ok {
-			cfg.Governor.SetUrgency(uw.Urgency())
-		}
 	}
 	c := &Controller{d: d, cfg: cfg, done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
@@ -189,25 +130,13 @@ func NewController(d CycleDriver, cfg Config) *Controller {
 // loans into it (so pauses can interrupt them) and Drop after Reclaim.
 func (c *Controller) LoanRef() *gcwork.LoanRef { return &c.loan }
 
-// Width returns the borrow width quanta should use right now: the
-// governor's current width, or the static configured width.
-func (c *Controller) Width() int {
-	if c.cfg.Governor != nil {
-		return c.cfg.Governor.Width()
-	}
-	return c.cfg.Width
-}
-
-// Governor returns the installed governor (nil when the width is
-// static).
-func (c *Controller) Governor() *Governor { return c.cfg.Governor }
+// Width returns the configured borrow width.
+func (c *Controller) Width() int { return c.cfg.Width }
 
 // Start launches the driver goroutine.
 func (c *Controller) Start() {
 	c.mu.Lock()
 	c.started = true
-	c.epoch = time.Now()
-	c.lastSample = c.epoch
 	c.mu.Unlock()
 	go c.run()
 }
@@ -311,8 +240,8 @@ func (c *Controller) run() {
 		c.mu.Unlock()
 
 		t0 := time.Now()
-		w := c.Width()
-		if !c.guardedQuantum() {
+		w := c.cfg.Width
+		if !c.guardedQuantum(w) {
 			return
 		}
 		if c.cfg.Stats != nil {
@@ -321,7 +250,6 @@ func (c *Controller) run() {
 		if tr := c.cfg.Trace; tr != nil {
 			tr.Span(trace.ShardConc, trace.NameQuantum, t0, time.Since(t0), uint64(w), 0)
 		}
-		c.govern()
 	}
 }
 
@@ -330,7 +258,7 @@ func (c *Controller) run() {
 // pause path, the driver acknowledges permanent quiescence, OnStop
 // fires, and false terminates the controller goroutine. The collector
 // degrades to its in-pause processing paths.
-func (c *Controller) guardedQuantum() (ok bool) {
+func (c *Controller) guardedQuantum(width int) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.loan.Drop()
@@ -343,7 +271,7 @@ func (c *Controller) guardedQuantum() (ok bool) {
 			ok = false
 		}
 	}()
-	c.d.Quantum(c.Width())
+	c.d.Quantum(width)
 	return true
 }
 
@@ -351,63 +279,4 @@ func (c *Controller) notifyStop(failure any) {
 	if sn, ok := c.d.(StopNotifier); ok {
 		sn.OnStop(failure)
 	}
-}
-
-// Govern lets a driver whose quantum is long-running sample the
-// governor mid-quantum — Shenandoah's quantum is a whole collection
-// cycle, so without this the width could only move between cycles. It
-// must be called from inside the driver's own Quantum (the controller
-// goroutine); it is a no-op until the governor's window has elapsed.
-func (c *Controller) Govern() { c.govern() }
-
-// govern feeds the governor and/or the window sink one window when
-// enough wall time has accumulated since the last sample. Runs on the
-// controller goroutine — between quanta, and wherever a long-running
-// quantum calls Govern; while the driver is idle no loans run and the
-// width does not matter.
-func (c *Controller) govern() {
-	g := c.cfg.Governor
-	if (g == nil && c.cfg.WindowSink == nil) || c.cfg.Signals == nil {
-		return
-	}
-	// The sink-only path uses the same defaults withDefaults gives a
-	// governor, so both paths sample one estimator geometry.
-	window := DefaultWindow
-	cores := runtime.NumCPU()
-	if g != nil {
-		window = g.cfg.Window
-		cores = g.cfg.Cores
-	}
-	now := time.Now()
-	wall := now.Sub(c.lastSample)
-	if wall < window {
-		return
-	}
-	mut, gc, pause, muts := c.cfg.Signals.ConcSignals()
-	s := Sample{
-		Wall:        wall,
-		MutatorBusy: clampDur(mut - c.prevMut),
-		GCWork:      clampDur(gc - c.prevGC),
-		Pause:       clampDur(pause - c.prevPause),
-		Mutators:    muts,
-	}
-	c.lastSample = now
-	c.prevMut, c.prevGC, c.prevPause = mut, gc, pause
-	if g != nil {
-		g.Observe(now.Sub(c.epoch), s)
-	}
-	if c.cfg.WindowSink != nil {
-		util, load := s.UtilLoad(cores)
-		c.cfg.WindowSink(util, load)
-	}
-}
-
-// clampDur floors a windowed delta at zero: the busy estimator counts a
-// currently parked mutator as busy until its park is recorded, so a
-// window closing mid-park can observe a small negative delta.
-func clampDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
-	}
-	return d
 }

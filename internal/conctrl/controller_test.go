@@ -66,7 +66,7 @@ func TestControllerRunsQuantaAndParks(t *testing.T) {
 	waitFor(t, "kicked budget", func() bool { return d.quanta.Load() == 7 })
 }
 
-// TestControllerStaticWidth: without a governor every quantum receives
+// TestControllerStaticWidth: every quantum receives
 // the configured width.
 func TestControllerStaticWidth(t *testing.T) {
 	d := &countDriver{widths: make(chan int, 8)}

@@ -107,7 +107,7 @@ func (p *LXR) WriteRef(m *vm.Mutator, src obj.Ref, i int, val obj.Ref) {
 	p.om.A.StoreRef(slot, val)
 	if m.BarrierWatch && !val.IsNil() && p.om.A.Contains(val) &&
 		p.bt.HasFlag(val.Block(), immix.FlagDefrag) {
-		p.rem.Record(slot, val.Block())
+		p.rem.Record(slot)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"lxr/internal/gcwork"
 	"lxr/internal/mem"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 )
 
 // concurrent is LXR's concurrent collection driver (Fig. 2). It
@@ -62,39 +61,16 @@ func newConcurrent(p *LXR) *concurrent {
 	return &concurrent{p: p, touched: map[int]struct{}{}}
 }
 
-// start builds the shared controller (with the adaptive governor when
-// configured) and launches the driver goroutine. Called from Boot, once
-// the VM exists.
+// start builds the shared controller and launches the driver
+// goroutine. Called from Boot, once the VM exists.
 func (c *concurrent) start() {
-	cfg := conctrl.Config{
-		Stats:   c.p.vm.Stats,
-		Width:   c.p.cfg.ConcWorkers,
-		Signals: c.p.vm,
-		Trace:   c.p.events,
-	}
-	if c.p.cfg.AdaptiveConc {
-		cfg.Governor = conctrl.NewCollectorGovernor(c.p.pool.N, c.p.cfg.ConcWorkers, c.p.cfg.MMUFloor)
-	}
-	if c.p.cfg.AdaptivePacing {
-		// Feed the controller's utilization windows to the pacer so the
-		// RC epoch length adapts on the same estimator the loan-width
-		// governor uses.
-		if wo, ok := c.p.pacer.(policy.WindowObserver); ok {
-			cfg.WindowSink = wo.ObserveWindow
-		}
-	}
-	c.ctl = conctrl.NewController(c, cfg)
+	c.ctl = conctrl.NewController(c, conctrl.Config{
+		Stats: c.p.vm.Stats,
+		Width: c.p.cfg.ConcWorkers,
+		Trace: c.p.events,
+	})
 	c.ctl.Start()
 }
-
-// decUrgency is LXR's MMU-floor vote weight (conctrl.UrgencyWeighted):
-// an unfinished decrement backlog is absorbed by the very next pause,
-// so under-resourcing this driver lengthens pauses immediately — unlike
-// marking drivers, whose backlog only delays a future mixed collection.
-const decUrgency = 2
-
-// Urgency implements conctrl.UrgencyWeighted.
-func (c *concurrent) Urgency() float64 { return decUrgency }
 
 func (c *concurrent) stop() { c.ctl.Stop() }
 

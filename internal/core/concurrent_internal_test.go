@@ -30,43 +30,3 @@ func TestConcurrentFailureDeliveredAtQuiesce(t *testing.T) {
 	c.quiesce()
 	t.Fatal("quiesce did not re-raise the injected failure")
 }
-
-// TestAdaptiveGovernorSamples: with AdaptiveConc the plan must expose a
-// governor trace, and a workload that keeps the concurrent driver busy
-// must produce utilization samples (the width trace always carries at
-// least the initial point).
-func TestAdaptiveGovernorSamples(t *testing.T) {
-	p := New(Config{HeapBytes: 16 << 20, GCThreads: 4, ConcWorkers: 2, AdaptiveConc: true})
-	v := vm.New(p, 4)
-	defer v.Shutdown()
-
-	m := v.RegisterMutator(8)
-	holder := m.Alloc(0, 64, 8)
-	m.Roots[0] = holder
-	m.RequestGC()
-	holder = m.Roots[0]
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 64; i++ {
-			m.Store(holder, i, m.Alloc(0, 0, 64))
-		}
-		m.RequestGC()
-		holder = m.Roots[0]
-	}
-	m.Deregister()
-
-	tr := p.GovernorTrace()
-	if tr == nil {
-		t.Fatal("AdaptiveConc plan returned a nil governor trace")
-	}
-	if len(tr.Widths) == 0 || tr.Widths[0].Width != 2 {
-		t.Fatalf("width trace %v, want initial width 2", tr.Widths)
-	}
-	if tr.MinWidth != 1 || tr.MaxWidth != 4 {
-		t.Fatalf("width bounds [%d,%d], want [1,4]", tr.MinWidth, tr.MaxWidth)
-	}
-	if tr.FinalWidth < 1 || tr.FinalWidth > 4 {
-		t.Fatalf("final width %d out of bounds", tr.FinalWidth)
-	}
-	t.Logf("governor: samples=%d resizes=%d final=%d achievedMMU=%.3f",
-		tr.Samples, len(tr.Resizes), tr.FinalWidth, tr.AchievedMMU)
-}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lxr/internal/conctrl"
 	"lxr/internal/gcwork"
 	"lxr/internal/immix"
 	"lxr/internal/mem"
@@ -40,29 +39,8 @@ type Config struct {
 	// phases borrow between pauses (gcwork.Pool.Lend) to drain lazy
 	// decrements and advance the SATB trace in parallel. 1 selects the
 	// classic single-threaded concurrent quantum loop. Default: half
-	// of GCThreads, minimum 1; clamped to GCThreads. With AdaptiveConc
-	// it is only the governor's starting width.
+	// of GCThreads, minimum 1; clamped to GCThreads.
 	ConcWorkers int
-	// AdaptiveConc drives the borrow width adaptively (conctrl
-	// governor): loans shrink when mutators are CPU-starved and grow
-	// when cores sit idle, sized from a windowed utilization estimator
-	// over the VM's sharded statistics — the way HotSpot sizes its
-	// concurrent GC threads. ConcWorkers becomes the initial width;
-	// the width ranges over [1, GCThreads].
-	AdaptiveConc bool
-	// MMUFloor, with AdaptiveConc, is an optional minimum-mutator-
-	// utilization target (0 < floor < 1): windows whose achieved
-	// utilization falls under the floor vote the width up, on the
-	// theory that pause-side catch-up work means the concurrent phases
-	// are under-resourced. 0 disables the floor (pure utilization
-	// policy).
-	MMUFloor float64
-	// AdaptivePacing drives the collection triggers adaptively
-	// (policy.RCPacer): RC epochs stretch when the machine is idle and
-	// shorten when the decrement backlog starts getting absorbed by
-	// pauses. Off, the pacer reproduces the paper's fixed trigger
-	// configuration exactly.
-	AdaptivePacing bool
 	// SurvivalThresholdBytes is the RC trigger's expected-survivor
 	// bound per epoch (the paper uses 128 MB on multi-GB heaps; default
 	// here scales with the heap: HeapBytes/8, capped at 128 MB).
@@ -70,21 +48,10 @@ type Config struct {
 	// IncrementThreshold bounds logged fields per epoch (0 = disabled,
 	// the paper's default).
 	IncrementThreshold int64
-	// WastageThreshold is the SATB predicted-wastage trigger (default 5%).
-	WastageThreshold float64
 	// CleanBlockThreshold is the minimum clean blocks an RC epoch must
 	// yield before the next pause starts an SATB (default: 1/16 of the
 	// heap's blocks).
 	CleanBlockThreshold int
-	// DefragOccupancy is the block-occupancy ceiling for evacuation-set
-	// candidacy (default 0.5, §3.3.2).
-	DefragOccupancy float64
-	// DefragMaxBlocks caps evacuation-set size (default: heap/16).
-	DefragMaxBlocks int
-	// RemsetRegionBlocks selects per-region remembered sets (4 MB
-	// regions = 128 blocks); 0 selects the single whole-heap set, the
-	// paper's default.
-	RemsetRegionBlocks int
 	// CleanBufferSlots sizes the lock-free clean-block buffer (default
 	// 32, the §5.4 sensitivity knob).
 	CleanBufferSlots int
@@ -98,8 +65,6 @@ type Config struct {
 	NoLazyDecrements bool
 	// NoYoungEvac disables young-object evacuation (promote in place).
 	NoYoungEvac bool
-	// NoMatureEvac disables evacuation-set defragmentation.
-	NoMatureEvac bool
 	// EnableMatureEvac opts in to evacuation-set defragmentation
 	// (§3.3.2). The mechanism is fully implemented (remembered sets,
 	// reuse-counter validation, quarantined source blocks) but on this
@@ -110,12 +75,6 @@ type Config struct {
 	// defragmentation — the dominant effect in the paper's own
 	// reclamation breakdown (Table 7: geomean YC 1.1%).
 	EnableMatureEvac bool
-
-	// MaxTraceEpochs bounds how many RC epochs a single SATB trace may
-	// span before the next pause forces its completion (default 32).
-	// This is a robustness bound: traces normally complete on the
-	// concurrent thread well before it.
-	MaxTraceEpochs int
 
 	// Tracer, when non-nil, attaches the GC event tracer: pause-phase
 	// spans, loan spans, pacing-trigger instants and sampled barrier
@@ -146,27 +105,11 @@ func (c *Config) setDefaults() {
 			c.SurvivalThresholdBytes = 128 << 20
 		}
 	}
-	if c.WastageThreshold == 0 {
-		c.WastageThreshold = 0.05
-	}
-	heapBlocks := c.HeapBytes / mem.BlockSize
 	if c.CleanBlockThreshold == 0 {
-		c.CleanBlockThreshold = heapBlocks / 16
+		c.CleanBlockThreshold = c.HeapBytes / mem.BlockSize / 16
 		if c.CleanBlockThreshold < 2 {
 			c.CleanBlockThreshold = 2
 		}
-	}
-	if c.DefragOccupancy == 0 {
-		c.DefragOccupancy = 0.5
-	}
-	if c.DefragMaxBlocks == 0 {
-		c.DefragMaxBlocks = heapBlocks / 16
-		if c.DefragMaxBlocks < 4 {
-			c.DefragMaxBlocks = 4
-		}
-	}
-	if c.MaxTraceEpochs == 0 {
-		c.MaxTraceEpochs = 32
 	}
 }
 
@@ -192,8 +135,8 @@ type LXR struct {
 
 	// pacer owns every start decision: the RC pause trigger polled at
 	// safepoints and the SATB cycle votes evaluated at pause end
-	// (policy.RCPacer behind the shared pacing contract).
-	pacer policy.Pacer
+	// (§3.2.1, §3.2.2).
+	pacer *policy.RCPacer
 
 	// Epoch counters polled by the trigger fast path. Mutators
 	// accumulate in per-mutator counters (mutState) and publish here at
@@ -284,7 +227,7 @@ func New(cfg Config) *LXR {
 		p.straddle.ClearRange(start, end)
 		p.marks.ClearRange(start, end)
 	}
-	p.rem = remset.NewTable(p.reuse, cfg.RemsetRegionBlocks)
+	p.rem = remset.NewTable(p.reuse)
 	p.tracer = &satb.Tracer{
 		OM:    p.om,
 		Marks: p.marks,
@@ -301,23 +244,17 @@ func New(cfg Config) *LXR {
 		// the baselines' OnEdge hooks do.
 		OnEdge: func(slot mem.Address, v obj.Ref) {
 			if p.plausibleRef(v) && p.bt.HasFlag(v.Block(), immix.FlagDefrag) {
-				p.rem.Record(slot, v.Block())
+				p.rem.Record(slot)
 			}
 		},
 	}
-	mode := policy.Static
-	if cfg.AdaptivePacing {
-		mode = policy.Adaptive
-	}
 	p.pacer = policy.NewRCPacer(policy.RCPacerConfig{
-		Mode:                   mode,
 		Collector:              p.Name(),
 		HeapBytes:              cfg.HeapBytes,
 		SurvivalThresholdBytes: cfg.SurvivalThresholdBytes,
 		IncrementThreshold:     cfg.IncrementThreshold,
 		HeapBlocks:             bt.BudgetBlocks(),
 		CleanBlockThreshold:    cfg.CleanBlockThreshold,
-		WastageFraction:        cfg.WastageThreshold,
 	})
 	if cfg.Tracer != nil {
 		p.events = cfg.Tracer
@@ -328,9 +265,6 @@ func New(cfg Config) *LXR {
 	p.conc = newConcurrent(p)
 	return p
 }
-
-// matureEvacOn reports whether evacuation-set defragmentation is active.
-func (c *Config) matureEvacOn() bool { return c.EnableMatureEvac && !c.NoMatureEvac }
 
 // Name implements vm.Plan.
 func (p *LXR) Name() string {
@@ -383,21 +317,8 @@ func (p *LXR) GCWorkerStats() []gcwork.WorkerStat { return p.pool.WorkerStats() 
 // many work items they processed (harness telemetry).
 func (p *LXR) GCLoanStats() (loans, items int64) { return p.pool.LoanStats() }
 
-// ConcWorkers reports the configured between-pause borrow width (the
-// governor's initial width when adaptive).
+// ConcWorkers reports the configured between-pause borrow width.
 func (p *LXR) ConcWorkers() int { return p.cfg.ConcWorkers }
-
-// GovernorTrace returns the adaptive-width governor's run record, or
-// nil when the borrow width is static (harness telemetry).
-func (p *LXR) GovernorTrace() *conctrl.Trace {
-	if p.conc.ctl == nil {
-		return nil
-	}
-	if g := p.conc.ctl.Governor(); g != nil {
-		return g.Trace()
-	}
-	return nil
-}
 
 // PacingTrace returns the pacer's archived decision record (harness
 // telemetry, emitted under "pacing" in the -json output).
@@ -486,7 +407,7 @@ func (p *LXR) UnbindMutator(m *vm.Mutator) {
 // new objects start with Logged fields, no straddle markers and no
 // stale marks.
 func (p *LXR) onSpan(start, end mem.Address, recycled bool) {
-	if recycled && p.cfg.matureEvacOn() {
+	if recycled && p.cfg.EnableMatureEvac {
 		p.reuse.BumpRange(start, end)
 	}
 	if verifyEnabled {

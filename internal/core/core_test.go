@@ -299,7 +299,6 @@ func TestAblationsRun(t *testing.T) {
 		{NoLazyDecrements: true},
 		{NoConcurrentSATB: true, NoLazyDecrements: true},
 		{NoYoungEvac: true},
-		{NoMatureEvac: true},
 	} {
 		cfg := cfg
 		v := newVM(t, cfg)

@@ -26,6 +26,12 @@ const (
 // slot addresses (bit 63 can never be a valid arena offset).
 const rootTag mem.Address = 1 << 63
 
+// maxTraceEpochs bounds how many RC epochs a single SATB trace may span
+// before the next pause forces its completion. This is a robustness
+// bound: traces normally complete on the concurrent thread well before
+// it.
+const maxTraceEpochs = 32
+
 // Telemetry counter names (vm.Stats).
 const (
 	CtrPauses         = "lxr.pauses"
@@ -161,7 +167,7 @@ func (p *LXR) pausePipeline(cause string) string {
 			p.tracer.Seed(s)
 		}
 		if wasIdle || p.cfg.NoConcurrentSATB || cause == pauseCauseEmergency ||
-			p.traceEpochs >= p.cfg.MaxTraceEpochs {
+			p.traceEpochs >= maxTraceEpochs {
 			p.tracer.DrainParallel(p.pool)
 			traceComplete = true
 		}
@@ -274,25 +280,13 @@ func (p *LXR) pausePipeline(cause string) string {
 		ev.Phase(trace.NameSATBFinal, ph)
 	}
 
-	// 8. Triggers: feed the epoch's signals to the pacer (survival
-	// observation, decrement-backlog absorption, cumulative runtime
-	// signals for the adaptive load window) — which recomputes the next
-	// epoch's allocation budget — then put the SATB cycle vote to it.
+	// 8. Triggers: feed the epoch's survival observation to the pacer
+	// — which recomputes the next epoch's allocation budget — then put
+	// the SATB cycle vote to it.
 	survived := p.survived.Load()
 	st.Add(CtrSurvivedBytes, survived)
 	ph = time.Now()
-	es := policy.EpochStats{
-		AllocBytes:       allocVol,
-		SurvivedBytes:    survived,
-		DecBacklog:       int64(len(decs)),
-		AbsorbedDecPause: hadDec,
-	}
-	if p.cfg.AdaptivePacing {
-		// Only adaptive pacing consumes the load signals; static mode
-		// skips the mutator walk inside the stop-the-world window.
-		es.MutBusy, es.GCWork, _, _ = p.vm.ConcSignals()
-	}
-	p.pacer.ObserveEpoch(es)
+	p.pacer.ObserveEpoch(policy.EpochStats{AllocBytes: allocVol, SurvivedBytes: survived})
 	if !p.satbActive.Load() &&
 		p.pacer.ShouldStartCycle(policy.Signals{
 			CleanYielded: cleanYielded,
@@ -646,7 +640,7 @@ func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, cop
 			// remembered-set bootstrap: record edges into evacuation
 			// sets here, or evacuation would miss these slots (§3.3.2).
 			if satb && p.bt.HasFlag(child.Block(), immix.FlagDefrag) {
-				p.rem.Record(slot, child.Block())
+				p.rem.Record(slot)
 			}
 			w.Push(slot)
 		}

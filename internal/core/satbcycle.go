@@ -20,7 +20,7 @@ import (
 // root set. Without mature evacuation nothing records or validates a
 // remembered-set entry, so the counters are left alone (as in onSpan).
 func (p *LXR) startSATB() {
-	if p.cfg.matureEvacOn() {
+	if p.cfg.EnableMatureEvac {
 		p.selectEvacSets()
 		p.parFor(p.reuse.Len(), parClearThreshold, p.reuse.ResetRange)
 	}
@@ -29,20 +29,29 @@ func (p *LXR) startSATB() {
 	p.tracer.Seed(seeds)
 	p.traceEpochs = 0
 	p.satbActive.Store(true)
-	p.pacer.ObserveCycleStart(policy.Signals{
-		HeapBlocks:   p.bt.InUseBlocks(),
-		BudgetBlocks: p.bt.BudgetBlocks(),
-	})
+}
+
+// defragOccupancy is the block-occupancy ceiling for evacuation-set
+// candidacy (§3.3.2).
+const defragOccupancy = 0.5
+
+// defragMaxBlocks caps the evacuation-set size at a sixteenth of the
+// heap's blocks.
+func defragMaxBlocks(heapBytes int) int {
+	if n := heapBytes / mem.BlockSize / 16; n > 4 {
+		return n
+	}
+	return 4
 }
 
 // selectEvacSets flags defragmentation targets: full blocks whose
-// RC-table occupancy upper bound is below DefragOccupancy, sorted from
-// the lowest occupancy, capped at DefragMaxBlocks. The occupancy scan
+// RC-table occupancy upper bound is below defragOccupancy, sorted from
+// the lowest occupancy, capped at defragMaxBlocks. The occupancy scan
 // reads 128 RC words per block, so candidates are gathered in parallel
 // (per-worker partials, merged before the sort).
 func (p *LXR) selectEvacSets() {
 	type cand struct{ idx, live int }
-	limit := int(p.cfg.DefragOccupancy * mem.GranulesPerBlock)
+	limit := int(defragOccupancy * mem.GranulesPerBlock)
 	var cands []cand
 	outs := make([][]cand, p.pool.N)
 	p.pool.ParallelFor(p.bt.Blocks(), func(w, start, end int) {
@@ -62,8 +71,8 @@ func (p *LXR) selectEvacSets() {
 		cands = append(cands, out...)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].live < cands[j].live })
-	if len(cands) > p.cfg.DefragMaxBlocks {
-		cands = cands[:p.cfg.DefragMaxBlocks]
+	if max := defragMaxBlocks(p.cfg.HeapBytes); len(cands) > max {
+		cands = cands[:max]
 	}
 	p.evacSet = p.evacSet[:0]
 	for _, c := range cands {
@@ -78,7 +87,7 @@ func (p *LXR) selectEvacSets() {
 // bits, and feeds the live-block predictor.
 func (p *LXR) finalizeSATB() {
 	p.sweepUnmarked()
-	if p.cfg.matureEvacOn() && len(p.evacSet) > 0 {
+	if p.cfg.EnableMatureEvac && len(p.evacSet) > 0 {
 		p.evacuateSets()
 	}
 	p.parFor(p.marks.Words(), parClearThreshold, p.marks.ClearWords)

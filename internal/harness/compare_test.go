@@ -152,6 +152,13 @@ func TestCompareSummaries(t *testing.T) {
 	if n, out := compareData(t, oldData, oldData); n != 0 {
 		t.Fatalf("A/A summary comparison found %d regressions:\n%s", n, out)
 	}
+	// A baseline cached by an older build carries keys this one no
+	// longer writes ("governor", "pacing.mode"); it must still compare.
+	legacy := bytes.Replace(oldData, []byte(`{`),
+		[]byte(`{"governor":{"final_width":2},"pacing":{"collector":"LXR","mode":"static","fired":1,"decisions":[]},`), 1)
+	if n, out := compareData(t, legacy, oldData); n != 0 || !strings.Contains(out, "1 run(s) compared") {
+		t.Fatalf("baseline with retired keys: %d regressions:\n%s", n, out)
+	}
 	slow := base
 	slow.PauseMS = map[string]float64{"p99": 6.0, "max": 3.6}
 	n, out := compareData(t, oldData, mustJSON(t, []RunSummary{slow}))

@@ -3,10 +3,13 @@ package harness_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"lxr"
+	"lxr/internal/core"
 	"lxr/internal/harness"
 	"lxr/internal/workload"
 )
@@ -111,8 +114,9 @@ func TestTable1Smoke(t *testing.T) {
 }
 
 func TestNewPlanZGCUnavailableSmallHeap(t *testing.T) {
-	if harness.NewPlan(harness.CZGC, 8<<20, 2) != nil {
-		t.Fatal("ZGC should be unavailable at 8 MB")
+	_, err := lxr.NewPlan(lxr.CollectorZGC, core.Config{HeapBytes: 8 << 20, GCThreads: 2})
+	if !errors.Is(err, lxr.ErrMinHeap) {
+		t.Fatalf("ZGC should be unavailable at 8 MB, got %v", err)
 	}
 }
 
@@ -174,30 +178,16 @@ func TestRecordHookAndSummaryJSON(t *testing.T) {
 	}
 }
 
-// TestRunOneAdaptiveGovernorAndIntervals: with Adaptive and Interval
-// set, a request run must archive a governor trace (width trace with
-// the initial point, bounds honoured) and at least one interval report
-// whose windows partition the run.
-func TestRunOneAdaptiveGovernorAndIntervals(t *testing.T) {
+// TestRunOneIntervals: with Interval set, a request run must archive at
+// least one interval report, and the windows must partition the run.
+func TestRunOneIntervals(t *testing.T) {
 	spec, _ := workload.ByName("lusearch")
 	opts := quickOpts(&bytes.Buffer{})
-	opts.Adaptive = true
-	opts.MMUFloor = 0.3
 	opts.Interval = 10 * time.Millisecond
 	rate := harness.CalibrateRate(spec, opts)
 	r := harness.RunOne(spec, harness.CLXR, 2, rate, opts)
 	if !r.OK {
-		t.Fatal("adaptive run failed")
-	}
-	g := r.Governor
-	if g == nil {
-		t.Fatal("adaptive run recorded no governor trace")
-	}
-	if g.MMUFloor != 0.3 {
-		t.Fatalf("governor floor %v, want 0.3", g.MMUFloor)
-	}
-	if len(g.Widths) == 0 || g.FinalWidth < g.MinWidth || g.FinalWidth > g.MaxWidth {
-		t.Fatalf("bad governor trace: %+v", g)
+		t.Fatal("interval run failed")
 	}
 	if len(r.Intervals) == 0 {
 		t.Fatal("no interval reports")
@@ -222,24 +212,22 @@ func TestRunOneAdaptiveGovernorAndIntervals(t *testing.T) {
 	if pauses > int64(len(r.Pauses)) {
 		t.Fatalf("interval pauses sum %d exceeds whole-run %d", pauses, len(r.Pauses))
 	}
-	// The governor rides into the JSON summary.
+	// The intervals ride into the JSON summary.
 	s := r.Summary()
-	if s.Governor == nil || len(s.Intervals) != len(r.Intervals) {
-		t.Fatal("summary dropped governor or intervals")
+	if len(s.Intervals) != len(r.Intervals) {
+		t.Fatal("summary dropped intervals")
 	}
 	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"width_trace", "achieved_mmu", "intervals"} {
-		if !strings.Contains(string(b), want) {
-			t.Fatalf("summary JSON missing %q", want)
-		}
+	if !strings.Contains(string(b), "intervals") {
+		t.Fatal("summary JSON missing the intervals key")
 	}
 }
 
-// TestRunOnePacingTrace: every run — static or adaptive — archives a
-// populated pacing record that rides into the JSON summary.
+// TestRunOnePacingTrace: every run archives a populated pacing record
+// that rides into the JSON summary.
 func TestRunOnePacingTrace(t *testing.T) {
 	spec, _ := workload.ByName("fop")
 	for _, c := range []string{harness.CLXR, harness.CG1, harness.CSerial} {
@@ -249,9 +237,6 @@ func TestRunOnePacingTrace(t *testing.T) {
 		}
 		if r.Pacing == nil {
 			t.Fatalf("%s: no pacing trace", c)
-		}
-		if r.Pacing.Mode != "static" {
-			t.Fatalf("%s: default mode %q, want static", c, r.Pacing.Mode)
 		}
 		if r.Pacing.Fired == 0 || len(r.Pacing.Decisions) == 0 {
 			t.Fatalf("%s: pacing trace empty: %+v", c, r.Pacing)
@@ -263,13 +248,6 @@ func TestRunOnePacingTrace(t *testing.T) {
 		if !strings.Contains(string(b), "\"pacing\"") {
 			t.Fatalf("%s: summary JSON missing the pacing key", c)
 		}
-	}
-	// Adaptive mode is recorded as such.
-	opts := quickOpts(&bytes.Buffer{})
-	opts.PacingAdaptive = true
-	r := harness.RunOne(spec, harness.CLXR, 2, 0, opts)
-	if !r.OK || r.Pacing == nil || r.Pacing.Mode != "adaptive" {
-		t.Fatalf("adaptive pacing run: %+v", r.Pacing)
 	}
 }
 

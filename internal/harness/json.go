@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"lxr/internal/conctrl"
 	"lxr/internal/policy"
 	"lxr/internal/telemetry"
 	"lxr/internal/vm"
@@ -103,15 +102,9 @@ type RunSummary struct {
 	// worker_pause_items: localises imbalance to a phase).
 	WorkerPauseItemsByPhase map[string]ItemsDigest `json:"worker_pause_items_by_phase,omitempty"`
 
-	// Governor is the adaptive loan-width governor's run record — the
-	// width trace, every resize event with its triggering window, and
-	// the achieved (worst-window) mutator utilization. Absent when the
-	// borrow width was static.
-	Governor *conctrl.Trace `json:"governor,omitempty"`
-
 	// Pacing is the policy pacer's archived decision record: every
 	// fired trigger (kind, signal snapshot, threshold in force) and
-	// every adaptive threshold adjustment, for both pacing modes.
+	// every threshold adjustment.
 	Pacing *policy.Trace `json:"pacing,omitempty"`
 
 	// Intervals holds the periodic reporter's per-window pause/latency
@@ -192,7 +185,6 @@ func (r *RunResult) Summary() RunSummary {
 			Mean:  h.Mean(),
 		}
 	}
-	s.Governor = r.Governor
 	s.Pacing = r.Pacing
 	s.Intervals = r.Intervals
 	return s

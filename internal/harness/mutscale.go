@@ -170,7 +170,7 @@ func runMutScaleOne(collector string, nMut int, cfg workload.MutScaleConfig, opt
 	if opts.Record != nil {
 		defer func() { opts.Record(res) }()
 	}
-	plan := NewPlanOpts(collector, heap, opts)
+	plan := newPlan(collector, heap, opts)
 	if plan == nil {
 		return res
 	}
@@ -194,7 +194,6 @@ func runMutScaleOne(collector string, nMut int, cfg workload.MutScaleConfig, opt
 		res.ConcWorkers = t.ConcWorkers()
 		res.WorkerStats = t.GCWorkerStats()
 		res.Loans, res.LoanItems = t.GCLoanStats()
-		res.Governor = t.GovernorTrace()
 		res.Pacing = t.PacingTrace()
 	}
 	return res

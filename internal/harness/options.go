@@ -25,9 +25,6 @@ type CommonFlags struct {
 	Scale       *string
 	GCThreads   *int
 	ConcWorkers *int
-	Adaptive    *bool
-	MMUFloor    *float64
-	Pacing      *string
 	Interval    *time.Duration
 	Bench       *string
 	JSON        *string
@@ -42,9 +39,6 @@ func RegisterCommonFlags(fs *flag.FlagSet, def CommonDefaults) *CommonFlags {
 		Scale:       fs.String("scale", def.Scale, "workload scaling: quick or default"),
 		GCThreads:   fs.Int("gcthreads", 4, "parallel GC threads"),
 		ConcWorkers: fs.Int("concworkers", 0, "GC workers borrowed by concurrent phases between pauses (0 = half of gcthreads)"),
-		Adaptive:    fs.Bool("adaptive", false, "size the concurrent borrow width adaptively from observed mutator utilization (conctrl governor); -concworkers becomes the initial width"),
-		MMUFloor:    fs.Float64("mmufloor", 0, "adaptive governor's minimum-mutator-utilization target in (0,1); 0 = pure utilization policy (implies -adaptive when set)"),
-		Pacing:      fs.String("pacing", "static", "collection-trigger pacing: 'static' reproduces each collector's historical thresholds, 'adaptive' drives them from observed signals (load-scaled LXR epochs, headroom-based G1 IHOP, churn-aware free-fraction triggers)"),
 		Interval:    fs.Duration("interval", 0, "periodic per-window report: snapshot merged histograms on this period and emit windowed latency/pause percentiles (e.g. 2s); windows whose p99 departs more than 2x from the trailing mean are marked drift:true and carry absolute timestamps"),
 		Bench:       fs.String("bench", def.Bench, "comma-separated benchmark subset (default all)"),
 		JSON:        fs.String("json", "", "write run summaries as JSON to this file ('-' = stdout)"),
@@ -54,19 +48,10 @@ func RegisterCommonFlags(fs *flag.FlagSet, def CommonDefaults) *CommonFlags {
 // Options validates the parsed flag values and converts them into a
 // session Options. Errors are usage-style (print and exit 2).
 func (f *CommonFlags) Options() (Options, error) {
-	if *f.MMUFloor < 0 || *f.MMUFloor >= 1 {
-		return Options{}, fmt.Errorf("-mmufloor %v outside [0,1)", *f.MMUFloor)
-	}
-	if *f.Pacing != "static" && *f.Pacing != "adaptive" {
-		return Options{}, fmt.Errorf("unknown -pacing %q (want static or adaptive)", *f.Pacing)
-	}
 	o := Options{
-		GCThreads:      *f.GCThreads,
-		ConcWorkers:    *f.ConcWorkers,
-		Adaptive:       *f.Adaptive || *f.MMUFloor > 0,
-		MMUFloor:       *f.MMUFloor,
-		PacingAdaptive: *f.Pacing == "adaptive",
-		Interval:       *f.Interval,
+		GCThreads:   *f.GCThreads,
+		ConcWorkers: *f.ConcWorkers,
+		Interval:    *f.Interval,
 	}
 	switch *f.Scale {
 	case "quick":

@@ -5,13 +5,13 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
-	"lxr/internal/baselines"
-	"lxr/internal/conctrl"
+	"lxr"
 	"lxr/internal/core"
 	"lxr/internal/gcwork"
 	"lxr/internal/policy"
@@ -21,123 +21,41 @@ import (
 	"lxr/internal/workload"
 )
 
-// Collector identifiers accepted by NewPlan.
+// Collector identifiers (lxr.CollectorKind values, as the strings the
+// experiment tables and -json output carry).
 const (
-	CG1        = "G1"
-	CLXR       = "LXR"
-	CShen      = "Shenandoah"
-	CZGC       = "ZGC"
-	CSerial    = "Serial"
-	CParallel  = "Parallel"
-	CSemiSpace = "SemiSpace"
-	CImmix     = "Immix"
-	CImmixWB   = "Immix+WB"
-	CLXRNoSATB = "LXR-SATB" // -SATB ablation: trace in the pause
-	CLXRNoLD   = "LXR-LD"   // -LD ablation: decrements in the pause
-	CLXRSTW    = "LXR-STW"  // both ablations
+	CG1        = string(lxr.CollectorG1)
+	CLXR       = string(lxr.CollectorLXR)
+	CShen      = string(lxr.CollectorShenandoah)
+	CZGC       = string(lxr.CollectorZGC)
+	CSerial    = string(lxr.CollectorSerial)
+	CParallel  = string(lxr.CollectorParallel)
+	CSemiSpace = string(lxr.CollectorSemiSpace)
+	CImmix     = string(lxr.CollectorImmix)
+	CImmixWB   = string(lxr.CollectorImmixWB)
+	CLXRNoSATB = string(lxr.CollectorLXRNoSATB)
+	CLXRNoLD   = string(lxr.CollectorLXRNoLD)
+	CLXRSTW    = string(lxr.CollectorLXRSTW)
 )
 
-// NewPlan constructs a collector by name with the default concurrent
-// parallelism. Returns nil when the collector cannot run at this heap
-// size (ZGC's minimum heap).
-func NewPlan(id string, heapBytes, gcThreads int) vm.Plan {
-	return NewPlanConc(id, heapBytes, gcThreads, 0)
-}
-
-// NewPlanConc is NewPlan with an explicit between-pause borrow width:
-// concWorkers is how many gcwork workers the collector's concurrent
-// phases (LXR's lazy decrements and SATB trace, G1's and Shenandoah's
-// concurrent marking) lend from the pool between pauses. 0 selects each
-// collector's default (half the GC threads).
-func NewPlanConc(id string, heapBytes, gcThreads, concWorkers int) vm.Plan {
-	return NewPlanOpts(id, heapBytes, Options{GCThreads: gcThreads, ConcWorkers: concWorkers})
-}
-
-// NewPlanOpts constructs a collector by name under the session options:
-// GC threads, between-pause borrow width, and — for the collectors with
-// a concurrent driver — the adaptive loan-width governor (Adaptive /
-// MMUFloor). Returns nil when the collector cannot run at this heap
-// size (ZGC's minimum heap).
-func NewPlanOpts(id string, heapBytes int, opts Options) vm.Plan {
-	gcThreads, concWorkers := opts.GCThreads, opts.ConcWorkers
-	if gcThreads == 0 {
-		gcThreads = 4
-	}
-	pacing := policy.Static
-	if opts.PacingAdaptive {
-		pacing = policy.Adaptive
-	}
-	lxrCfg := func(c core.Config) vm.Plan {
-		c.HeapBytes, c.GCThreads, c.ConcWorkers = heapBytes, gcThreads, concWorkers
-		c.AdaptiveConc, c.MMUFloor = opts.Adaptive, opts.MMUFloor
-		c.AdaptivePacing = opts.PacingAdaptive
-		c.Tracer = opts.tracer
-		return core.New(c)
-	}
-	// setup applies the session options every baseline plan shares:
-	// pacing mode, borrow width, adaptive loan governor, event tracer.
-	setup := func(p interface {
-		SetConcWorkers(int)
-		SetAdaptive(float64)
-		SetPacing(policy.Mode)
-		SetTracer(*trace.Tracer)
-	}) {
-		p.SetPacing(pacing)
-		if concWorkers > 0 {
-			p.SetConcWorkers(concWorkers)
-		}
-		if opts.Adaptive {
-			p.SetAdaptive(opts.MMUFloor)
-		}
-		if opts.tracer != nil {
-			p.SetTracer(opts.tracer)
-		}
-	}
-	switch id {
-	case CG1:
-		p := baselines.NewG1(heapBytes, gcThreads)
-		setup(p)
-		return p
-	case CLXR:
-		return lxrCfg(core.Config{})
-	case CLXRNoSATB:
-		return lxrCfg(core.Config{NoConcurrentSATB: true})
-	case CLXRNoLD:
-		return lxrCfg(core.Config{NoLazyDecrements: true})
-	case CLXRSTW:
-		return lxrCfg(core.Config{NoConcurrentSATB: true, NoLazyDecrements: true})
-	case CShen:
-		p := baselines.NewShenandoah(heapBytes, gcThreads)
-		setup(p)
-		return p
-	case CZGC:
-		if p := baselines.NewZGC(heapBytes, gcThreads); p != nil {
-			setup(p)
-			return p
-		}
+// newPlan builds a collector under the session options through
+// lxr.NewPlan. Returns nil when the collector cannot run at this heap
+// size (a missing data point); any other construction error is a
+// programming error in the experiment tables and panics.
+func newPlan(id string, heapBytes int, opts Options) vm.Plan {
+	plan, err := lxr.NewPlan(lxr.CollectorKind(id), core.Config{
+		HeapBytes:   heapBytes,
+		GCThreads:   opts.GCThreads,
+		ConcWorkers: opts.ConcWorkers,
+		Tracer:      opts.tracer,
+	})
+	if errors.Is(err, lxr.ErrMinHeap) {
 		return nil
-	case CSerial:
-		p := baselines.NewSerial(heapBytes)
-		setup(p)
-		return p
-	case CParallel:
-		p := baselines.NewParallel(heapBytes, gcThreads)
-		setup(p)
-		return p
-	case CSemiSpace:
-		p := baselines.NewSemiSpace("SemiSpace", heapBytes, gcThreads)
-		setup(p)
-		return p
-	case CImmix:
-		p := baselines.NewImmix(heapBytes, gcThreads, false)
-		setup(p)
-		return p
-	case CImmixWB:
-		p := baselines.NewImmix(heapBytes, gcThreads, true)
-		setup(p)
-		return p
 	}
-	panic("harness: unknown collector " + id)
+	if err != nil {
+		panic(err)
+	}
+	return plan
 }
 
 // Options configure a harness session.
@@ -148,23 +66,6 @@ type Options struct {
 	// phases borrow between pauses (0 = collector default: half the GC
 	// threads). See core.Config.ConcWorkers.
 	ConcWorkers int
-	// Adaptive enables the conctrl loan-width governor on every
-	// collector with a concurrent driver: the borrow width starts at
-	// ConcWorkers (or the default) and is resized from observed
-	// mutator utilization; runs record the width trace, resize events
-	// and achieved MMU in RunResult.Governor.
-	Adaptive bool
-	// MMUFloor is the governor's optional minimum-mutator-utilization
-	// target (0 = pure utilization policy). Implies nothing unless
-	// Adaptive is set.
-	MMUFloor float64
-	// PacingAdaptive drives every collector's collection triggers
-	// adaptively through the policy pacers (-pacing adaptive): LXR's
-	// epoch length scales with load and decrement backlog, G1's IHOP
-	// becomes headroom-based, Shenandoah's free-fraction trigger backs
-	// off under churn. Off, the pacers reproduce the historical trigger
-	// behavior exactly.
-	PacingAdaptive bool
 	// Interval, when non-zero, runs a periodic reporter beside every
 	// execution: each window's pause and request-latency percentiles
 	// are computed by differencing cumulative histogram snapshots
@@ -181,7 +82,7 @@ type Options struct {
 	Trace *TraceOptions
 
 	// tracer is the per-run tracer instance RunOne threads through
-	// NewPlanOpts into the plan; never set by callers.
+	// newPlan into the plan; never set by callers.
 	tracer *trace.Tracer
 }
 
@@ -268,13 +169,9 @@ type RunResult struct {
 	Loans       int64               // between-pause loans served
 	LoanItems   int64               // items processed on loaned workers
 
-	// Governor is the adaptive loan-width governor's run record (nil
-	// when the borrow width was static).
-	Governor *conctrl.Trace
-
 	// Pacing is the pacer's archived decision record: every fired
 	// trigger with its signal snapshot and the threshold in force, plus
-	// every adaptive threshold adjustment.
+	// every threshold adjustment.
 	Pacing *policy.Trace
 
 	// Intervals holds the periodic reporter's per-window digests
@@ -288,7 +185,6 @@ type gcTelemetry interface {
 	GCWorkerStats() []gcwork.WorkerStat
 	GCLoanStats() (loans, items int64)
 	ConcWorkers() int
-	GovernorTrace() *conctrl.Trace
 	PacingTrace() *policy.Trace
 }
 
@@ -357,7 +253,7 @@ func RunOne(spec workload.Spec, collector string, heapFactor float64, rate float
 			once.Do(func() { opts.Trace.Dump(label, reason, tr) })
 		}
 	}
-	plan := NewPlanOpts(collector, heap, opts)
+	plan := newPlan(collector, heap, opts)
 	if plan == nil {
 		return res
 	}
@@ -418,7 +314,6 @@ func RunOne(spec workload.Spec, collector string, heapFactor float64, rate float
 		res.ConcWorkers = t.ConcWorkers()
 		res.WorkerStats = t.GCWorkerStats()
 		res.Loans, res.LoanItems = t.GCLoanStats()
-		res.Governor = t.GovernorTrace()
 		res.Pacing = t.PacingTrace()
 	}
 	if dump != nil {
@@ -455,7 +350,7 @@ func CalibrateRate(spec workload.Spec, opts Options) float64 {
 
 	sz := opts.Scale.Size(spec)
 	heap := 4 * sz.MinHeapBytes
-	v := vm.New(baselines.NewParallel(heap, opts.GCThreads), 8)
+	v := vm.New(newPlan(CParallel, heap, Options{GCThreads: opts.GCThreads}), 8)
 	probe := sz.Requests / 5
 	if probe < 100 {
 		probe = 100

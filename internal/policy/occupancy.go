@@ -1,73 +1,9 @@
 package policy
 
-import "sync/atomic"
-
-// cycleHeadroom is the shared core of the occupancy-triggered cycle
-// pacers (G1's IHOP, Shenandoah's free-fraction trigger): a cycle
-// starts when occupancy crosses a threshold, and in Adaptive mode the
-// threshold backs away from the heap-full edge by the occupancy growth
-// a cycle is predicted to consume — churn observed while recent cycles
-// ran pushes the trigger earlier, idle heaps let it drift later.
-type cycleHeadroom struct {
-	budget   int
-	adaptive bool
-	kind     string
-	// growth predicts how many blocks occupancy grows while a cycle
-	// runs (bias high: under-predicting headroom risks allocation
-	// stalls, the lusearch pathology).
-	growth *DecayPredictor
-	// safety scales the predicted growth into reserved headroom.
-	safety float64
-	// minThr/maxThr clamp the adaptive threshold (fractions of budget).
-	minThr, maxThr float64
-
-	thrBlocks atomic.Int64
-	startOcc  atomic.Int64 // occupancy at cycle start; -1 = no cycle
-}
-
-func (h *cycleHeadroom) initThreshold(staticBlocks int) {
-	h.thrBlocks.Store(int64(staticBlocks))
-	h.startOcc.Store(-1)
-}
-
-// threshold returns the occupancy (blocks) above which a cycle starts.
-func (h *cycleHeadroom) threshold() int64 { return h.thrBlocks.Load() }
-
-func (h *cycleHeadroom) cycleStart(occ int) { h.startOcc.Store(int64(occ)) }
-
-// cycleEnd folds the cycle's occupancy growth into the predictor and
-// returns the recomputed threshold (from, to, changed).
-func (h *cycleHeadroom) cycleEnd(occ int) (from, to int64, changed bool) {
-	start := h.startOcc.Swap(-1)
-	from = h.thrBlocks.Load()
-	if !h.adaptive || start < 0 {
-		return from, from, false
-	}
-	grew := float64(int64(occ) - start)
-	if grew < 0 {
-		grew = 0
-	}
-	h.growth.Observe(grew)
-	thr := float64(h.budget) - h.safety*h.growth.Predict()
-	if min := h.minThr * float64(h.budget); thr < min {
-		thr = min
-	}
-	if max := h.maxThr * float64(h.budget); thr > max {
-		thr = max
-	}
-	to = int64(thr)
-	if to == from {
-		return from, to, false
-	}
-	h.thrBlocks.Store(to)
-	return from, to, true
-}
-
 // --- G1 ---------------------------------------------------------------------
 
 // G1PacerConfig parameterises G1's pacer.
 type G1PacerConfig struct {
-	Mode Mode
 	// BudgetBlocks is the heap budget in blocks.
 	BudgetBlocks int
 	// YoungTargetBlocks is the young-generation size that triggers an
@@ -77,36 +13,20 @@ type G1PacerConfig struct {
 
 // G1Pacer owns G1's two start decisions: the young-collection trigger
 // (young generation at target size, or the remaining budget no longer
-// covering the evacuation copy reserve) and the concurrent-mark IHOP.
-//
-// Static mode reproduces the historical fixed 45%-of-budget IHOP. In
-// Adaptive mode the IHOP is headroom-based: the threshold sits below
-// the budget by a safety multiple of the occupancy growth the last
-// marks consumed, the way HotSpot's adaptive IHOP reserves the
-// allocation that will land while a mark runs.
+// covering the evacuation copy reserve) and the concurrent-mark IHOP,
+// fixed at 45% of the budget.
 type G1Pacer struct {
 	recorder
-	cfg G1PacerConfig
-	hr  cycleHeadroom
+	cfg  G1PacerConfig
+	ihop int64 // occupancy (blocks) above which a mark starts
 }
 
 // NewG1Pacer creates G1's pacer.
 func NewG1Pacer(cfg G1PacerConfig) *G1Pacer {
-	p := &G1Pacer{cfg: cfg}
-	p.init("G1", cfg.Mode)
-	p.hr = cycleHeadroom{
-		budget:   cfg.BudgetBlocks,
-		adaptive: cfg.Mode == Adaptive,
-		kind:     "ihop",
-		growth:   NewDecayPredictor(0, true),
-		safety:   1.5,
-		minThr:   0.30,
-		maxThr:   0.75,
-	}
-	// The historical trigger: occupancy > budget*45/100 (integer math
-	// preserved exactly for static replay).
-	p.hr.initThreshold(cfg.BudgetBlocks * 45 / 100)
-	p.setThreshold("ihop", float64(p.hr.threshold()))
+	// occupancy > budget*45/100, in integer math.
+	p := &G1Pacer{cfg: cfg, ihop: int64(cfg.BudgetBlocks * 45 / 100)}
+	p.init("G1")
+	p.setThreshold("ihop", float64(p.ihop))
 	p.setThreshold("young-target", float64(cfg.YoungTargetBlocks))
 	return p
 }
@@ -130,36 +50,18 @@ func (p *G1Pacer) ShouldCollect(s Signals) bool {
 
 // ShouldStartCycle implements Pacer: the IHOP check.
 func (p *G1Pacer) ShouldStartCycle(s Signals) bool {
-	thr := p.hr.threshold()
-	if int64(s.HeapBlocks) > thr {
-		p.fire("ihop", float64(s.HeapBlocks), float64(thr), s)
+	if int64(s.HeapBlocks) > p.ihop {
+		p.fire("ihop", float64(s.HeapBlocks), float64(p.ihop), s)
 		return true
 	}
 	return false
 }
-
-// ObserveCycleStart implements Pacer.
-func (p *G1Pacer) ObserveCycleStart(s Signals) { p.hr.cycleStart(s.HeapBlocks) }
-
-// ObserveCycleEnd implements Pacer: recomputes the adaptive IHOP from
-// the occupancy growth this mark consumed.
-func (p *G1Pacer) ObserveCycleEnd(s Signals) {
-	if from, to, changed := p.hr.cycleEnd(s.HeapBlocks); changed {
-		p.adjust("ihop", float64(from), float64(to), "mark-headroom")
-	}
-}
-
-// ObserveEpoch implements Pacer (no per-epoch predictors; the IHOP
-// adapts on cycle boundaries, so G1Pacer is deliberately not a
-// WindowObserver either).
-func (p *G1Pacer) ObserveEpoch(EpochStats) {}
 
 // --- Shenandoah / ZGC -------------------------------------------------------
 
 // FreeFractionPacerConfig parameterises the concurrent-evacuating
 // collectors' pacer.
 type FreeFractionPacerConfig struct {
-	Mode Mode
 	// Collector names the trace ("Shenandoah", "ZGC").
 	Collector string
 	// BudgetBlocks is the heap budget in blocks.
@@ -168,18 +70,10 @@ type FreeFractionPacerConfig struct {
 
 // FreeFractionPacer owns the Shenandoah/ZGC cycle trigger: a collection
 // cycle starts when free memory falls under a fraction of the budget
-// (historically 30%, i.e. occupancy above 70%).
-//
-// In Adaptive mode the trigger backs off from the heap-full edge under
-// churn: the occupancy growth recent cycles absorbed is the headroom
-// the next cycle must be started with, so a high allocation rate pulls
-// the trigger earlier — the failure mode this guards is the paper's
-// lusearch pathology, where a 9.5 GB/s allocation rate outruns the
-// concurrent cycle and mutators stall on allocation.
+// (30%, i.e. occupancy above 70%).
 type FreeFractionPacer struct {
 	recorder
-	cfg FreeFractionPacerConfig
-	hr  cycleHeadroom
+	thr int64 // occupancy (blocks) above which a cycle starts
 }
 
 // NewFreeFractionPacer creates the pacer.
@@ -187,20 +81,10 @@ func NewFreeFractionPacer(cfg FreeFractionPacerConfig) *FreeFractionPacer {
 	if cfg.Collector == "" {
 		cfg.Collector = "Shenandoah"
 	}
-	p := &FreeFractionPacer{cfg: cfg}
-	p.init(cfg.Collector, cfg.Mode)
-	p.hr = cycleHeadroom{
-		budget:   cfg.BudgetBlocks,
-		adaptive: cfg.Mode == Adaptive,
-		kind:     "free-fraction",
-		growth:   NewDecayPredictor(0, true),
-		safety:   1.5,
-		minThr:   0.50,
-		maxThr:   0.85,
-	}
-	// Historical trigger: used > budget*70/100 (integer math preserved).
-	p.hr.initThreshold(cfg.BudgetBlocks * 70 / 100)
-	p.setThreshold("free-fraction", float64(p.hr.threshold()))
+	// used > budget*70/100, in integer math.
+	p := &FreeFractionPacer{thr: int64(cfg.BudgetBlocks * 70 / 100)}
+	p.init(cfg.Collector)
+	p.setThreshold("free-fraction", float64(p.thr))
 	return p
 }
 
@@ -212,29 +96,12 @@ func (p *FreeFractionPacer) ShouldCollect(s Signals) bool { return p.ShouldStart
 // controller's poll path with the controller lock held, so it is
 // atomics-only: the signals must be snapshot lock-free by the caller.
 func (p *FreeFractionPacer) ShouldStartCycle(s Signals) bool {
-	thr := p.hr.threshold()
-	if int64(s.HeapBlocks) > thr {
-		p.fire("free-fraction", float64(s.HeapBlocks), float64(thr), s)
+	if int64(s.HeapBlocks) > p.thr {
+		p.fire("free-fraction", float64(s.HeapBlocks), float64(p.thr), s)
 		return true
 	}
 	return false
 }
-
-// ObserveCycleStart implements Pacer.
-func (p *FreeFractionPacer) ObserveCycleStart(s Signals) { p.hr.cycleStart(s.HeapBlocks) }
-
-// ObserveCycleEnd implements Pacer: recomputes the adaptive trigger
-// from the occupancy growth this cycle absorbed.
-func (p *FreeFractionPacer) ObserveCycleEnd(s Signals) {
-	if from, to, changed := p.hr.cycleEnd(s.HeapBlocks); changed {
-		p.adjust("free-fraction", float64(from), float64(to), "cycle-churn")
-	}
-}
-
-// ObserveEpoch implements Pacer (the trigger adapts on cycle
-// boundaries, so FreeFractionPacer is deliberately not a
-// WindowObserver).
-func (p *FreeFractionPacer) ObserveEpoch(EpochStats) {}
 
 // --- SemiSpace / STW Immix --------------------------------------------------
 
@@ -247,20 +114,16 @@ func (p *FreeFractionPacer) ObserveEpoch(EpochStats) {}
 //     allocation failure; ShouldCollect is consulted at the failure
 //     point and always due, so the decision is archived with its
 //     occupancy snapshot like every other trigger.
-//
-// There is nothing to adapt — the limits are structural — so Static
-// and Adaptive behave identically (the mode is still recorded).
 type HeapFullPacer struct {
 	recorder
-	noCycle
 	limit int64
 }
 
 // NewHeapFullPacer creates the pacer; limitBlocks 0 selects the pure
 // allocation-failure policy.
-func NewHeapFullPacer(collector string, mode Mode, limitBlocks int) *HeapFullPacer {
+func NewHeapFullPacer(collector string, limitBlocks int) *HeapFullPacer {
 	p := &HeapFullPacer{limit: int64(limitBlocks)}
-	p.init(collector, mode)
+	p.init(collector)
 	if limitBlocks > 0 {
 		p.setThreshold("half-budget", float64(limitBlocks))
 	}
@@ -280,5 +143,6 @@ func (p *HeapFullPacer) ShouldCollect(s Signals) bool {
 	return true
 }
 
-// ObserveEpoch implements Pacer.
-func (p *HeapFullPacer) ObserveEpoch(EpochStats) {}
+// ShouldStartCycle implements Pacer: these collectors have no
+// concurrent cycle.
+func (p *HeapFullPacer) ShouldStartCycle(Signals) bool { return false }

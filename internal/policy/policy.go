@@ -2,30 +2,13 @@
 // to take a pause / when to start a concurrent cycle" decision for
 // every collector in the repository.
 //
-// Each collector used to hard-code its own disconnected heuristic —
-// LXR's survival-budget RC trigger and SATB clean-block/wastage votes,
-// G1's fixed 45% IHOP plus young-budget check, Shenandoah's 30%-free
-// watch, the STW collectors' occupancy tests — none of which saw the
-// windowed utilization estimator the conctrl governor already computes.
-// This package puts one Pacer contract in front of all of them, fed by
-// cheap cumulative signals (vm.VM.ConcSignals, allocation volume,
-// survival observations, decrement-backlog depth, governor utilization
-// windows), and makes the thresholds adaptive:
-//
-//   - LXR's RC epoch length scales with load: epochs stretch when the
-//     machine is idle and shorten when the decrement backlog starts
-//     lengthening the next pause (RCPacer).
-//   - G1's IHOP becomes headroom-based: the mark-start threshold backs
-//     away from the heap-full edge by the occupancy growth a concurrent
-//     mark cycle is predicted to consume (G1Pacer).
-//   - Shenandoah's free-fraction trigger backs off under churn: high
-//     allocation pressure during recent cycles lowers the occupancy
-//     threshold so the next cycle starts with more headroom
-//     (FreeFractionPacer).
-//
-// In Static mode every pacer reproduces the historical per-collector
-// heuristic exactly (guarded by the trace-replay tests), so adaptive
-// pacing is a strict opt-in (-pacing adaptive).
+// LXR's survival-budget RC trigger and SATB clean-block/wastage votes
+// (§3.2.1, §3.2.2), G1's fixed 45% IHOP plus young-budget check,
+// Shenandoah's 30%-free watch and the STW collectors' occupancy tests
+// sit behind one Pacer contract, fed by cheap cumulative signals
+// (allocation volume, survival observations, occupancy). The thresholds
+// are fixed rules; only LXR's allocation budget moves, with its
+// survival predictor.
 //
 // Every firing decision and every threshold adjustment is archived with
 // its signal snapshot and the threshold in force; the harness publishes
@@ -33,30 +16,10 @@
 package policy
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Mode selects between the historical fixed thresholds and the
-// signal-driven adaptive ones.
-type Mode int
-
-const (
-	// Static reproduces each collector's historical trigger behavior
-	// exactly.
-	Static Mode = iota
-	// Adaptive drives the thresholds from the observed signals.
-	Adaptive
-)
-
-func (m Mode) String() string {
-	if m == Adaptive {
-		return "adaptive"
-	}
-	return "static"
-}
 
 // Signals is the snapshot of cheap cumulative signals a pacing decision
 // is made from. Collectors fill the fields that exist for them; the
@@ -85,32 +48,17 @@ type Signals struct {
 	DecBacklog int64 `json:"dec_backlog,omitempty"`
 }
 
-// EpochStats is the post-pause feedback a collector folds into its
-// pacer's predictors once per epoch.
+// EpochStats is the post-pause feedback LXR folds into its pacer's
+// survival predictor once per epoch (RCPacer.ObserveEpoch).
 type EpochStats struct {
 	// AllocBytes and SurvivedBytes drive the survival-rate predictor.
 	AllocBytes    int64
 	SurvivedBytes int64
-	// DecBacklog is the decrement batch handed to the concurrent drain
-	// at this pause.
-	DecBacklog int64
-	// AbsorbedDecPause reports that the pause had to finish the previous
-	// epoch's decrements before anything else — the backlog lengthened
-	// this pause, the signal the adaptive epoch length shortens on.
-	AbsorbedDecPause bool
-	// MutBusy and GCWork are the cumulative runtime busy/work signals
-	// (vm.VM.ConcSignals); the pacer differences successive epochs into
-	// load windows. Collectors only need to fill them under adaptive
-	// pacing — static pacers ignore them, so the caller can skip the
-	// signal walk inside the stop-the-world window.
-	MutBusy time.Duration
-	GCWork  time.Duration
 }
 
 // Pacer is the pacing contract every collector's start decisions route
-// through. Decision methods are safe to call concurrently with the
-// observation methods; the observation methods themselves are called
-// from pause/cycle coordinators (already serialised per collector).
+// through. Decision methods are safe to call concurrently with each
+// other and with Trace.
 type Pacer interface {
 	// ShouldCollect reports whether a collection is due: an RC pause
 	// (LXR), a young evacuation pause (G1), or a full STW collection
@@ -123,26 +71,8 @@ type Pacer interface {
 	// goroutine with the controller lock held, so it must be
 	// non-blocking: atomics and pacer-owned state only.
 	ShouldStartCycle(s Signals) bool
-	// ObserveCycleStart records that a concurrent cycle began.
-	ObserveCycleStart(s Signals)
-	// ObserveCycleEnd records that a concurrent cycle completed; the
-	// headroom-based pacers difference occupancy across the cycle here.
-	ObserveCycleEnd(s Signals)
-	// ObserveEpoch folds one epoch's feedback into the predictors and
-	// recomputes the adaptive thresholds.
-	ObserveEpoch(e EpochStats)
 	// Trace snapshots the archived pacing record.
 	Trace() *Trace
-}
-
-// WindowObserver is an optional Pacer extension: pacers whose adaptive
-// policy consumes the conctrl utilization-window export (windowed
-// mutator utilization, total CPU load fraction) implement it, and the
-// collectors wire it as the controller's WindowSink. Pacers that adapt
-// on cycle boundaries only (G1, Shenandoah) deliberately do not — a
-// wired sink would make the controller sample windows nobody reads.
-type WindowObserver interface {
-	ObserveWindow(util, load float64)
 }
 
 // Decision archives one fired pacing decision. Identical consecutive
@@ -158,7 +88,7 @@ type Decision struct {
 	Signals   Signals `json:"signals"`
 }
 
-// Adjustment archives one adaptive threshold move.
+// Adjustment archives one threshold move.
 type Adjustment struct {
 	AtMS  float64 `json:"at_ms"`
 	Kind  string  `json:"kind"`
@@ -171,7 +101,6 @@ type Adjustment struct {
 // under the "pacing" key of the -json output.
 type Trace struct {
 	Collector string `json:"collector"`
-	Mode      string `json:"mode"`
 	// Fired counts every due decision, including the ones collapsed
 	// into Repeats and the ones dropped past the archive cap.
 	Fired int64 `json:"fired"`
@@ -199,7 +128,6 @@ const (
 // recorder is the decision archive every concrete pacer embeds.
 type recorder struct {
 	collector string
-	mode      Mode
 	start     time.Time
 
 	fired     atomic.Int64
@@ -236,9 +164,8 @@ func SetTriggerHook(p Pacer, f func(kind string, signal, threshold float64)) boo
 
 func (r *recorder) setTriggerHook(f func(kind string, signal, threshold float64)) { r.hook = f }
 
-func (r *recorder) init(collector string, mode Mode) {
+func (r *recorder) init(collector string) {
 	r.collector = collector
-	r.mode = mode
 	r.start = time.Now()
 	r.thresholds = map[string]float64{}
 }
@@ -288,7 +215,7 @@ func (r *recorder) setThreshold(kind string, v float64) {
 	r.mu.Unlock()
 }
 
-// adjust archives one adaptive threshold move and publishes the new
+// adjust archives one threshold move and publishes the new
 // value.
 func (r *recorder) adjust(kind string, from, to float64, cause string) {
 	r.mu.Lock()
@@ -309,7 +236,6 @@ func (r *recorder) trace() *Trace {
 	defer r.mu.Unlock()
 	t := &Trace{
 		Collector:          r.collector,
-		Mode:               r.mode.String(),
 		Fired:              r.fired.Load(),
 		Dropped:            r.dropped + r.contended.Load(),
 		DroppedAdjustments: r.droppedAdj,
@@ -325,32 +251,3 @@ func (r *recorder) trace() *Trace {
 
 // Trace implements Pacer for every embedding pacer.
 func (r *recorder) Trace() *Trace { return r.trace() }
-
-// noCycle provides no-op cycle observation for pacers of collectors
-// without a concurrent cycle (SemiSpace, STW Immix).
-type noCycle struct{}
-
-func (noCycle) ShouldStartCycle(Signals) bool { return false }
-func (noCycle) ObserveCycleStart(Signals)     {}
-func (noCycle) ObserveCycleEnd(Signals)       {}
-
-// loadCell stores a CPU-load estimate lock-free, timestamped so a
-// consumer fed by several sources (the conctrl window export, the
-// pacer's own epoch differencing) can pick whichever sampled last.
-type loadCell struct {
-	bits atomic.Uint64
-	at   atomic.Int64 // UnixNano of the last store; 0 = never stored
-}
-
-func (c *loadCell) store(v float64) {
-	c.bits.Store(math.Float64bits(v))
-	c.at.Store(time.Now().UnixNano())
-}
-
-func (c *loadCell) load() (v float64, at int64, ok bool) {
-	at = c.at.Load()
-	if at == 0 {
-		return 0, 0, false
-	}
-	return math.Float64frombits(c.bits.Load()), at, true
-}

@@ -2,7 +2,6 @@ package policy_test
 
 import (
 	"testing"
-	"time"
 
 	"lxr/internal/policy"
 )
@@ -45,14 +44,12 @@ func staticLimit(thresholdBytes int64, pred float64, heapBytes int) int64 {
 	return limit
 }
 
-func newRC(mode policy.Mode) *policy.RCPacer {
+func newRC() *policy.RCPacer {
 	return policy.NewRCPacer(policy.RCPacerConfig{
-		Mode:                   mode,
 		HeapBytes:              1 << 30, // roomy: the cap stays out of the way
 		SurvivalThresholdBytes: 1 << 20,
 		HeapBlocks:             1000,
 		CleanBlockThreshold:    16,
-		WastageFraction:        0.05,
 	})
 }
 
@@ -60,7 +57,7 @@ func newRC(mode policy.Mode) *policy.RCPacer {
 // and checks the trigger sequence matches the historical RC trigger
 // step by step.
 func TestRCPacerStaticReplay(t *testing.T) {
-	p := newRC(policy.Static)
+	p := newRC()
 	pred := 0.15 // the historical predictor's initial value
 	trace := []struct {
 		alloc, survived int64
@@ -95,14 +92,14 @@ func TestRCPacerStaticReplay(t *testing.T) {
 
 func TestRCPacerIncrementThreshold(t *testing.T) {
 	p := policy.NewRCPacer(policy.RCPacerConfig{
-		Mode: policy.Static, HeapBytes: 1 << 30,
+		HeapBytes:              1 << 30,
 		SurvivalThresholdBytes: 1 << 30, IncrementThreshold: 100,
 	})
 	if !p.ShouldCollect(policy.Signals{LoggedFields: 150}) {
 		t.Fatal("increment threshold must trigger")
 	}
 	p2 := policy.NewRCPacer(policy.RCPacerConfig{
-		Mode: policy.Static, HeapBytes: 1 << 50,
+		HeapBytes:              1 << 50,
 		SurvivalThresholdBytes: 1 << 20,
 	})
 	if p2.ShouldCollect(policy.Signals{LoggedFields: 1 << 40}) {
@@ -111,7 +108,7 @@ func TestRCPacerIncrementThreshold(t *testing.T) {
 }
 
 func TestRCPacerSurvivalClamps(t *testing.T) {
-	p := newRC(policy.Static)
+	p := newRC()
 	p.ObserveEpoch(policy.EpochStats{AllocBytes: 100, SurvivedBytes: 500}) // >100% clamps to 1
 	want := staticLimit(1<<20, 0.75*1+0.25*0.15, 1<<30)
 	if got := p.AllocLimit(); got != want {
@@ -126,89 +123,17 @@ func TestRCPacerSurvivalClamps(t *testing.T) {
 
 func TestRCPacerHeapCap(t *testing.T) {
 	p := policy.NewRCPacer(policy.RCPacerConfig{
-		Mode: policy.Static, HeapBytes: 1 << 20, SurvivalThresholdBytes: 1 << 20,
+		HeapBytes: 1 << 20, SurvivalThresholdBytes: 1 << 20,
 	})
 	if got := p.AllocLimit(); got != 1<<19 {
 		t.Fatalf("limit %d not capped at half the heap", got)
 	}
 }
 
-// TestRCPacerAdaptiveStretchesWhenIdle: an idle machine (low load)
-// stretches the epoch up to 2x the static budget.
-func TestRCPacerAdaptiveStretchesWhenIdle(t *testing.T) {
-	p := newRC(policy.Adaptive)
-	base := p.AllocLimit() // no load sample yet: static value
-	if want := staticLimit(1<<20, 0.15, 1<<30); base != want {
-		t.Fatalf("unsampled adaptive limit %d, want static %d", base, want)
-	}
-	p.ObserveWindow(1.0, 0.0) // fully idle
-	p.ObserveEpoch(policy.EpochStats{})
-	if got := p.AllocLimit(); !approx(got, 2*base) {
-		t.Fatalf("idle limit %d, want 2x base %d", got, 2*base)
-	}
-	// Saturated: no stretch. The epoch's cumulative busy time agrees
-	// with the window sample, so whichever source the pacer deems
-	// fresher reads the same regime.
-	p.ObserveWindow(1.0, 0.95)
-	p.ObserveEpoch(policy.EpochStats{MutBusy: 24 * time.Hour})
-	if got := p.AllocLimit(); !approx(got, base) {
-		t.Fatalf("saturated limit %d, want base %d", got, base)
-	}
-}
-
-// approx absorbs the one-ulp truncation difference between scaling the
-// float budget and scaling its int64 image.
-func approx(got, want int64) bool {
-	d := got - want
-	return d >= -2 && d <= 2
-}
-
-// TestRCPacerAdaptiveShrinksOnBacklog: pauses repeatedly absorbing the
-// decrement backlog shorten the epoch.
-func TestRCPacerAdaptiveShrinksOnBacklog(t *testing.T) {
-	p := newRC(policy.Adaptive)
-	p.ObserveWindow(1.0, 0.8) // busy: no idle stretch in the way
-	base := staticLimit(1<<20, 0.15, 1<<30)
-	// Growing cumulative busy time keeps the pacer's own epoch-window
-	// fallback reading "busy" too, whichever source it deems fresher.
-	busy := time.Duration(0)
-	for i := 0; i < 20; i++ {
-		busy += time.Hour
-		p.ObserveEpoch(policy.EpochStats{AbsorbedDecPause: true, DecBacklog: 1 << 20, MutBusy: busy})
-	}
-	got := p.AllocLimit()
-	if got >= base*3/4 {
-		t.Fatalf("backlogged limit %d did not shrink from %d", got, base)
-	}
-	if got < base/4 {
-		t.Fatalf("limit %d shrank past the 1/4 bound of %d", got, base)
-	}
-	// Recovery: the backlog drains, epochs stretch back toward base.
-	for i := 0; i < 40; i++ {
-		busy += time.Hour
-		p.ObserveEpoch(policy.EpochStats{AbsorbedDecPause: false, MutBusy: busy})
-	}
-	if rec := p.AllocLimit(); rec <= got {
-		t.Fatalf("limit %d did not recover from %d after the backlog drained", rec, got)
-	}
-}
-
-func TestRCPacerStaticIgnoresSignals(t *testing.T) {
-	p := newRC(policy.Static)
-	base := p.AllocLimit()
-	p.ObserveWindow(1.0, 0.0)
-	for i := 0; i < 10; i++ {
-		p.ObserveEpoch(policy.EpochStats{AbsorbedDecPause: true})
-	}
-	if got := p.AllocLimit(); got != base {
-		t.Fatalf("static limit moved %d -> %d on adaptive signals", base, got)
-	}
-}
-
 // TestRCPacerSATBVotes replays the historical SATB triggers: clean-block
 // shortfall and predicted wastage.
 func TestRCPacerSATBVotes(t *testing.T) {
-	p := newRC(policy.Static)
+	p := newRC()
 	if !p.ShouldStartCycle(policy.Signals{CleanYielded: 2, HeapBlocks: 500}) {
 		t.Fatal("clean-block shortfall must trigger")
 	}
@@ -228,16 +153,16 @@ func TestRCPacerSATBVotes(t *testing.T) {
 
 // --- G1 ---------------------------------------------------------------------
 
-func newG1(mode policy.Mode) *policy.G1Pacer {
+func newG1() *policy.G1Pacer {
 	return policy.NewG1Pacer(policy.G1PacerConfig{
-		Mode: mode, BudgetBlocks: 1000, YoungTargetBlocks: 100,
+		BudgetBlocks: 1000, YoungTargetBlocks: 100,
 	})
 }
 
 // TestG1PacerStaticReplay replays the historical young trigger and the
 // fixed 45% IHOP.
 func TestG1PacerStaticReplay(t *testing.T) {
-	p := newG1(policy.Static)
+	p := newG1()
 	if p.ShouldCollect(policy.Signals{YoungBlocks: 99, BudgetRemaining: 1 << 20}) {
 		t.Fatal("young below target must not trigger")
 	}
@@ -261,103 +186,31 @@ func TestG1PacerStaticReplay(t *testing.T) {
 	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 451}) {
 		t.Fatal("IHOP must fire above 45%")
 	}
-	// Static cycles never move the threshold.
-	p.ObserveCycleStart(policy.Signals{HeapBlocks: 500})
-	p.ObserveCycleEnd(policy.Signals{HeapBlocks: 900})
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 450}) {
-		t.Fatal("static IHOP moved after a cycle")
-	}
-}
-
-// TestG1PacerAdaptiveIHOP: a mark that consumed headroom pulls the IHOP
-// down; the clamps bound it.
-func TestG1PacerAdaptiveIHOP(t *testing.T) {
-	p := newG1(policy.Adaptive)
-	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 451}) {
-		t.Fatal("adaptive IHOP must start at the historical 45%")
-	}
-	// Cycle grows occupancy by 400 blocks: predictor 0.75*400 = 300,
-	// threshold 1000 - 1.5*300 = 550... above 450, clamped to 75% max?
-	// 550 < 750, so the threshold RISES to 550 (idle heap drifts later).
-	p.ObserveCycleStart(policy.Signals{HeapBlocks: 400})
-	p.ObserveCycleEnd(policy.Signals{HeapBlocks: 800})
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 540}) {
-		t.Fatal("threshold did not rise to the headroom-based value")
-	}
-	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 551}) {
-		t.Fatal("threshold rose past the headroom-based value")
-	}
-	// Churn-heavy cycles drive growth up; the 30% clamp holds.
-	for i := 0; i < 10; i++ {
-		p.ObserveCycleStart(policy.Signals{HeapBlocks: 300})
-		p.ObserveCycleEnd(policy.Signals{HeapBlocks: 900})
-	}
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 299}) {
-		t.Fatal("threshold fell under the 30% clamp")
-	}
-	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 301}) {
-		t.Fatal("sustained churn must clamp the threshold at 30%")
-	}
-	tr := p.Trace()
-	if len(tr.Adjustments) == 0 {
-		t.Fatal("adaptive IHOP moves must be archived as adjustments")
-	}
 }
 
 // --- Shenandoah / ZGC -------------------------------------------------------
 
-func newFF(mode policy.Mode) *policy.FreeFractionPacer {
+func newFF() *policy.FreeFractionPacer {
 	return policy.NewFreeFractionPacer(policy.FreeFractionPacerConfig{
-		Mode: mode, Collector: "Shenandoah", BudgetBlocks: 1000,
+		Collector: "Shenandoah", BudgetBlocks: 1000,
 	})
 }
 
 // TestFreeFractionStaticReplay replays the historical 30%-free trigger.
 func TestFreeFractionStaticReplay(t *testing.T) {
-	p := newFF(policy.Static)
+	p := newFF()
 	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 700}) {
 		t.Fatal("fired at the threshold (historical check is strict >)")
 	}
 	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 701}) {
 		t.Fatal("must fire above 70% occupancy")
 	}
-	p.ObserveCycleStart(policy.Signals{HeapBlocks: 800})
-	p.ObserveCycleEnd(policy.Signals{HeapBlocks: 950})
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 700}) {
-		t.Fatal("static threshold moved after a cycle")
-	}
-}
-
-// TestFreeFractionAdaptiveBacksOffUnderChurn: cycles that finish with
-// more memory in use than they started (allocation outran reclamation)
-// pull the trigger earlier.
-func TestFreeFractionAdaptiveBacksOffUnderChurn(t *testing.T) {
-	p := newFF(policy.Adaptive)
-	for i := 0; i < 10; i++ {
-		p.ObserveCycleStart(policy.Signals{HeapBlocks: 500})
-		p.ObserveCycleEnd(policy.Signals{HeapBlocks: 1000})
-	}
-	// Growth prediction -> 500; 1000 - 1.5*500 = 250, clamped at 50%.
-	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 501}) {
-		t.Fatal("churn must back the trigger off the heap-full edge")
-	}
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 499}) {
-		t.Fatal("threshold fell under the 50% clamp")
-	}
-	// Calm cycles (net reclamation) let the trigger drift later again.
-	for i := 0; i < 20; i++ {
-		p.ObserveCycleStart(policy.Signals{HeapBlocks: 700})
-		p.ObserveCycleEnd(policy.Signals{HeapBlocks: 300})
-	}
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 600}) {
-		t.Fatal("calm cycles must relax the trigger")
-	}
 }
 
 // --- SemiSpace / Immix ------------------------------------------------------
 
 func TestHeapFullPacerHalfBudget(t *testing.T) {
-	p := policy.NewHeapFullPacer("SemiSpace", policy.Static, 500)
+	p := policy.NewHeapFullPacer("SemiSpace", 500)
 	if p.ShouldCollect(policy.Signals{HeapBlocks: 499}) {
 		t.Fatal("below the half budget must not trigger")
 	}
@@ -367,7 +220,7 @@ func TestHeapFullPacerHalfBudget(t *testing.T) {
 }
 
 func TestHeapFullPacerAllocFailure(t *testing.T) {
-	p := policy.NewHeapFullPacer("Immix", policy.Static, 0)
+	p := policy.NewHeapFullPacer("Immix", 0)
 	if !p.ShouldCollect(policy.Signals{HeapBlocks: 123, BudgetBlocks: 1000}) {
 		t.Fatal("allocation failure is always due")
 	}
@@ -380,11 +233,11 @@ func TestHeapFullPacerAllocFailure(t *testing.T) {
 // --- the decision archive ---------------------------------------------------
 
 func TestTraceArchivesDecisionsAndThresholds(t *testing.T) {
-	p := newG1(policy.Static)
+	p := newG1()
 	p.ShouldCollect(policy.Signals{YoungBlocks: 100, BudgetRemaining: 1 << 20})
 	p.ShouldStartCycle(policy.Signals{HeapBlocks: 451})
 	tr := p.Trace()
-	if tr.Collector != "G1" || tr.Mode != "static" {
+	if tr.Collector != "G1" {
 		t.Fatalf("identity wrong: %+v", tr)
 	}
 	if tr.Fired != 2 || len(tr.Decisions) != 2 {
@@ -401,7 +254,7 @@ func TestTraceArchivesDecisionsAndThresholds(t *testing.T) {
 // TestTraceCollapsesRepeats: a burst of identical fires (mutators
 // polling an already-due trigger) collapses into one decision's Repeats.
 func TestTraceCollapsesRepeats(t *testing.T) {
-	p := newG1(policy.Static)
+	p := newG1()
 	for i := 0; i < 100; i++ {
 		p.ShouldCollect(policy.Signals{YoungBlocks: 100, BudgetRemaining: 1 << 20})
 	}
@@ -420,7 +273,7 @@ func TestTraceCollapsesRepeats(t *testing.T) {
 // TestTraceDropsPastCapWithCount: the archive is bounded but nothing is
 // silently lost — dropped decisions are counted.
 func TestTraceDropsPastCapWithCount(t *testing.T) {
-	p := policy.NewHeapFullPacer("Immix", policy.Static, 0)
+	p := policy.NewHeapFullPacer("Immix", 0)
 	const n = 6000 // past the 4096 archive cap
 	for i := 0; i < n; i++ {
 		// A distinct threshold per fire defeats repeat-collapsing, so
@@ -446,27 +299,4 @@ func sumRepeats(tr *policy.Trace) int64 {
 		s += d.Repeats
 	}
 	return s
-}
-
-// TestModeString pins the archived mode names.
-func TestModeString(t *testing.T) {
-	if policy.Static.String() != "static" || policy.Adaptive.String() != "adaptive" {
-		t.Fatal("mode names are part of the JSON contract")
-	}
-}
-
-// TestRCPacerEpochLoadFallback: without a window sink, the pacer
-// differences the cumulative signals itself.
-func TestRCPacerEpochLoadFallback(t *testing.T) {
-	p := policy.NewRCPacer(policy.RCPacerConfig{
-		Mode: policy.Adaptive, HeapBytes: 1 << 30,
-		SurvivalThresholdBytes: 1 << 20, Cores: 4,
-	})
-	base := staticLimit(1<<20, 0.15, 1<<30)
-	time.Sleep(3 * time.Millisecond) // a real wall-clock window
-	// Zero busy/GC deltas: the machine looks fully idle -> 2x stretch.
-	p.ObserveEpoch(policy.EpochStats{})
-	if got := p.AllocLimit(); !approx(got, 2*base) {
-		t.Fatalf("idle fallback limit %d, want %d", got, 2*base)
-	}
 }

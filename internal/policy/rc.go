@@ -1,16 +1,10 @@
 package policy
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // RCPacerConfig parameterises LXR's pacer. Zero values select the
 // paper's defaults where one exists.
 type RCPacerConfig struct {
-	Mode Mode
 	// Collector names the trace (default "LXR"; the ablation plans pass
 	// their variant names).
 	Collector string
@@ -30,75 +24,28 @@ type RCPacerConfig struct {
 	// CleanBlockThreshold is the minimum clean blocks an RC epoch must
 	// yield to avoid triggering an SATB trace (§3.2.2).
 	CleanBlockThreshold int
-	// WastageFraction is the predicted-wastage trigger (default 5%).
-	WastageFraction float64
-	// Cores denominates the adaptive load fraction (default: the host's
-	// real parallelism, for the same reason the conctrl governor uses
-	// it — see conctrl.GovernorConfig.Cores).
-	Cores int
 }
 
-// Adaptive epoch-length bounds: the load/backlog scaling never moves
-// the allocation budget further than this from the survival-predicted
-// base, so a bad estimate degrades pacing, never correctness.
-const (
-	rcStretchMax = 2.0  // fully idle machine: epochs up to 2× longer
-	rcShrinkMin  = 0.25 // saturated + backlogged: epochs down to 1/4
-	// rcBacklogWeight scales the backlog-absorption divisor so a fully
-	// absorbed backlog (absorb prediction → 1) actually reaches the
-	// rcShrinkMin floor: f = 1/(1 + weight·absorb) = 1/4 at absorb 1.
-	rcBacklogWeight = 3.0
-	// rcIdleLoad is the total-CPU-load fraction under which the machine
-	// is considered idle enough to stretch epochs (mirrors the
-	// governor's GrowBelow default).
-	rcIdleLoad = 0.70
-)
+// wastageFraction is the predicted-wastage SATB trigger: 5% of the heap
+// (§3.2.2).
+const wastageFraction = 0.05
 
 // RCPacer is LXR's pacer (§3.2.1, §3.2.2): the survival-rate RC pause
 // trigger — folded into a single allocation-budget comparison so the
 // safepoint fast path is one atomic load — and the SATB cycle votes
 // (clean-block shortfall, predicted heap wastage).
-//
-// In Adaptive mode the allocation budget additionally scales with load:
-// when the estimator sees idle cores, epochs stretch (fewer pauses for
-// the same survivor risk); when the lazy-decrement backlog starts
-// getting absorbed by pauses — the backlog is lengthening the very
-// pauses RC epochs exist to keep short — epochs shorten so each
-// concurrent drain is smaller.
 type RCPacer struct {
 	recorder
 	cfg RCPacerConfig
 
 	survival   *DecayPredictor // young survival rate in [0,1], bias high
 	liveBlocks *DecayPredictor // post-SATB live blocks, bias low
-	absorb     *DecayPredictor // pause-absorbed-decrements rate in [0,1], bias high
 
 	allocLimit atomic.Int64
-	// sinkLoad holds windows exported by the conctrl controller;
-	// epochLoad holds the pacer's own per-epoch differencing fallback.
-	// Whichever sampled most recently wins: the sink is finer-grained
-	// while the concurrent driver runs, but it goes silent when the
-	// driver parks idle, and a stale idle-time sample must not keep
-	// scaling epochs after the workload turns saturated.
-	sinkLoad  loadCell
-	epochLoad loadCell
-
-	// Epoch differencing state for the self-sampled load estimate
-	// (coordinator only, but Trace may race a read: guarded).
-	epochMu  sync.Mutex
-	lastAt   time.Time
-	lastBusy time.Duration
-	lastGC   time.Duration
 }
 
 // NewRCPacer creates LXR's pacer.
 func NewRCPacer(cfg RCPacerConfig) *RCPacer {
-	if cfg.WastageFraction == 0 {
-		cfg.WastageFraction = 0.05
-	}
-	if cfg.Cores <= 0 {
-		cfg.Cores = runtime.NumCPU()
-	}
 	if cfg.Collector == "" {
 		cfg.Collector = "LXR"
 	}
@@ -106,10 +53,8 @@ func NewRCPacer(cfg RCPacerConfig) *RCPacer {
 		cfg:        cfg,
 		survival:   NewDecayPredictor(0.15, true),
 		liveBlocks: NewDecayPredictor(0, false),
-		absorb:     NewDecayPredictor(0, true),
 	}
-	p.init(cfg.Collector, cfg.Mode)
-	p.lastAt = p.start
+	p.init(cfg.Collector)
 	p.recompute()
 	return p
 }
@@ -148,48 +93,21 @@ func (p *RCPacer) ShouldStartCycle(s Signals) bool {
 	if wastage < 0 {
 		wastage = 0
 	}
-	if thr := p.cfg.WastageFraction * float64(p.cfg.HeapBlocks); wastage >= thr {
+	if thr := wastageFraction * float64(p.cfg.HeapBlocks); wastage >= thr {
 		p.fire("satb-wastage", wastage, thr, s)
 		return true
 	}
 	return false
 }
 
-// ObserveCycleStart implements Pacer.
-func (p *RCPacer) ObserveCycleStart(Signals) {}
-
-// ObserveCycleEnd implements Pacer: feeds the post-trace live-block
-// predictor behind the wastage vote.
+// ObserveCycleEnd records a completed SATB trace: feeds the post-trace
+// live-block predictor behind the wastage vote.
 func (p *RCPacer) ObserveCycleEnd(s Signals) {
 	p.liveBlocks.Observe(float64(s.HeapBlocks))
 }
 
-// ObserveWindow implements WindowObserver: the conctrl controller's
-// utilization window export. Only the load fraction participates in
-// epoch scaling.
-func (p *RCPacer) ObserveWindow(util, load float64) {
-	if p.cfg.Mode != Adaptive {
-		return
-	}
-	p.sinkLoad.store(load)
-}
-
-// loadEstimate returns the most recently sampled CPU-load estimate.
-func (p *RCPacer) loadEstimate() (float64, bool) {
-	sv, sat, sok := p.sinkLoad.load()
-	ev, eat, eok := p.epochLoad.load()
-	switch {
-	case sok && (!eok || sat >= eat):
-		return sv, true
-	case eok:
-		return ev, true
-	}
-	return 0, false
-}
-
-// ObserveEpoch implements Pacer: survival feedback, backlog-absorption
-// feedback, a self-sampled load window from the cumulative runtime
-// signals, and the allocation-budget recomputation.
+// ObserveEpoch folds one epoch in: survival feedback and the
+// allocation-budget recomputation.
 func (p *RCPacer) ObserveEpoch(e EpochStats) {
 	if e.AllocBytes > 0 {
 		r := float64(e.SurvivedBytes) / float64(e.AllocBytes)
@@ -198,73 +116,18 @@ func (p *RCPacer) ObserveEpoch(e EpochStats) {
 		}
 		p.survival.Observe(r)
 	}
-	if p.cfg.Mode == Adaptive {
-		if e.AbsorbedDecPause {
-			p.absorb.Observe(1)
-		} else {
-			p.absorb.Observe(0)
-		}
-		p.observeEpochLoad(e)
-	}
 	p.recompute()
-}
-
-// observeEpochLoad differences the cumulative busy/work signals since
-// the previous epoch into a load sample, so adaptive pacing works even
-// when no conctrl window export is wired (the concurrent driver may be
-// idle for long stretches).
-func (p *RCPacer) observeEpochLoad(e EpochStats) {
-	now := time.Now()
-	p.epochMu.Lock()
-	wall := now.Sub(p.lastAt)
-	if wall < time.Millisecond {
-		// Too short a window to be a meaningful load sample; let it
-		// accumulate into the next epoch.
-		p.epochMu.Unlock()
-		return
-	}
-	dBusy := e.MutBusy - p.lastBusy
-	dGC := e.GCWork - p.lastGC
-	p.lastAt, p.lastBusy, p.lastGC = now, e.MutBusy, e.GCWork
-	p.epochMu.Unlock()
-	if dBusy < 0 {
-		dBusy = 0
-	}
-	if dGC < 0 {
-		dGC = 0
-	}
-	load := float64(dBusy+dGC) / (float64(wall) * float64(p.cfg.Cores))
-	p.epochLoad.store(load)
 }
 
 // recompute derives the allocation budget from the survival prediction
 // — the predictor turns "bound expected survivors" into an allocation
-// volume checked with one atomic load — then applies the adaptive
-// load/backlog scaling.
+// volume checked with one atomic load.
 func (p *RCPacer) recompute() {
 	s := p.survival.Predict()
 	if s < 0.005 {
 		s = 0.005
 	}
-	base := float64(p.cfg.SurvivalThresholdBytes) / s
-	limit := base
-	if p.cfg.Mode == Adaptive {
-		f := 1.0
-		if load, ok := p.loadEstimate(); ok && load < rcIdleLoad {
-			// Idle cores: stretch toward 2× as load approaches zero.
-			f *= 1 + (rcIdleLoad-load)/rcIdleLoad
-		}
-		// Backlog pressure: pauses absorbing decrement catch-up mean
-		// epochs are outrunning the concurrent drain; shorten them.
-		f /= 1 + rcBacklogWeight*p.absorb.Predict()
-		if f > rcStretchMax {
-			f = rcStretchMax
-		}
-		if f < rcShrinkMin {
-			f = rcShrinkMin
-		}
-		limit = base * f
-	}
+	limit := float64(p.cfg.SurvivalThresholdBytes) / s
 	// Never let the trigger exceed half the heap between pauses.
 	if max := float64(p.cfg.HeapBytes) / 2; limit > max {
 		limit = max
@@ -277,11 +140,7 @@ func (p *RCPacer) recompute() {
 	// Archive material moves only (>5%), so per-pause recomputation
 	// noise does not flood the record.
 	if diff := limit - float64(old); diff > float64(old)*0.05 || diff < -float64(old)*0.05 {
-		cause := "survival"
-		if p.cfg.Mode == Adaptive {
-			cause = "survival+load"
-		}
-		p.adjust("rc-survival", float64(old), limit, cause)
+		p.adjust("rc-survival", float64(old), limit, "survival")
 	} else {
 		p.setThreshold("rc-survival", limit)
 	}

@@ -11,23 +11,22 @@ import (
 
 // TestStressPacerConcurrency interleaves everything that touches a
 // pacer in a real run — safepoint-path decisions from many mutators,
-// controller-goroutine cycle checks, pause-coordinator observations,
-// window exports, and trace snapshots — under -race. The decision paths
+// controller-goroutine cycle checks, pause-coordinator observations
+// and trace snapshots — under -race. The decision paths
 // must be non-blocking and the archive internally consistent.
 func TestStressPacerConcurrency(t *testing.T) {
 	pacers := []policy.Pacer{
 		policy.NewRCPacer(policy.RCPacerConfig{
-			Mode: policy.Adaptive, HeapBytes: 1 << 28,
-			SurvivalThresholdBytes: 1 << 20, HeapBlocks: 1000,
-			CleanBlockThreshold: 16, WastageFraction: 0.05,
+			HeapBytes: 1 << 28, SurvivalThresholdBytes: 1 << 20,
+			HeapBlocks: 1000, CleanBlockThreshold: 16,
 		}),
 		policy.NewG1Pacer(policy.G1PacerConfig{
-			Mode: policy.Adaptive, BudgetBlocks: 1000, YoungTargetBlocks: 100,
+			BudgetBlocks: 1000, YoungTargetBlocks: 100,
 		}),
 		policy.NewFreeFractionPacer(policy.FreeFractionPacerConfig{
-			Mode: policy.Adaptive, BudgetBlocks: 1000,
+			BudgetBlocks: 1000,
 		}),
-		policy.NewHeapFullPacer("SemiSpace", policy.Adaptive, 500),
+		policy.NewHeapFullPacer("SemiSpace", 500),
 	}
 	const dur = 100 * time.Millisecond
 	for _, p := range pacers {
@@ -58,22 +57,14 @@ func TestStressPacerConcurrency(t *testing.T) {
 				HeapBlocks: i % 1200, BudgetBlocks: 1000, CleanYielded: i % 64,
 			})
 		})
-		// Pause coordinator: epoch feedback and cycle boundaries.
-		run(func(i int) {
-			p.ObserveEpoch(policy.EpochStats{
-				AllocBytes: 1 << 20, SurvivedBytes: int64(i%10) << 16,
-				AbsorbedDecPause: i%3 == 0, DecBacklog: int64(i % 4096),
-				MutBusy: time.Duration(i) * time.Microsecond,
-				GCWork:  time.Duration(i/2) * time.Microsecond,
-			})
-			p.ObserveCycleStart(policy.Signals{HeapBlocks: i % 800, BudgetBlocks: 1000})
-			p.ObserveCycleEnd(policy.Signals{HeapBlocks: (i + 100) % 1100, BudgetBlocks: 1000})
-		})
-		// Governor window export (optional extension; only the pacers
-		// that consume windows implement it).
-		if wo, ok := p.(policy.WindowObserver); ok {
+		// Pause coordinator: epoch feedback and cycle boundaries (LXR's
+		// pacer is the only one with predictors to feed).
+		if rc, ok := p.(*policy.RCPacer); ok {
 			run(func(i int) {
-				wo.ObserveWindow(float64(i%100)/100, float64((i*7)%100)/100)
+				rc.ObserveEpoch(policy.EpochStats{
+					AllocBytes: 1 << 20, SurvivedBytes: int64(i%10) << 16,
+				})
+				rc.ObserveCycleEnd(policy.Signals{HeapBlocks: (i + 100) % 1100, BudgetBlocks: 1000})
 			})
 		}
 		// Trace snapshots while everything churns.

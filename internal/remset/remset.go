@@ -1,5 +1,5 @@
-// Package remset implements LXR's RC remembered sets (§3.3.2): per
-// evacuation-set records of the locations of incoming references, each
+// Package remset implements LXR's RC remembered set (§3.3.2): records
+// of the locations of references into the evacuation set, each
 // tagged with the reuse counter of the source line so that stale entries
 // (whose containing line has been reclaimed and reallocated since the
 // entry was created) can be discarded at evacuation time.
@@ -19,89 +19,36 @@ type Entry struct {
 	Tag  uint32
 }
 
-// Set is one remembered set. LXR uses either a single whole-heap set or
-// one per 4 MB region (§3.3.2); the Table below handles the mapping.
-type Set struct {
+// Table is the remembered set: a single whole-heap set, the paper's
+// default configuration (§3.3.2).
+type Table struct {
+	reuse   *meta.LineCounters
 	mu      sync.Mutex
 	entries []Entry
 }
 
-func (s *Set) add(e Entry) {
-	s.mu.Lock()
-	s.entries = append(s.entries, e)
-	s.mu.Unlock()
+// NewTable creates a remembered set. reuse supplies per-line reuse
+// counters.
+func NewTable(reuse *meta.LineCounters) *Table {
+	return &Table{reuse: reuse}
 }
 
-// Take removes and returns all entries.
-func (s *Set) Take() []Entry {
-	s.mu.Lock()
-	e := s.entries
-	s.entries = nil
-	s.mu.Unlock()
-	return e
-}
-
-// Len returns the entry count.
-func (s *Set) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Table maps evacuation-set regions to their remembered sets. With
-// RegionBlocks == 0 a single whole-heap set is used (the paper's default
-// configuration).
-type Table struct {
-	reuse        *meta.LineCounters
-	RegionBlocks int
-	whole        Set
-	regions      map[int]*Set // region index -> set
-	mu           sync.Mutex
-}
-
-// NewTable creates a remembered-set table. reuse supplies per-line reuse
-// counters; regionBlocks selects regional sets (0 = single set).
-func NewTable(reuse *meta.LineCounters, regionBlocks int) *Table {
-	return &Table{reuse: reuse, RegionBlocks: regionBlocks, regions: make(map[int]*Set)}
-}
-
-// Record notes that slot holds a reference into the evacuation set whose
-// target block is targetBlock. The entry is tagged with the current
-// reuse count of the slot's line.
-func (t *Table) Record(slot mem.Address, targetBlock int) {
+// Record notes that slot holds a reference into the evacuation set. The
+// entry is tagged with the current reuse count of the slot's line.
+func (t *Table) Record(slot mem.Address) {
 	e := Entry{Slot: slot, Tag: t.reuse.GetAddr(slot)}
-	t.setFor(targetBlock).add(e)
-}
-
-func (t *Table) setFor(block int) *Set {
-	if t.RegionBlocks == 0 {
-		return &t.whole
-	}
-	r := block / t.RegionBlocks
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.regions[r]
-	if !ok {
-		s = &Set{}
-		t.regions[r] = s
-	}
-	return s
-}
-
-// TakeAll removes and returns every entry across all sets.
-func (t *Table) TakeAll() []Entry {
-	out := t.whole.Take()
-	t.mu.Lock()
-	regions := make([]*Set, 0, len(t.regions))
-	for _, s := range t.regions {
-		regions = append(regions, s)
-	}
-	t.regions = make(map[int]*Set)
+	t.entries = append(t.entries, e)
 	t.mu.Unlock()
-	for _, s := range regions {
-		out = append(out, s.Take()...)
-	}
-	return out
+}
+
+// TakeAll removes and returns every entry.
+func (t *Table) TakeAll() []Entry {
+	t.mu.Lock()
+	e := t.entries
+	t.entries = nil
+	t.mu.Unlock()
+	return e
 }
 
 // Valid reports whether an entry is still trustworthy: the slot's line
@@ -111,13 +58,9 @@ func (t *Table) Valid(e Entry) bool {
 	return t.reuse.GetAddr(e.Slot) == e.Tag
 }
 
-// Len returns the total number of entries across all sets.
+// Len returns the entry count.
 func (t *Table) Len() int {
-	n := t.whole.Len()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.regions {
-		n += s.Len()
-	}
-	return n
+	return len(t.entries)
 }

@@ -11,14 +11,14 @@ import (
 func setup() (*meta.LineCounters, *remset.Table) {
 	a := mem.NewArena(4 << 20)
 	lc := meta.NewLineCounters(a)
-	return lc, remset.NewTable(lc, 0)
+	return lc, remset.NewTable(lc)
 }
 
 func TestRecordTake(t *testing.T) {
 	_, rs := setup()
 	slot := mem.BlockStart(1).Plus(24)
-	rs.Record(slot, 5)
-	rs.Record(slot.Plus(8), 5)
+	rs.Record(slot)
+	rs.Record(slot.Plus(8))
 	if rs.Len() != 2 {
 		t.Fatalf("len %d", rs.Len())
 	}
@@ -34,7 +34,7 @@ func TestRecordTake(t *testing.T) {
 func TestReuseCounterInvalidation(t *testing.T) {
 	lc, rs := setup()
 	slot := mem.BlockStart(1).Plus(40)
-	rs.Record(slot, 3)
+	rs.Record(slot)
 	e := rs.TakeAll()[0]
 	if !rs.Valid(e) {
 		t.Fatal("fresh entry must be valid")
@@ -42,19 +42,5 @@ func TestReuseCounterInvalidation(t *testing.T) {
 	lc.Bump(slot.Line()) // the line was reclaimed and reused
 	if rs.Valid(e) {
 		t.Fatal("entry must be invalid after line reuse")
-	}
-}
-
-func TestRegionalSets(t *testing.T) {
-	a := mem.NewArena(16 << 20)
-	lc := meta.NewLineCounters(a)
-	rs := remset.NewTable(lc, 128)    // 4 MB regions
-	rs.Record(mem.BlockStart(1), 1)   // region 0
-	rs.Record(mem.BlockStart(2), 200) // region 1
-	if rs.Len() != 2 {
-		t.Fatalf("len %d", rs.Len())
-	}
-	if got := len(rs.TakeAll()); got != 2 {
-		t.Fatalf("TakeAll %d", got)
 	}
 }

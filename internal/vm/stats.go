@@ -131,9 +131,8 @@ func (s *Stats) PauseCount() int {
 }
 
 // TotalPause returns the summed duration of all pauses. It is a single
-// atomic load, so high-frequency samplers (the adaptive loan governor's
-// windowed utilization estimator) can call it without contending on the
-// pause records.
+// atomic load, so samplers can call it without contending on the pause
+// records.
 func (s *Stats) TotalPause() time.Duration {
 	return time.Duration(s.pauseNs.Load())
 }

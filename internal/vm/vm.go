@@ -582,15 +582,12 @@ func (v *VM) FixRoots(f func(obj.Ref) obj.Ref) {
 	}
 }
 
-// ConcSignals supplies the cumulative feedback inputs every windowed
-// estimator differences (conctrl.Signals): total mutator busy time —
-// live mutators' elapsed-minus-parked time plus the banked busy time of
-// mutators that already deregistered — total collector work, total
-// stop-the-world time, and the live mutator count. Two consumers
-// sample it: the conctrl controller (the adaptive loan-width governor
-// and its WindowSink export to the pacing policies) every few
-// milliseconds, and — under adaptive pacing only — each collector's
-// pause coordinator once per epoch (policy.EpochStats).
+// ConcSignals returns the cumulative CPU-accounting inputs a windowed
+// estimator differences: total mutator busy time — live mutators'
+// elapsed-minus-parked time plus the banked busy time of mutators that
+// already deregistered — total collector work, total stop-the-world
+// time, and the live mutator count. The benchmark's gc_cpu_frac is
+// derived from it.
 //
 // The busy term is O(MutatorShards), not O(mutators): each shard
 // maintains cumulative registration/park/retired-busy sums, and a
@@ -601,9 +598,8 @@ func (v *VM) FixRoots(f func(obj.Ref) obj.Ref) {
 // are read under its lock, and registration, retirement and park
 // recording update them atomically with respect to sampling, so busy
 // time is monotone across register/deregister churn; only a park in
-// flight at the sample instant is (as before the sharding) counted as
-// busy until it completes — windowed consumers clamp the resulting
-// small negative deltas.
+// flight at the sample instant is counted as busy until it completes,
+// so a window closing mid-park can observe a small negative delta.
 func (v *VM) ConcSignals() (mutBusy, gcWork, pause time.Duration, mutators int) {
 	var busy int64
 	var count int

@@ -25,9 +25,13 @@
 package lxr
 
 import (
+	"errors"
+	"fmt"
+
 	"lxr/internal/baselines"
 	"lxr/internal/core"
 	"lxr/internal/obj"
+	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
 
@@ -58,6 +62,13 @@ const (
 	CollectorParallel   CollectorKind = "Parallel"
 	CollectorSemiSpace  CollectorKind = "SemiSpace"
 	CollectorImmix      CollectorKind = "Immix"
+
+	// The Table 7 concurrency ablations of LXR, and Immix paying LXR's
+	// write barrier (the barrier-overhead experiment).
+	CollectorLXRNoSATB CollectorKind = "LXR-SATB" // trace in the pause
+	CollectorLXRNoLD   CollectorKind = "LXR-LD"   // decrements in the pause
+	CollectorLXRSTW    CollectorKind = "LXR-STW"  // both
+	CollectorImmixWB   CollectorKind = "Immix+WB"
 )
 
 // RuntimeConfig configures a Runtime.
@@ -70,9 +81,11 @@ type RuntimeConfig struct {
 	GCThreads int
 	// GlobalRoots sizes the global root array (default 16).
 	GlobalRoots int
-	// LXR, when Collector is LXR, overrides the full LXR configuration
-	// (ablations, triggers, evacuation knobs). HeapBytes/GCThreads
-	// above still apply when the corresponding fields are zero.
+	// LXR, when Collector is LXR (or one of its ablations), overrides
+	// the full LXR configuration (ablations, triggers, evacuation
+	// knobs). HeapBytes/GCThreads above still apply when the
+	// corresponding fields are zero. Any other collector refuses LXR
+	// settings it cannot honour (see NewPlan).
 	LXR *core.Config
 }
 
@@ -93,67 +106,102 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 }
 
 // NewRuntimeChecked is NewRuntime returning an error when the collector
-// cannot operate at the requested heap size (ZGC's minimum heap).
+// cannot be built as configured (see NewPlan).
 func NewRuntimeChecked(cfg RuntimeConfig) (*Runtime, error) {
 	if cfg.Collector == "" {
 		cfg.Collector = CollectorLXR
 	}
-	if cfg.HeapBytes == 0 {
-		cfg.HeapBytes = 64 << 20
-	}
-	if cfg.GCThreads == 0 {
-		cfg.GCThreads = 4
-	}
 	if cfg.GlobalRoots == 0 {
 		cfg.GlobalRoots = 16
 	}
-	var plan vm.Plan
-	switch cfg.Collector {
-	case CollectorLXR:
-		c := core.Config{}
-		if cfg.LXR != nil {
-			c = *cfg.LXR
-		}
-		if c.HeapBytes == 0 {
-			c.HeapBytes = cfg.HeapBytes
-		}
-		if c.GCThreads == 0 {
-			c.GCThreads = cfg.GCThreads
-		}
-		plan = core.New(c)
-	case CollectorG1:
-		plan = baselines.NewG1(cfg.HeapBytes, cfg.GCThreads)
-	case CollectorShenandoah:
-		plan = baselines.NewShenandoah(cfg.HeapBytes, cfg.GCThreads)
-	case CollectorZGC:
-		z := baselines.NewZGC(cfg.HeapBytes, cfg.GCThreads)
-		if z == nil {
-			return nil, errZGCMinHeap
-		}
-		plan = z
-	case CollectorSerial:
-		plan = baselines.NewSerial(cfg.HeapBytes)
-	case CollectorParallel:
-		plan = baselines.NewParallel(cfg.HeapBytes, cfg.GCThreads)
-	case CollectorSemiSpace:
-		plan = baselines.NewSemiSpace("SemiSpace", cfg.HeapBytes, cfg.GCThreads)
-	case CollectorImmix:
-		plan = baselines.NewImmix(cfg.HeapBytes, cfg.GCThreads, false)
-	default:
-		return nil, errUnknownCollector(cfg.Collector)
+	var c core.Config
+	if cfg.LXR != nil {
+		c = *cfg.LXR
+	}
+	if c.HeapBytes == 0 {
+		c.HeapBytes = cfg.HeapBytes
+	}
+	if c.GCThreads == 0 {
+		c.GCThreads = cfg.GCThreads
+	}
+	plan, err := NewPlan(cfg.Collector, c)
+	if err != nil {
+		return nil, err
 	}
 	return &Runtime{VM: vm.New(plan, cfg.GlobalRoots)}, nil
 }
 
-type errUnknownCollector string
+// ErrMinHeap reports that a collector cannot operate at the requested
+// heap size (ZGC's minimum heap).
+var ErrMinHeap = errors.New("lxr: ZGC requires a larger minimum heap")
 
-func (e errUnknownCollector) Error() string { return "lxr: unknown collector " + string(e) }
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
-
-var errZGCMinHeap = errString("lxr: ZGC requires a larger minimum heap")
+// NewPlan is the one place a collector name becomes a plan. c carries
+// the four settings every collector reads — heap budget (default 64 MB),
+// GC threads (default 4), between-pause borrow width (0 = half the GC
+// threads) and event tracer — and is the configuration an LXR row
+// starts from. A baseline collector handed any other LXR setting
+// returns an error rather than running without it.
+func NewPlan(id CollectorKind, c core.Config) (vm.Plan, error) {
+	if c.HeapBytes == 0 {
+		c.HeapBytes = 64 << 20
+	}
+	if c.GCThreads == 0 {
+		c.GCThreads = 4
+	}
+	switch id {
+	case CollectorLXR:
+		return core.New(c), nil
+	case CollectorLXRNoSATB:
+		c.NoConcurrentSATB = true
+		return core.New(c), nil
+	case CollectorLXRNoLD:
+		c.NoLazyDecrements = true
+		return core.New(c), nil
+	case CollectorLXRSTW:
+		c.NoConcurrentSATB, c.NoLazyDecrements = true, true
+		return core.New(c), nil
+	}
+	heap, threads := c.HeapBytes, c.GCThreads
+	if c != (core.Config{HeapBytes: heap, GCThreads: threads, ConcWorkers: c.ConcWorkers, Tracer: c.Tracer}) {
+		return nil, fmt.Errorf("lxr: collector %q cannot honour LXR-only settings (RuntimeConfig.LXR)", id)
+	}
+	var b interface {
+		vm.Plan
+		SetConcWorkers(int)
+		SetTracer(*trace.Tracer)
+	}
+	switch id {
+	case CollectorG1:
+		b = baselines.NewG1(heap, threads)
+	case CollectorShenandoah:
+		b = baselines.NewShenandoah(heap, threads)
+	case CollectorZGC:
+		z := baselines.NewZGC(heap, threads)
+		if z == nil {
+			return nil, ErrMinHeap
+		}
+		b = z
+	case CollectorSerial:
+		b = baselines.NewSerial(heap)
+	case CollectorParallel:
+		b = baselines.NewParallel(heap, threads)
+	case CollectorSemiSpace:
+		b = baselines.NewSemiSpace("SemiSpace", heap, threads)
+	case CollectorImmix:
+		b = baselines.NewImmix(heap, threads, false)
+	case CollectorImmixWB:
+		b = baselines.NewImmix(heap, threads, true)
+	default:
+		return nil, fmt.Errorf("lxr: unknown collector %q", id)
+	}
+	if c.ConcWorkers > 0 {
+		b.SetConcWorkers(c.ConcWorkers)
+	}
+	if c.Tracer != nil {
+		b.SetTracer(c.Tracer)
+	}
+	return b, nil
+}
 
 // LXRConfig re-exports the full LXR configuration type.
 type LXRConfig = core.Config
