@@ -166,7 +166,9 @@ func (p *Immix) WriteRef(m *vm.Mutator, src obj.Ref, i int, val obj.Ref) {
 			break
 		}
 	}
-	p.om.A.StoreRef(slot, val)
+	// The same release store as LXR's barrier ends in, so Table 7's
+	// anchor and the barrier it is subtracted from pay for the same store.
+	p.om.A.StoreRelease(slot, uint64(val))
 }
 
 // ReadRef implements vm.Plan: no read barrier.

@@ -104,9 +104,10 @@ func (p *SemiSpace) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 	return r
 }
 
-// WriteRef implements vm.Plan: no write barrier.
+// WriteRef implements vm.Plan: no write barrier, and a release store —
+// the collector reads slots only with the world stopped.
 func (p *SemiSpace) WriteRef(m *vm.Mutator, src obj.Ref, i int, val obj.Ref) {
-	p.om.StoreSlot(src, i, val)
+	p.om.A.StoreRelease(p.om.SlotAddr(src, i), uint64(val))
 }
 
 // ReadRef implements vm.Plan: no read barrier.

@@ -104,7 +104,11 @@ func (p *LXR) WriteRef(m *vm.Mutator, src obj.Ref, i int, val obj.Ref) {
 	if p.logs.Get(slot) != 0 { // isUnlogged (or busy)
 		p.logField(m.PlanState.(*mutState), slot)
 	}
-	p.om.A.StoreRef(slot, val)
+	// A release store, not a fenced one: the capture above was published
+	// by a CAS, and nothing this mutator loads next is decided by a party
+	// that must first see this slot (DESIGN.md, "Stores that need no
+	// fence").
+	p.om.A.StoreRelease(slot, uint64(val))
 	if m.BarrierWatch && !val.IsNil() && p.om.A.Contains(val) &&
 		p.bt.HasFlag(val.Block(), immix.FlagDefrag) {
 		p.rem.Record(slot)

@@ -76,9 +76,12 @@ func (ls *LargeSpace) Alloc(size int) (mem.Address, bool) {
 			for b := start + 1; b < start+blocks; b++ {
 				ls.bt.SetState(b, StateLargeBody)
 			}
-			ls.bt.Arena.Zero(addr, blocks*mem.BlockSize)
+			// Whole blocks just reserved and named by nobody: the
+			// private-block case (DESIGN.md, "Private-block bulk zeroing").
+			end := addr + mem.Address(blocks*mem.BlockSize)
+			ls.bt.Arena.ZeroPrivate(addr, end)
 			if ls.OnAlloc != nil {
-				ls.OnAlloc(addr, addr+mem.Address(blocks*mem.BlockSize))
+				ls.OnAlloc(addr, end)
 			}
 			return addr, true
 		}

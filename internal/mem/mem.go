@@ -105,7 +105,10 @@ func GranuleStart(idx int) Address { return Address(idx) << GranuleLog }
 
 // Arena is a contiguous simulated heap. It is safe for concurrent use:
 // word accesses use sync/atomic so that mutator threads and collector
-// threads may race on reference slots exactly the way a real runtime does.
+// threads may race on reference slots exactly the way a real runtime
+// does. Two families of stores are cheaper than that by contract:
+// StoreRelease (a mutator's own stores; a plain word store on amd64)
+// and ZeroPrivate (ranges nobody else can name; a memclr).
 type Arena struct {
 	words  []uint64
 	size   Address // size in bytes
@@ -153,6 +156,20 @@ func (a *Arena) Load(addr Address) uint64 {
 // Store writes the word at addr. addr must be word aligned.
 func (a *Arena) Store(addr Address, v uint64) {
 	atomic.StoreUint64(&a.words[addr>>WordLog], v)
+}
+
+// StoreRelease writes the word at addr with release ordering but, unlike
+// Store (an XCHGQ on amd64), no trailing fence: everything the calling
+// thread wrote before it is visible to whoever sees v, but a later load
+// by the caller may run ahead of it. It is for the stores a mutator
+// makes on its own behalf — a barriered slot write after its log
+// capture, the header and payload of an object it has not yet published
+// — where no later load of that thread is half of a store→load
+// handshake (DESIGN.md, "Stores that need no fence", argues each call
+// site). Collector stores, forwarding words, copies and zeroing keep
+// Store. Racing readers must use Load and tolerate the old value.
+func (a *Arena) StoreRelease(addr Address, v uint64) {
+	a.storeRelease(int(addr>>WordLog), v)
 }
 
 // CAS performs a compare-and-swap on the word at addr.

@@ -93,14 +93,18 @@ type Model struct {
 	A *mem.Arena
 }
 
-// WriteHeader initialises the header of a new object at ref.
+// WriteHeader initialises the header of a new object at ref: an object
+// the allocating thread alone can name until it stores the reference
+// somewhere, and that store is ordered after these two (release stores;
+// DESIGN.md, "Stores that need no fence"). Collectors copying an object
+// use CopyTo, not this.
 func (m Model) WriteHeader(ref Ref, l Layout) {
 	w0 := uint64(uint32(l.Size)) | uint64(l.NumRefs)<<32 | uint64(l.TypeID)<<56
 	if l.Large {
 		w0 |= FlagLarge
 	}
-	m.A.Store(ref, w0)
-	m.A.Store(ref+mem.WordSize, 0)
+	m.A.StoreRelease(ref, w0)
+	m.A.StoreRelease(ref+mem.WordSize, 0)
 }
 
 // Size returns the total size in bytes of the object at ref.

@@ -487,10 +487,11 @@ func (m *Mutator) Load(src obj.Ref, i int) obj.Ref {
 
 // WritePayload stores a non-reference word into the object's payload.
 // Payload accesses resolve forwarding (concurrent evacuating collectors
-// may have moved the object) but need no other barrier.
+// may have moved the object) but need no other barrier, and no fence:
+// a payload word is published by the reference store that follows it.
 func (m *Mutator) WritePayload(src obj.Ref, word int, v uint64) {
 	src = m.VM.OM.Resolve(src)
-	m.VM.OM.A.Store(m.VM.OM.PayloadAddr(src)+mem.Address(word)*mem.WordSize, v)
+	m.VM.OM.A.StoreRelease(m.VM.OM.PayloadAddr(src)+mem.Address(word)*mem.WordSize, v)
 }
 
 // ReadPayload loads a non-reference word from the object's payload.
