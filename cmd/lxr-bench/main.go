@@ -11,9 +11,8 @@
 // JSON array of summaries (pause percentiles — overall and per phase —
 // MMU curves, throughput, STW totals) to the given file, or to stdout
 // with "-". -hist archives every run's full latency/pause/worker-item
-// histograms as sparse bucket dumps. Every run's pacing decision
-// archive lands under "pacing" in the JSON output. -interval emits
-// periodic per-window latency and pause percentiles during each run;
+// histograms as sparse bucket dumps. -interval emits periodic
+// per-window latency and pause percentiles during each run;
 // windows whose p99 departs more than 2x from the trailing mean are
 // marked drift:true.
 // See EXPERIMENTS.md.

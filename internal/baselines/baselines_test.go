@@ -9,6 +9,7 @@ import (
 
 	"lxr/internal/baselines"
 	"lxr/internal/core"
+	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
 
@@ -303,21 +304,33 @@ func TestG1TightHeapEvacuationFailure(t *testing.T) {
 }
 
 // TestShenPacedTriggerUnderChurn is the race cover for the pacing
-// snapshot path: Shenandoah's cycle trigger (pacer free-fraction check)
+// snapshot path: Shenandoah's cycle trigger (the free-fraction test)
 // runs on the conctrl controller goroutine with the controller lock
 // held, reading occupancy — including the large-object space's, which
-// used to take the LOS mutex — concurrently with mutators allocating
-// large objects. Every read on that path must be lock-free and
-// race-clean, and the trigger must keep cycles firing.
+// used to take the LOS mutex — and reporting to the tracer,
+// concurrently with mutators allocating large objects. Every read on
+// that path must be lock-free and race-clean, and the trigger must keep
+// cycles firing.
 func TestShenPacedTriggerUnderChurn(t *testing.T) {
 	const heap = 12 << 20
 	p := baselines.NewShenandoah(heap, 2)
+	tr := trace.New(trace.Config{ShardCap: 256})
+	p.SetTracer(tr)
+	name := tr.TriggerName("free-fraction")
+	fired := func() (n int) {
+		for _, ev := range tr.Drain()[trace.ShardPolicy].Events {
+			if ev.Name == name {
+				n++
+			}
+		}
+		return n
+	}
 	v := vm.New(p, 8)
 	defer v.Shutdown()
 
 	// Phase 1 (the race cover): mutators churn small and large objects
-	// while the controller goroutine polls the pacer's free-fraction
-	// trigger — every read on that path must be lock-free.
+	// while the controller goroutine polls the free-fraction trigger —
+	// every read on that path must be lock-free.
 	var wg sync.WaitGroup
 	for mt := 0; mt < 3; mt++ {
 		wg.Add(1)
@@ -342,7 +355,7 @@ func TestShenPacedTriggerUnderChurn(t *testing.T) {
 	m := v.RegisterMutator(8)
 	bt := p.BlockTable()
 	for i := 0; i < 1<<18; i++ {
-		if i%64 == 0 && p.PacingTrace().Fired > 0 {
+		if i%64 == 0 && fired() > 0 {
 			break
 		}
 		m.Roots[0] = m.Alloc(0, 2, 256)
@@ -352,14 +365,7 @@ func TestShenPacedTriggerUnderChurn(t *testing.T) {
 	}
 	m.Deregister()
 
-	tr := p.PacingTrace()
-	if tr == nil {
-		t.Fatal("no pacing trace")
-	}
-	if tr.Collector != "Shenandoah" {
-		t.Fatalf("trace identity %s", tr.Collector)
-	}
-	if tr.Fired == 0 {
+	if fired() == 0 {
 		t.Fatal("sustained occupancy above the threshold never fired the free-fraction trigger")
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"lxr/internal/mem"
 	"lxr/internal/meta"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
@@ -57,10 +56,6 @@ type base struct {
 	// workers the plan's concurrent phase driver (G1's marking thread,
 	// Shenandoah's cycle controller) lends for each trace advance.
 	concWorkers int
-
-	// pacer is constructed in each plan's Boot; every start decision
-	// routes through it.
-	pacer policy.Pacer
 
 	// events is the optional event tracer (nil when tracing is off —
 	// every recording site stays one predictable nil check). Named to
@@ -115,30 +110,13 @@ func (b *base) SetConcWorkers(n int) {
 func (b *base) ConcWorkers() int { return b.concWorkers }
 
 // SetTracer attaches the structured event tracer: the pool records loan
-// spans, the concurrent controller records quantum spans, the pacer
-// records trigger instants, and each plan's pause phases record spans on
-// the GC timeline. Must be called before Boot (the controller and pacer
-// are constructed there).
+// spans, the concurrent controller records quantum spans, each plan's
+// start decisions record trigger instants and its pause phases record
+// spans on the GC timeline. Must be called before Boot (the controller
+// is constructed and the trigger names are interned there).
 func (b *base) SetTracer(t *trace.Tracer) {
 	b.events = t
 	b.pool.SetTracer(t)
-}
-
-// PacingTrace returns the pacer's archived decision record (harness
-// telemetry, emitted under "pacing" in the -json output).
-func (b *base) PacingTrace() *policy.Trace {
-	if b.pacer == nil {
-		return nil
-	}
-	return b.pacer.Trace()
-}
-
-// armTracer connects the pacer's trigger hook to the event tracer.
-// Call from each plan's Boot, after the pacer is constructed.
-func (b *base) armTracer() {
-	if b.events != nil && b.pacer != nil {
-		policy.SetTriggerHook(b.pacer, b.events.TriggerHook())
-	}
 }
 
 // newController builds the plan's shared concurrent controller around

@@ -13,7 +13,6 @@ import (
 	"lxr/internal/mem"
 	"lxr/internal/meta"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 	"lxr/internal/remset"
 	"lxr/internal/satb"
 	"lxr/internal/trace"
@@ -49,6 +48,9 @@ type G1 struct {
 
 	youngBlocks atomic.Int32 // young blocks allocated since last young GC
 	youngTarget int32
+
+	// "trigger:young-target", ":young-reserve", ":ihop", interned in Boot
+	trigYoung, trigReserve, trigIHOP trace.NameID
 
 	// concurrent mark driver (shared conctrl controller + G1's cycle
 	// driver, which owns the mutator-overflow queues)
@@ -115,11 +117,9 @@ type g1Mut struct {
 // Boot implements vm.Plan.
 func (p *G1) Boot(v *vm.VM) {
 	p.vm = v
-	p.pacer = policy.NewG1Pacer(policy.G1PacerConfig{
-		BudgetBlocks:      p.bt.BudgetBlocks(),
-		YoungTargetBlocks: int(p.youngTarget),
-	})
-	p.armTracer()
+	p.trigYoung = p.events.TriggerName("young-target")
+	p.trigReserve = p.events.TriggerName("young-reserve")
+	p.trigIHOP = p.events.TriggerName("ihop")
 	p.ctl = p.newController(p.mark, v.Stats, 0)
 	p.ctl.Start()
 }
@@ -237,22 +237,43 @@ func (p *G1) ReadRef(m *vm.Mutator, src obj.Ref, i int) obj.Ref {
 	return p.om.LoadSlot(src, i)
 }
 
-// PollSafepoint implements vm.Plan: young collections trigger when the
-// pacer judges the young generation due — at its target size, or
-// earlier when the remaining budget no longer guarantees the evacuation
+// g1YoungAtTarget is the young-collection trigger: the young generation
+// has reached its target size.
+func g1YoungAtTarget(young, target int) bool { return young >= target }
+
+// g1ReserveShort is the earlier young-collection trigger: above a
+// 4-block floor, the remaining budget no longer covers the evacuation
 // copy reserve (real G1 reserves to-space the same way to avoid
 // evacuation failure).
+func g1ReserveShort(young, remaining int) (reserve int, short bool) {
+	reserve = young + young/4 + 8
+	return reserve, young > 4 && remaining <= reserve
+}
+
+// g1MarkDue is the IHOP test: a concurrent mark starts when occupancy
+// is strictly above ihop = budget*45/100 in integer math.
+func g1MarkDue(used, budget int) (ihop int, due bool) {
+	ihop = budget * 45 / 100
+	return ihop, used > ihop
+}
+
+// PollSafepoint implements vm.Plan: a young collection is due when the
+// young generation is at its target or the copy reserve is short.
 func (p *G1) PollSafepoint(m *vm.Mutator) {
-	// Capture the epoch BEFORE consulting the pacer: if another
+	// Capture the epoch BEFORE reading the signals: if another
 	// mutator's pause completes in between, the signals judged here
 	// were pre-pause state and CollectIfEpoch discards the trigger
 	// instead of running a back-to-back collection.
 	e := p.vm.GCEpoch()
-	due := p.pacer.ShouldCollect(policy.Signals{
-		YoungBlocks:     int(p.youngBlocks.Load()),
-		BudgetRemaining: p.bt.BudgetRemaining(),
-	})
-	if due && p.gcScheduled.CompareAndSwap(false, true) {
+	young, remaining := int(p.youngBlocks.Load()), p.bt.BudgetRemaining()
+	if g1YoungAtTarget(young, int(p.youngTarget)) {
+		p.events.Trigger(p.trigYoung, float64(young), float64(p.youngTarget))
+	} else if reserve, short := g1ReserveShort(young, remaining); short {
+		p.events.Trigger(p.trigReserve, float64(remaining), float64(reserve))
+	} else {
+		return
+	}
+	if p.gcScheduled.CompareAndSwap(false, true) {
 		p.vm.CollectIfEpoch(m, e, func() { p.collectLocked() })
 		p.gcScheduled.Store(false)
 	}
@@ -445,16 +466,15 @@ func (p *G1) collect() string {
 	p.youngBlocks.Store(0)
 	ev.Phase(trace.NameFree, ph)
 
-	// Trigger a concurrent mark when occupancy crosses the pacer's
-	// IHOP threshold (45% of budget).
-	if !p.marking.Load() && !p.markDone.Load() &&
-		p.pacer.ShouldStartCycle(policy.Signals{
-			HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
-			BudgetBlocks: p.bt.BudgetBlocks(),
-		}) {
-		ph = time.Now()
-		p.startMark(rootSlots)
-		ev.Phase(trace.NameMarkStart, ph)
+	// Trigger a concurrent mark when occupancy crosses the IHOP.
+	if !p.marking.Load() && !p.markDone.Load() {
+		used := p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse()
+		if ihop, due := g1MarkDue(used, p.bt.BudgetBlocks()); due {
+			ev.Trigger(p.trigIHOP, float64(used), float64(ihop))
+			ph = time.Now()
+			p.startMark(rootSlots)
+			ev.Phase(trace.NameMarkStart, ph)
+		}
 	}
 	if mixed {
 		return "mixed"

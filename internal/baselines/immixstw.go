@@ -9,7 +9,6 @@ import (
 	"lxr/internal/mem"
 	"lxr/internal/meta"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 	"lxr/internal/satb"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
@@ -31,6 +30,8 @@ type Immix struct {
 	lineMarks *meta.BitTable // line marks
 	logs      *meta.FieldLogTable
 	barrier   bool
+
+	trigFull trace.NameID // "trigger:heap-full", interned in Boot
 }
 
 // NewImmix builds the collector. withBarrier enables the field-logging
@@ -76,10 +77,7 @@ func (l immixLines) FreeLineBits(firstLine int, bm *[mem.LinesPerBlock / 32]uint
 // Boot implements vm.Plan.
 func (p *Immix) Boot(v *vm.VM) {
 	p.vm = v
-	// Limit 0: collections are driven purely by allocation failure; the
-	// pacer archives each heap-full fire with its occupancy snapshot.
-	p.pacer = policy.NewHeapFullPacer(p.name, 0)
-	p.armTracer()
+	p.trigFull = p.events.TriggerName("heap-full")
 }
 
 // Shutdown implements vm.Plan: parks and releases the persistent GC
@@ -116,14 +114,10 @@ func (p *Immix) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 			return ms.alloc.Alloc(l.Size)
 		},
 		func() {
-			// Allocation failure is the only trigger; the pacer archives
-			// the heap-full decision before the collection runs.
-			if p.pacer.ShouldCollect(policy.Signals{
-				HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
-				BudgetBlocks: p.bt.BudgetBlocks(),
-			}) {
-				p.collectLocked()
-			}
+			// Allocation failure is the only trigger.
+			p.events.Trigger(p.trigFull,
+				float64(p.bt.InUseBlocks()+p.bt.LOS().BlocksInUse()), float64(p.bt.BudgetBlocks()))
+			p.collectLocked()
 		})
 	if !ok {
 		p.oom(l)

@@ -8,7 +8,6 @@ import (
 	"lxr/internal/mem"
 	"lxr/internal/meta"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
@@ -28,6 +27,8 @@ type SemiSpace struct {
 	base
 	half  uint8 // current allocation half (0/1)
 	count int64 // collections performed
+
+	trigHalf trace.NameID // "trigger:half-budget", interned in Boot
 }
 
 // NewSemiSpace creates the collector. gcThreads=1 yields Serial
@@ -49,8 +50,7 @@ type ssMut struct{ alloc immix.Allocator }
 // Boot implements vm.Plan.
 func (p *SemiSpace) Boot(v *vm.VM) {
 	p.vm = v
-	p.pacer = policy.NewHeapFullPacer(p.name, p.halfBudget())
-	p.armTracer()
+	p.trigHalf = p.events.TriggerName("half-budget")
 }
 
 // Shutdown implements vm.Plan: parks and releases the persistent GC
@@ -73,16 +73,15 @@ func (p *SemiSpace) UnbindMutator(m *vm.Mutator) {
 // halfBudget bounds each semispace half to half the heap budget.
 func (p *SemiSpace) halfBudget() int { return p.bt.BudgetBlocks() / 2 }
 
+// halfBudgetDue is the semispace trigger: the other half is the copy
+// reserve, so a half that has reached its budget must be collected.
+func halfBudgetDue(used, half int) bool { return used >= half }
+
 func (p *SemiSpace) tryAlloc(ms *ssMut, l obj.Layout) (obj.Ref, bool) {
 	if l.Large {
 		return p.allocLarge(l)
 	}
-	// The pacer enforces the half budget: the other half is the copy
-	// reserve, so reaching it means a collection is due.
-	if p.pacer.ShouldCollect(policy.Signals{
-		HeapBlocks:   p.bt.InUseBlocks(),
-		BudgetBlocks: p.bt.BudgetBlocks(),
-	}) {
+	if halfBudgetDue(p.bt.InUseBlocks(), p.halfBudget()) {
 		return mem.Nil, false
 	}
 	return ms.alloc.Alloc(l.Size)
@@ -94,7 +93,15 @@ func (p *SemiSpace) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 	ms := m.PlanState.(*ssMut)
 	r, ok := gcRetry(p.vm, m, 2,
 		func() (obj.Ref, bool) { return p.tryAlloc(ms, l) },
-		func() { p.collectLocked() })
+		func() {
+			// Reported here, once per started collection, not per
+			// refused attempt; a collection a failed large allocation
+			// forced below the half budget is not this trigger's.
+			if used, half := p.bt.InUseBlocks(), p.halfBudget(); halfBudgetDue(used, half) {
+				p.events.Trigger(p.trigHalf, float64(used), float64(half))
+			}
+			p.collectLocked()
+		})
 	if !ok {
 		p.oom(l)
 	}

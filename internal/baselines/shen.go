@@ -12,7 +12,6 @@ import (
 	"lxr/internal/mem"
 	"lxr/internal/meta"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 	"lxr/internal/satb"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
@@ -58,6 +57,8 @@ type Shen struct {
 	wanted    atomic.Bool // a cycle has been requested
 
 	stop atomic.Bool
+
+	trigFree trace.NameID // "trigger:free-fraction", interned in Boot
 
 	// cycle driver: the shared conctrl controller owns the goroutine
 	// and panic containment; shenCycles supplies the work condition
@@ -111,11 +112,7 @@ type shenMut struct {
 // runCycle instead.
 func (p *Shen) Boot(v *vm.VM) {
 	p.vm = v
-	p.pacer = policy.NewFreeFractionPacer(policy.FreeFractionPacerConfig{
-		Collector:    p.name,
-		BudgetBlocks: p.bt.BudgetBlocks(),
-	})
-	p.armTracer()
+	p.trigFree = p.events.TriggerName("free-fraction")
 	p.ctl = p.newController(&shenCycles{p: p}, nil, 2*time.Millisecond)
 	p.ctl.Start()
 }
@@ -342,17 +339,26 @@ func (d *shenCycles) OnStop(failure any) {
 	p.cycleMu.Unlock()
 }
 
-// cycleDue asks the pacer whether free memory has fallen under the
-// trigger fraction (30% of budget). It runs on the controller goroutine
-// with the controller lock held, so every read here is lock-free:
-// occupancy comes from the block table's atomic counters (including the
-// large-object space's, made atomic for exactly this path) and the
-// pacer's threshold is fixed.
+// freeFractionDue is the Shenandoah/ZGC cycle trigger: free memory has
+// fallen under 30% of the budget, i.e. used blocks are strictly above
+// limit = budget*70/100 in integer math.
+func freeFractionDue(used, budget int) (limit int, due bool) {
+	limit = budget * 70 / 100
+	return limit, used > limit
+}
+
+// cycleDue puts the free-fraction test to current occupancy. It runs on
+// the controller goroutine with the controller lock held, so every read
+// here is lock-free — occupancy comes from the block table's atomic
+// counters (including the large-object space's, made atomic for exactly
+// this path) — and reporting the decision is one wait-free ring write.
 func (p *Shen) cycleDue() bool {
-	return p.pacer.ShouldStartCycle(policy.Signals{
-		HeapBlocks:   p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse(),
-		BudgetBlocks: p.bt.BudgetBlocks(),
-	})
+	used := p.bt.InUseBlocks() + p.bt.LOS().BlocksInUse()
+	limit, due := freeFractionDue(used, p.bt.BudgetBlocks())
+	if due {
+		p.events.Trigger(p.trigFree, float64(used), float64(limit))
+	}
+	return due
 }
 
 func (p *Shen) runCycle() {

@@ -6,7 +6,6 @@ import (
 
 	"lxr/internal/immix"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
@@ -176,11 +175,7 @@ func (p *LXR) pollTrigger(m *vm.Mutator, ms *mutState) {
 	if p.cfg.IncrementThreshold > 0 {
 		logged = p.logsSince.Load()
 	}
-	due := p.pacer.ShouldCollect(policy.Signals{
-		AllocBytes:   p.allocSince.Load(),
-		LoggedFields: logged,
-	})
-	if due && p.gcScheduled.CompareAndSwap(false, true) {
+	if p.pacer.Due(p.allocSince.Load(), logged) && p.gcScheduled.CompareAndSwap(false, true) {
 		p.vm.CollectIfEpoch(m, e, func() { p.collectRC(pauseCauseTrigger) })
 		p.gcScheduled.Store(false)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lxr/internal/mem"
-	"lxr/internal/policy"
 )
 
 // TestZeroConfigDefaults pins the paper's fixed configuration (§4) that
@@ -30,10 +29,8 @@ func TestZeroConfigDefaults(t *testing.T) {
 
 	// Wastage vote: with no trace completed yet the live-block
 	// prediction is 0, so the vote fires exactly at 5% of the heap.
-	clean := policy.Signals{CleanYielded: 1 << 30}
-	below, at := clean, clean
-	below.HeapBlocks, at.HeapBlocks = heapBlocks*5/100-1, (heapBlocks*5+99)/100
-	if p.pacer.ShouldStartCycle(below) || !p.pacer.ShouldStartCycle(at) {
+	const clean = 1 << 30
+	if p.pacer.CycleDue(clean, heapBlocks*5/100-1) || !p.pacer.CycleDue(clean, (heapBlocks*5+99)/100) {
 		t.Fatalf("wastage vote does not sit at 5%% of %d blocks", heapBlocks)
 	}
 

@@ -135,7 +135,7 @@ type LXR struct {
 
 	// pacer owns every start decision: the RC pause trigger polled at
 	// safepoints and the SATB cycle votes evaluated at pause end
-	// (§3.2.1, §3.2.2).
+	// (§3.2.1, §3.2.2). It reports each due decision to events itself.
 	pacer *policy.RCPacer
 
 	// Epoch counters polled by the trigger fast path. Mutators
@@ -249,17 +249,16 @@ func New(cfg Config) *LXR {
 		},
 	}
 	p.pacer = policy.NewRCPacer(policy.RCPacerConfig{
-		Collector:              p.Name(),
 		HeapBytes:              cfg.HeapBytes,
 		SurvivalThresholdBytes: cfg.SurvivalThresholdBytes,
 		IncrementThreshold:     cfg.IncrementThreshold,
 		HeapBlocks:             bt.BudgetBlocks(),
 		CleanBlockThreshold:    cfg.CleanBlockThreshold,
+		Tracer:                 cfg.Tracer,
 	})
 	if cfg.Tracer != nil {
 		p.events = cfg.Tracer
 		p.pool.SetTracer(cfg.Tracer)
-		policy.SetTriggerHook(p.pacer, cfg.Tracer.TriggerHook())
 	}
 	p.installBlockTrace()
 	p.conc = newConcurrent(p)
@@ -319,10 +318,6 @@ func (p *LXR) GCLoanStats() (loans, items int64) { return p.pool.LoanStats() }
 
 // ConcWorkers reports the configured between-pause borrow width.
 func (p *LXR) ConcWorkers() int { return p.cfg.ConcWorkers }
-
-// PacingTrace returns the pacer's archived decision record (harness
-// telemetry, emitted under "pacing" in the -json output).
-func (p *LXR) PacingTrace() *policy.Trace { return p.pacer.Trace() }
 
 // --- mutator state -----------------------------------------------------------
 

@@ -9,7 +9,6 @@ import (
 	"lxr/internal/immix"
 	"lxr/internal/mem"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
@@ -286,14 +285,8 @@ func (p *LXR) pausePipeline(cause string) string {
 	survived := p.survived.Load()
 	st.Add(CtrSurvivedBytes, survived)
 	ph = time.Now()
-	p.pacer.ObserveEpoch(policy.EpochStats{AllocBytes: allocVol, SurvivedBytes: survived})
-	if !p.satbActive.Load() &&
-		p.pacer.ShouldStartCycle(policy.Signals{
-			CleanYielded: cleanYielded,
-			HeapBlocks:   p.bt.InUseBlocks(),
-			BudgetBlocks: p.bt.BudgetBlocks(),
-			DecBacklog:   int64(len(decs)),
-		}) {
+	p.pacer.ObserveEpoch(allocVol, survived)
+	if !p.satbActive.Load() && p.pacer.CycleDue(cleanYielded, p.bt.InUseBlocks()) {
 		p.startSATB()
 		st.Add(CtrPausesSATB, 1)
 		if p.cfg.NoConcurrentSATB {

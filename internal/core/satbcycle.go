@@ -10,7 +10,6 @@ import (
 	"lxr/internal/immix"
 	"lxr/internal/mem"
 	"lxr/internal/obj"
-	"lxr/internal/policy"
 )
 
 // startSATB begins a concurrent trace epoch inside the current pause:
@@ -93,10 +92,7 @@ func (p *LXR) finalizeSATB() {
 	p.parFor(p.marks.Words(), parClearThreshold, p.marks.ClearWords)
 	p.tracer.Finish()
 	p.satbActive.Store(false)
-	p.pacer.ObserveCycleEnd(policy.Signals{
-		HeapBlocks:   p.bt.InUseBlocks(),
-		BudgetBlocks: p.bt.BudgetBlocks(),
-	})
+	p.pacer.ObserveCycleEnd(p.bt.InUseBlocks())
 }
 
 // sweepUnmarked reclaims every mature object the completed trace left

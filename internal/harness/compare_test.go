@@ -153,7 +153,8 @@ func TestCompareSummaries(t *testing.T) {
 		t.Fatalf("A/A summary comparison found %d regressions:\n%s", n, out)
 	}
 	// A baseline cached by an older build carries keys this one no
-	// longer writes ("governor", "pacing.mode"); it must still compare.
+	// longer writes (the governor and pacing records); it must still
+	// compare.
 	legacy := bytes.Replace(oldData, []byte(`{`),
 		[]byte(`{"governor":{"final_width":2},"pacing":{"collector":"LXR","mode":"static","fired":1,"decisions":[]},`), 1)
 	if n, out := compareData(t, legacy, oldData); n != 0 || !strings.Contains(out, "1 run(s) compared") {

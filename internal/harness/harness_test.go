@@ -226,31 +226,6 @@ func TestRunOneIntervals(t *testing.T) {
 	}
 }
 
-// TestRunOnePacingTrace: every run archives a populated pacing record
-// that rides into the JSON summary.
-func TestRunOnePacingTrace(t *testing.T) {
-	spec, _ := workload.ByName("fop")
-	for _, c := range []string{harness.CLXR, harness.CG1, harness.CSerial} {
-		r := harness.RunOne(spec, c, 2, 0, quickOpts(&bytes.Buffer{}))
-		if !r.OK {
-			t.Fatalf("%s did not run", c)
-		}
-		if r.Pacing == nil {
-			t.Fatalf("%s: no pacing trace", c)
-		}
-		if r.Pacing.Fired == 0 || len(r.Pacing.Decisions) == 0 {
-			t.Fatalf("%s: pacing trace empty: %+v", c, r.Pacing)
-		}
-		b, err := json.Marshal(r.Summary())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(b), "\"pacing\"") {
-			t.Fatalf("%s: summary JSON missing the pacing key", c)
-		}
-	}
-}
-
 // TestDriftTrackerFlagsDepartures: windows whose p99 departs more than
 // 2x from the trailing mean are flagged, in either direction, and the
 // first window never is.

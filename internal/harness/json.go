@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"lxr/internal/policy"
 	"lxr/internal/telemetry"
 	"lxr/internal/vm"
 )
@@ -102,11 +101,6 @@ type RunSummary struct {
 	// worker_pause_items: localises imbalance to a phase).
 	WorkerPauseItemsByPhase map[string]ItemsDigest `json:"worker_pause_items_by_phase,omitempty"`
 
-	// Pacing is the policy pacer's archived decision record: every
-	// fired trigger (kind, signal snapshot, threshold in force) and
-	// every threshold adjustment.
-	Pacing *policy.Trace `json:"pacing,omitempty"`
-
 	// Intervals holds the periodic reporter's per-window pause/latency
 	// digests (lxr-bench -interval). Absent otherwise.
 	Intervals []IntervalReport `json:"intervals,omitempty"`
@@ -185,7 +179,6 @@ func (r *RunResult) Summary() RunSummary {
 			Mean:  h.Mean(),
 		}
 	}
-	s.Pacing = r.Pacing
 	s.Intervals = r.Intervals
 	return s
 }

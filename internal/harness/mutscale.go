@@ -194,7 +194,6 @@ func runMutScaleOne(collector string, nMut int, cfg workload.MutScaleConfig, opt
 		res.ConcWorkers = t.ConcWorkers()
 		res.WorkerStats = t.GCWorkerStats()
 		res.Loans, res.LoanItems = t.GCLoanStats()
-		res.Pacing = t.PacingTrace()
 	}
 	return res
 }

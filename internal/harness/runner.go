@@ -14,7 +14,6 @@ import (
 	"lxr"
 	"lxr/internal/core"
 	"lxr/internal/gcwork"
-	"lxr/internal/policy"
 	"lxr/internal/telemetry"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
@@ -169,23 +168,16 @@ type RunResult struct {
 	Loans       int64               // between-pause loans served
 	LoanItems   int64               // items processed on loaned workers
 
-	// Pacing is the pacer's archived decision record: every fired
-	// trigger with its signal snapshot and the threshold in force, plus
-	// every threshold adjustment.
-	Pacing *policy.Trace
-
 	// Intervals holds the periodic reporter's per-window digests
 	// (Options.Interval; nil otherwise).
 	Intervals []IntervalReport
 }
 
-// gcTelemetry is implemented by plans exposing gcwork pool utilization
-// and pacing records.
+// gcTelemetry is implemented by plans exposing gcwork pool utilization.
 type gcTelemetry interface {
 	GCWorkerStats() []gcwork.WorkerStat
 	GCLoanStats() (loans, items int64)
 	ConcWorkers() int
-	PacingTrace() *policy.Trace
 }
 
 // PauseHistMerged returns the union of the per-phase pause histograms
@@ -314,7 +306,6 @@ func RunOne(spec workload.Spec, collector string, heapFactor float64, rate float
 		res.ConcWorkers = t.ConcWorkers()
 		res.WorkerStats = t.GCWorkerStats()
 		res.Loans, res.LoanItems = t.GCLoanStats()
-		res.Pacing = t.PacingTrace()
 	}
 	if dump != nil {
 		// All collector goroutines are down: the drain is quiescent.

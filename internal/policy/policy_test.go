@@ -1,9 +1,13 @@
 package policy_test
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lxr/internal/policy"
+	"lxr/internal/trace"
 )
 
 // --- decay predictor (absorbed from the old internal/trigger) ---------------
@@ -73,13 +77,13 @@ func TestRCPacerStaticReplay(t *testing.T) {
 			t.Fatalf("epoch %d: limit %d, historical %d", i, got, want)
 		}
 		// The limit IS the due boundary.
-		if p.ShouldCollect(policy.Signals{AllocBytes: want - 1}) {
+		if p.Due(want-1, 0) {
 			t.Fatalf("epoch %d: fired below the budget", i)
 		}
-		if !p.ShouldCollect(policy.Signals{AllocBytes: want}) {
+		if !p.Due(want, 0) {
 			t.Fatalf("epoch %d: did not fire at the budget", i)
 		}
-		p.ObserveEpoch(policy.EpochStats{AllocBytes: e.alloc, SurvivedBytes: e.survived})
+		p.ObserveEpoch(e.alloc, e.survived)
 		// Historical predictor update (1:3/3:1, bias high).
 		r := float64(e.survived) / float64(e.alloc)
 		if r > pred {
@@ -95,27 +99,27 @@ func TestRCPacerIncrementThreshold(t *testing.T) {
 		HeapBytes:              1 << 30,
 		SurvivalThresholdBytes: 1 << 30, IncrementThreshold: 100,
 	})
-	if !p.ShouldCollect(policy.Signals{LoggedFields: 150}) {
+	if !p.Due(0, 150) {
 		t.Fatal("increment threshold must trigger")
 	}
 	p2 := policy.NewRCPacer(policy.RCPacerConfig{
 		HeapBytes:              1 << 50,
 		SurvivalThresholdBytes: 1 << 20,
 	})
-	if p2.ShouldCollect(policy.Signals{LoggedFields: 1 << 40}) {
+	if p2.Due(0, 1<<40) {
 		t.Fatal("disabled increment threshold must not trigger")
 	}
 }
 
 func TestRCPacerSurvivalClamps(t *testing.T) {
 	p := newRC()
-	p.ObserveEpoch(policy.EpochStats{AllocBytes: 100, SurvivedBytes: 500}) // >100% clamps to 1
+	p.ObserveEpoch(100, 500) // >100% clamps to 1
 	want := staticLimit(1<<20, 0.75*1+0.25*0.15, 1<<30)
 	if got := p.AllocLimit(); got != want {
 		t.Fatalf("clamped survival: limit %d, want %d", got, want)
 	}
 	before := p.AllocLimit()
-	p.ObserveEpoch(policy.EpochStats{AllocBytes: 0, SurvivedBytes: 0}) // ignored
+	p.ObserveEpoch(0, 0) // ignored
 	if p.AllocLimit() != before {
 		t.Fatal("zero-allocation epoch must not move the prediction")
 	}
@@ -134,169 +138,98 @@ func TestRCPacerHeapCap(t *testing.T) {
 // shortfall and predicted wastage.
 func TestRCPacerSATBVotes(t *testing.T) {
 	p := newRC()
-	if !p.ShouldStartCycle(policy.Signals{CleanYielded: 2, HeapBlocks: 500}) {
+	if !p.CycleDue(2, 500) {
 		t.Fatal("clean-block shortfall must trigger")
 	}
-	if p.ShouldStartCycle(policy.Signals{CleanYielded: 100, HeapBlocks: 10}) {
+	if p.CycleDue(100, 10) {
 		t.Fatal("plenty of clean blocks, low wastage: no trigger")
 	}
-	// Wastage: live-block prediction 100, occupancy 400 -> wastage 300
-	// >= 5% of 1000.
-	p.ObserveCycleEnd(policy.Signals{HeapBlocks: 100})
-	if !p.ShouldStartCycle(policy.Signals{CleanYielded: 100, HeapBlocks: 400}) {
-		t.Fatal("wastage must trigger")
+	// The live-block prediction starts at 0 and is biased low, so the
+	// first completed trace moves it only a quarter of the way to the
+	// 100 blocks observed: prediction 25. The vote sits at 5% of 1000 =
+	// 50 blocks of wastage, i.e. at occupancy 75.
+	p.ObserveCycleEnd(100)
+	if p.CycleDue(100, 74) || !p.CycleDue(100, 75) {
+		t.Fatal("after one trace of 100 live blocks the wastage vote must sit at occupancy 25 + 50")
 	}
-	if p.ShouldStartCycle(policy.Signals{CleanYielded: 100, HeapBlocks: 5}) {
+	if p.CycleDue(100, 5) {
 		t.Fatal("wastage must floor at zero")
 	}
+	// Each later trace closes a quarter of the remaining gap.
+	p.ObserveCycleEnd(100)
+	if p.CycleDue(100, 93) || !p.CycleDue(100, 94) {
+		t.Fatal("second trace: prediction 43.75, vote at occupancy 93.75")
+	}
 }
 
-// --- G1 ---------------------------------------------------------------------
-
-func newG1() *policy.G1Pacer {
-	return policy.NewG1Pacer(policy.G1PacerConfig{
-		BudgetBlocks: 1000, YoungTargetBlocks: 100,
+// TestRCPacerReportsToTracer: every due decision — and nothing else —
+// lands on the tracer's policy lane under the kind name the benchmark's
+// ledger looks up, with the signal on the firing side of the threshold.
+func TestRCPacerReportsToTracer(t *testing.T) {
+	tr := trace.New(trace.Config{ShardCap: 16})
+	p := policy.NewRCPacer(policy.RCPacerConfig{
+		HeapBytes: 1 << 30, SurvivalThresholdBytes: 1 << 20, IncrementThreshold: 100,
+		HeapBlocks: 1000, CleanBlockThreshold: 16, Tracer: tr,
 	})
+	limit := p.AllocLimit()
+	p.Due(limit-1, 99)  // not due
+	p.Due(limit, 0)     // rc-survival
+	p.Due(0, 100)       // rc-increments
+	p.CycleDue(100, 10) // not due
+	p.CycleDue(15, 10)  // satb-clean
+	p.CycleDue(16, 50)  // satb-wastage
+	want := []struct {
+		kind           string
+		signal, thresh float64
+	}{
+		{"rc-survival", float64(limit), float64(limit)},
+		{"rc-increments", 100, 100},
+		{"satb-clean", 15, 16},
+		{"satb-wastage", 50, 50},
+	}
+	evs := tr.Drain()[trace.ShardPolicy].Events
+	if len(evs) != len(want) {
+		t.Fatalf("%d instants on the policy lane, want %d", len(evs), len(want))
+	}
+	for i, w := range want {
+		ev := evs[i]
+		s, thr := math.Float64frombits(ev.Arg), math.Float64frombits(ev.Arg2)
+		if ev.Name != tr.Intern("trigger:"+w.kind) || s != w.signal || thr != w.thresh {
+			t.Errorf("instant %d: name %d signal %v threshold %v, want trigger:%s %v %v",
+				i, ev.Name, s, thr, w.kind, w.signal, w.thresh)
+		}
+	}
 }
 
-// TestG1PacerStaticReplay replays the historical young trigger and the
-// fixed 45% IHOP.
-func TestG1PacerStaticReplay(t *testing.T) {
-	p := newG1()
-	if p.ShouldCollect(policy.Signals{YoungBlocks: 99, BudgetRemaining: 1 << 20}) {
-		t.Fatal("young below target must not trigger")
-	}
-	if !p.ShouldCollect(policy.Signals{YoungBlocks: 100, BudgetRemaining: 1 << 20}) {
-		t.Fatal("young at target must trigger")
-	}
-	// Copy-reserve guard: yb=8 -> reserve 8+2+8=18.
-	if !p.ShouldCollect(policy.Signals{YoungBlocks: 8, BudgetRemaining: 18}) {
-		t.Fatal("reserve guard must trigger")
-	}
-	if p.ShouldCollect(policy.Signals{YoungBlocks: 8, BudgetRemaining: 19}) {
-		t.Fatal("reserve guard fired with budget to spare")
-	}
-	if p.ShouldCollect(policy.Signals{YoungBlocks: 4, BudgetRemaining: 0}) {
-		t.Fatal("reserve guard must not fire under the 4-block floor")
-	}
-	// IHOP at the historical 45% (integer math: 1000*45/100 = 450).
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 450}) {
-		t.Fatal("IHOP fired at the threshold (historical check is strict >)")
-	}
-	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 451}) {
-		t.Fatal("IHOP must fire above 45%")
-	}
-}
-
-// --- Shenandoah / ZGC -------------------------------------------------------
-
-func newFF() *policy.FreeFractionPacer {
-	return policy.NewFreeFractionPacer(policy.FreeFractionPacerConfig{
-		Collector: "Shenandoah", BudgetBlocks: 1000,
+// TestStressPacerConcurrency interleaves what touches the pacer in a
+// real run — safepoint-path Due calls from many mutators against the
+// pause coordinator's observations and cycle vote — under -race, with a
+// tracer attached so the reporting path is covered too.
+func TestStressPacerConcurrency(t *testing.T) {
+	p := policy.NewRCPacer(policy.RCPacerConfig{
+		HeapBytes: 1 << 28, SurvivalThresholdBytes: 1 << 20,
+		HeapBlocks: 1000, CleanBlockThreshold: 16,
+		Tracer: trace.New(trace.Config{ShardCap: 64}),
 	})
-}
-
-// TestFreeFractionStaticReplay replays the historical 30%-free trigger.
-func TestFreeFractionStaticReplay(t *testing.T) {
-	p := newFF()
-	if p.ShouldStartCycle(policy.Signals{HeapBlocks: 700}) {
-		t.Fatal("fired at the threshold (historical check is strict >)")
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for m := 0; m < 4; m++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				p.Due(int64(i%(1<<24)), 0)
+			}
+		}()
 	}
-	if !p.ShouldStartCycle(policy.Signals{HeapBlocks: 701}) {
-		t.Fatal("must fire above 70% occupancy")
+	for i := 0; i < 20000; i++ {
+		p.ObserveEpoch(1<<20, int64(i%10)<<16)
+		p.CycleDue(i%64, i%1200)
+		p.ObserveCycleEnd((i + 100) % 1100)
 	}
-}
-
-// --- SemiSpace / Immix ------------------------------------------------------
-
-func TestHeapFullPacerHalfBudget(t *testing.T) {
-	p := policy.NewHeapFullPacer("SemiSpace", 500)
-	if p.ShouldCollect(policy.Signals{HeapBlocks: 499}) {
-		t.Fatal("below the half budget must not trigger")
+	stop.Store(true)
+	wg.Wait()
+	if l := p.AllocLimit(); l <= 0 || l > 1<<27 {
+		t.Fatalf("allocation budget %d outside (0, half the heap]", l)
 	}
-	if !p.ShouldCollect(policy.Signals{HeapBlocks: 500}) {
-		t.Fatal("at the half budget must trigger")
-	}
-}
-
-func TestHeapFullPacerAllocFailure(t *testing.T) {
-	p := policy.NewHeapFullPacer("Immix", 0)
-	if !p.ShouldCollect(policy.Signals{HeapBlocks: 123, BudgetBlocks: 1000}) {
-		t.Fatal("allocation failure is always due")
-	}
-	tr := p.Trace()
-	if tr.Fired != 1 || len(tr.Decisions) != 1 || tr.Decisions[0].Kind != "heap-full" {
-		t.Fatalf("heap-full fire not archived: %+v", tr)
-	}
-}
-
-// --- the decision archive ---------------------------------------------------
-
-func TestTraceArchivesDecisionsAndThresholds(t *testing.T) {
-	p := newG1()
-	p.ShouldCollect(policy.Signals{YoungBlocks: 100, BudgetRemaining: 1 << 20})
-	p.ShouldStartCycle(policy.Signals{HeapBlocks: 451})
-	tr := p.Trace()
-	if tr.Collector != "G1" {
-		t.Fatalf("identity wrong: %+v", tr)
-	}
-	if tr.Fired != 2 || len(tr.Decisions) != 2 {
-		t.Fatalf("want 2 archived fires, got fired=%d len=%d", tr.Fired, len(tr.Decisions))
-	}
-	if tr.Decisions[0].Kind != "young-target" || tr.Decisions[0].Signal != 100 {
-		t.Fatalf("young decision mis-archived: %+v", tr.Decisions[0])
-	}
-	if tr.Thresholds["ihop"] != 450 || tr.Thresholds["young-target"] != 100 {
-		t.Fatalf("thresholds not published: %v", tr.Thresholds)
-	}
-}
-
-// TestTraceCollapsesRepeats: a burst of identical fires (mutators
-// polling an already-due trigger) collapses into one decision's Repeats.
-func TestTraceCollapsesRepeats(t *testing.T) {
-	p := newG1()
-	for i := 0; i < 100; i++ {
-		p.ShouldCollect(policy.Signals{YoungBlocks: 100, BudgetRemaining: 1 << 20})
-	}
-	tr := p.Trace()
-	if tr.Fired != 100 {
-		t.Fatalf("fired %d, want 100", tr.Fired)
-	}
-	if len(tr.Decisions) != 1 {
-		t.Fatalf("burst archived %d decisions, want 1", len(tr.Decisions))
-	}
-	if tr.Decisions[0].Repeats != 99 {
-		t.Fatalf("repeats %d, want 99", tr.Decisions[0].Repeats)
-	}
-}
-
-// TestTraceDropsPastCapWithCount: the archive is bounded but nothing is
-// silently lost — dropped decisions are counted.
-func TestTraceDropsPastCapWithCount(t *testing.T) {
-	p := policy.NewHeapFullPacer("Immix", 0)
-	const n = 6000 // past the 4096 archive cap
-	for i := 0; i < n; i++ {
-		// A distinct threshold per fire defeats repeat-collapsing, so
-		// the cap itself is exercised.
-		p.ShouldCollect(policy.Signals{HeapBlocks: i, BudgetBlocks: 10000 + i})
-	}
-	tr := p.Trace()
-	if tr.Fired != n {
-		t.Fatalf("fired %d, want %d", tr.Fired, n)
-	}
-	if len(tr.Decisions) != 4096 {
-		t.Fatalf("archive holds %d decisions, want the 4096 cap", len(tr.Decisions))
-	}
-	if int64(len(tr.Decisions))+sumRepeats(tr)+tr.Dropped != n {
-		t.Fatalf("decisions(%d) + repeats(%d) + dropped(%d) != %d",
-			len(tr.Decisions), sumRepeats(tr), tr.Dropped, n)
-	}
-}
-
-func sumRepeats(tr *policy.Trace) int64 {
-	var s int64
-	for _, d := range tr.Decisions {
-		s += d.Repeats
-	}
-	return s
 }

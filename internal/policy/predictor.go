@@ -8,29 +8,23 @@ import "sync"
 // 3/4 : 1/4 (reacting quickly in the conservative direction); otherwise
 // the weights reverse (forgetting slowly).
 type DecayPredictor struct {
-	mu     sync.Mutex
-	value  float64
-	primed bool
+	mu    sync.Mutex
+	value float64
 	// BiasHigh selects the conservative direction: true biases toward
-	// high observations (survival rates, cycle headroom consumption),
-	// false toward low ones (post-trace live volume).
+	// high observations (survival rates), false toward low ones
+	// (post-trace live volume).
 	BiasHigh bool
 }
 
 // NewDecayPredictor creates a predictor with an initial value.
 func NewDecayPredictor(initial float64, biasHigh bool) *DecayPredictor {
-	return &DecayPredictor{value: initial, primed: true, BiasHigh: biasHigh}
+	return &DecayPredictor{value: initial, BiasHigh: biasHigh}
 }
 
 // Observe folds a new observation into the prediction.
 func (p *DecayPredictor) Observe(x float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.primed {
-		p.value = x
-		p.primed = true
-		return
-	}
 	conservative := x > p.value
 	if !p.BiasHigh {
 		conservative = x < p.value

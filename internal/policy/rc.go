@@ -1,13 +1,17 @@
+// Package policy is LXR's pacer: the only pacing in the repository
+// that carries state. The baselines' rules are fixed comparisons that
+// live beside the numbers they compare (internal/baselines).
 package policy
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"lxr/internal/trace"
+)
 
 // RCPacerConfig parameterises LXR's pacer. Zero values select the
 // paper's defaults where one exists.
 type RCPacerConfig struct {
-	// Collector names the trace (default "LXR"; the ablation plans pass
-	// their variant names).
-	Collector string
 	// HeapBytes bounds the epoch allocation budget (never more than
 	// half the heap between pauses).
 	HeapBytes int
@@ -24,6 +28,9 @@ type RCPacerConfig struct {
 	// CleanBlockThreshold is the minimum clean blocks an RC epoch must
 	// yield to avoid triggering an SATB trace (§3.2.2).
 	CleanBlockThreshold int
+	// Tracer, when non-nil, receives every due decision as a
+	// "trigger:<kind>" instant carrying signal and threshold.
+	Tracer *trace.Tracer
 }
 
 // wastageFraction is the predicted-wastage SATB trigger: 5% of the heap
@@ -33,84 +40,89 @@ const wastageFraction = 0.05
 // RCPacer is LXR's pacer (§3.2.1, §3.2.2): the survival-rate RC pause
 // trigger — folded into a single allocation-budget comparison so the
 // safepoint fast path is one atomic load — and the SATB cycle votes
-// (clean-block shortfall, predicted heap wastage).
+// (clean-block shortfall, predicted heap wastage). Due is safe from any
+// number of mutators concurrently with the pause's Observe calls; it
+// takes no lock.
 type RCPacer struct {
-	recorder
 	cfg RCPacerConfig
 
 	survival   *DecayPredictor // young survival rate in [0,1], bias high
 	liveBlocks *DecayPredictor // post-SATB live blocks, bias low
 
 	allocLimit atomic.Int64
+
+	// The trigger kinds, interned once so that firing one is a single
+	// ring write.
+	survivalID, incrementsID, cleanID, wastageID trace.NameID
 }
 
 // NewRCPacer creates LXR's pacer.
 func NewRCPacer(cfg RCPacerConfig) *RCPacer {
-	if cfg.Collector == "" {
-		cfg.Collector = "LXR"
-	}
+	tr := cfg.Tracer
 	p := &RCPacer{
-		cfg:        cfg,
-		survival:   NewDecayPredictor(0.15, true),
-		liveBlocks: NewDecayPredictor(0, false),
+		cfg:          cfg,
+		survival:     NewDecayPredictor(0.15, true),
+		liveBlocks:   NewDecayPredictor(0, false),
+		survivalID:   tr.TriggerName("rc-survival"),
+		incrementsID: tr.TriggerName("rc-increments"),
+		cleanID:      tr.TriggerName("satb-clean"),
+		wastageID:    tr.TriggerName("satb-wastage"),
 	}
-	p.init(cfg.Collector)
 	p.recompute()
 	return p
 }
 
 // AllocLimit returns the current epoch allocation budget in bytes (the
-// value ShouldCollect compares AllocBytes against) — exposed for tests
-// and telemetry.
+// value Due compares allocBytes against) — exposed for tests.
 func (p *RCPacer) AllocLimit() int64 { return p.allocLimit.Load() }
 
-// ShouldCollect implements Pacer: an RC pause is due when the epoch's
-// allocation volume reaches the survival-predicted budget, or when the
-// logged-field count reaches the increment threshold (when configured).
-func (p *RCPacer) ShouldCollect(s Signals) bool {
-	if p.cfg.IncrementThreshold > 0 && s.LoggedFields >= p.cfg.IncrementThreshold {
-		p.fire("rc-increments", float64(s.LoggedFields), float64(p.cfg.IncrementThreshold), s)
+// Due reports whether an RC pause is due: the epoch's allocation volume
+// has reached the survival-predicted budget, or its logged-field count
+// the increment threshold (when configured).
+func (p *RCPacer) Due(allocBytes, loggedFields int64) bool {
+	if thr := p.cfg.IncrementThreshold; thr > 0 && loggedFields >= thr {
+		p.cfg.Tracer.Trigger(p.incrementsID, float64(loggedFields), float64(thr))
 		return true
 	}
-	limit := p.allocLimit.Load()
-	if s.AllocBytes >= limit {
-		p.fire("rc-survival", float64(s.AllocBytes), float64(limit), s)
+	if limit := p.allocLimit.Load(); allocBytes >= limit {
+		p.cfg.Tracer.Trigger(p.survivalID, float64(allocBytes), float64(limit))
 		return true
 	}
 	return false
 }
 
-// ShouldStartCycle implements Pacer: the pause that just swept should
-// seed an SATB trace when the epoch yielded too few clean blocks, or
-// when predicted wastage (occupancy minus predicted post-trace live
-// blocks) exceeds the wastage fraction of the heap (§3.2.2).
-func (p *RCPacer) ShouldStartCycle(s Signals) bool {
-	if s.CleanYielded < p.cfg.CleanBlockThreshold {
-		p.fire("satb-clean", float64(s.CleanYielded), float64(p.cfg.CleanBlockThreshold), s)
+// CycleDue reports whether the pause that just swept should seed an
+// SATB trace: the epoch yielded too few clean blocks, or predicted
+// wastage (occupancy minus predicted post-trace live blocks) exceeds
+// the wastage fraction of the heap (§3.2.2).
+func (p *RCPacer) CycleDue(cleanYielded, heapBlocks int) bool {
+	if thr := p.cfg.CleanBlockThreshold; cleanYielded < thr {
+		p.cfg.Tracer.Trigger(p.cleanID, float64(cleanYielded), float64(thr))
 		return true
 	}
-	wastage := float64(s.HeapBlocks) - p.liveBlocks.Predict()
+	wastage := float64(heapBlocks) - p.liveBlocks.Predict()
 	if wastage < 0 {
 		wastage = 0
 	}
 	if thr := wastageFraction * float64(p.cfg.HeapBlocks); wastage >= thr {
-		p.fire("satb-wastage", wastage, thr, s)
+		p.cfg.Tracer.Trigger(p.wastageID, wastage, thr)
 		return true
 	}
 	return false
 }
 
-// ObserveCycleEnd records a completed SATB trace: feeds the post-trace
-// live-block predictor behind the wastage vote.
-func (p *RCPacer) ObserveCycleEnd(s Signals) {
-	p.liveBlocks.Observe(float64(s.HeapBlocks))
+// ObserveCycleEnd records a completed SATB trace that left heapBlocks
+// in use: feeds the post-trace live-block predictor behind the wastage
+// vote.
+func (p *RCPacer) ObserveCycleEnd(heapBlocks int) {
+	p.liveBlocks.Observe(float64(heapBlocks))
 }
 
 // ObserveEpoch folds one epoch in: survival feedback and the
 // allocation-budget recomputation.
-func (p *RCPacer) ObserveEpoch(e EpochStats) {
-	if e.AllocBytes > 0 {
-		r := float64(e.SurvivedBytes) / float64(e.AllocBytes)
+func (p *RCPacer) ObserveEpoch(allocBytes, survivedBytes int64) {
+	if allocBytes > 0 {
+		r := float64(survivedBytes) / float64(allocBytes)
 		if r > 1 {
 			r = 1
 		}
@@ -132,16 +144,5 @@ func (p *RCPacer) recompute() {
 	if max := float64(p.cfg.HeapBytes) / 2; limit > max {
 		limit = max
 	}
-	old := p.allocLimit.Swap(int64(limit))
-	if old == 0 {
-		p.setThreshold("rc-survival", limit)
-		return
-	}
-	// Archive material moves only (>5%), so per-pause recomputation
-	// noise does not flood the record.
-	if diff := limit - float64(old); diff > float64(old)*0.05 || diff < -float64(old)*0.05 {
-		p.adjust("rc-survival", float64(old), limit, "survival")
-	} else {
-		p.setThreshold("rc-survival", limit)
-	}
+	p.allocLimit.Store(int64(limit))
 }

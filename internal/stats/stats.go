@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit the evaluation
-// harness uses: percentiles, means, geometric means and confidence
-// intervals, matching the methodology of §4 (metered latency percentiles,
-// geomeans over benchmarks, 95% confidence intervals).
+// harness uses: geometric means over benchmarks (§4), and the
+// sort-based percentile and mean the histogram tests compare against.
 package stats
 
 import (
@@ -18,14 +17,6 @@ func Percentile(xs []float64, p float64) float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
-	return PercentileSorted(s, p)
-}
-
-// PercentileSorted returns the p-th percentile of already-sorted xs.
-func PercentileSorted(s []float64, p float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
 	idx := int(math.Ceil(p/100*float64(len(s)))) - 1
 	if idx < 0 {
 		idx = 0
@@ -34,18 +25,6 @@ func PercentileSorted(s []float64, p float64) float64 {
 		idx = len(s) - 1
 	}
 	return s[idx]
-}
-
-// Percentiles computes several percentiles with one sort.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = PercentileSorted(s, p)
-	}
-	return out
 }
 
 // Mean returns the arithmetic mean.
@@ -75,21 +54,4 @@ func GeoMean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the
-// mean, using the normal approximation the paper's tables use.
-func CI95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	return 1.96 * sd / math.Sqrt(float64(n))
 }

@@ -46,7 +46,7 @@ func goldenTracer(t *testing.T) *Tracer {
 	tr.Span(ShardConc, NameLoan, tr.Epoch().Add(us(60)), us(30), 2, 512)
 
 	// Policy + mutator instants (recorded "now", i.e. at positive ts).
-	tr.TriggerHook()("epoch", 1.5, 1.0)
+	tr.Trigger(tr.TriggerName("epoch"), 1.5, 1.0)
 	tr.Instant(MutShard(4), NameBarrierSlow, 64, 0)
 	return tr
 }

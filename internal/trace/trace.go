@@ -315,9 +315,9 @@ func (t *Tracer) Epoch() time.Time { return t.epoch }
 func (t *Tracer) Flight() bool { return t != nil && t.flight }
 
 // Intern resolves a name to its ID, registering it on first use.
-// Intern takes only a leaf read-lock (write-lock on first sight of a
-// name), so it is safe from trigger paths that must never wait on
-// collector locks; hot paths should still cache the result.
+// Intern takes a leaf read-lock (write-lock on first sight of a name)
+// and a caller that builds the name allocates, so it is not a record
+// path: resolve names once and record with the ID (see TriggerName).
 func (t *Tracer) Intern(name string) NameID {
 	if t == nil {
 		return nameNone
@@ -392,18 +392,20 @@ func (t *Tracer) Instant(shard int, name NameID, arg, arg2 uint64) {
 	})
 }
 
-// TriggerHook returns a wait-free pacing-trigger observer that records
-// "trigger:<kind>" instants on the policy shard, with the signal and
-// threshold float bits as payload (policy.SetTriggerHook installs it).
-// Returns nil on a nil tracer.
-func (t *Tracer) TriggerHook() func(kind string, signal, threshold float64) {
-	if t == nil {
-		return nil
-	}
-	return func(kind string, signal, threshold float64) {
-		t.Instant(ShardPolicy, t.Intern("trigger:"+kind),
-			math.Float64bits(signal), math.Float64bits(threshold))
-	}
+// TriggerName interns "trigger:<kind>", the name a pacing decision of
+// that kind is recorded under. Collectors resolve their kinds once, at
+// construction or Boot, so firing never touches the name table.
+func (t *Tracer) TriggerName(kind string) NameID {
+	return t.Intern("trigger:" + kind)
+}
+
+// Trigger records one fired pacing decision as an instant on the policy
+// shard, with the signal and threshold float bits as payload. Like
+// every record path it is wait-free and allocation-free: triggers fire
+// on mutator safepoint paths and, for Shenandoah/ZGC, under the conctrl
+// controller lock.
+func (t *Tracer) Trigger(id NameID, signal, threshold float64) {
+	t.Instant(ShardPolicy, id, math.Float64bits(signal), math.Float64bits(threshold))
 }
 
 // ShardDump is one shard's drained timeline.

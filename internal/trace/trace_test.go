@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -21,9 +22,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	if got := tr.Intern("pause:rc"); got != nameNone {
 		t.Errorf("nil Intern = %d, want %d", got, nameNone)
 	}
-	if tr.TriggerHook() != nil {
-		t.Error("nil TriggerHook should return nil")
-	}
+	tr.Trigger(tr.TriggerName("ihop"), 1, 2)
 	if tr.Drain() != nil {
 		t.Error("nil Drain should return nil")
 	}
@@ -242,15 +241,14 @@ func TestInternStableAndConcurrent(t *testing.T) {
 	}
 }
 
-// TestTriggerHook checks the policy-shard trigger instants carry the
-// refined kind name and both float payloads.
-func TestTriggerHook(t *testing.T) {
+// TestTrigger checks the policy-shard trigger instants carry the
+// refined kind name and both float payloads, and that firing one —
+// which happens on mutator safepoint paths and under the conctrl
+// controller lock — allocates nothing.
+func TestTrigger(t *testing.T) {
 	tr := New(Config{ShardCap: 8})
-	hook := tr.TriggerHook()
-	if hook == nil {
-		t.Fatal("TriggerHook returned nil on live tracer")
-	}
-	hook("ihop", 0.61, 0.45)
+	id := tr.TriggerName("ihop")
+	tr.Trigger(id, 0.61, 0.45)
 	d := tr.Drain()[ShardPolicy]
 	if len(d.Events) != 1 {
 		t.Fatalf("policy shard has %d events, want 1", len(d.Events))
@@ -261,6 +259,15 @@ func TestTriggerHook(t *testing.T) {
 	}
 	if ev.Kind != KindInstant {
 		t.Errorf("trigger kind %d, want instant", ev.Kind)
+	}
+	if s, thr := math.Float64frombits(ev.Arg), math.Float64frombits(ev.Arg2); s != 0.61 || thr != 0.45 {
+		t.Errorf("payload signal %v threshold %v, want 0.61 0.45", s, thr)
+	}
+	if tr.TriggerName("ihop") != id {
+		t.Error("TriggerName is not stable")
+	}
+	if n := testing.AllocsPerRun(1000, func() { tr.Trigger(id, 0.61, 0.45) }); n != 0 {
+		t.Errorf("Trigger allocates %v times per call, want 0", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package lxr_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -80,6 +81,38 @@ func TestBenchSurface(t *testing.T) {
 	if got := m.ReadPayload(m.Load(m.Roots[0], 99%4), 0); got != 99 {
 		t.Fatalf("last stored object reads %d after a collection, want 99", got)
 	}
+	// The ledger counts pacing decisions by interning these names
+	// (bench/ledger.go triggerKinds; rc-increments is off by default),
+	// so a renamed kind would zero policy.trigger_count and fail
+	// nothing else. Triggered pauses must emit all three: live data
+	// first, so a pause yields few clean blocks; then garbage over it,
+	// so pauses yield plenty while the heap holds more than predicted.
+	missing := func() (kinds []string) {
+		seen := map[trace.NameID]bool{}
+		for _, ev := range tr.Drain()[trace.ShardPolicy].Events {
+			seen[ev.Name] = true
+		}
+		for _, k := range []string{"rc-survival", "satb-clean", "satb-wastage"} {
+			if !seen[tr.Intern("trigger:"+k)] {
+				kinds = append(kinds, k)
+			}
+		}
+		return kinds
+	}
+	for i := 0; i < 2048; i++ {
+		n := m.Alloc(0, 1, 1024)
+		m.Store(n, 0, m.Roots[1])
+		m.Roots[1] = n
+	}
+	for mb := 0; len(missing()) > 0; mb++ {
+		if mb == 256 {
+			t.Fatalf("256 MB of allocation emitted no trigger:%v instant", missing())
+		}
+		for i := 0; i < 1024; i++ {
+			m.Alloc(0, 0, 1024)
+		}
+	}
+
 	m.Blocked(func() {})
 	m.Deregister()
 	rt.Shutdown()
@@ -154,6 +187,95 @@ func TestNewPlanBuildsEveryCollector(t *testing.T) {
 	}
 	if _, err := lxr.NewPlan("Epsilon", core.Config{}); err == nil {
 		t.Fatal("unknown collector built a plan")
+	}
+}
+
+// TestEveryCollectorReportsItsTriggers builds every collector with a
+// tracer, allocates on one mutator until it has collected, and checks
+// the policy lane: instants only of that collector's kinds, each with
+// its signal on the firing side of its threshold, and no kind more
+// often than there were pauses — one instant is one started collection
+// or cycle, not one refused allocation.
+func TestEveryCollectorReportsItsTriggers(t *testing.T) {
+	ge := func(s, thr float64) bool { return s >= thr }
+	gt := func(s, thr float64) bool { return s > thr }
+	firingSide := map[string]func(s, thr float64) bool{
+		"rc-survival": ge, "rc-increments": ge, "satb-wastage": ge,
+		"satb-clean":   func(s, thr float64) bool { return s < thr },
+		"young-target": ge, "ihop": gt,
+		"young-reserve": func(s, thr float64) bool { return s <= thr },
+		"free-fraction": gt,
+		"half-budget":   ge,
+		// Allocation failure has no threshold to cross: occupancy
+		// within the budget it is reported against.
+		"heap-full": func(s, thr float64) bool { return s > 0 && s <= thr },
+	}
+	lxrKinds := []string{"rc-survival", "rc-increments", "satb-clean", "satb-wastage"}
+	g1Kinds := []string{"young-target", "young-reserve", "ihop"}
+	kindsOf := map[lxr.CollectorKind][]string{
+		lxr.CollectorLXR: lxrKinds, lxr.CollectorLXRNoSATB: lxrKinds,
+		lxr.CollectorLXRNoLD: lxrKinds, lxr.CollectorLXRSTW: lxrKinds,
+		lxr.CollectorG1:         g1Kinds,
+		lxr.CollectorShenandoah: {"free-fraction"}, lxr.CollectorZGC: {"free-fraction"},
+		lxr.CollectorSerial: {"half-budget"}, lxr.CollectorParallel: {"half-budget"},
+		lxr.CollectorSemiSpace: {"half-budget"},
+		lxr.CollectorImmix:     {"heap-full"}, lxr.CollectorImmixWB: {"heap-full"},
+	}
+	for k, kinds := range kindsOf {
+		t.Run(string(k), func(t *testing.T) {
+			heap := 8 << 20
+			if k == lxr.CollectorZGC {
+				heap = 48 << 20 // its minimum is 40 MB
+			}
+			tr := trace.New(trace.Config{ShardCap: 1 << 12})
+			plan, err := lxr.NewPlan(k, core.Config{HeapBytes: heap, GCThreads: 2, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := vm.New(plan, 0)
+			m := v.RegisterMutator(1)
+			for i := 0; v.Stats.PauseCount() < 2; i++ {
+				if i == 8*heap/1024 {
+					t.Fatalf("no second pause after allocating 8x the heap")
+				}
+				m.Roots[0] = m.Alloc(0, 1, 1024)
+				if i%512 == 0 {
+					// Let Shenandoah's and ZGC's 2 ms occupancy poll
+					// see the heap fill before allocation failure
+					// requests the cycle instead.
+					m.BlockedSleep(3 * time.Millisecond)
+				}
+			}
+			m.Deregister()
+			v.Shutdown()
+
+			kindOf := map[trace.NameID]string{}
+			for _, kind := range kinds {
+				kindOf[tr.TriggerName(kind)] = kind
+			}
+			count := map[string]int{}
+			evs := tr.Drain()[trace.ShardPolicy].Events
+			for _, ev := range evs {
+				kind, ok := kindOf[ev.Name]
+				if !ok {
+					t.Fatalf("policy lane holds an instant outside %v (name id %d)", kinds, ev.Name)
+				}
+				s, thr := math.Float64frombits(ev.Arg), math.Float64frombits(ev.Arg2)
+				if !firingSide[kind](s, thr) {
+					t.Errorf("trigger:%s fired with signal %v against threshold %v", kind, s, thr)
+				}
+				count[kind]++
+			}
+			pauses := v.Stats.PauseCount()
+			if len(evs) == 0 {
+				t.Fatalf("%d pauses and no trigger instant", pauses)
+			}
+			for kind, n := range count {
+				if n > pauses {
+					t.Errorf("trigger:%s fired %d times for %d pauses", kind, n, pauses)
+				}
+			}
+		})
 	}
 }
 
