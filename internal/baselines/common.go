@@ -26,7 +26,6 @@ package baselines
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"lxr/internal/conctrl"
@@ -46,11 +45,6 @@ type base struct {
 	pool *gcwork.Pool
 	vm   *vm.VM
 	name string
-
-	// pauseTrack differences the pool's per-worker item counters across
-	// pauses; recordPauseWorkerItems feeds the phase-tagged per-pause
-	// distributions (vm.HistWorkerPauseItems).
-	pauseTrack gcwork.PauseItemTracker
 
 	// concWorkers is the between-pause borrow width: how many pool
 	// workers the plan's concurrent phase driver (G1's marking thread,
@@ -135,16 +129,6 @@ func (b *base) GCWorkerStats() []gcwork.WorkerStat { return b.pool.WorkerStats()
 // GCLoanStats returns how many between-pause worker loans ran and how
 // many work items they processed (harness telemetry).
 func (b *base) GCLoanStats() (loans, items int64) { return b.pool.LoanStats() }
-
-// recordPauseWorkerItems attributes each worker's items from the pause
-// that just finished to the phase's per-pause distribution, so per-pause
-// imbalance is visible per phase kind. Call once after every pause,
-// from the pause coordinator.
-func (b *base) recordPauseWorkerItems(kind string) {
-	b.pauseTrack.Observe(b.pool, func(w int, items int64) {
-		b.vm.Stats.RecordHistAt(w+1, vm.HistWorkerPauseItems+kind, items)
-	})
-}
 
 // allocLarge is the shared large-object path.
 func (b *base) allocLarge(l obj.Layout) (obj.Ref, bool) {
@@ -243,5 +227,3 @@ func gcRetry(v *vm.VM, m *vm.Mutator, attempts int, alloc func() (obj.Ref, bool)
 		v.CollectIfEpoch(m, e, collect)
 	}
 }
-
-var _ atomic.Bool // keep sync/atomic linked for plans in this package

@@ -286,13 +286,8 @@ func (p *G1) CollectNow(cause string) {
 }
 
 func (p *G1) collectLocked() {
-	kind := "young"
-	dur := p.vm.StopTheWorldTagged(kind, func() string {
-		kind = p.collect()
-		return kind
-	})
+	dur := p.vm.StopTheWorldTagged("young", p.collect)
 	p.vm.Stats.AddGCWork(dur * time.Duration(p.pool.N))
-	p.recordPauseWorkerItems(kind)
 }
 
 // collect performs the evacuation pause: copy all live young objects to

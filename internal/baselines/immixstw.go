@@ -181,7 +181,6 @@ func (p *Immix) CollectNow(cause string) {
 
 func (p *Immix) collectLocked() {
 	dur := p.vm.StopTheWorld("full", func() { p.collect() })
-	p.recordPauseWorkerItems("full")
 	p.vm.Stats.AddGCWork(dur * time.Duration(p.pool.N))
 }
 

@@ -25,8 +25,7 @@ import (
 // copying reachable objects).
 type SemiSpace struct {
 	base
-	half  uint8 // current allocation half (0/1)
-	count int64 // collections performed
+	half uint8 // current allocation half (0/1)
 
 	trigHalf trace.NameID // "trigger:half-budget", interned in Boot
 }
@@ -136,12 +135,10 @@ func (p *SemiSpace) CollectNow(cause string) {
 // collection lock (vm.RunCollection / vm.CollectIfEpoch).
 func (p *SemiSpace) collectLocked() {
 	dur := p.vm.StopTheWorld("full", func() { p.collect() })
-	p.recordPauseWorkerItems("full")
 	p.vm.Stats.AddGCWork(dur * time.Duration(p.pool.N))
 }
 
 func (p *SemiSpace) collect() {
-	p.count++
 	from := p.half
 	to := 1 - p.half
 	p.half = to
@@ -233,6 +230,3 @@ func (p *SemiSpace) pushSlots(w *gcwork.Worker, ref obj.Ref) {
 		}
 	}
 }
-
-// Collections returns how many collections have run.
-func (p *SemiSpace) Collections() int64 { return p.count }

@@ -392,7 +392,6 @@ func (p *Shen) runCycle() {
 			ev.Phase(trace.NameRoots, pt)
 			p.phase.Store(phMark)
 		})
-		p.recordPauseWorkerItems("init-mark")
 	})
 
 	// Concurrent mark. The cycle driver is the tracer's owner thread
@@ -461,7 +460,6 @@ func (p *Shen) runCycle() {
 			ev.PhaseArg(trace.NameSweep, pt, uint64(len(p.cset)))
 			p.phase.Store(phEvac)
 		})
-		p.recordPauseWorkerItems("final-mark")
 	})
 
 	// Concurrent evacuation: copy every marked object in the cset.
@@ -536,7 +534,6 @@ func (p *Shen) runCycle() {
 			p.phase.Store(phIdle)
 		})
 		p.vm.Stats.AddGCWork(dur)
-		p.recordPauseWorkerItems("final-update")
 	})
 }
 

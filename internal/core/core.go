@@ -154,11 +154,6 @@ type LXR struct {
 	evacSet     []int // blocks flagged FlagDefrag for the current trace
 	traceEpochs int   // RC epochs the current trace has spanned
 
-	// pauseTrack differences the pool's per-worker item counters across
-	// pauses so each pause's work distribution lands in the phase-tagged
-	// telemetry histograms (vm.HistWorkerPauseItems).
-	pauseTrack gcwork.PauseItemTracker
-
 	// Flushed-at-pause queues.
 	losNewMu struct{ q gcwork.SharedAddrQueue } // large objects allocated this epoch
 	rootDecs []obj.Ref                          // deferred root decrements for next epoch

@@ -71,11 +71,6 @@ func (p *LXR) collectRC(cause string) {
 	// Approximate collector cycles: the pause occupies the GC worker
 	// pool (LBO's "total cycles" metric, Fig. 7b).
 	p.vm.Stats.AddGCWork(dur * time.Duration(p.pool.N))
-	// Attribute this pause's per-worker work to its phase (the pool's
-	// in-pause counters cannot advance again until the next pause).
-	p.pauseTrack.Observe(p.pool, func(w int, items int64) {
-		p.vm.Stats.RecordHistAt(w+1, vm.HistWorkerPauseItems+kind, items)
-	})
 }
 
 // pausePipeline runs the pause phases and returns the refined pause

@@ -10,18 +10,18 @@ import (
 	"lxr/internal/obj"
 )
 
-// verifyHeap, enabled with LXR_VERIFY=1, walks the full reachable graph
-// at the end of every pause (while the world is stopped) and asserts
-// that every reachable object has a plausible header and a non-zero
-// reference count. It exists for debugging and for the stress tools;
-// the overhead is a full heap trace per pause.
+// verifyEnabled turns on the cheap in-line checks (any non-empty
+// LXR_VERIFY; the stress tools and CI run with LXR_VERIFY=1).
 var verifyEnabled = os.Getenv("LXR_VERIFY") != ""
 
-// verifyFull additionally enables the end-of-pause full reachability
-// walk (LXR_VERIFY=2); LXR_VERIFY=1 enables only the cheap in-line
-// checks.
+// verifyFull (LXR_VERIFY=2) additionally runs verifyHeap at the end of
+// every pause.
 var verifyFull = os.Getenv("LXR_VERIFY") == "2"
 
+// verifyHeap walks the full reachable graph while the world is stopped
+// and asserts that every reachable object has a plausible header and a
+// non-zero reference count. It exists for debugging; the overhead is a
+// full heap trace per pause.
 func (p *LXR) verifyHeap(stage string) {
 	if !verifyFull {
 		return

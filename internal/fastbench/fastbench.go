@@ -7,15 +7,16 @@
 // These are the paths the paper's design lives or dies on (§3, Table 7:
 // bump allocation plus a barrier whose fast path is a single metadata
 // load), so the family is tracked: cmd/lxr-bench -fastpath exports it
-// as BENCH_fastpath.json and CI diffs each push against the previous
-// artifact with lxr-bench -compare.
+// as BENCH_fastpath.json and the benchmark's ledger reports its LXR
+// rows as fastbench.*.
 //
 // Measurement protocol: every benchmark takes repeated timed samples of
 // a fixed op-count loop on a fresh heap, with any collections forced
 // between samples (never inside them) so each sample is a pure fast- or
-// slow-path interval. The compare tool treats the min..max interval
-// over samples as the measurement, which makes the family robust to
-// scheduling noise without NTP-grade timing.
+// slow-path interval. The report keeps the min..max interval over
+// samples beside the mean; the host's speed changes on a longer scale
+// than one benchmark, so two reports differ by more than either's
+// interval on identical code (EXPERIMENTS.md).
 package fastbench
 
 import (
@@ -46,10 +47,8 @@ var Collectors = []string{"LXR", "Immix", "Immix+WB", "G1"}
 // reported once under the pseudo-collector "heap". The "+trace" rows
 // re-measure LXR's allocation and pointer-store paths with the event
 // tracer armed (full-capacity rings, no consumer): the delta against
-// the matching untraced rows is the cost of live event recording, while
-// the untraced rows themselves — which carry the tracer's dormant nil
-// check — are what the CI compare gate holds at parity with the
-// pre-tracing baseline.
+// the matching untraced rows is the cost of live event recording; the
+// untraced rows themselves carry the tracer's dormant nil check.
 var Benches = []string{"alloc/small", "alloc/medium", "alloc/large", "store/fast", "store/slow", "linescan",
 	"alloc/small+trace", "store/fast+trace"}
 

@@ -157,50 +157,6 @@ func (p *Pool) LoanStats() (loans, items int64) {
 	return p.loans.Load(), p.loanItems.Load()
 }
 
-// PauseItems writes each worker's cumulative in-pause item count into
-// dst (grown if needed) and returns it. Callers that difference
-// successive snapshots get per-pause per-worker work — the phase-level
-// imbalance signal — without allocating once dst has capacity N.
-func (p *Pool) PauseItems(dst []int64) []int64 {
-	if cap(dst) < p.N {
-		dst = make([]int64, p.N)
-	}
-	dst = dst[:p.N]
-	ws := p.wsnap.Load()
-	if ws == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	for i, w := range *ws {
-		dst[i] = w.pauseItems.Load()
-	}
-	return dst
-}
-
-// PauseItemTracker differences successive PauseItems snapshots so a
-// plan can attribute each pause's per-worker work to that pause's
-// phase. Create one per pool; call Observe once after every pause (from
-// the pause coordinator — it is not concurrency-safe against itself).
-type PauseItemTracker struct {
-	prev, cur []int64
-}
-
-// Observe calls record(workerID, items) with each worker's item count
-// since the previous Observe. Reuses its internal buffers: no per-pause
-// allocation after the first call.
-func (t *PauseItemTracker) Observe(p *Pool, record func(worker int, items int64)) {
-	t.cur = p.PauseItems(t.cur)
-	if len(t.prev) < len(t.cur) {
-		t.prev = append(t.prev, make([]int64, len(t.cur)-len(t.prev))...)
-	}
-	for i, c := range t.cur {
-		record(i, c-t.prev[i])
-		t.prev[i] = c
-	}
-}
-
 // job is one parked-worker activation: either a drain (f set) or a
 // parallel-for (pf set).
 type job struct {

@@ -3,11 +3,9 @@ package harness
 import (
 	"encoding/json"
 	"io"
-	"strings"
 	"time"
 
 	"lxr/internal/telemetry"
-	"lxr/internal/vm"
 )
 
 // PhaseDigest summarises one phase-tagged distribution (pause durations
@@ -30,17 +28,6 @@ func msDigest(h *telemetry.Histogram) PhaseDigest {
 		Max:  float64(h.Max()) / float64(time.Millisecond),
 		Mean: h.Mean() / float64(time.Millisecond),
 	}
-}
-
-// ItemsDigest summarises a per-pause per-worker work-item distribution:
-// one sample per (pause, worker), so spread between P50 and Max is the
-// phase's load-imbalance signal.
-type ItemsDigest struct {
-	Count int64   `json:"count"` // samples = pauses × workers
-	P50   int64   `json:"p50"`
-	P99   int64   `json:"p99"`
-	Max   int64   `json:"max"`
-	Mean  float64 `json:"mean"`
 }
 
 // RunSummary is the machine-readable digest of one RunResult, emitted
@@ -67,8 +54,8 @@ type RunSummary struct {
 
 	// TTSPMS is the time-to-safepoint distribution in ms (how long each
 	// stop-the-world rendezvous took to bring every mutator to rest),
-	// computed exactly from the recorded pauses. The mutscale experiment
-	// gates on it; omitted when a run had no pauses.
+	// computed exactly from the recorded pauses; omitted when a run had
+	// no pauses.
 	TTSPMS map[string]float64 `json:"ttsp_ms,omitempty"`
 
 	// PausePhaseMS breaks the pause distribution down by phase kind
@@ -95,11 +82,6 @@ type RunSummary struct {
 	ConcLoanItems    int64   `json:"conc_loan_items,omitempty"`
 	WorkerPauseItems []int64 `json:"worker_pause_items,omitempty"`
 	WorkerLoanItems  []int64 `json:"worker_loan_items,omitempty"`
-
-	// WorkerPauseItemsByPhase digests the per-pause per-worker item
-	// distributions keyed by phase kind (the per-pause refinement of
-	// worker_pause_items: localises imbalance to a phase).
-	WorkerPauseItemsByPhase map[string]ItemsDigest `json:"worker_pause_items_by_phase,omitempty"`
 
 	// Intervals holds the periodic reporter's per-window pause/latency
 	// digests (lxr-bench -interval). Absent otherwise.
@@ -163,22 +145,6 @@ func (r *RunResult) Summary() RunSummary {
 			s.WorkerLoanItems[i] = ws.LoanItems
 		}
 	}
-	for name, h := range r.Hists {
-		kind, ok := strings.CutPrefix(name, vm.HistWorkerPauseItems)
-		if !ok || h.Count() == 0 {
-			continue
-		}
-		if s.WorkerPauseItemsByPhase == nil {
-			s.WorkerPauseItemsByPhase = map[string]ItemsDigest{}
-		}
-		s.WorkerPauseItemsByPhase[kind] = ItemsDigest{
-			Count: h.Count(),
-			P50:   h.Percentile(50),
-			P99:   h.Percentile(99),
-			Max:   h.Max(),
-			Mean:  h.Mean(),
-		}
-	}
 	s.Intervals = r.Intervals
 	return s
 }
@@ -188,53 +154,4 @@ func WriteJSON(w io.Writer, sums []RunSummary) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sums)
-}
-
-// HistDump is one run's full distributions — sparse bucket dumps rather
-// than summary percentiles — as archived by cmd/lxr-bench -hist. All
-// values are nanoseconds except the worker-item distributions.
-type HistDump struct {
-	Experiment string `json:"experiment,omitempty"`
-	Bench      string `json:"bench"`
-	Collector  string `json:"collector"`
-	HeapBytes  int    `json:"heap_bytes"`
-
-	Latency *telemetry.Export           `json:"latency,omitempty"`
-	Pauses  map[string]telemetry.Export `json:"pauses,omitempty"`
-	// WorkerPauseItems holds the per-pause per-worker item-count
-	// distributions keyed by phase kind.
-	WorkerPauseItems map[string]telemetry.Export `json:"worker_pause_items,omitempty"`
-}
-
-// HistDump exports the run's histograms for archival.
-func (r *RunResult) HistDump(experiment string) HistDump {
-	d := HistDump{Experiment: experiment, Bench: r.Bench, Collector: r.Collector, HeapBytes: r.HeapBytes}
-	if r.Latency != nil && r.Latency.Count() > 0 {
-		e := r.Latency.Export()
-		d.Latency = &e
-	}
-	if len(r.PauseHist) > 0 {
-		d.Pauses = map[string]telemetry.Export{}
-		for kind, h := range r.PauseHist {
-			d.Pauses[kind] = h.Export()
-		}
-	}
-	for name, h := range r.Hists {
-		kind, ok := strings.CutPrefix(name, vm.HistWorkerPauseItems)
-		if !ok || h.Count() == 0 {
-			continue
-		}
-		if d.WorkerPauseItems == nil {
-			d.WorkerPauseItems = map[string]telemetry.Export{}
-		}
-		d.WorkerPauseItems[kind] = h.Export()
-	}
-	return d
-}
-
-// WriteHistJSON renders histogram dumps as an indented JSON array.
-func WriteHistJSON(w io.Writer, dumps []HistDump) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(dumps)
 }

@@ -67,16 +67,11 @@ const (
 	msTotalRetained = 16384
 )
 
-// mutScaleHeap returns the heap for a mutator count: constant by
-// design (see msHeap).
-func mutScaleHeap(n int) int { return msHeap }
-
-// flooredRatio renders val/base with both clamped to the same 1 ms
-// noise floor the -compare gate uses: TTSP at the 8-mutator point sits
-// at the measurement floor (~µs), and a raw ratio against a µs-scale
-// denominator reads scheduling jitter as a scaling trend. Quantities
-// below the floor print as flat (1.00) — matching how the gate would
-// judge them.
+// flooredRatio renders val/base with both clamped to a 1 ms noise
+// floor: TTSP at the 8-mutator point sits at the measurement floor
+// (~µs), and a raw ratio against a µs-scale denominator reads
+// scheduling jitter as a scaling trend. Quantities below the floor
+// print as flat (1.00).
 func flooredRatio(val, base float64) string {
 	const floorMS = 1.0
 	if val < floorMS {
@@ -165,12 +160,11 @@ func RunMutScale(opts Options) []*RunResult {
 
 // runMutScaleOne runs one (collector, mutator-count) cell.
 func runMutScaleOne(collector string, nMut int, cfg workload.MutScaleConfig, opts Options) *RunResult {
-	heap := mutScaleHeap(nMut)
-	res := &RunResult{Bench: fmt.Sprintf("muts%d", nMut), Collector: collector, HeapBytes: heap}
+	res := &RunResult{Bench: fmt.Sprintf("muts%d", nMut), Collector: collector, HeapBytes: msHeap}
 	if opts.Record != nil {
 		defer func() { opts.Record(res) }()
 	}
-	plan := newPlan(collector, heap, opts)
+	plan := newPlan(collector, msHeap, opts)
 	if plan == nil {
 		return res
 	}
@@ -184,7 +178,6 @@ func runMutScaleOne(collector string, nMut int, cfg workload.MutScaleConfig, opt
 	v.Shutdown()
 	res.Pauses = v.Stats.Pauses()
 	res.PauseHist = v.Stats.PauseHistograms()
-	res.Hists = v.Stats.Histograms()
 	res.MMU = telemetry.MMU(pauseIntervals(res.Pauses, rr.Start), res.Wall, nil)
 	res.Counters = v.Stats.Counters()
 	res.GCWork = v.Stats.GCWork()

@@ -149,9 +149,6 @@ type RunResult struct {
 	// PauseHist holds the per-phase pause-duration histograms (ns),
 	// keyed by pause kind ("young", "mixed", "rc+mark", ...).
 	PauseHist map[string]*telemetry.Histogram
-	// Hists holds the run's named distributions (per-pause per-worker
-	// item counts under vm.HistWorkerPauseItems + phase kind).
-	Hists map[string]*telemetry.Histogram
 	// MMU is the minimum-mutator-utilization curve computed from the
 	// pause timeline over telemetry.DefaultMMUWindows.
 	MMU      []telemetry.MMUPoint
@@ -296,7 +293,6 @@ func RunOne(spec workload.Spec, collector string, heapFactor float64, rate float
 	v.Shutdown()
 	res.Pauses = v.Stats.Pauses()
 	res.PauseHist = v.Stats.PauseHistograms()
-	res.Hists = v.Stats.Histograms()
 	res.MMU = telemetry.MMU(pauseIntervals(res.Pauses, runStart), res.Wall, nil)
 	res.Counters = v.Stats.Counters()
 	res.GCWork = v.Stats.GCWork()

@@ -251,7 +251,7 @@ func RunTable7(opts Options) {
 			spec.Name, r.Wall.Milliseconds(), noSATB, noLD, stw,
 			persec, r.PausePercentile(50), r.PausePercentile(95),
 			satbPct, lazyPct, incPerMS, oh,
-			pctf(deadYoung, totalDead), pctf(deadOld, totalDead), pctf(deadSATB, totalDead),
+			pct(deadYoung, totalDead), pct(deadOld, totalDead), pct(deadSATB, totalDead),
 			stuck, yc)
 	}
 	w.Flush()
@@ -263,8 +263,6 @@ func pct(a, b int64) float64 {
 	}
 	return 100 * float64(a) / float64(b)
 }
-
-func pctf(a, b int64) float64 { return pct(a, b) }
 
 // LBORow is one point of Figure 7.
 type LBORow struct {

@@ -214,9 +214,6 @@ func (bt *BlockTable) Kind(idx int) uint8 {
 	return uint8(atomic.LoadUint32(&bt.state[idx]) >> KindShift)
 }
 
-// SetLive stores a live-byte figure for block idx.
-func (bt *BlockTable) SetLive(idx int, bytes int32) { atomic.StoreInt32(&bt.live[idx], bytes) }
-
 // AddLive accumulates live bytes for block idx and returns the new total.
 func (bt *BlockTable) AddLive(idx int, bytes int32) int32 {
 	return atomic.AddInt32(&bt.live[idx], bytes)

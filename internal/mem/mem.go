@@ -83,9 +83,6 @@ func (a Address) Granule() int { return int(a >> GranuleLog) }
 // Word returns the global word index of the word containing a.
 func (a Address) Word() int { return int(a >> WordLog) }
 
-// BlockOffset returns the byte offset of a within its block.
-func (a Address) BlockOffset() int { return int(a & (BlockSize - 1)) }
-
 // Plus returns the address advanced by n bytes.
 func (a Address) Plus(n int) Address { return a + Address(n) }
 
@@ -136,9 +133,6 @@ func (a *Arena) Size() int { return int(a.size) }
 
 // Blocks returns the total number of blocks, including reserved block 0.
 func (a *Arena) Blocks() int { return a.blocks }
-
-// UsableBlocks returns the number of blocks available to allocators.
-func (a *Arena) UsableBlocks() int { return a.blocks - 1 }
 
 // FirstUsableBlock returns the index of the first block allocators may use.
 func (a *Arena) FirstUsableBlock() int { return 1 }

@@ -11,8 +11,6 @@
 package satb
 
 import (
-	"sync/atomic"
-
 	"lxr/internal/gcwork"
 	"lxr/internal/mem"
 	"lxr/internal/meta"
@@ -38,20 +36,13 @@ type Tracer struct {
 	stack []mem.Address
 
 	active bool
-	marked int64
 }
 
 // Begin starts a new trace epoch. Mark bits must already be clear.
-func (t *Tracer) Begin() {
-	t.active = true
-	t.marked = 0
-}
+func (t *Tracer) Begin() { t.active = true }
 
 // Active reports whether a trace epoch is underway.
 func (t *Tracer) Active() bool { return t.active }
-
-// Marked returns the number of objects marked so far this epoch.
-func (t *Tracer) Marked() int64 { return t.marked }
 
 // Seed enqueues snapshot references (roots captured at the trace-start
 // pause, or overwritten values captured by the write barrier). Safe to
@@ -87,7 +78,7 @@ func (t *Tracer) Step(budget int) bool {
 		n := len(t.stack)
 		ref := obj.Ref(t.stack[n-1])
 		t.stack = t.stack[:n-1]
-		t.visit(ref, func(a mem.Address) { t.stack = append(t.stack, a) })
+		t.visit(ref, nil)
 		budget--
 	}
 	return !t.Pending()
@@ -113,11 +104,8 @@ func (t *Tracer) StepParallel(pool *gcwork.Pool, workers int, onLoan func(*gcwor
 	if len(segs) == 0 {
 		return true
 	}
-	var marked atomic.Int64
 	loan := pool.Lend(workers, segs, nil, func(w *gcwork.Worker, a mem.Address) {
-		if t.visitParallel(obj.Ref(a), w) {
-			marked.Add(1)
-		}
+		t.visit(obj.Ref(a), w)
 	}, nil)
 	if onLoan != nil {
 		onLoan(loan)
@@ -125,17 +113,7 @@ func (t *Tracer) StepParallel(pool *gcwork.Pool, workers int, onLoan func(*gcwor
 	for _, rem := range loan.Reclaim() {
 		t.inbox.Append(rem)
 	}
-	t.marked += marked.Load()
 	return !t.Pending()
-}
-
-// MarkAndScan marks ref and scans its children into the trace. LXR's
-// interruption invariant uses it when reference counting finds a dead,
-// unmarked mature object mid-trace: the object is marked and scanned
-// before its memory can be reclaimed (§3.2.2). Must run on the tracer's
-// owner thread (LXR's single concurrent thread runs both duties).
-func (t *Tracer) MarkAndScan(ref obj.Ref) {
-	t.visit(ref, func(a mem.Address) { t.stack = append(t.stack, a) })
 }
 
 // alreadyMarked reports whether ref's mark bit is set, so a visit can
@@ -151,9 +129,12 @@ func (t *Tracer) alreadyMarked(ref obj.Ref) bool {
 	return t.OM.A.Contains(ref) && t.Marks.Get(ref)
 }
 
-// visit marks ref (subject to Filter) and feeds its reference slots to
-// push.
-func (t *Tracer) visit(ref obj.Ref, push func(mem.Address)) {
+// visit marks ref (subject to Filter) and queues its reference slots:
+// on w's deque when a pool worker runs it (StepParallel, DrainParallel),
+// on the owner's stack when w is nil (Step). It is safe on several
+// workers at once when the hooks are: TrySet decides which of two
+// racing visits scans the object.
+func (t *Tracer) visit(ref obj.Ref, w *gcwork.Worker) {
 	if ref.IsNil() || t.alreadyMarked(ref) {
 		return
 	}
@@ -163,7 +144,6 @@ func (t *Tracer) visit(ref obj.Ref, push func(mem.Address)) {
 	if !t.Marks.TrySet(ref) {
 		return
 	}
-	t.marked++
 	if t.OnMark != nil {
 		t.OnMark(ref)
 	}
@@ -174,15 +154,17 @@ func (t *Tracer) visit(ref obj.Ref, push func(mem.Address)) {
 		if t.OnEdge != nil {
 			t.OnEdge(slot, v)
 		}
-		push(v)
+		if w != nil {
+			w.Push(v)
+		} else {
+			t.stack = append(t.stack, v)
+		}
 	})
 }
 
 // DrainParallel completes the closure using a worker pool inside a
 // pause. All hooks must be thread-safe. Used by the -SATB ablation
 // (tracing in the pause, Table 7) and by baselines' final-mark pauses.
-// The marked counter is not updated on this path; callers needing live
-// accounting should count in OnMark.
 func (t *Tracer) DrainParallel(pool *gcwork.Pool) {
 	segs := t.inbox.TakeSegs()
 	if len(t.stack) > 0 {
@@ -190,36 +172,8 @@ func (t *Tracer) DrainParallel(pool *gcwork.Pool) {
 	}
 	t.stack = nil
 	pool.DrainSegs(segs, nil, func(w *gcwork.Worker, a mem.Address) {
-		t.visitParallel(obj.Ref(a), w)
+		t.visit(obj.Ref(a), w)
 	}, nil)
-}
-
-// visitParallel is the thread-safe variant of visit used by
-// DrainParallel and StepParallel. It reports whether ref was newly
-// marked by this call.
-func (t *Tracer) visitParallel(ref obj.Ref, w *gcwork.Worker) bool {
-	if ref.IsNil() || t.alreadyMarked(ref) {
-		return false
-	}
-	if t.Filter != nil && !t.Filter(ref) {
-		return false
-	}
-	if !t.Marks.TrySet(ref) {
-		return false
-	}
-	if t.OnMark != nil {
-		t.OnMark(ref)
-	}
-	t.OM.EachSlot(ref, func(_ int, slot mem.Address, v obj.Ref) {
-		if v.IsNil() {
-			return
-		}
-		if t.OnEdge != nil {
-			t.OnEdge(slot, v)
-		}
-		w.Push(v)
-	})
-	return true
 }
 
 // ResolvePending rewrites every queued trace address through resolve.

@@ -26,8 +26,7 @@ type Config struct {
 	// MinValue is the lowest value resolved at full relative precision
 	// (≥ 1). Values in [0, MinValue) are still recorded — they land in
 	// the bottom buckets at absolute resolution ≤ MinValue·2^(1-Precision)
-	// — so zero samples (e.g. an idle worker's per-pause item count)
-	// are counted, merely with coarser relative error.
+	// — so zero samples are counted, merely with coarser relative error.
 	MinValue int64
 	// MaxValue is the highest trackable value. Larger samples saturate:
 	// they are counted in the top bucket (the exact observed maximum is
@@ -333,46 +332,6 @@ func (h *Histogram) Buckets(f func(lo, hi, count int64)) {
 	}
 }
 
-// --- export ------------------------------------------------------------------
-
-// Bucket is one non-empty bucket of an exported histogram.
-type Bucket struct {
-	Lo    int64 `json:"lo"`
-	Hi    int64 `json:"hi"`
-	Count int64 `json:"count"`
-}
-
-// Export is a machine-readable dump of a histogram: the config plus the
-// sparse non-empty buckets. cmd/lxr-bench -hist writes these so CI can
-// archive full distributions, not just summary percentiles.
-type Export struct {
-	MinValue  int64    `json:"min_value"`
-	MaxValue  int64    `json:"max_value"`
-	Precision uint32   `json:"precision"`
-	Count     int64    `json:"count"`
-	Sum       int64    `json:"sum"`
-	Min       int64    `json:"min"`
-	Max       int64    `json:"max"`
-	Buckets   []Bucket `json:"buckets"`
-}
-
-// Export dumps the histogram.
-func (h *Histogram) Export() Export {
-	e := Export{
-		MinValue:  h.l.cfg.MinValue,
-		MaxValue:  h.l.cfg.MaxValue,
-		Precision: h.l.cfg.Precision,
-		Count:     h.total,
-		Sum:       h.sum,
-		Min:       h.Min(),
-		Max:       h.Max(),
-	}
-	h.Buckets(func(lo, hi, count int64) {
-		e.Buckets = append(e.Buckets, Bucket{Lo: lo, Hi: hi, Count: count})
-	})
-	return e
-}
-
 // --- standard configs --------------------------------------------------------
 
 // LatencyConfig is the standard request-latency histogram geometry:
@@ -386,10 +345,4 @@ func LatencyConfig() Config {
 // samples at full resolution from 1µs up to a 60 s ceiling.
 func PauseConfig() Config {
 	return Config{MinValue: 1000, MaxValue: 60 * 1e9, Precision: 8}
-}
-
-// WorkConfig is the standard geometry for work-item counts (per-pause
-// per-worker items): unit resolution, 2^32 ceiling, 1/64 error.
-func WorkConfig() Config {
-	return Config{MinValue: 1, MaxValue: 1 << 32, Precision: 7}
 }

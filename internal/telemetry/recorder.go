@@ -60,9 +60,6 @@ func NewRecorder(cfg Config, shards int) *Recorder {
 // Config returns the normalised configuration.
 func (r *Recorder) Config() Config { return r.l.cfg }
 
-// Shards returns the number of writer lanes.
-func (r *Recorder) Shards() int { return len(r.shards) }
-
 // Record adds one sample on the given writer lane. It performs no
 // allocation and acquires no lock: the metered request path calls this
 // once per request without perturbing the heap under test.

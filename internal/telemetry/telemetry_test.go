@@ -35,6 +35,15 @@ func (r *rng) sample() int64 {
 	return int64(v)
 }
 
+// bucket is one non-empty bucket as Buckets reports it.
+type bucket struct{ lo, hi, count int64 }
+
+func buckets(h *telemetry.Histogram) []bucket {
+	var out []bucket
+	h.Buckets(func(lo, hi, count int64) { out = append(out, bucket{lo, hi, count}) })
+	return out
+}
+
 // TestPercentileMatchesSort is the acceptance fixture: on 1e6 samples,
 // histogram percentiles must match sort-based stats.Percentile within
 // the documented bucket error bound, and exactly at p=100.
@@ -114,13 +123,14 @@ func TestAddSubtractRoundTrip(t *testing.T) {
 		t.Fatalf("add: count/sum not additive")
 	}
 	c.Subtract(b)
-	ea, ec := a.Export(), c.Export()
-	if ec.Count != ea.Count || ec.Sum != ea.Sum || len(ec.Buckets) != len(ea.Buckets) {
-		t.Fatalf("round trip: %+v vs %+v", ec, ea)
+	ba, bc := buckets(a), buckets(c)
+	if c.Count() != a.Count() || c.Sum() != a.Sum() || len(bc) != len(ba) {
+		t.Fatalf("round trip: count %d sum %d in %d buckets vs count %d sum %d in %d",
+			c.Count(), c.Sum(), len(bc), a.Count(), a.Sum(), len(ba))
 	}
-	for i := range ea.Buckets {
-		if ea.Buckets[i] != ec.Buckets[i] {
-			t.Fatalf("bucket %d: %+v vs %+v", i, ec.Buckets[i], ea.Buckets[i])
+	for i := range ba {
+		if ba[i] != bc[i] {
+			t.Fatalf("bucket %d: %+v vs %+v", i, bc[i], ba[i])
 		}
 	}
 	for _, p := range []float64{50, 99, 99.9} {
@@ -181,7 +191,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // TestZeroAndSaturation: zeros are recordable (idle-worker samples) and
 // oversized samples saturate at MaxValue.
 func TestZeroAndSaturation(t *testing.T) {
-	cfg := telemetry.WorkConfig()
+	cfg := telemetry.Config{MinValue: 1, MaxValue: 1 << 32, Precision: 7}
 	h := telemetry.NewHistogram(cfg)
 	h.Record(0)
 	h.Record(1 << 60) // above MaxValue
@@ -210,41 +220,40 @@ func TestExportInvariants(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		h.Record(r.sample())
 	}
-	e := h.Export()
 	var sum int64
 	lastHi := int64(-1)
-	for _, b := range e.Buckets {
-		if b.Lo <= lastHi {
-			t.Fatalf("bucket ranges overlap: lo %d after hi %d", b.Lo, lastHi)
+	for _, b := range buckets(h) {
+		if b.lo <= lastHi {
+			t.Fatalf("bucket ranges overlap: lo %d after hi %d", b.lo, lastHi)
 		}
-		if b.Hi < b.Lo || b.Count <= 0 {
+		if b.hi < b.lo || b.count <= 0 {
 			t.Fatalf("bad bucket %+v", b)
 		}
-		lastHi = b.Hi
-		sum += b.Count
+		lastHi = b.hi
+		sum += b.count
 	}
-	if sum != e.Count {
-		t.Fatalf("bucket counts %d != count %d", sum, e.Count)
+	if sum != h.Count() {
+		t.Fatalf("bucket counts %d != count %d", sum, h.Count())
 	}
 }
 
 // TestBucketContainment: every recorded value must fall inside the
-// bucket range Export reports for it.
+// bucket range Buckets reports for it.
 func TestBucketContainment(t *testing.T) {
 	cfg := telemetry.Config{MinValue: 1000, MaxValue: 1e9, Precision: 6}
 	for _, v := range []int64{0, 1, 999, 1000, 1001, 4096, 65537, 1e6, 987654321, 1e9} {
 		h := telemetry.NewHistogram(cfg)
 		h.Record(v)
-		e := h.Export()
-		if len(e.Buckets) != 1 {
-			t.Fatalf("v=%d: %d buckets", v, len(e.Buckets))
+		bs := buckets(h)
+		if len(bs) != 1 {
+			t.Fatalf("v=%d: %d buckets", v, len(bs))
 		}
-		b := e.Buckets[0]
-		if v < b.Lo || v > b.Hi {
-			t.Errorf("v=%d outside its bucket [%d,%d]", v, b.Lo, b.Hi)
+		b := bs[0]
+		if v < b.lo || v > b.hi {
+			t.Errorf("v=%d outside its bucket [%d,%d]", v, b.lo, b.hi)
 		}
 		if v >= cfg.MinValue && v <= cfg.MaxValue {
-			width := float64(b.Hi - b.Lo + 1)
+			width := float64(b.hi - b.lo + 1)
 			if rel := width / float64(v); rel > 2*cfg.ErrorBound() {
 				t.Errorf("v=%d: bucket width %v too coarse (rel %.4f)", v, width, rel)
 			}

@@ -76,7 +76,6 @@ type Stats struct {
 	pauseNs       atomic.Int64 // summed pause durations (lock-free TotalPause)
 
 	counters sync.Map // string -> *counterCells
-	hists    sync.Map // string -> *telemetry.Recorder
 }
 
 // NewStats creates an empty Stats.
@@ -247,63 +246,4 @@ func (h CounterHandle) Add(delta int64) { h.c.cells[0].v.Add(delta) }
 // CounterShards); see Stats.AddAt for the shard convention.
 func (h CounterHandle) AddAt(shard int, delta int64) {
 	h.c.cells[uint(shard)%CounterShards].v.Add(delta)
-}
-
-// --- named histograms ---------------------------------------------------------
-
-// HistWorkerPauseItems is the name prefix of the per-pause per-worker
-// work-item distributions: each pause records every worker's item count
-// for that pause into "gcwork.pause_items.<phase kind>", so imbalance
-// is localised to a phase rather than smeared over the run (the
-// lifetime worker_pause_items counters cannot tell a skewed mark pause
-// from a skewed young pause).
-const HistWorkerPauseItems = "gcwork.pause_items."
-
-// HistShards is how many writer lanes back each named histogram —
-// enough for the coordinator plus the GC worker counts real configs
-// use; higher shard indices wrap (distributions stay exact, only the
-// no-contention property degrades).
-const HistShards = 16
-
-// recorderFor resolves (creating on first use) a named distribution
-// recorder. The fast path is one lock-free sync.Map read.
-func (s *Stats) recorderFor(name string) *telemetry.Recorder {
-	if r, ok := s.hists.Load(name); ok {
-		return r.(*telemetry.Recorder)
-	}
-	r, _ := s.hists.LoadOrStore(name, telemetry.NewRecorder(telemetry.WorkConfig(), HistShards))
-	return r.(*telemetry.Recorder)
-}
-
-// RecordHist records one sample into a named distribution (per-pause
-// worker item counts, batch sizes, ...) on shard 0. Code running on a
-// GC worker with a stable ID should prefer RecordHistAt.
-func (s *Stats) RecordHist(name string, v int64) {
-	s.recorderFor(name).Record(0, v)
-}
-
-// RecordHistAt records one sample on the given shard — same convention
-// as AddAt (worker ID + 1; 0 for the coordinator). Alloc-free after the
-// recorder's first use.
-func (s *Stats) RecordHistAt(shard int, name string, v int64) {
-	s.recorderFor(name).Record(shard, v)
-}
-
-// Histogram returns a merged snapshot of a named distribution, or nil
-// if nothing was recorded under that name.
-func (s *Stats) Histogram(name string) *telemetry.Histogram {
-	if r, ok := s.hists.Load(name); ok {
-		return r.(*telemetry.Recorder).Snapshot()
-	}
-	return nil
-}
-
-// Histograms returns merged snapshots of every named distribution.
-func (s *Stats) Histograms() map[string]*telemetry.Histogram {
-	out := map[string]*telemetry.Histogram{}
-	s.hists.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*telemetry.Recorder).Snapshot()
-		return true
-	})
-	return out
 }

@@ -198,30 +198,6 @@ func TestPauseHistogramsPerKind(t *testing.T) {
 	}
 }
 
-// TestNamedHistogramRegistry: RecordHistAt samples merge across shards
-// exactly, mirroring the counter registry's convention.
-func TestNamedHistogramRegistry(t *testing.T) {
-	s := vm.NewStats()
-	if s.Histogram("nope") != nil {
-		t.Fatal("unrecorded name should be nil")
-	}
-	var want int64
-	for w := 0; w < 3*vm.HistShards; w++ { // include modulo wrap
-		s.RecordHistAt(w, "gcwork.pause_items.young", int64(w))
-		want += int64(w)
-	}
-	s.RecordHist("gcwork.pause_items.young", 7)
-	want += 7
-	h := s.Histogram("gcwork.pause_items.young")
-	if h.Count() != int64(3*vm.HistShards+1) || h.Sum() != want {
-		t.Fatalf("count %d sum %d, want %d/%d", h.Count(), h.Sum(), 3*vm.HistShards+1, want)
-	}
-	all := s.Histograms()
-	if len(all) != 1 || all["gcwork.pause_items.young"].Count() != h.Count() {
-		t.Fatalf("Histograms() mismatch: %v", all)
-	}
-}
-
 // TestStopTheWorldTagged: the refined kind returned by the pause body
 // must win over the provisional kind.
 func TestStopTheWorldTagged(t *testing.T) {

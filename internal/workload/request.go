@@ -79,7 +79,13 @@ func MeasureCapacity(v *vm.VM, sz Sized, probeRequests int) float64 {
 // Request returns the profile (helper for nil-safety symmetry).
 func (p *RequestProfile) Request() *RequestProfile { return p }
 
-// RunRequests executes the metered open-loop workload: requests arrive
+// NewLatencyRecorder builds the latency recorder RunRequestsRec expects
+// for a workload of sz.Mutators workers.
+func NewLatencyRecorder(sz Sized) *telemetry.Recorder {
+	return telemetry.NewRecorder(telemetry.LatencyConfig(), sz.Mutators)
+}
+
+// RunRequestsRec executes the metered open-loop workload: requests arrive
 // at ratePerSec into an unbounded queue; sz.Mutators workers serve them.
 // Request i's latency is measured from its scheduled arrival to its
 // completion, so GC interruptions delay both the active request and
@@ -91,26 +97,12 @@ func (p *RequestProfile) Request() *RequestProfile { return p }
 // Each worker records into its own histogram shard, so the metering
 // itself is lock-free and allocation-free per request: nothing on this
 // path grows with the request count or disturbs the collector under
-// measurement.
-func RunRequests(v *vm.VM, sz Sized, ratePerSec float64) RequestResult {
-	return RunRequestsRec(v, sz, ratePerSec, nil)
-}
-
-// NewLatencyRecorder builds the latency recorder RunRequestsRec expects
-// for a workload of sz.Mutators workers.
-func NewLatencyRecorder(sz Sized) *telemetry.Recorder {
-	return telemetry.NewRecorder(telemetry.LatencyConfig(), sz.Mutators)
-}
-
-// RunRequestsRec is RunRequests with a caller-supplied latency recorder
-// (as built by NewLatencyRecorder), so a periodic reporter can snapshot
-// the latency distribution mid-run — Recorder.Snapshot is lock-free
-// against the recording workers. rec == nil allocates one internally.
+// measurement. rec is the caller's latency recorder (as built by
+// NewLatencyRecorder), so a periodic reporter can snapshot the latency
+// distribution mid-run — Recorder.Snapshot is lock-free against the
+// recording workers.
 func RunRequestsRec(v *vm.VM, sz Sized, ratePerSec float64, rec *telemetry.Recorder) RequestResult {
 	n := sz.Requests
-	if rec == nil {
-		rec = NewLatencyRecorder(sz)
-	}
 	interval := time.Duration(float64(time.Second) / ratePerSec)
 
 	var next atomic.Int64
