@@ -48,17 +48,12 @@ func (p *LXR) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 		var a obj.Ref
 		var ok bool
 		if l.Large {
-			var addr = obj.Ref(0)
-			addr, ok = p.bt.LOS().Alloc(l.Size)
-			a = addr
-			if ok {
+			if a, ok = p.bt.LOS().Alloc(l.Size); ok {
 				p.losNewMu.q.Push(a)
 				ms.largeSince += int64(l.Size)
 			}
 		} else {
-			var addr = obj.Ref(0)
-			addr, ok = ms.alloc.Alloc(l.Size)
-			a = addr
+			a, ok = ms.alloc.Alloc(l.Size)
 		}
 		if ok {
 			p.om.WriteHeader(a, l)
@@ -66,17 +61,20 @@ func (p *LXR) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 			return a
 		}
 		// Heap full: collect and retry. The first retry is a regular RC
-		// pause; subsequent retries force SATB completion in the pause
-		// (a "degenerate" full collection) to reclaim cycles.
-		e := p.vm.GCEpoch()
-		switch attempt {
-		case 0:
-			p.vm.CollectIfEpoch(m, e, func() { p.collectRC(pauseCauseHeapFull) })
-		case 1, 2, 3:
-			p.vm.CollectIfEpoch(m, e, func() { p.collectRC(pauseCauseEmergency) })
-		default:
+		// pause, its SATB vote the ordinary one; the next three start and
+		// finish a trace inside the pause (a "degenerate" full collection)
+		// to reclaim cycles.
+		if attempt > 3 {
 			panic(fmt.Sprintf("lxr: out of memory allocating %d bytes: %s", l.Size, p.bt))
 		}
+		cause, n := pauseCauseHeapFull, float64(attempt)
+		if attempt > 0 {
+			cause = pauseCauseEmergency
+		}
+		p.vm.CollectIfEpoch(m, p.vm.GCEpoch(), func() {
+			p.events.Trigger(p.trigFull, n, 0)
+			p.collectRC(cause)
+		})
 	}
 }
 

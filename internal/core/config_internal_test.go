@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lxr/internal/mem"
+	"lxr/internal/policy"
 )
 
 // TestZeroConfigDefaults pins the paper's fixed configuration (§4) that
@@ -19,23 +20,16 @@ func TestZeroConfigDefaults(t *testing.T) {
 	if c.HeapBytes != 64<<20 || c.GCThreads != 4 || c.ConcWorkers != 2 {
 		t.Fatalf("heap %d, threads %d, borrow width %d", c.HeapBytes, c.GCThreads, c.ConcWorkers)
 	}
-	if c.SurvivalThresholdBytes != 8<<20 || c.IncrementThreshold != 0 || c.CleanBlockThreshold != heapBlocks/16 {
-		t.Fatalf("triggers: survival %d, increments %d, clean blocks %d",
-			c.SurvivalThresholdBytes, c.IncrementThreshold, c.CleanBlockThreshold)
+	if c.SurvivalThresholdBytes != 8<<20 || c.IncrementThreshold != 0 {
+		t.Fatalf("triggers: survival %d, increments %d", c.SurvivalThresholdBytes, c.IncrementThreshold)
 	}
 	if c.NoConcurrentSATB || c.NoLazyDecrements || c.NoYoungEvac || c.EnableMatureEvac {
 		t.Fatalf("zero config switched something: %+v", c)
 	}
 
-	// Wastage vote: with no trace completed yet the live-block
-	// prediction is 0, so the vote fires exactly at 5% of the heap.
-	const clean = 1 << 30
-	if p.pacer.CycleDue(clean, heapBlocks*5/100-1) || !p.pacer.CycleDue(clean, (heapBlocks*5+99)/100) {
-		t.Fatalf("wastage vote does not sit at 5%% of %d blocks", heapBlocks)
-	}
-
-	if defragOccupancy != 0.5 || maxTraceEpochs != 32 {
-		t.Fatalf("defrag occupancy %v, trace epochs %d", defragOccupancy, maxTraceEpochs)
+	if policy.WastageFraction != 0.05 || policy.MaxTraceEpochs != 32 || defragOccupancy != 0.5 {
+		t.Fatalf("wastage vote at %v of the heap, %d trace epochs, defrag occupancy %v",
+			policy.WastageFraction, policy.MaxTraceEpochs, defragOccupancy)
 	}
 	for heap, want := range map[int]int{64 << 20: heapBlocks / 16, 1 << 20: 4} {
 		if got := defragMaxBlocks(heap); got != want {

@@ -48,10 +48,6 @@ type Config struct {
 	// IncrementThreshold bounds logged fields per epoch (0 = disabled,
 	// the paper's default).
 	IncrementThreshold int64
-	// CleanBlockThreshold is the minimum clean blocks an RC epoch must
-	// yield before the next pause starts an SATB (default: 1/16 of the
-	// heap's blocks).
-	CleanBlockThreshold int
 	// CleanBufferSlots sizes the lock-free clean-block buffer (default
 	// 32, the §5.4 sensitivity knob).
 	CleanBufferSlots int
@@ -105,12 +101,6 @@ func (c *Config) setDefaults() {
 			c.SurvivalThresholdBytes = 128 << 20
 		}
 	}
-	if c.CleanBlockThreshold == 0 {
-		c.CleanBlockThreshold = c.HeapBytes / mem.BlockSize / 16
-		if c.CleanBlockThreshold < 2 {
-			c.CleanBlockThreshold = 2
-		}
-	}
 }
 
 // LXR is the collector plan.
@@ -131,10 +121,11 @@ type LXR struct {
 	vm       *vm.VM
 	// events is the GC event tracer (nil = tracing off; every use is
 	// one nil-check branch). The SATB tracer above is unrelated.
-	events *trace.Tracer
+	events   *trace.Tracer
+	trigFull trace.NameID // "trigger:heap-full", interned in Boot
 
 	// pacer owns every start decision: the RC pause trigger polled at
-	// safepoints and the SATB cycle votes evaluated at pause end
+	// safepoints and the SATB cycle vote evaluated at pause end
 	// (§3.2.1, §3.2.2). It reports each due decision to events itself.
 	pacer *policy.RCPacer
 
@@ -247,8 +238,6 @@ func New(cfg Config) *LXR {
 		HeapBytes:              cfg.HeapBytes,
 		SurvivalThresholdBytes: cfg.SurvivalThresholdBytes,
 		IncrementThreshold:     cfg.IncrementThreshold,
-		HeapBlocks:             bt.BudgetBlocks(),
-		CleanBlockThreshold:    cfg.CleanBlockThreshold,
 		Tracer:                 cfg.Tracer,
 	})
 	if cfg.Tracer != nil {
@@ -285,6 +274,7 @@ func (p *LXR) Boot(v *vm.VM) {
 	p.ctr.promoted = v.Stats.Handle(CtrPromoted)
 	p.ctr.evacYoung = v.Stats.Handle(CtrYoungEvacBytes)
 	p.ctr.stuck = v.Stats.Handle(CtrStuck)
+	p.trigFull = p.events.TriggerName("heap-full")
 	p.conc.start()
 }
 

@@ -136,7 +136,7 @@ func TestMatureReclamationViaDecrements(t *testing.T) {
 }
 
 func TestCycleReclamationViaSATB(t *testing.T) {
-	v := newVM(t, core.Config{CleanBlockThreshold: 1 << 30}) // force SATB every pause
+	v := newVM(t, core.Config{}) // every pause below is explicit, so each votes for a trace
 	m := v.RegisterMutator(4)
 	defer m.Deregister()
 
@@ -247,7 +247,7 @@ func TestYoungEvacuationAmongCountedTargets(t *testing.T) {
 // longer runs (ROADMAP item 2), and this test is about the increment
 // drain, not about that.
 func TestMatureEvacuationAmongIncrements(t *testing.T) {
-	v := newVM(t, core.Config{EnableMatureEvac: true, CleanBlockThreshold: 1 << 30})
+	v := newVM(t, core.Config{EnableMatureEvac: true})
 	m := v.RegisterMutator(8)
 	defer m.Deregister()
 

@@ -89,10 +89,9 @@ func TestEnsureEvacuatedZeroesSourceCountBeforeForwarding(t *testing.T) {
 // zeroed and reused.
 func TestResolveSeesQuarantinedEvacuationSources(t *testing.T) {
 	p := New(Config{
-		HeapBytes:           8 << 20,
-		GCThreads:           2,
-		EnableMatureEvac:    true,
-		CleanBlockThreshold: 1 << 30, // an SATB cycle (and so an evacuation) at every opportunity
+		HeapBytes:        8 << 20,
+		GCThreads:        2,
+		EnableMatureEvac: true, // the pauses below are explicit: an SATB cycle (and so an evacuation) at every opportunity
 	})
 	v := vm.New(p, 4)
 	defer v.Shutdown()

@@ -9,6 +9,7 @@ import (
 	"lxr/internal/immix"
 	"lxr/internal/mem"
 	"lxr/internal/obj"
+	"lxr/internal/policy"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
@@ -17,19 +18,13 @@ import (
 const (
 	pauseCauseTrigger   = "trigger"   // survival/increment trigger
 	pauseCauseHeapFull  = "heap-full" // allocation failure
-	pauseCauseEmergency = "emergency" // allocation failure persisting: force full cycle
+	pauseCauseEmergency = "emergency" // allocation failure persisting: a whole trace in the pause
 	pauseCauseExplicit  = "explicit"
 )
 
 // rootTag marks work items that index rootSlots rather than being heap
 // slot addresses (bit 63 can never be a valid arena offset).
 const rootTag mem.Address = 1 << 63
-
-// maxTraceEpochs bounds how many RC epochs a single SATB trace may span
-// before the next pause forces its completion. This is a robustness
-// bound: traces normally complete on the concurrent thread well before
-// it.
-const maxTraceEpochs = 32
 
 // Telemetry counter names (vm.Stats).
 const (
@@ -161,7 +156,7 @@ func (p *LXR) pausePipeline(cause string) string {
 			p.tracer.Seed(s)
 		}
 		if wasIdle || p.cfg.NoConcurrentSATB || cause == pauseCauseEmergency ||
-			p.traceEpochs >= maxTraceEpochs {
+			p.traceEpochs >= policy.MaxTraceEpochs {
 			p.tracer.DrainParallel(p.pool)
 			traceComplete = true
 		}
@@ -276,17 +271,20 @@ func (p *LXR) pausePipeline(cause string) string {
 
 	// 8. Triggers: feed the epoch's survival observation to the pacer
 	// — which recomputes the next epoch's allocation budget — then put
-	// the SATB cycle vote to it.
+	// the SATB cycle vote to it, which only an explicit collection and a
+	// persisting allocation failure force: a heap that is always full at
+	// block granularity fails an allocation at most pauses.
 	survived := p.survived.Load()
 	st.Add(CtrSurvivedBytes, survived)
 	ph = time.Now()
 	p.pacer.ObserveEpoch(allocVol, survived)
-	if !p.satbActive.Load() && p.pacer.CycleDue(cleanYielded, p.bt.InUseBlocks()) {
+	if !p.satbActive.Load() && p.pacer.CycleDue(cause == pauseCauseEmergency || cause == pauseCauseExplicit) {
 		p.startSATB()
 		st.Add(CtrPausesSATB, 1)
-		if p.cfg.NoConcurrentSATB {
-			// -SATB ablation: the whole trace (and its reclamation)
-			// happens inside this pause — a mark pause for attribution.
+		if p.cfg.NoConcurrentSATB || cause == pauseCauseEmergency && !traceComplete {
+			// -SATB ablation, or an emergency with no trace to finish:
+			// the whole trace (and its reclamation) happens inside this
+			// pause — a mark pause for attribution.
 			hadMark = true
 			p.tracer.DrainParallel(p.pool)
 			p.finalizeSATB()

@@ -83,16 +83,16 @@ func (p *LXR) selectEvacSets() {
 // finalizeSATB runs in the pause where the trace completed: it reclaims
 // unmarked mature objects (cycles and stuck counts that reference
 // counting cannot collect), evacuates the evacuation sets, clears mark
-// bits, and feeds the live-block predictor.
+// bits, and tells the pacer what the trace freed.
 func (p *LXR) finalizeSATB() {
-	p.sweepUnmarked()
+	freed := p.sweepUnmarked()
 	if p.cfg.EnableMatureEvac && len(p.evacSet) > 0 {
 		p.evacuateSets()
 	}
 	p.parFor(p.marks.Words(), parClearThreshold, p.marks.ClearWords)
 	p.tracer.Finish()
 	p.satbActive.Store(false)
-	p.pacer.ObserveCycleEnd(p.bt.InUseBlocks())
+	p.pacer.ObserveTrace(freed)
 }
 
 // sweepUnmarked reclaims every mature object the completed trace left
@@ -100,13 +100,14 @@ func (p *LXR) finalizeSATB() {
 // snapshot: clearing its counts frees its lines; no recursive
 // decrements are needed because the entire unreachable subgraph is
 // unmarked and swept in the same pass (§3.3.2, "SATB Reclamation").
-func (p *LXR) sweepUnmarked() {
-	var dead atomic.Int64
+// Returns the bytes of the objects it freed.
+func (p *LXR) sweepUnmarked() int64 {
+	var dead, freed atomic.Int64
 	n := p.bt.Blocks()
 	p.pool.ParallelFor(n, func(w, start, end int) {
 		// Totals are batched per claimed range: one add to the shared
 		// cell and one to the worker's counter shard, not one per block.
-		died, skipped := 0, 0
+		died, skipped, bytes := 0, 0, 0
 		for i := start; i < end; i++ {
 			idx := i + 1 // main blocks are 1-based
 			st := p.bt.State(idx)
@@ -116,9 +117,10 @@ func (p *LXR) sweepUnmarked() {
 			if p.bt.HasFlag(idx, immix.FlagEvacuating) {
 				continue
 			}
-			d, sk := p.sweepBlockUnmarked(idx)
+			d, sk, b := p.sweepBlockUnmarked(idx)
 			died += d
 			skipped += sk
+			bytes += b
 			// Only full, unlisted blocks may change state here; blocks
 			// already on the recycled list stay put (their free lines
 			// are found on reuse), and defrag targets are released
@@ -134,6 +136,7 @@ func (p *LXR) sweepUnmarked() {
 			}
 		}
 		dead.Add(int64(died))
+		freed.Add(int64(bytes))
 		if skipped > 0 {
 			p.ctr.skip.AddAt(w+1, int64(skipped))
 		}
@@ -142,23 +145,26 @@ func (p *LXR) sweepUnmarked() {
 	p.bt.LOS().Each(func(a mem.Address) {
 		if p.rc.Get(a) != 0 && !p.marks.Get(a) {
 			p.rc.Set(a, 0)
+			freed.Add(int64(p.om.Size(a)))
 			p.bt.LOS().Free(a)
 			dead.Add(1)
 		}
 	})
 	p.vm.Stats.Add(CtrDeadSATB, dead.Load())
+	return freed.Load()
 }
 
 // sweepBlockUnmarked clears the metadata of unmarked objects in one
-// block, returning how many died and how many counted granules were
-// skipped because they do not decode to an object. It walks metadata
+// block, returning how many died, how many counted granules were
+// skipped because they do not decode to an object, and the bytes the
+// dead objects held. It walks metadata
 // words, not granules: a free line costs one RC-word load, a live line
 // three loads (meta.RCTable.UnmarkedStarts), and only a granule whose
 // mask bit is set — an unmarked, counted object start — is looked at.
 // The mask is taken per line, when the walk reaches it: reclaiming an
 // object clears the straddle markers on its later lines, and those
 // lines must then read as the per-granule walk would have read them.
-func (p *LXR) sweepBlockUnmarked(idx int) (dead, skipped int) {
+func (p *LXR) sweepBlockUnmarked(idx int) (dead, skipped, bytes int) {
 	first := idx * mem.LinesPerBlock
 	for l := first; l < first+mem.LinesPerBlock; l++ {
 		for m := p.rc.UnmarkedStarts(l, p.marks, p.straddle); m != 0; m &= m - 1 {
@@ -170,16 +176,16 @@ func (p *LXR) sweepBlockUnmarked(idx int) (dead, skipped int) {
 				skipped++
 				continue
 			}
-			p.reclaimObjectMeta(a)
+			bytes += p.reclaimObjectMeta(a)
 			dead++
 		}
 	}
-	return dead, skipped
+	return dead, skipped, bytes
 }
 
 // reclaimObjectMeta clears the RC count and straddle markers of a dead
-// object so its lines become reusable.
-func (p *LXR) reclaimObjectMeta(ref obj.Ref) {
+// object so its lines become reusable, and returns the object's size.
+func (p *LXR) reclaimObjectMeta(ref obj.Ref) int {
 	size := p.om.Size(ref)
 	p.rc.Set(ref, 0)
 	if size > mem.LineSize {
@@ -196,6 +202,7 @@ func (p *LXR) reclaimObjectMeta(ref obj.Ref) {
 			p.straddle.Clear(a)
 		}
 	}
+	return size
 }
 
 // --- mature evacuation ----------------------------------------------------------

@@ -12,7 +12,7 @@ import (
 // sweepBlockUnmarkedRef is the per-granule loop the word-parallel sweep
 // replaced: three metadata probes for every granule of the block, then
 // the same per-object path.
-func sweepBlockUnmarkedRef(p *LXR, idx int) (dead, skipped int) {
+func sweepBlockUnmarkedRef(p *LXR, idx int) (dead, skipped, bytes int) {
 	start := mem.BlockStart(idx)
 	for g := 0; g < mem.GranulesPerBlock; g++ {
 		a := start + mem.Address(g)<<mem.GranuleLog
@@ -24,10 +24,11 @@ func sweepBlockUnmarkedRef(p *LXR, idx int) (dead, skipped int) {
 			skipped++
 			continue
 		}
+		bytes += p.om.Size(a)
 		p.reclaimObjectMeta(a)
 		dead++
 	}
-	return dead, skipped
+	return dead, skipped, bytes
 }
 
 // sweepHeap is the slice of an LXR plan the unmarked sweep reads and
@@ -122,7 +123,8 @@ func garbageWord(r *rand.Rand) uint64 {
 // TestSweepBlockUnmarkedMatchesPerGranuleReference fills the same
 // randomized blocks into two heaps, sweeps one with the word-parallel
 // walk and one with the per-granule reference, and asks for the same
-// dead count, the same skip count and bit-identical RC and straddle
+// dead count, the same skip count, the same freed bytes (the pacer's
+// SATB vote runs on them) and bit-identical RC and straddle
 // tables over the whole arena (a clobbered header must not reach into a
 // neighbouring block on either side).
 func TestSweepBlockUnmarkedMatchesPerGranuleReference(t *testing.T) {
@@ -149,11 +151,11 @@ func TestSweepBlockUnmarkedMatchesPerGranuleReference(t *testing.T) {
 		// Sweep the middle block only: its neighbours are populated and
 		// must come out untouched.
 		const idx = 2
-		dead, skipped := fast.sweepBlockUnmarked(idx)
-		wantDead, wantSkipped := sweepBlockUnmarkedRef(ref, idx)
-		if dead != wantDead || skipped != wantSkipped {
-			t.Fatalf("trial %d (%+v): dead=%d skipped=%d, reference dead=%d skipped=%d",
-				trial, f, dead, skipped, wantDead, wantSkipped)
+		dead, skipped, bytes := fast.sweepBlockUnmarked(idx)
+		wantDead, wantSkipped, wantBytes := sweepBlockUnmarkedRef(ref, idx)
+		if dead != wantDead || skipped != wantSkipped || bytes != wantBytes {
+			t.Fatalf("trial %d (%+v): dead=%d skipped=%d bytes=%d, reference dead=%d skipped=%d bytes=%d",
+				trial, f, dead, skipped, bytes, wantDead, wantSkipped, wantBytes)
 		}
 		for l := 0; l < blocks*mem.LinesPerBlock; l++ {
 			if g, w := fast.rc.LineWord(l), ref.rc.LineWord(l); g != w {
@@ -214,7 +216,7 @@ func BenchmarkSweepUnmarked(b *testing.B) {
 					b.StartTimer()
 				}
 				for idx := 1; idx <= blocks; idx++ {
-					d, _ := p.sweepBlockUnmarked(idx)
+					d, _, _ := p.sweepBlockUnmarked(idx)
 					dead += d
 				}
 			}

@@ -13,7 +13,7 @@ import (
 // --- decay predictor (absorbed from the old internal/trigger) ---------------
 
 func TestDecayPredictorBiasHigh(t *testing.T) {
-	p := policy.NewDecayPredictor(0.1, true)
+	p := policy.NewDecayPredictor(0.1)
 	p.Observe(0.5) // above prediction: react fast (3/4 weight)
 	if got := p.Predict(); got < 0.39 || got > 0.41 {
 		t.Fatalf("fast-direction update got %v", got)
@@ -21,14 +21,6 @@ func TestDecayPredictorBiasHigh(t *testing.T) {
 	p.Observe(0.0) // below: forget slowly (1/4 weight)
 	if got := p.Predict(); got < 0.29 || got > 0.31 {
 		t.Fatalf("slow-direction update got %v", got)
-	}
-}
-
-func TestDecayPredictorBiasLow(t *testing.T) {
-	p := policy.NewDecayPredictor(1.0, false)
-	p.Observe(0.0) // below prediction is the conservative direction
-	if got := p.Predict(); got > 0.26 {
-		t.Fatalf("low-bias should react fast downward, got %v", got)
 	}
 }
 
@@ -52,8 +44,6 @@ func newRC() *policy.RCPacer {
 	return policy.NewRCPacer(policy.RCPacerConfig{
 		HeapBytes:              1 << 30, // roomy: the cap stays out of the way
 		SurvivalThresholdBytes: 1 << 20,
-		HeapBlocks:             1000,
-		CleanBlockThreshold:    16,
 	})
 }
 
@@ -134,31 +124,128 @@ func TestRCPacerHeapCap(t *testing.T) {
 	}
 }
 
-// TestRCPacerSATBVotes replays the historical SATB triggers: clean-block
-// shortfall and predicted wastage.
+// TestRCPacerSATBVotes walks the cycle vote through its conditions: yes
+// until a trace has been measured, then predicted yield (the rate past
+// traces freed at, times the bytes allocated since the last snapshot)
+// against 5% of the heap.
 func TestRCPacerSATBVotes(t *testing.T) {
+	const heap = 1 << 30
 	p := newRC()
-	if !p.CycleDue(2, 500) {
-		t.Fatal("clean-block shortfall must trigger")
+	p.ObserveEpoch(heap/4, 0)
+	if !p.CycleDue(false) {
+		t.Fatal("no trace measured yet: the vote must be yes")
 	}
-	if p.CycleDue(100, 10) {
-		t.Fatal("plenty of clean blocks, low wastage: no trigger")
+	p.ObserveTrace(heap / 16) // seeds the rate: 1/4
+	p.ObserveEpoch(heap/8, 0) // predicted 1/32 of the heap: under 5%
+	if p.CycleDue(false) {
+		t.Fatal("predicted yield of 3.1% of the heap must not trace")
 	}
-	// The live-block prediction starts at 0 and is biased low, so the
-	// first completed trace moves it only a quarter of the way to the
-	// 100 blocks observed: prediction 25. The vote sits at 5% of 1000 =
-	// 50 blocks of wastage, i.e. at occupancy 75.
-	p.ObserveCycleEnd(100)
-	if p.CycleDue(100, 74) || !p.CycleDue(100, 75) {
-		t.Fatal("after one trace of 100 live blocks the wastage vote must sit at occupancy 25 + 50")
+	p.ObserveEpoch(heap/8, 0) // predicted 1/16: over
+	if !p.CycleDue(false) {
+		t.Fatal("predicted yield of 6.25% of the heap must trace")
 	}
-	if p.CycleDue(100, 5) {
-		t.Fatal("wastage must floor at zero")
+	// That trace freed nothing over an interval of heap/4: the rate
+	// forgets slowly, 1/4 -> 3/16, so the vote now sits at
+	// 0.05*16/3 = 0.267 of the heap allocated.
+	p.ObserveTrace(0)
+	p.ObserveEpoch(heap/4, 0)
+	if p.CycleDue(false) {
+		t.Fatal("rate 3/16 over a quarter of the heap is 4.7%: no trace")
 	}
-	// Each later trace closes a quarter of the remaining gap.
-	p.ObserveCycleEnd(100)
-	if p.CycleDue(100, 93) || !p.CycleDue(100, 94) {
-		t.Fatal("second trace: prediction 43.75, vote at occupancy 93.75")
+	p.ObserveEpoch(heap/32, 0)
+	if !p.CycleDue(false) {
+		t.Fatal("rate 3/16 over 9/32 of the heap is 5.3%: trace")
+	}
+	// A snapshot with no allocation behind it carries no rate.
+	if !p.CycleDue(true) {
+		t.Fatal("a forced vote must be yes")
+	}
+	p.ObserveTrace(1 << 20)
+	p.ObserveEpoch(heap/4, 0)
+	if p.CycleDue(false) {
+		t.Fatal("a zero-allocation interval moved the rate")
+	}
+}
+
+// votePause is one pause as the vote sees it: the bytes its epoch
+// allocated, and whether it was an explicit collection or an emergency.
+type votePause struct {
+	alloc  int64
+	forced bool
+}
+
+// TestRCPacerVoteExhaustive enumerates every sequence of voteDepth
+// pauses over {no allocation, heap/8, heap/2} x {ordinary, forced}, each
+// trace freeing a fixed share of its interval, and checks the vote after
+// every step, the way a bounded model checker walks a ladder program
+// (PAPERS.md, ESBMC-GraphPLC).
+func TestRCPacerVoteExhaustive(t *testing.T) {
+	const heap = 20 << 16 // every sum of allocations is a multiple of 20
+	var alphabet []votePause
+	for _, a := range []int64{0, heap / 8, heap / 2} {
+		alphabet = append(alphabet, votePause{a, false}, votePause{a, true})
+	}
+	for _, yield := range []int64{0, 20, 2} { // a trace frees nothing, or 1/20 or 1/2 of its interval
+		seq := make([]votePause, 0, voteDepth)
+		var walk func()
+		walk = func() {
+			if len(seq) == voteDepth { // a run checks every prefix on its way
+				checkVoteRun(t, heap, yield, seq)
+				return
+			}
+			for _, s := range alphabet {
+				seq = append(seq, s)
+				walk()
+				seq = seq[:len(seq)-1]
+			}
+		}
+		walk()
+	}
+	// The cap needs a longer run: futile traces come MaxTraceEpochs apart.
+	p := policy.NewRCPacer(policy.RCPacerConfig{HeapBytes: heap, SurvivalThresholdBytes: heap / 8})
+	for i, last := 1, 0; i <= 200; i++ {
+		p.ObserveEpoch(heap/8, 0)
+		if due := p.CycleDue(false); due != (last == 0 || i-last == policy.MaxTraceEpochs) {
+			t.Fatalf("epoch %d, %d after the last snapshot: voted %v", i, i-last, due)
+		} else if due {
+			p.ObserveTrace(0)
+			last = i
+		}
+	}
+}
+
+// checkVoteRun replays seq on a fresh pacer, finishing every trace in its
+// own pause with 1/yield of its interval freed (nothing when yield is 0).
+func checkVoteRun(t *testing.T, heap, yield int64, seq []votePause) {
+	p := policy.NewRCPacer(policy.RCPacerConfig{HeapBytes: int(heap), SurvivalThresholdBytes: heap / 8})
+	thr := policy.WastageFraction * float64(heap)
+	var since, freed int64 // allocated since the last snapshot; what a trace now would free
+	measured := false
+	lastGap, gap := 0, 0 // epochs between the last two snapshots, and since the last
+	for i, s := range seq {
+		p.ObserveEpoch(s.alloc, 0)
+		since += s.alloc
+		gap++
+		if yield > 0 {
+			freed = since / yield
+		}
+		// With a constant yield the measured rate is the yield, so the
+		// vote is freed against 5% of the heap: yes at the smallest gap
+		// that reaches it (a NaN, infinite or negative rate could not
+		// agree); exactly on the threshold the rate's last bit decides.
+		due, want := p.CycleDue(s.forced), s.forced || !measured || float64(freed) >= thr
+		if due != want && (s.forced || !measured || float64(freed) != thr) {
+			t.Fatalf("yield 1/%d, %+v: step %d voted %v, want %v (since %d)", yield, seq, i, due, want, since)
+		}
+		if !due {
+			continue
+		}
+		p.ObserveTrace(freed)
+		if yield == 0 && measured && !s.forced && gap < lastGap {
+			t.Fatalf("yield 0, %+v: step %d traced after %d epochs, the trace before it after %d", seq, i, gap, lastGap)
+		}
+		measured = measured || since > 0
+		lastGap, gap, since, freed = gap, 0, 0, 0
 	}
 }
 
@@ -166,26 +253,39 @@ func TestRCPacerSATBVotes(t *testing.T) {
 // lands on the tracer's policy lane under the kind name the benchmark's
 // ledger looks up, with the signal on the firing side of the threshold.
 func TestRCPacerReportsToTracer(t *testing.T) {
-	tr := trace.New(trace.Config{ShardCap: 16})
+	const heap = 1 << 30
+	tr := trace.New(trace.Config{ShardCap: 64})
 	p := policy.NewRCPacer(policy.RCPacerConfig{
-		HeapBytes: 1 << 30, SurvivalThresholdBytes: 1 << 20, IncrementThreshold: 100,
-		HeapBlocks: 1000, CleanBlockThreshold: 16, Tracer: tr,
+		HeapBytes: heap, SurvivalThresholdBytes: 1 << 20, IncrementThreshold: 100, Tracer: tr,
 	})
 	limit := p.AllocLimit()
-	p.Due(limit-1, 99)  // not due
-	p.Due(limit, 0)     // rc-survival
-	p.Due(0, 100)       // rc-increments
-	p.CycleDue(100, 10) // not due
-	p.CycleDue(15, 10)  // satb-clean
-	p.CycleDue(16, 50)  // satb-wastage
+	p.Due(limit-1, 99) // not due
+	p.Due(limit, 0)    // rc-survival
+	p.Due(0, 100)      // rc-increments
+	p.ObserveEpoch(heap/2, 0)
+	p.CycleDue(false)        // satb-clean: nothing measured yet, one epoch in
+	p.ObserveTrace(heap / 8) // rate 1/4
+	p.ObserveEpoch(heap/8, 0)
+	p.CycleDue(false) // not due: 3.1% predicted
+	p.CycleDue(true)  // satb-clean: forced
+	p.ObserveTrace(heap / 32)
+	p.ObserveEpoch(heap/2, 0)
+	p.CycleDue(false) // satb-wastage: rate 1/4 x heap/2
+	p.ObserveTrace(0) // rate 3/16: the vote sits at 27% of the heap
+	for i := 0; i < policy.MaxTraceEpochs; i++ {
+		p.ObserveEpoch(heap/256, 0)
+		p.CycleDue(false) // satb-clean, on the 32nd epoch only
+	}
 	want := []struct {
 		kind           string
 		signal, thresh float64
 	}{
 		{"rc-survival", float64(limit), float64(limit)},
 		{"rc-increments", 100, 100},
-		{"satb-clean", 15, 16},
-		{"satb-wastage", 50, 50},
+		{"satb-clean", 1, 0},
+		{"satb-clean", 0, 0},
+		{"satb-wastage", heap / 8, policy.WastageFraction * heap},
+		{"satb-clean", policy.MaxTraceEpochs, 0},
 	}
 	evs := tr.Drain()[trace.ShardPolicy].Events
 	if len(evs) != len(want) {
@@ -208,7 +308,6 @@ func TestRCPacerReportsToTracer(t *testing.T) {
 func TestStressPacerConcurrency(t *testing.T) {
 	p := policy.NewRCPacer(policy.RCPacerConfig{
 		HeapBytes: 1 << 28, SurvivalThresholdBytes: 1 << 20,
-		HeapBlocks: 1000, CleanBlockThreshold: 16,
 		Tracer: trace.New(trace.Config{ShardCap: 64}),
 	})
 	var stop atomic.Bool
@@ -224,8 +323,9 @@ func TestStressPacerConcurrency(t *testing.T) {
 	}
 	for i := 0; i < 20000; i++ {
 		p.ObserveEpoch(1<<20, int64(i%10)<<16)
-		p.CycleDue(i%64, i%1200)
-		p.ObserveCycleEnd((i + 100) % 1100)
+		if p.CycleDue(i%97 == 0) {
+			p.ObserveTrace(int64(i%7) << 16)
+		}
 	}
 	stop.Store(true)
 	wg.Wait()

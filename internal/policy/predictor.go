@@ -2,34 +2,26 @@ package policy
 
 import "sync"
 
-// DecayPredictor is the paper's 1:3 / 3:1 conservatively biased
-// exponential decay predictor (§3.2.1). When an observation exceeds the
-// current prediction, the new prediction weights the observation
-// 3/4 : 1/4 (reacting quickly in the conservative direction); otherwise
-// the weights reverse (forgetting slowly).
+// DecayPredictor is the paper's 3:1 conservatively biased exponential
+// decay predictor (§3.2.1). When an observation exceeds the current
+// prediction, the new prediction weights the observation 3/4 : 1/4
+// (reacting quickly in the conservative direction); otherwise the
+// weights reverse (forgetting slowly).
 type DecayPredictor struct {
 	mu    sync.Mutex
 	value float64
-	// BiasHigh selects the conservative direction: true biases toward
-	// high observations (survival rates), false toward low ones
-	// (post-trace live volume).
-	BiasHigh bool
 }
 
 // NewDecayPredictor creates a predictor with an initial value.
-func NewDecayPredictor(initial float64, biasHigh bool) *DecayPredictor {
-	return &DecayPredictor{value: initial, BiasHigh: biasHigh}
+func NewDecayPredictor(initial float64) *DecayPredictor {
+	return &DecayPredictor{value: initial}
 }
 
 // Observe folds a new observation into the prediction.
 func (p *DecayPredictor) Observe(x float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	conservative := x > p.value
-	if !p.BiasHigh {
-		conservative = x < p.value
-	}
-	if conservative {
+	if x > p.value {
 		p.value = 0.75*x + 0.25*p.value
 	} else {
 		p.value = 0.25*x + 0.75*p.value

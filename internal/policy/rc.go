@@ -13,7 +13,7 @@ import (
 // paper's defaults where one exists.
 type RCPacerConfig struct {
 	// HeapBytes bounds the epoch allocation budget (never more than
-	// half the heap between pauses).
+	// half the heap between pauses) and is the SATB wastage denominator.
 	HeapBytes int
 	// SurvivalThresholdBytes bounds predicted survivor volume per epoch
 	// (§3.2.1; the paper's default is 128 MB on multi-GB heaps, the
@@ -22,34 +22,38 @@ type RCPacerConfig struct {
 	// IncrementThreshold bounds logged fields per epoch; 0 disables
 	// (the paper's default).
 	IncrementThreshold int64
-	// HeapBlocks is the heap budget in blocks (the SATB wastage
-	// denominator).
-	HeapBlocks int
-	// CleanBlockThreshold is the minimum clean blocks an RC epoch must
-	// yield to avoid triggering an SATB trace (§3.2.2).
-	CleanBlockThreshold int
 	// Tracer, when non-nil, receives every due decision as a
 	// "trigger:<kind>" instant carrying signal and threshold.
 	Tracer *trace.Tracer
 }
 
-// wastageFraction is the predicted-wastage SATB trigger: 5% of the heap
+// WastageFraction is the predicted-wastage SATB trigger: 5% of the heap
 // (§3.2.2).
-const wastageFraction = 0.05
+const WastageFraction = 0.05
+
+// MaxTraceEpochs bounds the RC epochs between SATB snapshots, and so the
+// epochs one trace may span before a pause completes it: the gap a heap
+// whose traces free nothing settles at.
+const MaxTraceEpochs = 32
 
 // RCPacer is LXR's pacer (§3.2.1, §3.2.2): the survival-rate RC pause
 // trigger — folded into a single allocation-budget comparison so the
-// safepoint fast path is one atomic load — and the SATB cycle votes
-// (clean-block shortfall, predicted heap wastage). Due is safe from any
-// number of mutators concurrently with the pause's Observe calls; it
-// takes no lock.
+// safepoint fast path is one atomic load — and the SATB cycle vote
+// (heap wastage predicted from what traces reclaim). Due is safe from
+// any number of mutators concurrently with the pause's calls; it takes
+// no lock.
 type RCPacer struct {
 	cfg RCPacerConfig
 
-	survival   *DecayPredictor // young survival rate in [0,1], bias high
-	liveBlocks *DecayPredictor // post-SATB live blocks, bias low
+	survival *DecayPredictor // young survival rate in [0,1]
 
 	allocLimit atomic.Int64
+
+	// The cycle vote's state, touched by pauses only.
+	yield         *DecayPredictor // bytes a trace frees per byte allocated; nil until one has completed
+	sinceSnapshot int64           // bytes allocated since the last trace's snapshot
+	interval      int64           // bytes allocated between the last two snapshots
+	epochs        int             // RC epochs since the last snapshot
 
 	// The trigger kinds, interned once so that firing one is a single
 	// ring write.
@@ -61,8 +65,7 @@ func NewRCPacer(cfg RCPacerConfig) *RCPacer {
 	tr := cfg.Tracer
 	p := &RCPacer{
 		cfg:          cfg,
-		survival:     NewDecayPredictor(0.15, true),
-		liveBlocks:   NewDecayPredictor(0, false),
+		survival:     NewDecayPredictor(0.15),
 		survivalID:   tr.TriggerName("rc-survival"),
 		incrementsID: tr.TriggerName("rc-increments"),
 		cleanID:      tr.TriggerName("satb-clean"),
@@ -91,36 +94,48 @@ func (p *RCPacer) Due(allocBytes, loggedFields int64) bool {
 	return false
 }
 
-// CycleDue reports whether the pause that just swept should seed an
-// SATB trace: the epoch yielded too few clean blocks, or predicted
-// wastage (occupancy minus predicted post-trace live blocks) exceeds
-// the wastage fraction of the heap (§3.2.2).
-func (p *RCPacer) CycleDue(cleanYielded, heapBlocks int) bool {
-	if thr := p.cfg.CleanBlockThreshold; cleanYielded < thr {
-		p.cfg.Tracer.Trigger(p.cleanID, float64(cleanYielded), float64(thr))
-		return true
-	}
-	wastage := float64(heapBlocks) - p.liveBlocks.Predict()
-	if wastage < 0 {
-		wastage = 0
-	}
-	if thr := wastageFraction * float64(p.cfg.HeapBlocks); wastage >= thr {
+// CycleDue reports whether the pause that just swept should take an
+// SATB snapshot, and records it on a yes. It is the paper's vote (§3.2.2),
+// predicted wastage against 5% of the heap, with wastage predicted as the
+// rate past traces freed at times the bytes allocated since the last
+// snapshot; and yes outright when forced, until a trace has been
+// measured, and MaxTraceEpochs epochs after the last snapshot.
+func (p *RCPacer) CycleDue(forced bool) bool {
+	switch thr := WastageFraction * float64(p.cfg.HeapBytes); {
+	case forced:
+		p.cfg.Tracer.Trigger(p.cleanID, 0, 0)
+	case p.yield == nil || p.epochs >= MaxTraceEpochs:
+		p.cfg.Tracer.Trigger(p.cleanID, float64(p.epochs), 0)
+	default:
+		wastage := p.yield.Predict() * float64(p.sinceSnapshot)
+		if wastage < thr {
+			return false
+		}
 		p.cfg.Tracer.Trigger(p.wastageID, wastage, thr)
-		return true
 	}
-	return false
+	p.interval, p.sinceSnapshot, p.epochs = p.sinceSnapshot, 0, 0
+	return true
 }
 
-// ObserveCycleEnd records a completed SATB trace that left heapBlocks
-// in use: feeds the post-trace live-block predictor behind the wastage
-// vote.
-func (p *RCPacer) ObserveCycleEnd(heapBlocks int) {
-	p.liveBlocks.Observe(float64(heapBlocks))
+// ObserveTrace records what the trace of the last snapshot freed, as a
+// yield per byte allocated since the snapshot before it. An interval
+// without allocation carries no rate.
+func (p *RCPacer) ObserveTrace(freedBytes int64) {
+	if p.interval <= 0 {
+		return
+	}
+	if rate := float64(freedBytes) / float64(p.interval); p.yield == nil {
+		p.yield = NewDecayPredictor(rate)
+	} else {
+		p.yield.Observe(rate)
+	}
 }
 
-// ObserveEpoch folds one epoch in: survival feedback and the
-// allocation-budget recomputation.
+// ObserveEpoch folds one epoch in: survival feedback, the
+// allocation-budget recomputation and the cycle vote's volume.
 func (p *RCPacer) ObserveEpoch(allocBytes, survivedBytes int64) {
+	p.sinceSnapshot += allocBytes
+	p.epochs++
 	if allocBytes > 0 {
 		r := float64(survivedBytes) / float64(allocBytes)
 		if r > 1 {

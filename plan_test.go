@@ -84,9 +84,10 @@ func TestBenchSurface(t *testing.T) {
 	// The ledger counts pacing decisions by interning these names
 	// (bench/ledger.go triggerKinds; rc-increments is off by default),
 	// so a renamed kind would zero policy.trigger_count and fail
-	// nothing else. Triggered pauses must emit all three: live data
-	// first, so a pause yields few clean blocks; then garbage over it,
-	// so pauses yield plenty while the heap holds more than predicted.
+	// nothing else. The pauses so far emit satb-clean (no trace measured
+	// yet, then the explicit one); triggered pauses must emit the other
+	// two: promoted cycles dropped a lap later, so that the traces which
+	// follow free memory and the vote predicts that the next will.
 	missing := func() (kinds []string) {
 		seen := map[trace.NameID]bool{}
 		for _, ev := range tr.Drain()[trace.ShardPolicy].Events {
@@ -99,17 +100,17 @@ func TestBenchSurface(t *testing.T) {
 		}
 		return kinds
 	}
-	for i := 0; i < 2048; i++ {
-		n := m.Alloc(0, 1, 1024)
-		m.Store(n, 0, m.Roots[1])
-		m.Roots[1] = n
-	}
-	for mb := 0; len(missing()) > 0; mb++ {
-		if mb == 256 {
-			t.Fatalf("256 MB of allocation emitted no trigger:%v instant", missing())
+	m.Roots[1] = m.Alloc(0, 512, 0)
+	for i := 0; len(missing()) > 0; i++ {
+		if i == 256 {
+			t.Fatalf("256 laps of dropped cycles emitted no trigger:%v instant", missing())
 		}
-		for i := 0; i < 1024; i++ {
-			m.Alloc(0, 0, 1024)
+		for j := 0; j < 512; j++ {
+			m.Roots[2] = m.Alloc(0, 1, 1024)
+			b := m.Alloc(0, 1, 1024)
+			m.Store(b, 0, m.Roots[2])
+			m.Store(m.Roots[2], 0, b)
+			m.Store(m.Roots[1], j, m.Roots[2])
 		}
 	}
 
@@ -200,17 +201,17 @@ func TestEveryCollectorReportsItsTriggers(t *testing.T) {
 	ge := func(s, thr float64) bool { return s >= thr }
 	gt := func(s, thr float64) bool { return s > thr }
 	firingSide := map[string]func(s, thr float64) bool{
-		"rc-survival": ge, "rc-increments": ge, "satb-wastage": ge,
-		"satb-clean":   func(s, thr float64) bool { return s < thr },
+		"rc-survival": ge, "rc-increments": ge, "satb-wastage": ge, "satb-clean": ge,
 		"young-target": ge, "ihop": gt,
 		"young-reserve": func(s, thr float64) bool { return s <= thr },
 		"free-fraction": gt,
 		"half-budget":   ge,
-		// Allocation failure has no threshold to cross: occupancy
-		// within the budget it is reported against.
-		"heap-full": func(s, thr float64) bool { return s > 0 && s <= thr },
+		// Allocation failure has no threshold to cross: Immix reports
+		// occupancy within the budget, LXR the ladder's attempt (0 to 3)
+		// against 0.
+		"heap-full": func(s, thr float64) bool { return s > 0 && s <= thr || thr == 0 && s >= 0 && s <= 3 },
 	}
-	lxrKinds := []string{"rc-survival", "rc-increments", "satb-clean", "satb-wastage"}
+	lxrKinds := []string{"rc-survival", "rc-increments", "satb-clean", "satb-wastage", "heap-full"}
 	g1Kinds := []string{"young-target", "young-reserve", "ihop"}
 	kindsOf := map[lxr.CollectorKind][]string{
 		lxr.CollectorLXR: lxrKinds, lxr.CollectorLXRNoSATB: lxrKinds,
@@ -233,10 +234,22 @@ func TestEveryCollectorReportsItsTriggers(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := vm.New(plan, 0)
-			m := v.RegisterMutator(1)
-			for i := 0; v.Stats.PauseCount() < 2; i++ {
+			m := v.RegisterMutator(2)
+			want, paced := 2, kinds[0] == "rc-survival"
+			if paced {
+				// LXR's pacer paces: it meets an allocation failure only
+				// when the live set leaves less room than the epoch budget
+				// asks for. Keep three quarters of the heap reachable.
+				for i := 0; i < 6<<10; i++ {
+					n := m.Alloc(0, 1, 1024)
+					m.Store(n, 0, m.Roots[1])
+					m.Roots[1] = n
+				}
+				want = v.Stats.PauseCount() + 8
+			}
+			for i := 0; v.Stats.PauseCount() < want; i++ {
 				if i == 8*heap/1024 {
-					t.Fatalf("no second pause after allocating 8x the heap")
+					t.Fatalf("pause %d of %d not reached after allocating 8x the heap", v.Stats.PauseCount(), want)
 				}
 				m.Roots[0] = m.Alloc(0, 1, 1024)
 				if i%512 == 0 {
@@ -274,6 +287,9 @@ func TestEveryCollectorReportsItsTriggers(t *testing.T) {
 				if n > pauses {
 					t.Errorf("trigger:%s fired %d times for %d pauses", kind, n, pauses)
 				}
+			}
+			if paced && count["heap-full"] == 0 {
+				t.Errorf("no trigger:heap-full among %v with the heap three quarters live", count)
 			}
 		})
 	}
