@@ -63,10 +63,8 @@ type immixMut struct {
 
 type immixLines struct{ t *meta.BitTable }
 
-func (l immixLines) LineFree(idx int) bool { return !l.t.Get(mem.LineStart(idx)) }
-
-// FreeLineBits implements immix.LineBitsSource: for a line-granularity
-// bit table the global line index is the bit index, so a block's 128
+// FreeLineBits implements immix.LineMap: for a line-granularity bit
+// table the global line index is the bit index, so a block's 128
 // free-line bits are four inverted word loads.
 func (l immixLines) FreeLineBits(firstLine int, bm *[mem.LinesPerBlock / 32]uint32) {
 	for i := range bm {
@@ -87,7 +85,7 @@ func (p *Immix) Shutdown() { p.pool.Stop() }
 // BindMutator implements vm.Plan.
 func (p *Immix) BindMutator(m *vm.Mutator) {
 	ms := &immixMut{}
-	ms.alloc = immix.Allocator{BT: p.bt, Lines: immixLines{p.lineMarks}, UseRecycled: true}
+	ms.alloc = immix.Allocator{BT: p.bt, Lines: immixLines{p.lineMarks}}
 	if p.barrier {
 		ms.alloc.OnSpan = func(start, end mem.Address, recycled bool) {
 			p.logs.ClearRange(start, end)

@@ -150,11 +150,10 @@ func (p *LXR) ReadRef(m *vm.Mutator, src obj.Ref, i int) obj.Ref {
 }
 
 // pollTrigger is the RC trigger poll shared by Alloc and PollSafepoint.
-// The fast path is two mutator-local comparisons: until this mutator
-// has accumulated allocPublishBytes of unpublished allocation (or, with
-// an increment threshold configured, a comparable batch of unpublished
-// barrier slow paths), nothing global is touched. Past the grain, the
-// private counters are published and the pacer consulted.
+// The fast path is one mutator-local comparison: until this mutator has
+// accumulated allocPublishBytes of unpublished allocation, nothing
+// global is touched. Past the grain, the private counter is published
+// and the pacer consulted.
 //
 // The GC epoch is captured BEFORE the pacer reads the signals: if
 // another mutator's pause completes in between, the signals this poll
@@ -162,45 +161,26 @@ func (p *LXR) ReadRef(m *vm.Mutator, src obj.Ref, i int) obj.Ref {
 // trigger instead of starting a back-to-back collection the pacer never
 // asked for.
 func (p *LXR) pollTrigger(m *vm.Mutator, ms *mutState) {
-	pending := ms.alloc.SinceEpoch + ms.largeSince
-	if pending < allocPublishBytes &&
-		(p.cfg.IncrementThreshold <= 0 || ms.slowOps-ms.slowPub < allocPublishBytes/16) {
+	if ms.alloc.SinceEpoch+ms.largeSince < allocPublishBytes {
 		return
 	}
-	p.publishCounters(ms)
-	e := p.vm.GCEpoch()
-	var logged int64
-	if p.cfg.IncrementThreshold > 0 {
-		logged = p.logsSince.Load()
+	v := ms.alloc.HarvestSinceEpoch() + ms.largeSince
+	ms.largeSince = 0
+	p.allocSince.Add(v)
+	if tr := p.events; tr != nil {
+		// Already rate-limited to the 16 KB publish grain.
+		tr.Instant(ms.shard, trace.NameAllocPublish, uint64(v), 0)
 	}
-	if p.pacer.Due(p.allocSince.Load(), logged) && p.gcScheduled.CompareAndSwap(false, true) {
+	e := p.vm.GCEpoch()
+	if p.pacer.Due(p.allocSince.Load()) && p.gcScheduled.CompareAndSwap(false, true) {
 		p.vm.CollectIfEpoch(m, e, func() { p.collectRC(pauseCauseTrigger) })
 		p.gcScheduled.Store(false)
 	}
 }
 
-// publishCounters folds the mutator's unpublished allocation volume and
-// barrier slow paths into the global trigger counters.
-func (p *LXR) publishCounters(ms *mutState) {
-	v := ms.alloc.HarvestSinceEpoch() + ms.largeSince
-	ms.largeSince = 0
-	if v != 0 {
-		p.allocSince.Add(v)
-		if tr := p.events; tr != nil {
-			// Already rate-limited to the 16 KB publish grain.
-			tr.Instant(ms.shard, trace.NameAllocPublish, uint64(v), 0)
-		}
-	}
-	if d := ms.slowOps - ms.slowPub; d != 0 {
-		ms.slowPub = ms.slowOps
-		p.logsSince.Add(d)
-	}
-}
-
 // PollSafepoint implements vm.Plan: the RC trigger fast path (see
 // pollTrigger). The pacer folds the survival-rate trigger into a single
-// allocation-budget comparison (policy.RCPacer.AllocLimit); the
-// increment threshold is checked when configured.
+// allocation-budget comparison (policy.RCPacer.AllocLimit).
 func (p *LXR) PollSafepoint(m *vm.Mutator) {
 	if ms, ok := m.PlanState.(*mutState); ok {
 		p.pollTrigger(m, ms)

@@ -20,10 +20,10 @@ func TestZeroConfigDefaults(t *testing.T) {
 	if c.HeapBytes != 64<<20 || c.GCThreads != 4 || c.ConcWorkers != 2 {
 		t.Fatalf("heap %d, threads %d, borrow width %d", c.HeapBytes, c.GCThreads, c.ConcWorkers)
 	}
-	if c.SurvivalThresholdBytes != 8<<20 || c.IncrementThreshold != 0 {
-		t.Fatalf("triggers: survival %d, increments %d", c.SurvivalThresholdBytes, c.IncrementThreshold)
+	if c.SurvivalThresholdBytes != 8<<20 {
+		t.Fatalf("survival trigger at %d bytes", c.SurvivalThresholdBytes)
 	}
-	if c.NoConcurrentSATB || c.NoLazyDecrements || c.NoYoungEvac || c.EnableMatureEvac {
+	if c.NoConcurrentSATB || c.NoLazyDecrements || c.EnableMatureEvac {
 		t.Fatalf("zero config switched something: %+v", c)
 	}
 

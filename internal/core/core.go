@@ -13,7 +13,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"lxr/internal/gcwork"
@@ -45,9 +44,6 @@ type Config struct {
 	// bound per epoch (the paper uses 128 MB on multi-GB heaps; default
 	// here scales with the heap: HeapBytes/8, capped at 128 MB).
 	SurvivalThresholdBytes int64
-	// IncrementThreshold bounds logged fields per epoch (0 = disabled,
-	// the paper's default).
-	IncrementThreshold int64
 	// CleanBufferSlots sizes the lock-free clean-block buffer (default
 	// 32, the §5.4 sensitivity knob).
 	CleanBufferSlots int
@@ -59,8 +55,6 @@ type Config struct {
 	NoConcurrentSATB bool
 	// NoLazyDecrements (-LD) processes decrements inside the pause.
 	NoLazyDecrements bool
-	// NoYoungEvac disables young-object evacuation (promote in place).
-	NoYoungEvac bool
 	// EnableMatureEvac opts in to evacuation-set defragmentation
 	// (§3.3.2). The mechanism is fully implemented (remembered sets,
 	// reuse-counter validation, quarantined source blocks) but on this
@@ -129,13 +123,12 @@ type LXR struct {
 	// (§3.2.1, §3.2.2). It reports each due decision to events itself.
 	pacer *policy.RCPacer
 
-	// Epoch counters polled by the trigger fast path. Mutators
-	// accumulate in per-mutator counters (mutState) and publish here at
-	// a coarse grain from the trigger poll; pauses and UnbindMutator
-	// fold in the unpublished tails, so across a pause the totals are
-	// exact.
+	// The epoch's allocation volume, polled by the trigger fast path.
+	// Mutators accumulate in per-mutator counters (mutState) and publish
+	// here at a coarse grain from the trigger poll; pauses and
+	// UnbindMutator fold in the unpublished tails, so across a pause the
+	// total is exact.
 	allocSince  atomic.Int64 // published bytes allocated since last pause
-	logsSince   atomic.Int64 // published barrier slow paths since last pause
 	gcScheduled atomic.Bool
 
 	// satbActive is true from the pause that seeds a trace until the
@@ -178,12 +171,6 @@ type LXR struct {
 	// live mutators' counts stay in mutState until the pause harvest.
 	allocObjects atomic.Int64 // objects allocated since last pause (telemetry)
 	barrierSlow  atomic.Int64 // barrier slow paths since last pause (telemetry)
-
-	// Debug provenance (LXR_VERIFY only).
-	provMu   sync.Mutex
-	prov     map[int]blockProvenance
-	lineProv map[int]blockProvenance // per-line span handouts
-	blockLog map[int][]blockEvent    // per-block lifecycle events
 }
 
 // New creates an LXR plan.
@@ -237,14 +224,12 @@ func New(cfg Config) *LXR {
 	p.pacer = policy.NewRCPacer(policy.RCPacerConfig{
 		HeapBytes:              cfg.HeapBytes,
 		SurvivalThresholdBytes: cfg.SurvivalThresholdBytes,
-		IncrementThreshold:     cfg.IncrementThreshold,
 		Tracer:                 cfg.Tracer,
 	})
 	if cfg.Tracer != nil {
 		p.events = cfg.Tracer
 		p.pool.SetTracer(cfg.Tracer)
 	}
-	p.installBlockTrace()
 	p.conc = newConcurrent(p)
 	return p
 }
@@ -320,7 +305,6 @@ type mutState struct {
 	largeSince int64 // LOS bytes since the last publish (bump bytes live in alloc.SinceEpoch)
 	allocObjs  int64 // objects allocated since the last pause (telemetry)
 	slowOps    int64 // barrier slow paths since the last pause
-	slowPub    int64 // portion of slowOps already published to logsSince
 	shard      int   // event-tracer instant lane (from the mutator ID)
 }
 
@@ -331,28 +315,12 @@ type mutState struct {
 // replaces the satbActive.Load + Contains + HasFlag chain with one
 // mutator-local bool test, without even a PlanState type assertion.
 
-// lineMap adapts the RC table (plus straddle markers, which keep their
-// lines' RC words non-zero) to the allocator's free-line query.
-type lineMap struct{ rc *meta.RCTable }
-
-func (l lineMap) LineFree(idx int) bool { return l.rc.LineFree(idx) }
-
-// FreeLineBits implements immix.LineBitsSource: one call fills a
-// block's whole free-line bitmap so the allocator's span scan is
-// word-at-a-time.
-func (l lineMap) FreeLineBits(firstLine int, bits *[mem.LinesPerBlock / 32]uint32) {
-	l.rc.FreeLineBits(firstLine, bits)
-}
-
 // BindMutator implements vm.Plan.
 func (p *LXR) BindMutator(m *vm.Mutator) {
 	ms := &mutState{lxr: p, shard: trace.MutShard(uint64(m.ID))}
-	ms.alloc = immix.Allocator{
-		BT:          p.bt,
-		Lines:       lineMap{p.rc},
-		UseRecycled: true,
-		OnSpan:      p.onSpan,
-	}
+	// The RC table is the line map: a line a promoted object straddles
+	// keeps a non-zero word too (markStraddleLines).
+	ms.alloc = immix.Allocator{BT: p.bt, Lines: p.rc, OnSpan: p.onSpan}
 	// The caller holds the running token, so no pause can be flipping
 	// the SATB/evacuation state concurrently.
 	m.BarrierWatch = p.satbActive.Load() && len(p.evacSet) > 0
@@ -367,7 +335,6 @@ func (p *LXR) UnbindMutator(m *vm.Mutator) {
 	// accumulators the next pause will harvest (the caller still holds
 	// the running token, so no pause races this).
 	p.allocSince.Add(ms.alloc.HarvestSinceEpoch() + ms.largeSince)
-	p.logsSince.Add(ms.slowOps - ms.slowPub)
 	p.allocObjects.Add(ms.allocObjs)
 	p.barrierSlow.Add(ms.slowOps)
 	// Buffers are drained at the next pause via the shared queues,
@@ -389,9 +356,6 @@ func (p *LXR) UnbindMutator(m *vm.Mutator) {
 func (p *LXR) onSpan(start, end mem.Address, recycled bool) {
 	if recycled && p.cfg.EnableMatureEvac {
 		p.reuse.BumpRange(start, end)
-	}
-	if verifyEnabled {
-		p.noteSpan(start, end, recycled)
 	}
 	p.logs.ClearRange(start, end)
 	p.straddle.ClearRange(start, end)

@@ -298,7 +298,6 @@ func TestAblationsRun(t *testing.T) {
 		{NoConcurrentSATB: true},
 		{NoLazyDecrements: true},
 		{NoConcurrentSATB: true, NoLazyDecrements: true},
-		{NoYoungEvac: true},
 	} {
 		cfg := cfg
 		v := newVM(t, cfg)

@@ -141,7 +141,6 @@ func (p *LXR) maybeReleaseAfterDecs(idx int) {
 	}
 	switch p.classifyBlock(idx) {
 	case blockEmpty:
-		p.noteFree(idx, "lazydecs")
 		p.bt.ReleaseFree(idx)
 	case blockPartial:
 		p.bt.ReleaseRecycled(idx)
@@ -158,7 +157,6 @@ func (p *LXR) releaseEvacuatedBlock(idx int) {
 	}
 	switch p.classifyBlock(idx) {
 	case blockEmpty:
-		p.noteFree(idx, "evac")
 		p.bt.ReleaseFree(idx)
 	case blockPartial:
 		p.bt.ReleaseRecycled(idx)

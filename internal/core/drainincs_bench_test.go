@@ -31,7 +31,7 @@ func incHeap(youngShare float64) (*LXR, *vm.VM, [][]mem.Address) {
 	r := rand.New(rand.NewSource(1))
 	p := New(Config{HeapBytes: 16 << 20, GCThreads: 2})
 	v := vm.New(p, 4)
-	al := &immix.Allocator{BT: p.bt, Lines: lineMap{p.rc}, OnSpan: p.onSpan}
+	al := &immix.Allocator{BT: p.bt, OnSpan: p.onSpan}
 	mature := make([]obj.Ref, matures)
 	for i := range mature {
 		a, _ := al.Alloc(96)

@@ -25,7 +25,7 @@ func TestEnsureEvacuatedZeroesSourceCountBeforeForwarding(t *testing.T) {
 	p := New(Config{HeapBytes: 4 << 20, GCThreads: 1, EnableMatureEvac: true})
 	defer p.pool.Stop()
 	newAlloc := func() *immix.Allocator {
-		return &immix.Allocator{BT: p.bt, Lines: lineMap{p.rc}, UseRecycled: true, OnSpan: p.onSpan}
+		return &immix.Allocator{BT: p.bt, Lines: p.rc, OnSpan: p.onSpan}
 	}
 	// A mature object of three and a half lines, so that it owns
 	// straddle markers, with a neighbour behind it whose log states

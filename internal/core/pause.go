@@ -103,7 +103,7 @@ func (p *LXR) pausePipeline(cause string) string {
 		pt.vol += ms.alloc.HarvestSinceEpoch() + ms.largeSince
 		pt.objs += ms.allocObjs
 		pt.slow += ms.slowOps
-		ms.largeSince, ms.allocObjs, ms.slowOps, ms.slowPub = 0, 0, 0, 0
+		ms.largeSince, ms.allocObjs, ms.slowOps = 0, 0, 0
 		pt.decs = append(pt.decs, ms.decBuf.TakeSegs()...)
 		pt.mods = append(pt.mods, ms.modBuf.TakeSegs()...)
 	})
@@ -120,7 +120,6 @@ func (p *LXR) pausePipeline(cause string) string {
 	for _, s := range decSegs {
 		nDecSeeds += len(s)
 	}
-	p.logsSince.Store(0)
 	st.Add(CtrAllocBytes, allocVol)
 	st.Add(CtrAllocObjects, allocObjs)
 	st.Add(CtrBarrierSlow, slowOps)
@@ -455,12 +454,8 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 	}
 	p.pool.DrainSegs(segs,
 		func(w *gcwork.Worker) {
-			w.Scratch = &incScratch{alloc: immix.Allocator{
-				BT:          p.bt,
-				Lines:       lineMap{p.rc},
-				UseRecycled: true, // survivors compact into partially free blocks
-				OnSpan:      p.onSpan,
-			}}
+			// Survivors compact into partially free blocks.
+			w.Scratch = &incScratch{alloc: immix.Allocator{BT: p.bt, Lines: p.rc, OnSpan: p.onSpan}}
 		},
 		func(w *gcwork.Worker, item mem.Address) {
 			if a, ok := w.Ahead(gcwork.PrefetchAhead); ok {
@@ -589,10 +584,7 @@ func (p *LXR) applyInc(w *gcwork.Worker, sc *incScratch, val obj.Ref) obj.Ref {
 // young objects (clean when handed to an allocator this epoch): the
 // all-young evacuation heuristic (§3.3.2).
 func (p *LXR) youngEvacCandidate(ref obj.Ref) bool {
-	if p.cfg.NoYoungEvac || p.om.IsLarge(ref) {
-		return false
-	}
-	return p.bt.HasFlag(ref.Block(), immix.FlagYoung)
+	return !p.om.IsLarge(ref) && p.bt.HasFlag(ref.Block(), immix.FlagYoung)
 }
 
 // finishPromotion performs the duties owed to a young object surviving
@@ -677,7 +669,6 @@ func (p *LXR) sweepYoung() int {
 			}
 			switch p.classifyBlock(idx) {
 			case blockEmpty:
-				p.noteFree(idx, "youngsweep")
 				p.bt.ReleaseFree(idx)
 				freed.Add(1)
 			case blockPartial:

@@ -128,7 +128,6 @@ func (p *LXR) sweepUnmarked() int64 {
 			if d > 0 && st == immix.StateFull && !p.bt.HasFlag(idx, immix.FlagDefrag) {
 				switch p.classifyBlock(idx) {
 				case blockEmpty:
-					p.noteFree(idx, "satbsweep")
 					p.bt.ReleaseFree(idx)
 				case blockPartial:
 					p.bt.ReleaseRecycled(idx)
@@ -234,12 +233,7 @@ func (p *LXR) evacuateSets() {
 	var copied atomic.Int64
 	p.pool.Drain(items,
 		func(w *gcwork.Worker) {
-			w.Scratch = &immix.Allocator{
-				BT:          p.bt,
-				Lines:       lineMap{p.rc},
-				UseRecycled: true,
-				OnSpan:      p.onSpan,
-			}
+			w.Scratch = &immix.Allocator{BT: p.bt, Lines: p.rc, OnSpan: p.onSpan}
 		},
 		func(w *gcwork.Worker, item mem.Address) {
 			if item&rootTag != 0 {

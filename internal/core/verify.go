@@ -63,83 +63,12 @@ func (p *LXR) verifyHeap(stage string) {
 	_ = count
 }
 
-// Debug provenance: which mechanism last freed each block and at which
-// epoch (enabled with LXR_VERIFY).
-type blockProvenance struct {
-	epoch uint64
-	by    string
-}
-
-// noteFree records provenance when verification is on.
-func (p *LXR) noteFree(idx int, by string) {
-	if !verifyEnabled {
-		return
-	}
-	p.provMu.Lock()
-	if p.prov == nil {
-		p.prov = map[int]blockProvenance{}
-	}
-	p.prov[idx] = blockProvenance{p.epoch.Load(), by}
-	p.provMu.Unlock()
-}
-
-// blockEvent is one block lifecycle event (debug).
-type blockEvent struct {
-	epoch uint64
-	ev    string
-}
-
-// installBlockTrace wires the block-table event log (debug builds).
-func (p *LXR) installBlockTrace() {
-	if !verifyEnabled {
-		return
-	}
-	p.bt.Trace = func(idx int, ev string) {
-		p.provMu.Lock()
-		if p.blockLog == nil {
-			p.blockLog = map[int][]blockEvent{}
-		}
-		l := append(p.blockLog[idx], blockEvent{p.epoch.Load(), ev})
-		if len(l) > 10 {
-			l = l[len(l)-10:]
-		}
-		p.blockLog[idx] = l
-		p.provMu.Unlock()
-	}
-}
-
-// noteSpan records span handouts per line (debug).
-func (p *LXR) noteSpan(start, end mem.Address, recycled bool) {
-	by := "span-clean"
-	if recycled {
-		by = "span-recycled"
-	}
-	p.provMu.Lock()
-	if p.lineProv == nil {
-		p.lineProv = map[int]blockProvenance{}
-	}
-	for l := start.Line(); l < int((end+mem.LineSize-1)>>mem.LineSizeLog); l++ {
-		p.lineProv[l] = blockProvenance{p.epoch.Load(), by}
-	}
-	p.provMu.Unlock()
-}
-
 // diagnoseSlot panics with full context about a slot that delivered an
-// implausible reference during increment processing (debug builds).
+// implausible reference during increment processing (LXR_VERIFY only).
 func (p *LXR) diagnoseSlot(slot mem.Address, v obj.Ref) {
-	b := slot.Block()
-	tb := v.Block()
-	p.provMu.Lock()
-	prov := p.prov[b]
-	tprov := p.prov[tb]
-	slotLine := p.lineProv[slot.Line()]
-	valLine := p.lineProv[v.Line()]
-	vlog := p.blockLog[tb]
-	p.provMu.Unlock()
-	panic(fmt.Sprintf("lxr diag epoch %d: slot %x (block %d w=%x freedBy=%q@%d span=%q@%d) -> val %x (block %d w=%x freedBy=%q@%d span=%q@%d rc=%d hdr=%x lineRC=%08x)",
-		p.epoch.Load(), uint64(slot), b, p.bt.Word(b), prov.by, prov.epoch, slotLine.by, slotLine.epoch,
-		uint64(v), tb, p.bt.Word(tb), tprov.by, tprov.epoch, valLine.by, valLine.epoch,
-		p.rc.Get(v), p.om.A.Load(v), p.rc.LineWord(v.Line())) + fmt.Sprintf(" valBlockLog=%v", vlog))
+	panic(fmt.Sprintf("lxr diag epoch %d: slot %x (block %d w=%x) -> val %x (block %d w=%x rc=%d hdr=%x lineRC=%08x)",
+		p.epoch.Load(), uint64(slot), slot.Block(), p.bt.Word(slot.Block()),
+		uint64(v), v.Block(), p.bt.Word(v.Block()), p.rc.Get(v), p.om.A.Load(v), p.rc.LineWord(v.Line())))
 }
 
 // saneRef reports whether v plausibly denotes an object: aligned,

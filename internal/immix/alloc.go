@@ -6,39 +6,14 @@ import (
 	"lxr/internal/mem"
 )
 
-// LineMap answers whether a line is available for reuse. LXR backs this
-// with the reference-count table (a line is free when its sixteen 2-bit
-// counts are all zero, one uint32 load); tracing Immix backs it with
-// line mark bits.
+// LineMap says which lines of a block are available for reuse: one call
+// fills the free-line bitmap (bit set = line free) of the block whose
+// first global line is firstLine, so the allocator scans for spans
+// word-at-a-time. LXR backs it with the reference-count table (a line is
+// free when its sixteen 2-bit counts are all zero); tracing Immix backs
+// it with line mark bits.
 type LineMap interface {
-	LineFree(globalLine int) bool
-}
-
-// LineBitsSource is an optional LineMap extension that fills a whole
-// block's free-line bitmap (bit set = line free) in one call, letting
-// the allocator scan for spans word-at-a-time instead of one interface
-// call per line.
-type LineBitsSource interface {
 	FreeLineBits(firstLine int, bm *[mem.LinesPerBlock / 32]uint32)
-}
-
-// LoadLineBits snapshots the free-line bitmap of the block whose first
-// global line is firstLine, via FreeLineBits when the map supports it
-// and a per-line fallback otherwise.
-func LoadLineBits(lines LineMap, firstLine int, bm *[mem.LinesPerBlock / 32]uint32) {
-	if src, ok := lines.(LineBitsSource); ok {
-		src.FreeLineBits(firstLine, bm)
-		return
-	}
-	for i := range bm {
-		var w uint32
-		for b := 0; b < 32; b++ {
-			if lines.LineFree(firstLine + i*32 + b) {
-				w |= 1 << uint(b)
-			}
-		}
-		bm[i] = w
-	}
 }
 
 // Allocator is a thread-local Immix bump-pointer allocator. It allocates
@@ -48,12 +23,11 @@ func LoadLineBits(lines LineMap, firstLine int, bm *[mem.LinesPerBlock / 32]uint
 // span to a dynamic-overflow block, and zeroes memory immediately before
 // handing it out.
 type Allocator struct {
-	BT    *BlockTable
-	Lines LineMap // nil disables line recycling (strictly-copying plans)
-
-	// UseRecycled makes the allocator prefer partially free blocks, the
-	// Immix/LXR policy that maximises clean blocks for large allocation.
-	UseRecycled bool
+	BT *BlockTable
+	// Lines makes the allocator prefer partially free blocks, the
+	// Immix/LXR policy that maximises clean blocks for large allocation;
+	// nil disables line recycling (strictly-copying plans).
+	Lines LineMap
 	// Kind tags acquired blocks (G1 region kind, semispace half, ...).
 	Kind uint8
 	// NoBudget lets the allocator exceed the heap budget (the physical
@@ -78,14 +52,6 @@ type Allocator struct {
 	oCursor mem.Address // overflow block for medium objects
 	oLimit  mem.Address
 	oBlock  int
-
-	// spare is one pre-acquired clean block (0 = none): a per-mutator
-	// block cache refilled from the §3.5 clean buffer, so the steady
-	// state touches the global buffer once per two blocks instead of
-	// once per block. Spares are plain Reserved blocks — no kind, no
-	// dirty note, no zeroing until handed out — and Flush returns them,
-	// so block accounting is exact at every pause.
-	spare int
 
 	// Statistics.
 	Allocated      int64 // bytes allocated through this allocator
@@ -251,7 +217,7 @@ func nextSpan(bm *[mem.LinesPerBlock / 32]uint32, scan int) (start, end int, ok 
 
 func (al *Allocator) acquireBlock() bool {
 	al.retireCurrent()
-	if al.UseRecycled {
+	if al.Lines != nil {
 		// Iterative on purpose: the recycled list can hold a long run of
 		// blocks whose only free lines are consumed by the conservative
 		// straddle rule, and the allocation slow path must not deepen
@@ -266,9 +232,7 @@ func (al *Allocator) acquireBlock() bool {
 			al.BlocksRecycled++
 			al.block = idx
 			al.scan = 0
-			if al.Lines != nil {
-				LoadLineBits(al.Lines, idx*mem.LinesPerBlock, &al.lineBits)
-			}
+			al.Lines.FreeLineBits(idx*mem.LinesPerBlock, &al.lineBits)
 			if al.nextSpanInBlock() {
 				return true
 			}
@@ -289,30 +253,7 @@ func (al *Allocator) acquireBlock() bool {
 	return true
 }
 
-// spareHeadroomBlocks gates spare prefetching: near budget exhaustion,
-// privately cached blocks would only hasten allocation failure and
-// distort the occupancy the collector triggers on, so spares are taken
-// only while the budget has comfortable slack.
-const spareHeadroomBlocks = 64
-
 func (al *Allocator) acquireClean() (int, bool) {
-	if idx := al.spare; idx != 0 {
-		al.spare = 0
-		return idx, true
-	}
-	idx, ok := al.btAcquireClean()
-	if !ok {
-		return 0, false
-	}
-	if !al.NoBudget && al.BT.BudgetRemaining() > spareHeadroomBlocks {
-		if s, ok := al.btAcquireClean(); ok {
-			al.spare = s
-		}
-	}
-	return idx, true
-}
-
-func (al *Allocator) btAcquireClean() (int, bool) {
 	if al.NoBudget {
 		return al.BT.AcquireCleanNoBudget()
 	}
@@ -359,18 +300,12 @@ func (al *Allocator) retireOverflow() {
 	al.oCursor, al.oLimit = 0, 0
 }
 
-// Flush retires the allocator's blocks and returns any cached spare to
-// the clean pool. Plans call it at collection pauses, because the lines
-// backing the bump span may be reclaimed or the block's flags
-// rewritten — and because sweeps must see exact block accounting, with
-// no clean blocks parked in private caches.
+// Flush retires the allocator's blocks. Plans call it at collection
+// pauses, because the lines backing the bump span may be reclaimed or
+// the block's flags rewritten.
 func (al *Allocator) Flush() {
 	al.retireCurrent()
 	al.retireOverflow()
-	if al.spare != 0 {
-		al.BT.ReleaseFree(al.spare)
-		al.spare = 0
-	}
 	al.scan = 0
 }
 

@@ -85,11 +85,6 @@ type BlockTable struct {
 	// never touch the same cache line.
 	dirtyBits []uint32
 
-	defragSet []int // current evacuation-set blocks
-
-	// Trace, when set, receives block lifecycle events (debugging).
-	Trace func(idx int, event string)
-
 	los *LargeSpace
 }
 
@@ -305,9 +300,6 @@ func (bt *BlockTable) acquireCleanAny() (int, bool) {
 			if bt.cleanBuf[i].CompareAndSwap(idx, 0) {
 				bt.claim(int(idx), StateReserved)
 				bt.freeCount.Add(-1)
-				if bt.Trace != nil {
-					bt.Trace(int(idx), "acquire-clean-buf")
-				}
 				return int(idx), true
 			}
 		}
@@ -318,9 +310,6 @@ func (bt *BlockTable) acquireCleanAny() (int, bool) {
 	}
 	bt.claim(idx, StateReserved)
 	bt.freeCount.Add(-1)
-	if bt.Trace != nil {
-		bt.Trace(idx, "acquire-clean")
-	}
 	return idx, true
 }
 
@@ -339,9 +328,6 @@ func (bt *BlockTable) AcquireRecycled() (int, bool) {
 		// Validate: a block may have changed state since being listed.
 		if bt.State(idx) == StateRecycled {
 			bt.SetState(idx, StateReserved)
-			if bt.Trace != nil {
-				bt.Trace(idx, "acquire-recycled")
-			}
 			return idx, true
 		}
 	}
@@ -355,9 +341,6 @@ func (bt *BlockTable) claim(idx int, s uint32) {
 // ReleaseFree returns a block to the clean pool (buffer first, then the
 // free list). The caller must have removed all objects from it.
 func (bt *BlockTable) ReleaseFree(idx int) {
-	if bt.Trace != nil {
-		bt.Trace(idx, "release-free")
-	}
 	bt.ClearFlag(idx, FlagYoung|FlagDirty|FlagDefrag|FlagEvacuating)
 	bt.SetState(idx, StateFree)
 	bt.inUse.Add(-1)
@@ -373,9 +356,6 @@ func (bt *BlockTable) ReleaseFree(idx int) {
 // ReleaseRecycled puts a partially free block on the recycled list. The
 // block still holds live objects and remains counted as in use.
 func (bt *BlockTable) ReleaseRecycled(idx int) {
-	if bt.Trace != nil {
-		bt.Trace(idx, "release-recycled")
-	}
 	bt.ClearFlag(idx, FlagYoung|FlagDirty)
 	bt.SetState(idx, StateRecycled)
 	bt.recyCount.Add(1)
@@ -384,9 +364,6 @@ func (bt *BlockTable) ReleaseRecycled(idx int) {
 
 // Retire marks a block full (still counted in use).
 func (bt *BlockTable) Retire(idx int) {
-	if bt.Trace != nil {
-		bt.Trace(idx, "retire")
-	}
 	bt.SetState(idx, StateFull)
 }
 

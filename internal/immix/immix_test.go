@@ -129,10 +129,6 @@ func TestDirtyTrackingDedups(t *testing.T) {
 
 // --- allocator -----------------------------------------------------------------
 
-type allLinesFree struct{}
-
-func (allLinesFree) LineFree(int) bool { return true }
-
 func TestBumpAllocatorBasics(t *testing.T) {
 	bt := table(t, 2)
 	al := immix.Allocator{BT: bt}
@@ -150,6 +146,36 @@ func TestBumpAllocatorBasics(t *testing.T) {
 	al.Flush()
 	if bt.State(a.Block()) != immix.StateFull {
 		t.Fatal("flush must retire the block")
+	}
+}
+
+// TestCleanAcquisitionTakesOneBlock: each clean block an allocator
+// acquires leaves the pool and the budget one at a time, so no block is
+// held privately outside the pool's accounting between pauses.
+func TestCleanAcquisitionTakesOneBlock(t *testing.T) {
+	bt := table(t, 4) // 128 blocks: budget to spare
+	al := immix.Allocator{BT: bt}
+	prev := -1
+	for i := 0; i < 3; i++ {
+		free, budget := bt.FreeBlocks(), bt.BudgetRemaining()
+		a, ok := al.Alloc(64) // the current block is full: acquire
+		if !ok || a.Block() == prev {
+			t.Fatalf("acquisition %d: %x ok=%v, previous block %d", i, a, ok, prev)
+		}
+		if bt.FreeBlocks() != free-1 || bt.BudgetRemaining() != budget-1 {
+			t.Fatalf("acquisition %d: free %d -> %d, budget %d -> %d, want each down by one",
+				i, free, bt.FreeBlocks(), budget, bt.BudgetRemaining())
+		}
+		for n := 64; n < mem.BlockSize; n += 64 {
+			if b, _ := al.Alloc(64); b.Block() != a.Block() {
+				t.Fatalf("acquisition %d: block %d filled into %d", i, a.Block(), b.Block())
+			}
+		}
+		prev = a.Block()
+	}
+	al.Flush()
+	if bt.InUseBlocks() != 3 || bt.FreeBlocks() != bt.Blocks()-3 {
+		t.Fatalf("after flush: %v, want 3 blocks in use", bt)
 	}
 }
 
@@ -188,7 +214,7 @@ func TestRecycledLineSkipRule(t *testing.T) {
 	bt.ReleaseRecycled(idx)
 
 	lm := mapLines{used}
-	al := immix.Allocator{BT: bt, Lines: lm, UseRecycled: true}
+	al := immix.Allocator{BT: bt, Lines: lm}
 	a, ok := al.Alloc(64)
 	if !ok {
 		t.Fatal("alloc failed")
@@ -202,7 +228,14 @@ func TestRecycledLineSkipRule(t *testing.T) {
 
 type mapLines struct{ used map[int]bool }
 
-func (m mapLines) LineFree(idx int) bool { return !m.used[idx] }
+func (m mapLines) FreeLineBits(firstLine int, bm *[mem.LinesPerBlock / 32]uint32) {
+	*bm = [mem.LinesPerBlock / 32]uint32{}
+	for l := 0; l < mem.LinesPerBlock; l++ {
+		if !m.used[firstLine+l] {
+			bm[l>>5] |= 1 << uint(l&31)
+		}
+	}
+}
 
 func TestOverflowAllocationZeroes(t *testing.T) {
 	bt := table(t, 2)
@@ -218,7 +251,7 @@ func TestOverflowAllocationZeroes(t *testing.T) {
 	bt.ReleaseRecycled(idx)
 
 	var spans [][2]mem.Address
-	al := immix.Allocator{BT: bt, Lines: mapLines{used}, UseRecycled: true,
+	al := immix.Allocator{BT: bt, Lines: mapLines{used},
 		OnSpan: func(s, e mem.Address, r bool) { spans = append(spans, [2]mem.Address{s, e}) }}
 	small, ok := al.Alloc(64) // lands in the recycled span
 	if !ok || small.Block() != idx {

@@ -15,7 +15,7 @@ import (
 // reference scan.
 func ScanSpans(lines LineMap, firstLine int) (spans, freeLines int) {
 	var bm [mem.LinesPerBlock / 32]uint32
-	LoadLineBits(lines, firstLine, &bm)
+	lines.FreeLineBits(firstLine, &bm)
 	scan := 0
 	for {
 		start, end, ok := nextSpan(&bm, scan)

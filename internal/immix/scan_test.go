@@ -7,12 +7,18 @@ import (
 	"lxr/internal/mem"
 )
 
-// boolLines backs a LineMap with a plain bool slice (true = free). It
-// deliberately does NOT implement LineBitsSource, so LoadLineBits also
-// exercises its per-line fallback.
+// boolLines backs a LineMap with a plain bool slice (true = free),
+// packed into the bitmap one line at a time.
 type boolLines []bool
 
-func (b boolLines) LineFree(idx int) bool { return b[idx] }
+func (b boolLines) FreeLineBits(firstLine int, bm *[mem.LinesPerBlock / 32]uint32) {
+	*bm = [mem.LinesPerBlock / 32]uint32{}
+	for l := 0; l < mem.LinesPerBlock; l++ {
+		if b[firstLine+l] {
+			bm[l>>5] |= 1 << uint(l&31)
+		}
+	}
+}
 
 // refSpans is the per-line reference scan the word-at-a-time nextSpan
 // replaced: the exact loop of the pre-optimisation nextSpanInBlock,
@@ -44,7 +50,7 @@ func refSpans(free []bool) [][2]int {
 
 func bitSpans(free []bool) [][2]int {
 	var bm [mem.LinesPerBlock / 32]uint32
-	LoadLineBits(boolLines(free), 0, &bm)
+	boolLines(free).FreeLineBits(0, &bm)
 	var spans [][2]int
 	scan := 0
 	for {

@@ -155,7 +155,7 @@ func (t *RCTable) ClearRange(start, end mem.Address) {
 // FreeLineBits fills bits with one bit per line of the block whose
 // first global line is firstLine (bit set = line free, i.e. its RC word
 // is zero). One call prepares a whole block's free-line bitmap for the
-// allocator's word-at-a-time span scan (immix.LineBitsSource).
+// allocator's word-at-a-time span scan (immix.LineMap).
 func (t *RCTable) FreeLineBits(firstLine int, bits *[mem.LinesPerBlock / 32]uint32) {
 	for i := range bits {
 		ws := t.words[firstLine+i*32 : firstLine+i*32+32 : firstLine+i*32+32]

@@ -67,10 +67,10 @@ func TestRCPacerStaticReplay(t *testing.T) {
 			t.Fatalf("epoch %d: limit %d, historical %d", i, got, want)
 		}
 		// The limit IS the due boundary.
-		if p.Due(want-1, 0) {
+		if p.Due(want - 1) {
 			t.Fatalf("epoch %d: fired below the budget", i)
 		}
-		if !p.Due(want, 0) {
+		if !p.Due(want) {
 			t.Fatalf("epoch %d: did not fire at the budget", i)
 		}
 		p.ObserveEpoch(e.alloc, e.survived)
@@ -81,23 +81,6 @@ func TestRCPacerStaticReplay(t *testing.T) {
 		} else {
 			pred = 0.25*r + 0.75*pred
 		}
-	}
-}
-
-func TestRCPacerIncrementThreshold(t *testing.T) {
-	p := policy.NewRCPacer(policy.RCPacerConfig{
-		HeapBytes:              1 << 30,
-		SurvivalThresholdBytes: 1 << 30, IncrementThreshold: 100,
-	})
-	if !p.Due(0, 150) {
-		t.Fatal("increment threshold must trigger")
-	}
-	p2 := policy.NewRCPacer(policy.RCPacerConfig{
-		HeapBytes:              1 << 50,
-		SurvivalThresholdBytes: 1 << 20,
-	})
-	if p2.Due(0, 1<<40) {
-		t.Fatal("disabled increment threshold must not trigger")
 	}
 }
 
@@ -256,12 +239,11 @@ func TestRCPacerReportsToTracer(t *testing.T) {
 	const heap = 1 << 30
 	tr := trace.New(trace.Config{ShardCap: 64})
 	p := policy.NewRCPacer(policy.RCPacerConfig{
-		HeapBytes: heap, SurvivalThresholdBytes: 1 << 20, IncrementThreshold: 100, Tracer: tr,
+		HeapBytes: heap, SurvivalThresholdBytes: 1 << 20, Tracer: tr,
 	})
 	limit := p.AllocLimit()
-	p.Due(limit-1, 99) // not due
-	p.Due(limit, 0)    // rc-survival
-	p.Due(0, 100)      // rc-increments
+	p.Due(limit - 1) // not due
+	p.Due(limit)     // rc-survival
 	p.ObserveEpoch(heap/2, 0)
 	p.CycleDue(false)        // satb-clean: nothing measured yet, one epoch in
 	p.ObserveTrace(heap / 8) // rate 1/4
@@ -281,7 +263,6 @@ func TestRCPacerReportsToTracer(t *testing.T) {
 		signal, thresh float64
 	}{
 		{"rc-survival", float64(limit), float64(limit)},
-		{"rc-increments", 100, 100},
 		{"satb-clean", 1, 0},
 		{"satb-clean", 0, 0},
 		{"satb-wastage", heap / 8, policy.WastageFraction * heap},
@@ -317,7 +298,7 @@ func TestStressPacerConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				p.Due(int64(i%(1<<24)), 0)
+				p.Due(int64(i % (1 << 24)))
 			}
 		}()
 	}

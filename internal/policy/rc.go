@@ -19,9 +19,6 @@ type RCPacerConfig struct {
 	// (§3.2.1; the paper's default is 128 MB on multi-GB heaps, the
 	// harness scales it with heap size).
 	SurvivalThresholdBytes int64
-	// IncrementThreshold bounds logged fields per epoch; 0 disables
-	// (the paper's default).
-	IncrementThreshold int64
 	// Tracer, when non-nil, receives every due decision as a
 	// "trigger:<kind>" instant carrying signal and threshold.
 	Tracer *trace.Tracer
@@ -57,19 +54,18 @@ type RCPacer struct {
 
 	// The trigger kinds, interned once so that firing one is a single
 	// ring write.
-	survivalID, incrementsID, cleanID, wastageID trace.NameID
+	survivalID, cleanID, wastageID trace.NameID
 }
 
 // NewRCPacer creates LXR's pacer.
 func NewRCPacer(cfg RCPacerConfig) *RCPacer {
 	tr := cfg.Tracer
 	p := &RCPacer{
-		cfg:          cfg,
-		survival:     NewDecayPredictor(0.15),
-		survivalID:   tr.TriggerName("rc-survival"),
-		incrementsID: tr.TriggerName("rc-increments"),
-		cleanID:      tr.TriggerName("satb-clean"),
-		wastageID:    tr.TriggerName("satb-wastage"),
+		cfg:        cfg,
+		survival:   NewDecayPredictor(0.15),
+		survivalID: tr.TriggerName("rc-survival"),
+		cleanID:    tr.TriggerName("satb-clean"),
+		wastageID:  tr.TriggerName("satb-wastage"),
 	}
 	p.recompute()
 	return p
@@ -80,13 +76,8 @@ func NewRCPacer(cfg RCPacerConfig) *RCPacer {
 func (p *RCPacer) AllocLimit() int64 { return p.allocLimit.Load() }
 
 // Due reports whether an RC pause is due: the epoch's allocation volume
-// has reached the survival-predicted budget, or its logged-field count
-// the increment threshold (when configured).
-func (p *RCPacer) Due(allocBytes, loggedFields int64) bool {
-	if thr := p.cfg.IncrementThreshold; thr > 0 && loggedFields >= thr {
-		p.cfg.Tracer.Trigger(p.incrementsID, float64(loggedFields), float64(thr))
-		return true
-	}
+// has reached the survival-predicted budget.
+func (p *RCPacer) Due(allocBytes int64) bool {
 	if limit := p.allocLimit.Load(); allocBytes >= limit {
 		p.cfg.Tracer.Trigger(p.survivalID, float64(allocBytes), float64(limit))
 		return true

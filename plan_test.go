@@ -82,12 +82,12 @@ func TestBenchSurface(t *testing.T) {
 		t.Fatalf("last stored object reads %d after a collection, want 99", got)
 	}
 	// The ledger counts pacing decisions by interning these names
-	// (bench/ledger.go triggerKinds; rc-increments is off by default),
-	// so a renamed kind would zero policy.trigger_count and fail
-	// nothing else. The pauses so far emit satb-clean (no trace measured
-	// yet, then the explicit one); triggered pauses must emit the other
-	// two: promoted cycles dropped a lap later, so that the traces which
-	// follow free memory and the vote predicts that the next will.
+	// (bench/ledger.go triggerKinds), so a renamed kind would zero
+	// policy.trigger_count and fail nothing else. The pauses so far emit
+	// satb-clean (no trace measured yet, then the explicit one);
+	// triggered pauses must emit the other two: promoted cycles dropped a
+	// lap later, so that the traces which follow free memory and the vote
+	// predicts that the next will.
 	missing := func() (kinds []string) {
 		seen := map[trace.NameID]bool{}
 		for _, ev := range tr.Drain()[trace.ShardPolicy].Events {
@@ -201,7 +201,7 @@ func TestEveryCollectorReportsItsTriggers(t *testing.T) {
 	ge := func(s, thr float64) bool { return s >= thr }
 	gt := func(s, thr float64) bool { return s > thr }
 	firingSide := map[string]func(s, thr float64) bool{
-		"rc-survival": ge, "rc-increments": ge, "satb-wastage": ge, "satb-clean": ge,
+		"rc-survival": ge, "satb-wastage": ge, "satb-clean": ge,
 		"young-target": ge, "ihop": gt,
 		"young-reserve": func(s, thr float64) bool { return s <= thr },
 		"free-fraction": gt,
@@ -211,7 +211,7 @@ func TestEveryCollectorReportsItsTriggers(t *testing.T) {
 		// against 0.
 		"heap-full": func(s, thr float64) bool { return s > 0 && s <= thr || thr == 0 && s >= 0 && s <= 3 },
 	}
-	lxrKinds := []string{"rc-survival", "rc-increments", "satb-clean", "satb-wastage", "heap-full"}
+	lxrKinds := []string{"rc-survival", "satb-clean", "satb-wastage", "heap-full"}
 	g1Kinds := []string{"young-target", "young-reserve", "ihop"}
 	kindsOf := map[lxr.CollectorKind][]string{
 		lxr.CollectorLXR: lxrKinds, lxr.CollectorLXRNoSATB: lxrKinds,
@@ -301,7 +301,7 @@ func TestEveryCollectorReportsItsTriggers(t *testing.T) {
 func TestRuntimeConfigLXRRefusedByBaselines(t *testing.T) {
 	_, err := lxr.NewRuntimeChecked(lxr.RuntimeConfig{
 		Collector: lxr.CollectorG1,
-		LXR:       &core.Config{NoYoungEvac: true},
+		LXR:       &core.Config{SurvivalThresholdBytes: 1 << 20},
 	})
 	if err == nil {
 		t.Fatal("G1 accepted an LXR-only setting")
@@ -318,7 +318,7 @@ func TestRuntimeConfigLXRRefusedByBaselines(t *testing.T) {
 	rt, err = lxr.NewRuntimeChecked(lxr.RuntimeConfig{
 		Collector: lxr.CollectorLXRNoLD,
 		HeapBytes: 16 << 20,
-		LXR:       &core.Config{NoYoungEvac: true},
+		LXR:       &core.Config{SurvivalThresholdBytes: 1 << 20},
 	})
 	if err != nil {
 		t.Fatalf("an LXR ablation refused LXR settings: %v", err)
