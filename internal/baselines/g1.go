@@ -136,7 +136,7 @@ func (p *G1) BindMutator(m *vm.Mutator) {
 	ms.alloc = immix.Allocator{
 		BT:   p.bt,
 		Kind: g1KindYoung,
-		OnSpan: func(start, end mem.Address, recycled bool) {
+		OnSpan: func(start, end mem.Address) {
 			p.logs.ClearRange(start, end)
 			p.youngBlocks.Add(1)
 		},
@@ -380,7 +380,7 @@ func (p *G1) collect() string {
 	p.pool.Drain(items,
 		func(w *gcwork.Worker) {
 			w.Scratch = &immix.Allocator{BT: p.bt, Kind: g1KindOld, NoBudget: true,
-				OnSpan: func(start, end mem.Address, recycled bool) {
+				OnSpan: func(start, end mem.Address) {
 					p.logs.ClearRange(start, end)
 				}}
 		},

@@ -87,7 +87,7 @@ func (p *Immix) BindMutator(m *vm.Mutator) {
 	ms := &immixMut{}
 	ms.alloc = immix.Allocator{BT: p.bt, Lines: immixLines{p.lineMarks}}
 	if p.barrier {
-		ms.alloc.OnSpan = func(start, end mem.Address, recycled bool) {
+		ms.alloc.OnSpan = func(start, end mem.Address) {
 			p.logs.ClearRange(start, end)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"lxr/internal/immix"
 	"lxr/internal/obj"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
@@ -83,11 +82,8 @@ func (p *LXR) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 // state) plus the store: the slow path captures the to-be-overwritten
 // referent (for coalescing decrements and the SATB snapshot) and the
 // field address (for the coalescing increment at the next pause), once
-// per field per epoch. Remembered-set maintenance for in-flight
-// evacuation sets is guarded by the mutator's BarrierWatch flag — an
-// epoch-cached predicate refreshed at each pause — so when no
-// evacuation set is armed (the common state) the store does no SATB or
-// block-flag checks, and no PlanState type assertion, at all.
+// per field per epoch. The fast path does no SATB or block-flag checks,
+// and no PlanState type assertion, at all.
 func (p *LXR) WriteRef(m *vm.Mutator, src obj.Ref, i int, val obj.Ref) {
 	if verifyEnabled && !val.IsNil() {
 		if !p.plausibleRef(val) {
@@ -106,10 +102,6 @@ func (p *LXR) WriteRef(m *vm.Mutator, src obj.Ref, i int, val obj.Ref) {
 	// that must first see this slot (DESIGN.md, "Stores that need no
 	// fence").
 	p.om.A.StoreRelease(slot, uint64(val))
-	if m.BarrierWatch && !val.IsNil() && p.om.A.Contains(val) &&
-		p.bt.HasFlag(val.Block(), immix.FlagDefrag) {
-		p.rem.Record(slot)
-	}
 }
 
 func (p *LXR) logField(ms *mutState, slot obj.Ref) {

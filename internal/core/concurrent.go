@@ -9,8 +9,7 @@ import (
 
 // concurrent is LXR's concurrent collection driver (Fig. 2). It
 // processes lazy decrements with priority, then sweeps blocks touched by
-// decrements and releases quarantined evacuation sources, then advances
-// the SATB trace.
+// decrements, then advances the SATB trace.
 //
 // The goroutine, the quiesce/release handshake with pauses, loan
 // interruption and panic parking all live in the shared
@@ -36,7 +35,6 @@ type concurrent struct {
 	pendingDecs []mem.Address
 	recStack    []mem.Address
 	touched     map[int]struct{}
-	evacBlocks  []int // quarantined evacuation sources awaiting dec drain
 
 	// intr retains an interrupted decrement loan: its unprocessed
 	// remainder is either resumed across all pause workers
@@ -94,31 +92,14 @@ func (c *concurrent) submitDecs(decs []mem.Address) {
 	c.pendingDecs = append(c.pendingDecs, decs...)
 }
 
-// submitEvacBlocks quarantines evacuation source blocks until the
-// decrement queue drains.
-func (c *concurrent) submitEvacBlocks(blocks []int) {
-	c.evacBlocks = append(c.evacBlocks, blocks...)
-}
-
-// finishEvacBlocksNow releases quarantined blocks immediately (used by
-// the -LD ablation, where decrements drained inside the pause).
-func (c *concurrent) finishEvacBlocksNow() {
-	for _, b := range c.evacBlocks {
-		c.p.releaseEvacuatedBlock(b)
-	}
-	c.evacBlocks = c.evacBlocks[:0]
-}
-
-// releaseReclaimable releases everything queued by completed decrement
-// batches: dec-touched blocks and quarantined evacuation sources. Runs
-// inside a pause, while quiescent, before the young sweep.
+// releaseReclaimable releases the blocks completed decrement batches
+// touched. Runs inside a pause, while quiescent, before the young sweep.
 func (c *concurrent) releaseReclaimable() {
 	if !c.hasPendingDecs() {
 		for _, b := range c.reclaimable {
 			c.p.maybeReleaseAfterDecs(b)
 		}
 		c.reclaimable = c.reclaimable[:0]
-		c.finishEvacBlocksNow()
 	}
 }
 

@@ -4,9 +4,8 @@
 //
 // LXR identifies garbage primarily with coalescing deferred reference
 // counting performed in regular, brief stop-the-world pauses; reclaims
-// most memory without copying in an Immix heap; judiciously copies
-// (young evacuation on first increment, mature evacuation of sparse
-// blocks guided by RC remembered sets); detects cyclic and stuck-count
+// most memory without copying in an Immix heap; copies only young
+// objects, on their first increment; detects cyclic and stuck-count
 // garbage with an occasional concurrent SATB trace that may span
 // multiple RC epochs; and processes decrements lazily on a concurrent
 // thread.
@@ -21,7 +20,6 @@ import (
 	"lxr/internal/meta"
 	"lxr/internal/obj"
 	"lxr/internal/policy"
-	"lxr/internal/remset"
 	"lxr/internal/satb"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
@@ -55,16 +53,6 @@ type Config struct {
 	NoConcurrentSATB bool
 	// NoLazyDecrements (-LD) processes decrements inside the pause.
 	NoLazyDecrements bool
-	// EnableMatureEvac opts in to evacuation-set defragmentation
-	// (§3.3.2). The mechanism is fully implemented (remembered sets,
-	// reuse-counter validation, quarantined source blocks) but on this
-	// substrate a rare interaction between concurrent tracing,
-	// same-pause promotion and block recycling can still strand a stale
-	// reference (run LXR_VERIFY=1 to observe); it therefore defaults to
-	// off, and LXR relies on young evacuation plus line recycling for
-	// defragmentation — the dominant effect in the paper's own
-	// reclamation breakdown (Table 7: geomean YC 1.1%).
-	EnableMatureEvac bool
 
 	// Tracer, when non-nil, attaches the GC event tracer: pause-phase
 	// spans, loan spans, pacing-trigger instants and sampled barrier
@@ -107,9 +95,6 @@ type LXR struct {
 	straddle *meta.BitTable // granule: straddle marker, not an object start
 	logs     *meta.FieldLogTable
 	marks    *meta.BitTable // granule: SATB mark bits
-	visited  *meta.BitTable // granule: evacuation-trace visited bits
-	reuse    *meta.LineCounters
-	rem      *remset.Table
 	tracer   *satb.Tracer
 	pool     *gcwork.Pool
 	vm       *vm.VM
@@ -135,8 +120,7 @@ type LXR struct {
 	// pause that completes reclamation for it.
 	satbActive atomic.Bool
 
-	evacSet     []int // blocks flagged FlagDefrag for the current trace
-	traceEpochs int   // RC epochs the current trace has spanned
+	traceEpochs int // RC epochs the current trace has spanned
 
 	// Flushed-at-pause queues.
 	losNewMu struct{ q gcwork.SharedAddrQueue } // large objects allocated this epoch
@@ -188,8 +172,6 @@ func New(cfg Config) *LXR {
 		straddle: meta.NewBitTable(bt.Arena, mem.GranuleLog),
 		logs:     meta.NewFieldLogTable(bt.Arena),
 		marks:    meta.NewBitTable(bt.Arena, mem.GranuleLog),
-		visited:  meta.NewBitTable(bt.Arena, mem.GranuleLog),
-		reuse:    meta.NewLineCounters(bt.Arena),
 		pool:     gcwork.NewPool(cfg.GCThreads),
 	}
 	// Fresh large objects must start with clean side metadata: stale
@@ -200,7 +182,6 @@ func New(cfg Config) *LXR {
 		p.straddle.ClearRange(start, end)
 		p.marks.ClearRange(start, end)
 	}
-	p.rem = remset.NewTable(p.reuse)
 	p.tracer = &satb.Tracer{
 		OM:    p.om,
 		Marks: p.marks,
@@ -210,15 +191,6 @@ func New(cfg Config) *LXR {
 		// entries whose memory has been reclaimed and reused.
 		Filter: func(r obj.Ref) bool {
 			return p.plausibleRef(r) && p.rc.Get(r) != 0 && !p.straddle.Get(r) && p.saneRef(r)
-		},
-		// Concurrent tracing can scan slots whose values are torn or
-		// stale (the memory may have been reclaimed mid-trace); the
-		// plausibility check shields the block-table lookup, exactly as
-		// the baselines' OnEdge hooks do.
-		OnEdge: func(slot mem.Address, v obj.Ref) {
-			if p.plausibleRef(v) && p.bt.HasFlag(v.Block(), immix.FlagDefrag) {
-				p.rem.Record(slot)
-			}
 		},
 	}
 	p.pacer = policy.NewRCPacer(policy.RCPacerConfig{
@@ -308,22 +280,12 @@ type mutState struct {
 	shard      int   // event-tracer instant lane (from the mutator ID)
 }
 
-// LXR caches "stores may need remembered-set recording" — satbActive
-// with a non-empty evacuation set — in each mutator's BarrierWatch
-// field. All inputs only change inside stop-the-world pauses, so the
-// flag is refreshed at every pause end (and on bind) and the barrier
-// replaces the satbActive.Load + Contains + HasFlag chain with one
-// mutator-local bool test, without even a PlanState type assertion.
-
 // BindMutator implements vm.Plan.
 func (p *LXR) BindMutator(m *vm.Mutator) {
 	ms := &mutState{lxr: p, shard: trace.MutShard(uint64(m.ID))}
 	// The RC table is the line map: a line a promoted object straddles
 	// keeps a non-zero word too (markStraddleLines).
 	ms.alloc = immix.Allocator{BT: p.bt, Lines: p.rc, OnSpan: p.onSpan}
-	// The caller holds the running token, so no pause can be flipping
-	// the SATB/evacuation state concurrently.
-	m.BarrierWatch = p.satbActive.Load() && len(p.evacSet) > 0
 	m.PlanState = ms
 }
 
@@ -348,15 +310,10 @@ func (p *LXR) UnbindMutator(m *vm.Mutator) {
 	m.PlanState = nil
 }
 
-// onSpan prepares a span handed to a bump allocator: reused lines get
-// their reuse counters bumped (remset staleness guard, needed only when
-// mature evacuation can record an entry) and all metadata cleared so
-// new objects start with Logged fields, no straddle markers and no
-// stale marks.
-func (p *LXR) onSpan(start, end mem.Address, recycled bool) {
-	if recycled && p.cfg.EnableMatureEvac {
-		p.reuse.BumpRange(start, end)
-	}
+// onSpan prepares a span handed to a bump allocator: all metadata is
+// cleared so new objects start with Logged fields, no straddle markers
+// and no stale marks.
+func (p *LXR) onSpan(start, end mem.Address) {
 	p.logs.ClearRange(start, end)
 	p.straddle.ClearRange(start, end)
 	p.marks.ClearRange(start, end)

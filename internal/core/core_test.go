@@ -234,65 +234,6 @@ func TestYoungEvacuationAmongCountedTargets(t *testing.T) {
 	}
 }
 
-// TestMatureEvacuationAmongIncrements runs the same drain with mature
-// evacuation on, so forwarding words also sit on mature sources while
-// roots that walk the list keep sending increments at the moved nodes:
-// a forwarded source has a zero count (ensureEvacuated clears it
-// first), so an increment that still reaches one takes the slow path
-// and follows the word, and one that reaches the copy takes the
-// count-only path. CI runs it under LXR_VERIFY=1 -race.
-//
-// Twelve pauses, about five evacuations: mature evacuation is off by
-// default because it still loses an incoming reference now and then on
-// longer runs (ROADMAP item 2), and this test is about the increment
-// drain, not about that.
-func TestMatureEvacuationAmongIncrements(t *testing.T) {
-	v := newVM(t, core.Config{EnableMatureEvac: true})
-	m := v.RegisterMutator(8)
-	defer m.Deregister()
-
-	// 64-byte nodes: a block full of them has 512 counted granules,
-	// under the evacuation-candidate ceiling.
-	const n = 4000
-	for i := n - 1; i >= 0; i-- {
-		node := m.Alloc(1, 1, 40)
-		m.WritePayload(node, 0, uint64(i))
-		if head := m.Roots[1]; !head.IsNil() {
-			m.Store(node, 0, head)
-		}
-		m.Roots[1] = node
-	}
-	for round := 0; round < 12; round++ {
-		cur := m.Roots[1]
-		for r := 3; r <= 6; r++ {
-			for j := 0; j < n/5+round; j++ {
-				cur = m.Load(cur, 0)
-			}
-			m.Roots[r] = cur
-		}
-		// Young survivors with fan-in, unrelated to the list.
-		y := m.Alloc(1, 1, 24)
-		m.WritePayload(y, 0, uint64(round))
-		m.Roots[7] = y
-		fanIn(m, 2, 7, 3)
-		for i := 0; i < 4000; i++ {
-			m.Roots[0] = m.Alloc(1, 1, 16)
-		}
-		m.RequestGC()
-		if got := m.ReadPayload(m.Load(m.Roots[2], 0), 0); got != uint64(round) {
-			t.Fatalf("round %d: young survivor reads %d", round, got)
-		}
-		m.Roots[2] = 0
-	}
-	checkList(t, m, m.Roots[1], n)
-	if v.Stats.Counter(core.CtrMatureEvacObjs) == 0 {
-		t.Fatal("no mature object was evacuated")
-	}
-	if v.Stats.Counter(core.CtrYoungEvacBytes) == 0 {
-		t.Fatal("no young object was evacuated")
-	}
-}
-
 func TestAblationsRun(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{NoConcurrentSATB: true},

@@ -127,32 +127,10 @@ func (p *LXR) processDecWork(intr *gcwork.Loan, segs [][]mem.Address, seedTouche
 }
 
 // maybeReleaseAfterDecs re-examines a block in which decrements freed
-// objects (lazy reclamation, §3.3.1). Only full, unlisted, unquarantined
-// blocks change state.
+// objects (lazy reclamation, §3.3.1). Only full, unlisted blocks without
+// fresh allocation change state: a dirty block waits for the young sweep.
 func (p *LXR) maybeReleaseAfterDecs(idx int) {
-	if p.bt.State(idx) != immix.StateFull {
-		return
-	}
-	// Quarantined evacuation sources, blocks with fresh allocation, and
-	// evacuation-set candidates (whose remembered sets assume a stable
-	// population) are all excluded from lazy reclamation.
-	if p.bt.HasFlag(idx, immix.FlagEvacuating) || p.bt.HasFlag(idx, immix.FlagDirty) || p.bt.HasFlag(idx, immix.FlagDefrag) {
-		return
-	}
-	switch p.classifyBlock(idx) {
-	case blockEmpty:
-		p.bt.ReleaseFree(idx)
-	case blockPartial:
-		p.bt.ReleaseRecycled(idx)
-	}
-}
-
-// releaseEvacuatedBlock returns an evacuation-set source block to
-// service once pending decrements (which may need its forwarding
-// pointers) have drained.
-func (p *LXR) releaseEvacuatedBlock(idx int) {
-	p.bt.ClearFlag(idx, immix.FlagEvacuating|immix.FlagDefrag)
-	if p.bt.State(idx) != immix.StateFull {
+	if p.bt.State(idx) != immix.StateFull || p.bt.HasFlag(idx, immix.FlagDirty) {
 		return
 	}
 	switch p.classifyBlock(idx) {

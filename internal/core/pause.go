@@ -40,7 +40,6 @@ const (
 	CtrDeadSATB       = "lxr.dead.satb"        // mature objects reclaimed by SATB
 	CtrStuck          = "lxr.stuck"            // counts that stuck at max
 	CtrYoungEvacBytes = "lxr.evac.young.bytes" // young bytes copied
-	CtrMatureEvacObjs = "lxr.evac.mature"      // mature objects copied
 	CtrYoungFreeBlk   = "lxr.young.freeblocks" // clean blocks from young sweeps
 	CtrSurvivedBytes  = "lxr.survived.bytes"
 	CtrAllocBytes     = "lxr.alloc.bytes"
@@ -223,12 +222,10 @@ func (p *LXR) pausePipeline(cause string) string {
 	// mutator may recycle and zero them before the concurrent thread
 	// gets to these decrements — a stale address would then resolve
 	// through clobbered memory and decrement whatever young object was
-	// allocated over it (mature evacuation quarantines its source
-	// blocks against exactly this; young evacuation relies on this
-	// pre-release resolution instead). Items are independent, so the
-	// batch partitions over the pause workers; this was the last
-	// serial O(decrements) loop in the pause. Skipped, like 4b, when no
-	// forwarding word is installed: every address is then already final.
+	// allocated over it. Items are independent, so the batch partitions
+	// over the pause workers; this was the last serial O(decrements)
+	// loop in the pause. Skipped, like 4b, when no forwarding word is
+	// installed: every address is then already final.
 	if fwdLive {
 		p.parFor(len(decs), parResolveThreshold, func(start, end int) {
 			for i, a := range decs[start:end] {
@@ -241,8 +238,7 @@ func (p *LXR) pausePipeline(cause string) string {
 	ev.PhaseArg(trace.NameRootDecs, ph, uint64(len(decs)))
 
 	// 5b. Release the blocks the concurrent thread's completed
-	// decrement batches freed (and evacuation sources whose forwarding
-	// pointers are no longer needed). Done here — not concurrently — so
+	// decrement batches freed. Done here — not concurrently — so
 	// freed lines can never be reused before this pause's increments
 	// have protected every surviving young object.
 	ph = time.Now()
@@ -258,9 +254,7 @@ func (p *LXR) pausePipeline(cause string) string {
 	p.sweepNewLarge()
 	ev.PhaseArg(trace.NameSweep, ph, uint64(cleanYielded))
 
-	// 7. SATB completion: reclaim unmarked matures, then defragment the
-	// evacuation sets using the remembered sets bootstrapped by the
-	// trace (§3.3.2).
+	// 7. SATB completion: reclaim unmarked matures.
 	if traceComplete {
 		hadMark = true
 		ph = time.Now()
@@ -298,19 +292,10 @@ func (p *LXR) pausePipeline(cause string) string {
 	if p.cfg.NoLazyDecrements {
 		hadDec = true
 		p.processDecsInPause(decs)
-		p.conc.finishEvacBlocksNow()
 	} else {
 		p.conc.submitDecs(decs)
 	}
 	ev.Phase(trace.NameDecSubmit, ph)
-	// Refresh the mutators' cached barrier predicate: satbActive and the
-	// evacuation set only change inside pauses (startSATB/finalizeSATB
-	// above), so the per-mutator flag recomputed here is valid for the
-	// whole next epoch.
-	remWatch := p.satbActive.Load() && len(p.evacSet) > 0
-	p.vm.EachMutatorParallel(p.pool, func(m *vm.Mutator) {
-		m.BarrierWatch = remWatch
-	})
 	p.verifyHeap("end")
 	if testPauseHook != nil {
 		testPauseHook(p)
@@ -344,9 +329,9 @@ const (
 	// does real per-item work (forwarding-word loads), so it pays off
 	// at moderate batch sizes.
 	parResolveThreshold = 512
-	// parClearThreshold gates full-table clears (mark bits, live words,
-	// reuse counters), measured in table words: small tables finish
-	// serially in less time than a pool dispatch.
+	// parClearThreshold gates full-table clears (mark bits), measured
+	// in table words: small tables finish serially in less time than a
+	// pool dispatch.
 	parClearThreshold = 1 << 14
 )
 
@@ -429,12 +414,10 @@ func (sc *incScratch) noteStuck(old uint32) {
 // forwardingLive reports whether any object in the heap may carry an
 // installed forwarding word right now, i.e. whether an address captured
 // before a copy can still need rewriting: this pause's increments
-// evacuated a young object, or a mature evacuation's source blocks are
-// still quarantined for the decrements that refer into them. It reads
-// what happened, not what is configured. Call it after the increment
-// drain and before releaseReclaimable lifts the quarantine.
+// evacuated a young object. It reads what happened, not what is
+// configured. Call it after the increment drain.
 func (p *LXR) forwardingLive() bool {
-	return p.copiedY.Load() > 0 || len(p.conc.evacBlocks) > 0
+	return p.copiedY.Load() > 0
 }
 
 // drainIncrements processes the increment closure in parallel. Seed
@@ -512,12 +495,11 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 //
 // The count decides before the object is touched. A counted object is
 // never forwarded, so its increment needs no header load (DESIGN.md,
-// "Metadata before memory"): young evacuation counts only the copy,
-// mature evacuation zeroes the source's count before it installs the
-// forwarding word (ensureEvacuated), and the one claim ever held on a
-// counted object is an in-place promotion's, between its count and its
-// abandon, which leaves the object where it is. Only a zero count —
-// young, or an evacuation's source — goes on to the forwarding word.
+// "Metadata before memory"): young evacuation counts only the copy, and
+// the one claim ever held on a counted object is an in-place
+// promotion's, between its count and its abandon, which leaves the
+// object where it is. Only a zero count — a young object, or a young
+// evacuation's source — goes on to the forwarding word.
 func (p *LXR) applyInc(w *gcwork.Worker, sc *incScratch, val obj.Ref) obj.Ref {
 	for {
 		if p.rc.Get(val) != 0 {
@@ -601,8 +583,7 @@ func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, cop
 		sc.copied += int64(size)
 	}
 	p.markStraddleLines(ref, size)
-	satb := p.satbActive.Load()
-	if satb {
+	if p.satbActive.Load() {
 		p.marks.Set(ref)
 	}
 	first, end := p.om.SlotAddr(ref, 0), p.om.SlotAddr(ref, p.om.NumRefs(ref))
@@ -612,13 +593,6 @@ func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, cop
 			if !p.plausibleRef(child) {
 				p.ctr.skip.AddAt(w.ID+1, 1)
 				continue
-			}
-			// The tracer will never scan this object (promotion marked
-			// it), so the promotion scan must stand in for the trace's
-			// remembered-set bootstrap: record edges into evacuation
-			// sets here, or evacuation would miss these slots (§3.3.2).
-			if satb && p.bt.HasFlag(child.Block(), immix.FlagDefrag) {
-				p.rem.Record(slot)
 			}
 			w.Push(slot)
 		}
@@ -656,14 +630,7 @@ func (p *LXR) sweepYoung() int {
 	var freed atomic.Int64
 	p.pool.ParallelFor(len(dirty), func(_, start, end int) {
 		for _, idx := range dirty[start:end] {
-			// An evacuation-set block stays off the recycled list, as in
-			// maybeReleaseAfterDecs and sweepUnmarked: it is dirty only
-			// because the last pause's copy allocators filled it after
-			// that pause's sweep, it holds no young object, and handing
-			// its free lines out would put new objects (this pause's
-			// evacuation copies among them) into a block about to be
-			// evacuated and quarantined.
-			if p.bt.State(idx) != immix.StateFull || p.bt.HasFlag(idx, immix.FlagEvacuating) || p.bt.HasFlag(idx, immix.FlagDefrag) {
+			if p.bt.State(idx) != immix.StateFull {
 				p.bt.ClearFlag(idx, immix.FlagYoung|immix.FlagDirty)
 				continue
 			}

@@ -1,28 +1,17 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 
-	"lxr/internal/gcwork"
 	"lxr/internal/immix"
 	"lxr/internal/mem"
 	"lxr/internal/obj"
 )
 
-// startSATB begins a concurrent trace epoch inside the current pause:
-// it selects evacuation sets (blocks under the occupancy threshold,
-// lowest occupancy first, §3.3.2), resets the line reuse counters that
-// validate remembered-set entries, and seeds the tracer with the current
-// root set. Without mature evacuation nothing records or validates a
-// remembered-set entry, so the counters are left alone (as in onSpan).
+// startSATB begins a concurrent trace epoch inside the current pause
+// and seeds the tracer with the current root set.
 func (p *LXR) startSATB() {
-	if p.cfg.EnableMatureEvac {
-		p.selectEvacSets()
-		p.parFor(p.reuse.Len(), parClearThreshold, p.reuse.ResetRange)
-	}
 	p.tracer.Begin()
 	seeds := p.gatherRootDecs(make([]obj.Ref, 0, len(p.rootSlots)))
 	p.tracer.Seed(seeds)
@@ -30,65 +19,12 @@ func (p *LXR) startSATB() {
 	p.satbActive.Store(true)
 }
 
-// defragOccupancy is the block-occupancy ceiling for evacuation-set
-// candidacy (§3.3.2).
-const defragOccupancy = 0.5
-
-// defragMaxBlocks caps the evacuation-set size at a sixteenth of the
-// heap's blocks.
-func defragMaxBlocks(heapBytes int) int {
-	if n := heapBytes / mem.BlockSize / 16; n > 4 {
-		return n
-	}
-	return 4
-}
-
-// selectEvacSets flags defragmentation targets: full blocks whose
-// RC-table occupancy upper bound is below defragOccupancy, sorted from
-// the lowest occupancy, capped at defragMaxBlocks. The occupancy scan
-// reads 128 RC words per block, so candidates are gathered in parallel
-// (per-worker partials, merged before the sort).
-func (p *LXR) selectEvacSets() {
-	type cand struct{ idx, live int }
-	limit := int(defragOccupancy * mem.GranulesPerBlock)
-	var cands []cand
-	outs := make([][]cand, p.pool.N)
-	p.pool.ParallelFor(p.bt.Blocks(), func(w, start, end int) {
-		out := outs[w]
-		for i := start; i < end; i++ {
-			idx := i + 1 // main blocks are 1-based
-			if p.bt.State(idx) != immix.StateFull || p.bt.HasFlag(idx, immix.FlagEvacuating) {
-				continue
-			}
-			if live := p.rc.BlockLiveGranules(idx); live < limit {
-				out = append(out, cand{idx, live})
-			}
-		}
-		outs[w] = out
-	})
-	for _, out := range outs {
-		cands = append(cands, out...)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].live < cands[j].live })
-	if max := defragMaxBlocks(p.cfg.HeapBytes); len(cands) > max {
-		cands = cands[:max]
-	}
-	p.evacSet = p.evacSet[:0]
-	for _, c := range cands {
-		p.bt.SetFlag(c.idx, immix.FlagDefrag)
-		p.evacSet = append(p.evacSet, c.idx)
-	}
-}
-
 // finalizeSATB runs in the pause where the trace completed: it reclaims
 // unmarked mature objects (cycles and stuck counts that reference
-// counting cannot collect), evacuates the evacuation sets, clears mark
-// bits, and tells the pacer what the trace freed.
+// counting cannot collect), clears mark bits, and tells the pacer what
+// the trace freed.
 func (p *LXR) finalizeSATB() {
 	freed := p.sweepUnmarked()
-	if p.cfg.EnableMatureEvac && len(p.evacSet) > 0 {
-		p.evacuateSets()
-	}
 	p.parFor(p.marks.Words(), parClearThreshold, p.marks.ClearWords)
 	p.tracer.Finish()
 	p.satbActive.Store(false)
@@ -114,18 +50,14 @@ func (p *LXR) sweepUnmarked() int64 {
 			if st != immix.StateFull && st != immix.StateRecycled {
 				continue
 			}
-			if p.bt.HasFlag(idx, immix.FlagEvacuating) {
-				continue
-			}
 			d, sk, b := p.sweepBlockUnmarked(idx)
 			died += d
 			skipped += sk
 			bytes += b
 			// Only full, unlisted blocks may change state here; blocks
 			// already on the recycled list stay put (their free lines
-			// are found on reuse), and defrag targets are released
-			// after evacuation.
-			if d > 0 && st == immix.StateFull && !p.bt.HasFlag(idx, immix.FlagDefrag) {
+			// are found on reuse).
+			if d > 0 && st == immix.StateFull {
 				switch p.classifyBlock(idx) {
 				case blockEmpty:
 					p.bt.ReleaseFree(idx)
@@ -204,142 +136,11 @@ func (p *LXR) reclaimObjectMeta(ref obj.Ref) int {
 	return size
 }
 
-// --- mature evacuation ----------------------------------------------------------
-
-// evacuateSets defragments the evacuation sets inside the pause, using
-// the remembered sets (validated against line reuse counters) plus the
-// current roots as the incoming-reference set. The bounded trace follows
-// pointers only within the sets; each copied object's counts transfer to
-// the new copy and the incoming slot is redirected (§3.3.2).
-func (p *LXR) evacuateSets() {
-	entries := p.rem.TakeAll()
-	p.parFor(p.visited.Words(), parClearThreshold, p.visited.ClearWords)
-	// Reused below as a per-block evacuation-failure count.
-	p.parFor(p.bt.Arena.Blocks(), parClearThreshold, p.bt.ClearLiveRange)
-
-	// Entries are validated against line reuse counters now and the
-	// values re-checked at processing time: survivor allocators may
-	// recycle a stale entry's line during this very pause.
-	items := make([]mem.Address, 0, len(entries)+len(p.rootSlots))
-	for _, e := range entries {
-		if p.rem.Valid(e) {
-			items = append(items, e.Slot)
-		}
-	}
-	for i := range p.rootSlots {
-		items = append(items, rootTag|mem.Address(i))
-	}
-
-	var copied atomic.Int64
-	p.pool.Drain(items,
-		func(w *gcwork.Worker) {
-			w.Scratch = &immix.Allocator{BT: p.bt, Lines: p.rc, OnSpan: p.onSpan}
-		},
-		func(w *gcwork.Worker, item mem.Address) {
-			if item&rootTag != 0 {
-				slot := p.rootSlots[int(item&^rootTag)]
-				p.evacSlot(w, &copied, func() obj.Ref { return *slot }, func(v obj.Ref) { *slot = v })
-			} else {
-				p.evacSlot(w, &copied,
-					func() obj.Ref { return p.om.A.LoadRef(item) },
-					func(v obj.Ref) { p.om.A.StoreRef(item, v) })
-			}
-		},
-		func(w *gcwork.Worker) { w.Scratch.(*immix.Allocator).Flush() })
-	p.vm.Stats.Add(CtrMatureEvacObjs, copied.Load())
-
-	// Source blocks hold forwarding pointers that pending lazy
-	// decrements may still need; they are quarantined until the
-	// decrement queue drains, then line-scanned and released.
-	for _, idx := range p.evacSet {
-		p.bt.ClearFlag(idx, immix.FlagDefrag)
-		p.bt.SetFlag(idx, immix.FlagEvacuating)
-	}
-	p.conc.submitEvacBlocks(p.evacSet)
-	p.evacSet = p.evacSet[:0]
-}
-
-// evacSlot processes one incoming reference during evacuation.
-func (p *LXR) evacSlot(w *gcwork.Worker, copied *atomic.Int64, get func() obj.Ref, set func(obj.Ref)) {
-	val := get()
-	if !p.plausibleRef(val) {
-		return // nil, or garbage read through a stale remset entry
-	}
-	if !p.bt.HasFlag(val.Block(), immix.FlagDefrag) {
-		return // outside the evacuation set: out of scope (§3.3.2)
-	}
-	if !p.saneRef(val) {
-		return // stale entry decoding to a non-object
-	}
-	dst, moved, live := p.ensureEvacuated(w, copied, val)
-	if !live {
-		return // dead object or stale entry: nothing to redirect
-	}
-	if moved {
-		set(dst)
-	}
-	// Scan the object once for pointers that stay within the sets.
-	if p.visited.TrySet(val) {
-		n := p.om.NumRefs(dst)
-		for i := 0; i < n; i++ {
-			slot := p.om.SlotAddr(dst, i)
-			if child := p.om.A.LoadRef(slot); p.plausibleRef(child) &&
-				p.bt.HasFlag(child.Block(), immix.FlagDefrag) {
-				w.Push(slot)
-			}
-		}
-	}
-}
-
-// ensureEvacuated copies val out of its block exactly once, transferring
-// its reference count and clearing the source's metadata. When the copy
-// reserve is exhausted the object stays in place (recorded as a
-// per-block failure so the block is not treated as empty).
-func (p *LXR) ensureEvacuated(w *gcwork.Worker, copied *atomic.Int64, val obj.Ref) (dst obj.Ref, moved, live bool) {
-	for {
-		fw := p.om.ForwardingWord(val)
-		switch fw & 3 {
-		case obj.FwdForwarded:
-			return obj.Ref(fw >> 2), true, true
-		case obj.FwdBusy:
-			continue
-		}
-		if p.rc.Get(val) == 0 || p.straddle.Get(val) {
-			return val, false, false // dead object or stale remset entry
-		}
-		if !p.om.TryClaimForwarding(val) {
-			continue
-		}
-		size := p.om.Size(val)
-		sa := w.Scratch.(*immix.Allocator)
-		d, ok := sa.Alloc(size)
-		if !ok {
-			p.om.AbandonForwarding(val)
-			p.bt.AddLive(val.Block(), 1) // evacuation failure: block stays live
-			return val, false, true
-		}
-		p.om.CopyTo(val, d)
-		p.rc.Set(d, p.rc.Get(val))
-		p.markStraddleLines(d, size)
-		p.logs.SetUnloggedRange(p.om.SlotAddr(d, 0), p.om.SlotAddr(d, p.om.NumRefs(d)))
-		// The source's count goes to zero BEFORE the forwarding word is
-		// published: "counted ⇒ not forwarded" is what lets applyInc
-		// increment a counted object without loading its header.
-		p.reclaimObjectMeta(val) // free the source lines (block quarantined)
-		if verifyEnabled && p.rc.Get(val) != 0 {
-			panic(fmt.Sprintf("lxr verify epoch %d: evacuation source %x still counted (rc %d) as its forwarding word is published",
-				p.epoch.Load(), uint64(val), p.rc.Get(val)))
-		}
-		p.om.InstallForwarding(val, d)
-		copied.Add(1)
-		return d, true, true
-	}
-}
-
 // plausibleRef reports whether v could be an object reference: non-nil,
 // granule-aligned, and inside the arena. Values read through stale
-// remembered-set entries can be arbitrary bit patterns; implausible ones
-// are discarded (the reuse-counter check catches the rest, §3.3.2).
+// queue entries, or torn by a concurrent trace scanning memory reclaimed
+// under it, can be arbitrary bit patterns; implausible ones are
+// discarded before any side-metadata lookup.
 func (p *LXR) plausibleRef(v obj.Ref) bool {
 	return !v.IsNil() && v&(mem.Granule-1) == 0 && p.om.A.Contains(v)
 }

@@ -35,8 +35,9 @@ type Allocator struct {
 	// collection never fails while free blocks physically exist.
 	NoBudget bool
 	// OnSpan, when set, is invoked for every address span handed to the
-	// bump pointer. LXR uses it to bump per-line reuse counters.
-	OnSpan func(start, end mem.Address, recycled bool)
+	// bump pointer, after the span is zeroed. Plans use it to clear the
+	// span's side metadata.
+	OnSpan func(start, end mem.Address)
 
 	cursor mem.Address
 	limit  mem.Address
@@ -126,7 +127,7 @@ func (al *Allocator) allocOverflow(size int) (mem.Address, bool) {
 	// acquired clean, hence still allocator-private: bulk memclr.
 	al.BT.Arena.ZeroPrivate(al.oCursor, al.oLimit)
 	if al.OnSpan != nil {
-		al.OnSpan(al.oCursor, al.oLimit, false)
+		al.OnSpan(al.oCursor, al.oLimit)
 	}
 	a := al.oCursor
 	al.oCursor += mem.Address(size)
@@ -280,7 +281,7 @@ func (al *Allocator) setSpan(start, end mem.Address, recycled bool) {
 		al.BT.Arena.ZeroPrivate(start, end)
 	}
 	if al.OnSpan != nil {
-		al.OnSpan(start, end, recycled)
+		al.OnSpan(start, end)
 	}
 }
 

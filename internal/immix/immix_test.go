@@ -252,7 +252,7 @@ func TestOverflowAllocationZeroes(t *testing.T) {
 
 	var spans [][2]mem.Address
 	al := immix.Allocator{BT: bt, Lines: mapLines{used},
-		OnSpan: func(s, e mem.Address, r bool) { spans = append(spans, [2]mem.Address{s, e}) }}
+		OnSpan: func(s, e mem.Address) { spans = append(spans, [2]mem.Address{s, e}) }}
 	small, ok := al.Alloc(64) // lands in the recycled span
 	if !ok || small.Block() != idx {
 		t.Fatalf("small alloc misplaced: %x ok=%v", small, ok)

@@ -1,7 +1,7 @@
 // Package meta implements the side metadata tables LXR keeps off to the
 // side of the heap: the 2-bit reference-count table, the unlogged bits
-// used by the field-logging write barrier, SATB mark bits, and per-line
-// reuse counters used to validate remembered-set entries.
+// used by the field-logging write barrier, SATB mark bits, and the
+// per-line reuse counters G1 uses to validate remembered-set entries.
 //
 // All tables are addressed by arena geometry (granule, word, or line
 // index) so that metadata for an object is reachable from its address
@@ -262,8 +262,8 @@ func (t *RCTable) UnmarkedStarts(idx int, marks, straddle *BitTable) uint32 {
 	return countedMask(w) &^ (marks.lineBits(idx) | straddle.lineBits(idx))
 }
 
-// BlockLiveGranules counts granules in block idx with a non-zero count.
-// It is the occupancy upper bound the evacuation-set selector uses.
+// BlockLiveGranules counts granules in block idx with a non-zero count:
+// an upper bound on the block's occupancy.
 func (t *RCTable) BlockLiveGranules(idx int) int {
 	first := idx * mem.LinesPerBlock
 	live := 0
@@ -458,11 +458,11 @@ func (t *BitTable) Word(idx int) uint32 {
 	return atomic.LoadUint32(&t.words[idx])
 }
 
-// LineCounters keeps one 32-bit counter per line. LXR uses it for the
-// line reuse counters that guard against stale remembered-set entries
-// (§3.3.2): counters are bumped when a line is handed out for reuse and
-// reset at each SATB start; a remset entry tagged with an older count is
-// discarded at evacuation time.
+// LineCounters keeps one 32-bit counter per line. G1 uses it for the
+// line reuse counters that guard against stale remembered-set entries:
+// counters are bumped when a region is freed and reset at each marking
+// start; a remset entry tagged with an older count is discarded at
+// evacuation time.
 type LineCounters struct {
 	counts []uint32
 }

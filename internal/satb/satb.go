@@ -29,7 +29,7 @@ type Tracer struct {
 	// OnMark is invoked once per newly marked object (live accounting).
 	OnMark func(ref obj.Ref)
 	// OnEdge is invoked for every reference edge scanned, before the
-	// target is pushed (LXR bootstraps remembered sets here, §3.3.2).
+	// target is pushed (G1 bootstraps its remembered sets here).
 	OnEdge func(slot mem.Address, val obj.Ref)
 
 	inbox gcwork.SharedAddrQueue

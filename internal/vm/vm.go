@@ -324,13 +324,6 @@ type Mutator struct {
 	// PlanState holds the plan's per-mutator state.
 	PlanState any
 
-	// BarrierWatch is a plan-owned cache for a hot write-barrier
-	// predicate ("does this store need extra bookkeeping beyond the
-	// fast path"). Keeping it as a plain field on the mutator lets the
-	// barrier consult it without the PlanState type assertion. Plans
-	// refresh it inside stop-the-world pauses only.
-	BarrierWatch bool
-
 	// Rendezvous placement: the shard this mutator is pinned to, and
 	// its index in the shard's mutator list (maintained by swap-remove
 	// under the shard lock).
