@@ -32,8 +32,9 @@ const barrierSampleMask = 63
 // bytes accumulate in the allocator's SinceEpoch counter and the object
 // count in mutState, harvested at safepoints and pauses, so the fast
 // path performs no atomic operations. Objects above half a block go to
-// the large object space. Layout validation is a verify-mode check
-// (LXR_VERIFY), not a per-allocation branch chain.
+// the large object space. Layout validation and the new slots' Logged
+// state are verify-mode checks (LXR_VERIFY), not a per-allocation
+// branch chain.
 func (p *LXR) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 	ms := m.PlanState.(*mutState)
 	p.pollTrigger(m, ms)
@@ -56,6 +57,9 @@ func (p *LXR) Alloc(m *vm.Mutator, l obj.Layout) obj.Ref {
 		}
 		if ok {
 			p.om.WriteHeader(a, l)
+			if verifyEnabled {
+				p.verifyFresh(a)
+			}
 			ms.allocObjs++
 			return a
 		}

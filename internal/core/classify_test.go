@@ -41,7 +41,7 @@ func TestClassifyBlockMatchesPerLineReference(t *testing.T) {
 	densities := []float64{0, 0.02, 0.1, 0.5, 0.95, 1}
 	for trial := 0; trial < 4000; trial++ {
 		idx := 1 + rng.Intn(a.Blocks()-1)
-		rc.ClearBlock(idx)
+		rc.ClearRange(mem.BlockStart(idx), mem.BlockStart(idx+1))
 		switch trial % 8 {
 		case 0: // exactly one counted line, at a random position
 			l := rng.Intn(mem.LinesPerBlock)

@@ -18,12 +18,15 @@ import (
 const incFields = 60000
 
 // incHeap is a 16 MB heap laid out as a pause finds it after a
-// batch-mutate-like epoch: 40000 mature 96-byte objects (3 reference
-// slots, counted) spread over 3.7 MB, 20000 young 64-byte objects
-// (uncounted, in all-young blocks, each pointing at one other), and
-// 60000 logged fields of mature objects rewired at random, of which the
-// given share now point at young objects.
-func incHeap(youngShare float64) (*LXR, *vm.VM, [][]mem.Address) {
+// batch-mutate epoch: 40000 mature 96-byte objects (3 reference slots)
+// spread over 9 MB among dead fillers, 60% of their counts stuck at 3
+// and the rest at 1; 20000 young 64-byte objects (uncounted, each
+// pointing at one other), in all-young blocks when evac is set and
+// otherwise in blocks the allocator does not call young, so that each is
+// promoted in place as batch-mutate's survivors are; and 60000 logged
+// fields of mature objects rewired at random, of which the given share
+// now point at young objects.
+func incHeap(youngShare float64, evac bool) (*LXR, *vm.VM, [][]mem.Address) {
 	const (
 		matures = 40000
 		youngs  = 20000
@@ -36,8 +39,13 @@ func incHeap(youngShare float64) (*LXR, *vm.VM, [][]mem.Address) {
 	for i := range mature {
 		a, _ := al.Alloc(96)
 		p.om.WriteHeader(a, obj.Layout{NumRefs: 3, Size: 96})
-		p.rc.Set(a, 1)
+		if r.Float64() < 0.6 {
+			p.rc.Set(a, 3)
+		} else {
+			p.rc.Set(a, 1)
+		}
 		mature[i] = a
+		al.Alloc(16 * (1 + r.Intn(16))) // a dead object's gap
 	}
 	al.Flush()
 	for _, idx := range p.bt.TakeDirty() { // mature blocks are neither young nor dirty
@@ -50,6 +58,11 @@ func incHeap(youngShare float64) (*LXR, *vm.VM, [][]mem.Address) {
 		young[i] = a
 	}
 	al.Flush()
+	if !evac {
+		for _, y := range young {
+			p.bt.ClearFlag(y.Block(), immix.FlagYoung)
+		}
+	}
 	for _, y := range young {
 		p.om.StoreSlot(y, 0, young[r.Intn(youngs)])
 	}
@@ -84,25 +97,29 @@ func evict() (sum uint64) {
 var benchSink uint64
 
 // BenchmarkDrainIncrements reports the increment drain's cost per seeded
-// field on a cold heap, for fields that point at counted objects, at
-// young objects (each promoted and evacuated on its first increment,
-// with its own field scanned in turn) and at an even mix. A drain
-// consumes its heap — young objects are promoted, counts rise — so every
-// iteration builds a fresh one with the timer stopped: run it with a
-// fixed count (-benchtime 20x).
+// field on a cold heap, for fields that point at counted objects (most
+// of them stuck), at young objects promoted in place or evacuated on
+// their first increment (each with its own field scanned in turn), and
+// at batch-mutate's mix: about 60% of increments on stuck counts, 23%
+// counted CASes and 17% promotions in place. A drain consumes its heap —
+// young objects are promoted, counts rise — so every iteration builds a
+// fresh one with the timer stopped: run it with a fixed count
+// (-benchtime 20x), and at -cpu 1 for the spread.
 func BenchmarkDrainIncrements(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		young float64
+		evac  bool
 	}{
-		{"mature-target", 0},
-		{"young-target", 1},
-		{"mixed", 0.5},
+		{"mature-target", 0, false},
+		{"promote-target", 1, false},
+		{"evac-target", 1, true},
+		{"batch-mutate", 0.17, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p, v, segs := incHeap(bc.young)
+				p, v, segs := incHeap(bc.young, bc.evac)
 				benchSink += evict()
 				b.StartTimer()
 				p.drainIncrements(segs)

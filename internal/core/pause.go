@@ -460,7 +460,9 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 				}
 				return
 			}
-			p.logs.SetUnlogged(item) // re-arm the barrier for this field
+			// Re-arm the barrier for this field and the fifteen sharing its
+			// log word: one plain store (DESIGN.md, "Re-arming by the word").
+			p.logs.ArmWord(item)
 			v := p.om.A.LoadRef(item)
 			if v.IsNil() {
 				return
@@ -572,8 +574,8 @@ func (p *LXR) youngEvacCandidate(ref obj.Ref) bool {
 // finishPromotion performs the duties owed to a young object surviving
 // its first collection, at its final address: account survival, write
 // straddle-line markers so the allocator will not reuse its interior
-// lines (§3.1), arm the write barrier for its fields (ending its
-// implicitly-dead status), keep it live for an in-flight SATB trace, and
+// lines (§3.1), arm the write barrier for its fields by the word (ending
+// its implicitly-dead status), keep it live for an in-flight SATB trace, and
 // enqueue recursive increments for its referents.
 func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, copied bool) {
 	size := p.om.Size(ref)
@@ -587,7 +589,7 @@ func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, cop
 		p.marks.Set(ref)
 	}
 	first, end := p.om.SlotAddr(ref, 0), p.om.SlotAddr(ref, p.om.NumRefs(ref))
-	p.logs.SetUnloggedRange(first, end)
+	p.logs.ArmWords(first, end)
 	for slot := first; slot < end; slot += mem.WordSize {
 		if child := p.om.A.LoadRef(slot); !child.IsNil() {
 			if !p.plausibleRef(child) {

@@ -19,9 +19,12 @@ var verifyEnabled = os.Getenv("LXR_VERIFY") != ""
 var verifyFull = os.Getenv("LXR_VERIFY") == "2"
 
 // verifyHeap walks the full reachable graph while the world is stopped
-// and asserts that every reachable object has a plausible header and a
-// non-zero reference count. It exists for debugging; the overhead is a
-// full heap trace per pause.
+// and asserts that every reachable object has a plausible header, a
+// non-zero reference count and, at pause end, every reference slot
+// armed (Unlogged): a slot left Logged would let the next epoch's first
+// store to it skip the barrier and lose its coalesced increment and
+// decrement. It exists for debugging; the overhead is a full heap trace
+// per pause.
 func (p *LXR) verifyHeap(stage string) {
 	if !verifyFull {
 		return
@@ -54,13 +57,33 @@ func (p *LXR) verifyHeap(stage string) {
 				stage, p.epoch.Load(), uint64(ref), ref.Block(), p.bt.State(ref.Block()), p.bt.Word(ref.Block()),
 				p.bt.HasFlag(ref.Block(), immix.FlagYoung), size, p.straddle.Get(ref), p.marks.Get(ref)))
 		}
-		p.om.EachSlot(ref, func(_ int, _ mem.Address, v obj.Ref) {
+		p.om.EachSlot(ref, func(i int, slot mem.Address, v obj.Ref) {
+			if st := p.logs.Get(slot); st != meta.LogUnlogged {
+				panic(fmt.Sprintf("lxr verify[%s] epoch %d: reachable ref %x slot %d at %x is not armed (log state %d)",
+					stage, p.epoch.Load(), uint64(ref), i, uint64(slot), st))
+			}
 			if !v.IsNil() {
 				stack = append(stack, v)
 			}
 		})
 	}
 	_ = count
+}
+
+// verifyFresh asserts that a new object's reference slots read Logged,
+// the state a span or large-object hand-out resets them to, on which
+// the implicitly-dead optimisation rests: an Unlogged slot here is a
+// pause's word-wide arm (meta.FieldLogTable.ArmWord) that reached memory
+// an allocator has handed out again (DESIGN.md, "Re-arming by the
+// word").
+func (p *LXR) verifyFresh(ref obj.Ref) {
+	for i, n := 0, p.om.NumRefs(ref); i < n; i++ {
+		if slot := p.om.SlotAddr(ref, i); p.logs.Get(slot) != meta.LogLogged {
+			panic(fmt.Sprintf("lxr verify epoch %d: new object %x slot %d at %x reads log state %d, not Logged (block %d state %d flags %x lineRC=%08x)",
+				p.epoch.Load(), uint64(ref), i, uint64(slot), p.logs.Get(slot),
+				ref.Block(), p.bt.State(ref.Block()), p.bt.Word(ref.Block()), p.rc.LineWord(slot.Line())))
+		}
+	}
 }
 
 // diagnoseSlot panics with full context about a slot that delivered an

@@ -22,7 +22,12 @@ const (
 )
 
 // FieldLogTable holds the 2-bit log state for every 8-byte field in the
-// arena.
+// arena: a thirty-second of the heap (512 KB on a 16 MB heap), twice the
+// RC table. Mutators log a field Unlogged → Busy → Logged by CAS
+// (TryBeginLog, FinishLog), since two of them may race on one word. A
+// span handed to an allocator is reset to Logged (ClearRange). LXR's
+// pauses re-arm the barrier by the word with plain stores (ArmWord,
+// ArmWords); G1's and Immix+WB's re-arm field by field (SetUnlogged).
 type FieldLogTable struct {
 	words []uint32
 }
@@ -66,13 +71,11 @@ func (t *FieldLogTable) TryBeginLog(slot mem.Address) bool {
 // FinishLog publishes the Logged state after the old value was captured.
 func (t *FieldLogTable) FinishLog(slot mem.Address) { t.set(slot, LogLogged) }
 
-// SetUnlogged re-arms the barrier for slot. The collector calls it when
-// processing the modified-fields buffer at each pause, and for every
-// field of an object surviving its first collection.
+// SetUnlogged re-arms the barrier for slot, one field at a time with a
+// CAS. G1 and Immix+WB call it; LXR's pauses arm by the word (ArmWord).
 func (t *FieldLogTable) SetUnlogged(slot mem.Address) { t.set(slot, LogUnlogged) }
 
-// SetLogged forces the Logged state (used when clearing reclaimed
-// memory's metadata).
+// SetLogged forces the Logged state: ClearRange's reference model.
 func (t *FieldLogTable) SetLogged(slot mem.Address) { t.set(slot, LogLogged) }
 
 func (t *FieldLogTable) set(slot mem.Address, v uint32) {
@@ -86,66 +89,37 @@ func (t *FieldLogTable) set(slot mem.Address, v uint32) {
 	}
 }
 
-// ClearRange forces Logged for every field in [start, end), used when an
-// object's memory is reclaimed so reallocation starts from clean state.
-// Logged is the all-zero encoding, so interior words (16 fields each)
-// are plain atomic zero stores; only the partially covered boundary
-// words need a masked CAS. This runs on every bump-span reset, which is
-// why the per-field CAS loop it replaces was worth killing.
+// ClearRange forces Logged, the all-zero state, for every field in
+// [start, end): every span an allocator is handed, so new objects start
+// Logged (clearPairs).
 func (t *FieldLogTable) ClearRange(start, end mem.Address) {
-	t.setRange(start, end, 0)
+	clearPairs(t.words, start, end, mem.WordLog)
 }
 
 // unloggedWord is sixteen fields' worth of LogUnlogged.
 const unloggedWord = 0x5555_5555
 
-// SetUnloggedRange re-arms the barrier for every field in [start, end):
-// what a SetUnlogged per field does, a word of sixteen fields at a
-// time. The collector calls it on the reference slots of an object at
-// its final address (promotion, evacuation), so interior words belong
-// to that object alone and are single atomic stores; the boundary
-// words are shared with neighbouring objects, whose fields another
-// pause worker may be arming, and take a masked CAS that leaves every
-// field outside the range — a Busy one included — as it was.
-func (t *FieldLogTable) SetUnloggedRange(start, end mem.Address) {
-	t.setRange(start, end, unloggedWord)
-}
+// logWordLog is log2 of the heap bytes one table word covers: sixteen
+// 8-byte fields, 128 bytes, half a line.
+const logWordLog = mem.WordLog + 4
 
-// setRange gives every field in [start, end) the state pattern holds
-// for it (a word of one repeated 2-bit state).
-func (t *FieldLogTable) setRange(start, end mem.Address, pattern uint32) {
+// ArmWord re-arms the barrier for slot by over-arming: one plain store
+// (armWord) makes all sixteen fields of the table word holding slot
+// Unlogged. Stopped world only, and only where every field the word
+// reaches may be left Unlogged: LXR's increment drain and promotion,
+// which answer for the four conditions in DESIGN.md, "Re-arming by the
+// word" — racing stores converge, spilled-over fields are inert,
+// over-armed words never reach a new object, and every field that must
+// be armed is.
+func (t *FieldLogTable) ArmWord(slot mem.Address) { t.armWord(int(slot >> logWordLog)) }
+
+// ArmWords over-arms every table word [start, end) overlaps: a promoted
+// object's reference slots. See ArmWord.
+func (t *FieldLogTable) ArmWords(start, end mem.Address) {
 	if start >= end {
 		return
 	}
-	// The fields the per-field loop would visit, stepping by the word
-	// size from start (which need not be aligned).
-	f0 := uint64(start) >> mem.WordLog
-	f1 := uint64(start+((end-start-1)/mem.WordSize)*mem.WordSize)>>mem.WordLog + 1
-	w0, s0 := int(f0/16), uint(f0%16)*2
-	w1, s1 := int(f1/16), uint(f1%16)*2
-	if w0 == w1 {
-		setMasked32(&t.words[w0], (^uint32(0)<<s0)&^(^uint32(0)<<s1), pattern)
-		return
-	}
-	if s0 != 0 {
-		setMasked32(&t.words[w0], ^uint32(0)<<s0, pattern)
-		w0++
-	}
-	for w := w0; w < w1; w++ {
-		atomic.StoreUint32(&t.words[w], pattern)
-	}
-	if s1 != 0 {
-		setMasked32(&t.words[w1], ^(^uint32(0) << s1), pattern)
-	}
-}
-
-// setMasked32 atomically replaces the masked bits of *w with those of v.
-func setMasked32(w *uint32, mask, v uint32) {
-	for {
-		old := atomic.LoadUint32(w)
-		new := old&^mask | v&mask
-		if old == new || atomic.CompareAndSwapUint32(w, old, new) {
-			return
-		}
+	for w, last := int(start>>logWordLog), int((end-1)>>logWordLog); w <= last; w++ {
+		t.armWord(w)
 	}
 }

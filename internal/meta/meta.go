@@ -9,7 +9,6 @@
 package meta
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"lxr/internal/mem"
@@ -96,9 +95,6 @@ func (t *RCTable) Set(addr mem.Address, v uint32) {
 	}
 }
 
-// IsStuck reports whether the count for addr is pinned at RCMax.
-func (t *RCTable) IsStuck(addr mem.Address) bool { return t.Get(addr) == RCMax }
-
 // LineWord returns the raw uint32 holding all counts for global line idx.
 // A zero value means every granule on the line is free.
 func (t *RCTable) LineWord(idx int) uint32 {
@@ -108,47 +104,39 @@ func (t *RCTable) LineWord(idx int) uint32 {
 // LineFree reports whether global line idx holds no counted objects.
 func (t *RCTable) LineFree(idx int) bool { return t.LineWord(idx) == 0 }
 
-// ClearLine zeroes every count on global line idx.
-func (t *RCTable) ClearLine(idx int) { atomic.StoreUint32(&t.words[idx], 0) }
-
-// ClearBlock zeroes every count in block idx.
-func (t *RCTable) ClearBlock(idx int) {
-	first := idx * mem.LinesPerBlock
-	for i := first; i < first+mem.LinesPerBlock; i++ {
-		atomic.StoreUint32(&t.words[i], 0)
-	}
+// ClearRange zeroes the counts of every granule in [start, end). This
+// is the span-reset path of every bump allocation span, so it goes a
+// word at a time (clearPairs) rather than up to 2048 CAS loops a block.
+func (t *RCTable) ClearRange(start, end mem.Address) {
+	clearPairs(t.words, start, end, mem.GranuleLog)
 }
 
-// ClearRange zeroes the counts of every granule in [start, end),
-// word-at-a-time: interior words (16 granules — one line — each) are
-// plain atomic stores; only partially covered boundary words need a
-// masked CAS. The per-granule equivalent would be up to 2048 CAS loops
-// per block — this is the span-reset path of every bump allocation
-// span, so it must be cheap.
-func (t *RCTable) ClearRange(start, end mem.Address) {
+// clearPairs zeroes the 2-bit entries of ws — sixteen to a word, one per
+// 1<<unitLog bytes — that a per-unit loop over [start, end) would visit,
+// stepping by the unit from start (which need not be aligned). Interior
+// words are single atomic stores; only the partially covered boundary
+// words take a masked CAS.
+func clearPairs(ws []uint32, start, end mem.Address, unitLog uint) {
 	if start >= end {
 		return
 	}
-	// Granules visited by the equivalent per-granule loop: stepping by
-	// Granule from start (which need not be aligned), the last visited
-	// address is start + ((end-start-1)/Granule)*Granule.
-	g0 := start.Granule()
-	g1 := (start + ((end-start-1)/mem.Granule)*mem.Granule).Granule() + 1
-	w0, s0 := g0/countsPerWord, uint(g0%countsPerWord)*RCBits
-	w1, s1 := g1/countsPerWord, uint(g1%countsPerWord)*RCBits
+	u0 := uint64(start) >> unitLog
+	u1 := uint64(start+(end-start-1)>>unitLog<<unitLog)>>unitLog + 1
+	w0, s0 := int(u0/16), uint(u0%16)*2
+	w1, s1 := int(u1/16), uint(u1%16)*2
 	if w0 == w1 {
-		clearBits32(&t.words[w0], (^uint32(0)<<s0)&^(^uint32(0)<<s1))
+		clearBits32(&ws[w0], (^uint32(0)<<s0)&^(^uint32(0)<<s1))
 		return
 	}
 	if s0 != 0 {
-		clearBits32(&t.words[w0], ^uint32(0)<<s0)
+		clearBits32(&ws[w0], ^uint32(0)<<s0)
 		w0++
 	}
 	for w := w0; w < w1; w++ {
-		atomic.StoreUint32(&t.words[w], 0)
+		atomic.StoreUint32(&ws[w], 0)
 	}
 	if s1 != 0 {
-		clearBits32(&t.words[w1], ^(^uint32(0) << s1))
+		clearBits32(&ws[w1], ^(^uint32(0) << s1))
 	}
 }
 
@@ -232,16 +220,12 @@ func setBits32(w *uint32, mask uint32) {
 	}
 }
 
-// countedEven returns w's counted positions in place: bit 2i is set when
-// the 2-bit count at position i is non-zero.
-func countedEven(w uint32) uint32 { return (w | w>>1) & 0x5555_5555 }
-
 // countedMask folds one line's RC word to a 16-bit mask: bit i is set
-// when granule i of the line carries a non-zero count. The counted
-// positions sit on the even bits; the shift-or ladder packs them into
-// the low half word.
+// when granule i of the line carries a non-zero count. The first step
+// puts the counted positions on the even bits; the shift-or ladder
+// packs them into the low half word.
 func countedMask(w uint32) uint32 {
-	x := countedEven(w)
+	x := (w | w>>1) & 0x5555_5555
 	x = (x | x>>1) & 0x3333_3333
 	x = (x | x>>2) & 0x0f0f_0f0f
 	x = (x | x>>4) & 0x00ff_00ff
@@ -260,18 +244,6 @@ func (t *RCTable) UnmarkedStarts(idx int, marks, straddle *BitTable) uint32 {
 		return 0
 	}
 	return countedMask(w) &^ (marks.lineBits(idx) | straddle.lineBits(idx))
-}
-
-// BlockLiveGranules counts granules in block idx with a non-zero count:
-// an upper bound on the block's occupancy.
-func (t *RCTable) BlockLiveGranules(idx int) int {
-	first := idx * mem.LinesPerBlock
-	live := 0
-	ws := t.words[first : first+mem.LinesPerBlock]
-	for i := range ws {
-		live += bits.OnesCount32(countedEven(atomic.LoadUint32(&ws[i])))
-	}
-	return live
 }
 
 // BitTable is a 1-bit-per-unit table with atomic set/clear/test, used for
@@ -487,9 +459,6 @@ func (c *LineCounters) BumpRange(start, end mem.Address) {
 		c.Bump(l)
 	}
 }
-
-// Reset zeroes the counter for global line idx.
-func (c *LineCounters) Reset(idx int) { atomic.StoreUint32(&c.counts[idx], 0) }
 
 // ResetAll zeroes every counter. Called at each SATB start, in the pause.
 func (c *LineCounters) ResetAll() {

@@ -22,7 +22,7 @@ func TestRCSaturatingCounts(t *testing.T) {
 	}
 	rc.Inc(a)
 	rc.Inc(a) // now 3 = stuck
-	if !rc.IsStuck(a) {
+	if rc.Get(a) != meta.RCMax {
 		t.Fatal("should be stuck at 3")
 	}
 	if old := rc.Inc(a); old != meta.RCMax {
@@ -74,7 +74,7 @@ func TestRCLineWordIsLineFreeness(t *testing.T) {
 	if rc.LineFree(line) {
 		t.Fatal("line with a count must not be free")
 	}
-	rc.ClearLine(line)
+	rc.ClearRange(mem.LineStart(line), mem.LineStart(line+1))
 	if !rc.LineFree(line) {
 		t.Fatal("cleared line must be free")
 	}
@@ -100,24 +100,6 @@ func TestRCParallelIncsAreExact(t *testing.T) {
 		if got := rc.Get(base.Plus(i * mem.Granule)); got != meta.RCMax {
 			t.Fatalf("granule %d = %d, want stuck", i, got)
 		}
-	}
-}
-
-func TestBlockLiveGranules(t *testing.T) {
-	rc := meta.NewRCTable(arena())
-	blk := 2
-	if rc.BlockLiveGranules(blk) != 0 {
-		t.Fatal("fresh block has live granules")
-	}
-	for i := 0; i < 10; i++ {
-		rc.Inc(mem.BlockStart(blk).Plus(i * 3 * mem.Granule))
-	}
-	if got := rc.BlockLiveGranules(blk); got != 10 {
-		t.Fatalf("live granules %d", got)
-	}
-	rc.ClearBlock(blk)
-	if rc.BlockLiveGranules(blk) != 0 {
-		t.Fatal("ClearBlock left counts")
 	}
 }
 

@@ -2,6 +2,7 @@ package meta_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"lxr/internal/mem"
@@ -129,18 +130,22 @@ func TestFieldLogClearRangeMatchesScalar(t *testing.T) {
 	}
 }
 
-// logArena sizes the field-log tables of unloggedRangeCase; a table
-// reads nothing of its arena but the size.
+// logArena sizes the field-log tables of armWordsCase; a table reads
+// nothing of its arena but the size.
 var logArena = arena()
 
-// unloggedRangeCase fills a window of fields with a seeded mix of the
-// three log states, arms [s, e) once with SetUnloggedRange and once with
-// the per-field SetUnlogged loop it replaces, and asks for the same
-// state in every field of the window: the range all Unlogged (a Busy
-// field inside it included — SetUnlogged forces the state), everything
-// outside it, Busy neighbours sharing a boundary word included,
-// untouched.
-func unloggedRangeCase(t *testing.T, seed int64, s, e mem.Address) {
+// logWordBytes is the heap one field-log table word covers: sixteen
+// fields.
+const logWordBytes = 16 * mem.WordSize
+
+// armWordsCase fills a window of fields with a seeded mix of the three
+// log states, arms [s, e) once with ArmWords and once field by field in
+// the model — SetUnlogged on every field of every 128-byte word the range
+// overlaps — and asks for the same state in every field of the window:
+// each word the range touches all Unlogged, Busy fields and neighbours
+// outside the range included (SetUnlogged forces the state), every
+// other word untouched.
+func armWordsCase(t *testing.T, seed int64, s, e mem.Address) {
 	t.Helper()
 	lo, hi := testRegion()
 	r := rand.New(rand.NewSource(seed))
@@ -159,9 +164,11 @@ func unloggedRangeCase(t *testing.T, seed int64, s, e mem.Address) {
 			slow.TryBeginLog(a)
 		}
 	}
-	fast.SetUnloggedRange(s, e)
-	for a := s; a < e; a += mem.WordSize {
-		slow.SetUnlogged(a)
+	fast.ArmWords(s, e)
+	for a := lo; a < hi; a += mem.WordSize {
+		if w := a &^ (logWordBytes - 1); s < e && w < e && w+logWordBytes > s {
+			slow.SetUnlogged(a)
+		}
 	}
 	for a := lo; a < hi; a += mem.WordSize {
 		if f, w := fast.Get(a), slow.Get(a); f != w {
@@ -170,7 +177,7 @@ func unloggedRangeCase(t *testing.T, seed int64, s, e mem.Address) {
 	}
 }
 
-func TestFieldLogSetUnloggedRangeMatchesScalar(t *testing.T) {
+func TestFieldLogArmWordsMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	lo, hi := testRegion()
 	for trial := 0; trial < rangeTrials; trial++ {
@@ -184,19 +191,36 @@ func TestFieldLogSetUnloggedRangeMatchesScalar(t *testing.T) {
 				e = hi
 			}
 		}
-		unloggedRangeCase(t, int64(trial), s, e)
+		armWordsCase(t, int64(trial), s, e)
 	}
-	unloggedRangeCase(t, 1, lo, lo)                         // empty
-	unloggedRangeCase(t, 2, lo+8, lo+16)                    // one field
-	unloggedRangeCase(t, 3, lo+15*8, lo+17*8)               // two fields across a word boundary
-	unloggedRangeCase(t, 4, lo, lo+16*mem.WordSize)         // exactly one word
-	unloggedRangeCase(t, 5, lo+3, lo+3+5*mem.WordSize)      // unaligned start
-	unloggedRangeCase(t, 6, hi-16*mem.WordSize, hi)         // the window's last word
-	unloggedRangeCase(t, 7, lo+8*mem.WordSize, lo+40*8+4*8) // partial, whole, partial
-	unloggedRangeCase(t, 8, lo+16*mem.WordSize, lo+48*8)    // whole words only
+	armWordsCase(t, 1, lo, lo)                         // empty
+	armWordsCase(t, 2, lo+8, lo+16)                    // one field
+	armWordsCase(t, 3, lo+15*8, lo+17*8)               // two fields across a word boundary
+	armWordsCase(t, 4, lo, lo+16*mem.WordSize)         // exactly one word
+	armWordsCase(t, 5, lo+3, lo+3+5*mem.WordSize)      // unaligned start
+	armWordsCase(t, 6, hi-16*mem.WordSize, hi)         // the window's last word
+	armWordsCase(t, 7, lo+8*mem.WordSize, lo+40*8+4*8) // partial, whole, partial
+	armWordsCase(t, 8, lo+16*mem.WordSize, lo+48*8)    // whole words only
+	armWordsCase(t, 9, lo+16*8, lo+16*8+1)             // one byte: its whole word
 }
 
-func FuzzSetUnloggedRange(f *testing.F) {
+// ArmWord is ArmWords over the one field at slot.
+func TestFieldLogArmWordIsOneWord(t *testing.T) {
+	lo, _ := testRegion()
+	for _, slot := range []mem.Address{lo, lo + 8, lo + 15*8, lo + 16*8, lo + 100*8} {
+		fast := meta.NewFieldLogTable(logArena)
+		slow := meta.NewFieldLogTable(logArena)
+		fast.ArmWord(slot)
+		slow.ArmWords(slot, slot+mem.WordSize)
+		for a := lo; a < lo+mem.LineSize; a += mem.WordSize {
+			if f, w := fast.Get(a), slow.Get(a); f != w {
+				t.Fatalf("ArmWord(%#x): field %#x got %d, ArmWords gives %d", slot, a, f, w)
+			}
+		}
+	}
+}
+
+func FuzzArmWords(f *testing.F) {
 	f.Add(int64(1), uint32(0), uint32(0))
 	f.Add(int64(2), uint32(15), uint32(2))
 	f.Add(int64(3), uint32(7), uint32(64))
@@ -212,8 +236,44 @@ func FuzzSetUnloggedRange(f *testing.F) {
 		if e > hi || e < s {
 			e = hi
 		}
-		unloggedRangeCase(t, seed, s, e)
+		armWordsCase(t, seed, s, e)
 	})
+}
+
+// TestArmWordsRacingWorkers has two goroutines arm overlapping words at
+// once, as two pause workers do when their promoted objects or logged
+// slots share a word. Under -race it pins the fallback's atomic store:
+// plain stores there are a reported race. Either way the words converge
+// on all Unlogged and the words neither range touches stay Logged.
+func TestArmWordsRacingWorkers(t *testing.T) {
+	lo, _ := testRegion()
+	fl := meta.NewFieldLogTable(logArena)
+	const fields = 512
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			base := lo + mem.Address(g*fields/4)*mem.WordSize // ranges overlap by three quarters
+			for rep := 0; rep < 50; rep++ {
+				for i := 0; i < fields; i++ {
+					fl.ArmWords(base+mem.Address(i)*mem.WordSize, base+mem.Address(i+3)*mem.WordSize)
+					fl.ArmWord(base + mem.Address(i)*mem.WordSize)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	end := lo + mem.Address(fields/4+fields+2)*mem.WordSize // the last range's end
+	for a := lo; a < lo+2*mem.BlockSize; a += mem.WordSize {
+		want := meta.LogLogged
+		if a < end.AlignUp(logWordBytes) {
+			want = meta.LogUnlogged
+		}
+		if got := fl.Get(a); got != want {
+			t.Fatalf("field %#x: %d, want %d", a, got, want)
+		}
+	}
 }
 
 func TestRCFreeLineBitsMatchesLineFree(t *testing.T) {

@@ -121,27 +121,3 @@ func FuzzUnmarkedStarts(f *testing.F) {
 		lt.check(t, line, rcWord, markBits, straddleBits, noise)
 	})
 }
-
-// BlockLiveGranules shares the kernel's counted fold; its model is a
-// count of non-zero 2-bit fields.
-func TestBlockLiveGranulesMatchesScalar(t *testing.T) {
-	rc := meta.NewRCTable(arena())
-	r := rand.New(rand.NewSource(16))
-	const blk = 2
-	for trial := 0; trial < 200; trial++ {
-		want := 0
-		for a := mem.BlockStart(blk); a < mem.BlockStart(blk+1); a += mem.Granule {
-			c := uint32(0)
-			if r.Intn(3) == 0 {
-				c = 1 + uint32(r.Intn(meta.RCMax))
-			}
-			rc.Set(a, c)
-			if c != 0 {
-				want++
-			}
-		}
-		if got := rc.BlockLiveGranules(blk); got != want {
-			t.Fatalf("trial %d: BlockLiveGranules = %d, scalar count %d", trial, got, want)
-		}
-	}
-}
