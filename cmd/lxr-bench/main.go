@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lxr-bench -experiment table1|table3|table4|table5|table6|table7|figure5|figure7|sensitivity|heapsens|mutscale|all
-//	          [-scale quick|default] [-gcthreads N] [-concworkers N]
+//	          [-scale quick|default] [-gcthreads N]
 //	          [-interval D] [-bench name,name,...] [-json file|-]
 //
 // -json additionally emits every executed run as a machine-readable

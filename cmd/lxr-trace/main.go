@@ -1,7 +1,7 @@
 // Command lxr-trace runs one workload under one collector and renders
 // its GC timeline: every pause with its duration and nested phases, the
 // rendezvous (time-to-safepoint) spans, the concurrent controller's
-// quanta and worker loans, and the pacer's trigger decisions.
+// quanta, and the pacer's trigger decisions.
 //
 // Without -trace it prints the classic text event log (pause log plus
 // end-of-run summary statistics). With -trace it additionally exports
@@ -15,7 +15,7 @@
 //
 //	lxr-trace -bench lusearch -collector LXR -heap 2.0 -trace out.json
 //	          [-flight N] [-interval D] [-scale quick|default]
-//	          [-gcthreads N] [-concworkers N] [-json file|-]
+//	          [-gcthreads N] [-json file|-]
 //	lxr-trace -validate out.json
 package main
 

@@ -1,8 +1,7 @@
 // Quickstart: embed the simulated runtime, allocate a small object
 // graph under LXR, mutate it through the barriers, trigger collections,
-// and print GC statistics — including how the collector used its
-// parallel workers inside pauses versus on loan to the concurrent
-// phases between pauses.
+// and print GC statistics — including how much of the collector's work
+// ran concurrently, between pauses.
 package main
 
 import (
@@ -17,11 +16,8 @@ func main() {
 		Collector: lxr.CollectorLXR,
 		HeapBytes: 32 << 20,
 		GCThreads: 2,
-		// Full LXR tuning (ablations, triggers, concurrent
-		// parallelism) is available through LXR. ConcWorkers is how
-		// many GC workers the concurrent phases borrow between pauses
-		// to drain lazy decrements and advance the cycle trace.
-		LXR: &lxr.LXRConfig{ConcWorkers: 2},
+		// Full LXR tuning (ablations, triggers) is available through
+		// the LXR field, an *lxr.LXRConfig.
 	})
 	defer rt.Shutdown()
 

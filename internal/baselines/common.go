@@ -46,11 +46,6 @@ type base struct {
 	vm   *vm.VM
 	name string
 
-	// concWorkers is the between-pause borrow width: how many pool
-	// workers the plan's concurrent phase driver (G1's marking thread,
-	// Shenandoah's cycle controller) lends for each trace advance.
-	concWorkers int
-
 	// events is the optional event tracer (nil when tracing is off —
 	// every recording site stays one predictable nil check). Named to
 	// avoid shadowing the plans' SATB tracers.
@@ -64,17 +59,12 @@ func newBase(name string, heapBytes, gcThreads int) base {
 	if gcThreads == 0 {
 		gcThreads = 4
 	}
-	conc := gcThreads / 2
-	if conc < 1 {
-		conc = 1
-	}
 	bt := immix.NewBlockTable(immix.Config{HeapBytes: heapBytes})
 	return base{
-		bt:          bt,
-		om:          obj.Model{A: bt.Arena},
-		pool:        gcwork.NewPool(gcThreads),
-		name:        name,
-		concWorkers: conc,
+		bt:   bt,
+		om:   obj.Model{A: bt.Arena},
+		pool: gcwork.NewPool(gcThreads),
+		name: name,
 	}
 }
 
@@ -87,31 +77,11 @@ func (b *base) Arena() *mem.Arena { return b.bt.Arena }
 // BlockTable exposes the heap for tests and the harness.
 func (b *base) BlockTable() *immix.BlockTable { return b.bt }
 
-// SetConcWorkers overrides how many pool workers the plan's concurrent
-// phases borrow between pauses (clamped to [1, gcThreads]). Must be
-// called before Boot.
-func (b *base) SetConcWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > b.pool.N {
-		n = b.pool.N
-	}
-	b.concWorkers = n
-}
-
-// ConcWorkers reports the configured between-pause borrow width.
-func (b *base) ConcWorkers() int { return b.concWorkers }
-
-// SetTracer attaches the structured event tracer: the pool records loan
-// spans, the concurrent controller records quantum spans, each plan's
-// start decisions record trigger instants and its pause phases record
-// spans on the GC timeline. Must be called before Boot (the controller
+// SetTracer attaches the structured event tracer: the concurrent
+// controller records quantum spans, each plan's start decisions record
+// trigger instants and its pause phases record spans on the GC timeline. Must be called before Boot (the controller
 // is constructed and the trigger names are interned there).
-func (b *base) SetTracer(t *trace.Tracer) {
-	b.events = t
-	b.pool.SetTracer(t)
-}
+func (b *base) SetTracer(t *trace.Tracer) { b.events = t }
 
 // newController builds the plan's shared concurrent controller around
 // its cycle driver. stats may be nil for drivers that account their
@@ -119,16 +89,12 @@ func (b *base) SetTracer(t *trace.Tracer) {
 // contains pauses); poll selects the idle re-check period for
 // occupancy-triggered drivers. Call from Boot, once the VM exists.
 func (b *base) newController(d conctrl.CycleDriver, stats *vm.Stats, poll time.Duration) *conctrl.Controller {
-	return conctrl.NewController(d, conctrl.Config{Stats: stats, Width: b.concWorkers, Poll: poll, Trace: b.events})
+	return conctrl.NewController(d, conctrl.Config{Stats: stats, Poll: poll, Trace: b.events})
 }
 
-// GCWorkerStats exposes the pool's per-worker utilization, split into
-// in-pause and on-loan work (harness telemetry).
+// GCWorkerStats exposes the pool's per-worker in-pause utilization
+// (harness telemetry).
 func (b *base) GCWorkerStats() []gcwork.WorkerStat { return b.pool.WorkerStats() }
-
-// GCLoanStats returns how many between-pause worker loans ran and how
-// many work items they processed (harness telemetry).
-func (b *base) GCLoanStats() (loans, items int64) { return b.pool.LoanStats() }
 
 // allocLarge is the shared large-object path.
 func (b *base) allocLarge(l obj.Layout) (obj.Ref, bool) {

@@ -631,14 +631,12 @@ func (p *G1) finishMark() {
 
 // g1Marker is G1's concurrent-marking cycle driver for the shared
 // conctrl controller, which owns the goroutine, the quiesce/release
-// handshake, loan interruption and panic parking. The driver holds only
-// G1's work state: the mutator-overflow queues and the tracer-idle
-// latch. When the borrow width is above 1 each trace advance borrows
-// that many parked pool workers (gcwork.Pool.Lend), so the closure
-// drains in parallel between pauses; collect() never touches the pool
-// or the tracer until the loan is reclaimed and the controller
-// acknowledges quiescence. Completion is decided at the next pause (the
-// final-mark), which seeds the last captured values.
+// handshake and panic parking. The driver holds only G1's work state:
+// the mutator-overflow queues and the tracer-idle latch. Each trace
+// advance runs on the controller's goroutine; collect() never touches
+// the tracer until the controller acknowledges quiescence. Completion
+// is decided at the next pause (the final-mark), which seeds the last
+// captured values.
 type g1Marker struct {
 	g1   *G1
 	idle atomic.Bool // tracer drained; wait for a pause to seed more
@@ -652,19 +650,9 @@ func (d *g1Marker) HasWork() bool {
 	return d.g1.marking.Load() && !d.idle.Load()
 }
 
-// Quantum implements conctrl.CycleDriver: one trace advance, on
-// borrowed pool workers when the width allows, lasting until the
-// closure drains or a pause interrupts the loan.
-func (d *g1Marker) Quantum(width int) {
-	g := d.g1
-	var idle bool
-	if width > 1 {
-		idle = g.tracer.StepParallel(g.pool, width, g.ctl.LoanRef().Adopt)
-		g.ctl.LoanRef().Drop()
-	} else {
-		idle = g.tracer.Step(traceQuantum)
-	}
-	if idle {
+// Quantum implements conctrl.CycleDriver: one bounded trace advance.
+func (d *g1Marker) Quantum() {
+	if d.g1.tracer.Step(traceQuantum) {
 		d.idle.Store(true)
 	}
 }

@@ -303,7 +303,7 @@ func (p *Shen) CollectNow(cause string) {
 // controller: it watches heap occupancy (via the controller's idle
 // poll) and runs mark → evacuate → update-references pipelines, pausing
 // briefly for init-mark, final-mark and final-update. A panic escaping
-// a cycle (e.g. a *gcwork.WorkerPanic re-raised by a loan's Reclaim) is
+// a cycle (e.g. a *gcwork.WorkerPanic re-raised by a pause phase) is
 // parked by the controller and OnStop releases the cycle rendezvous, so
 // stalled mutators fail their allocations and the workload records a
 // Failed data point instead of the process dying.
@@ -317,9 +317,7 @@ func (d *shenCycles) HasWork() bool {
 }
 
 // Quantum implements conctrl.CycleDriver: one full collection cycle.
-// The width argument is ignored — cycles read the controller's width
-// at every trace advance.
-func (d *shenCycles) Quantum(int) {
+func (d *shenCycles) Quantum() {
 	p := d.p
 	p.runCycle()
 	p.cycleMu.Lock()
@@ -394,22 +392,16 @@ func (p *Shen) runCycle() {
 		})
 	})
 
-	// Concurrent mark. The cycle driver is the tracer's owner thread
-	// and also the only thread that initiates pauses, so loans taken
-	// here can never overlap a pause; no interrupt wiring is needed
-	// (unlike G1, whose pauses originate on mutator threads).
+	// Concurrent mark, on the cycle driver's goroutine: it is the
+	// tracer's owner thread and also the only thread that initiates
+	// pauses.
 	cm := time.Now()
 	for {
 		t0 := time.Now()
 		for _, s := range p.satbIn.TakeSegs() {
 			p.tracer.Seed(refsOf(s))
 		}
-		var idle bool
-		if k := p.ctl.Width(); k > 1 {
-			idle = p.tracer.StepParallel(p.pool, k, nil)
-		} else {
-			idle = p.tracer.Step(8192)
-		}
+		idle := p.tracer.Step(8192)
 		p.vm.Stats.AddConcurrentWork(time.Since(t0))
 		if idle && p.satbIn.Len() == 0 {
 			break

@@ -2,10 +2,9 @@
 //
 // Every concurrent collector in this repository used to carry its own
 // copy of the same driver machinery: one goroutine running bounded work
-// quanta, a quiesce/release handshake with stop-the-world pauses, a
-// published worker loan that pauses interrupt (gcwork.LoanRef), and
-// panic parking so a contained worker panic surfaces on the pause path
-// instead of killing the driver goroutine. LXR's concurrent thread,
+// quanta, a quiesce/release handshake with stop-the-world pauses, and
+// panic parking so a contained panic surfaces on the pause path instead
+// of killing the driver goroutine. LXR's concurrent thread,
 // G1's mark controller and Shenandoah's cycle controller each
 // duplicated that loop; this package owns it once, parameterised by a
 // per-collector CycleDriver that supplies only the collector-specific
@@ -16,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"lxr/internal/gcwork"
 	"lxr/internal/trace"
 	"lxr/internal/vm"
 )
@@ -31,11 +29,10 @@ type CycleDriver interface {
 	// non-blocking (atomics and driver-owned state only).
 	HasWork() bool
 	// Quantum performs one bounded slice of concurrent work with the
-	// controller's lock released. width is the current borrow width
-	// (≥ 1): how many pool workers a loan taken inside this quantum
-	// should request. Loans must be published through the controller's
-	// LoanRef so pauses can interrupt them.
-	Quantum(width int)
+	// controller's lock released, on the controller's goroutine.
+	// Quiesce waits for it to return, so a driver whose pauses quiesce
+	// keeps it short.
+	Quantum()
 }
 
 // ReleaseNotifier is an optional CycleDriver extension: OnRelease runs
@@ -63,8 +60,6 @@ type Config struct {
 	// waiting (Shenandoah's full-cycle quantum) must pass nil and
 	// account their concurrent slices themselves.
 	Stats *vm.Stats
-	// Width is the borrow width handed to Quantum (clamped to ≥ 1).
-	Width int
 	// Poll, when non-zero, makes an idle controller re-check HasWork on
 	// this period instead of sleeping until Kick — for drivers whose
 	// work condition is a heap-occupancy threshold no event announces
@@ -83,16 +78,10 @@ type Config struct {
 //   - the quiesce/release handshake: Quiesce blocks until the driver is
 //     parked between quanta, so pause phases own all shared collector
 //     state; Release lets it resume.
-//   - the loan lifecycle: drivers publish outstanding worker loans in
-//     LoanRef(); Quiesce and Stop interrupt them so the handshake
-//     completes within one work item per borrowed worker.
-//   - panic parking: a panic escaping a quantum (typically a
-//     *gcwork.WorkerPanic re-raised by a loan's Reclaim) is parked and
+//   - panic parking: a panic escaping a quantum is parked and
 //     re-raised by the next Quiesce — on the pause path, a mutator
 //     goroutine protected by the workload guard — so driver failures
 //     become Failed data points exactly like in-pause ones.
-//   - the width plumbing: each quantum receives the configured borrow
-//     width.
 type Controller struct {
 	d   CycleDriver
 	cfg Config
@@ -102,10 +91,6 @@ type Controller struct {
 	yield bool // a pause wants the driver quiescent
 	quiet bool // the driver acknowledges quiescence
 	stopd bool
-
-	// loan publishes the outstanding worker loan so Quiesce/Stop can
-	// interrupt it without racing loan adoption.
-	loan gcwork.LoanRef
 
 	// failure holds a panic recovered from a quantum, guarded by mu,
 	// re-raised by the next Quiesce.
@@ -118,20 +103,10 @@ type Controller struct {
 // NewController creates a controller around a driver. Call Start to
 // launch the goroutine.
 func NewController(d CycleDriver, cfg Config) *Controller {
-	if cfg.Width < 1 {
-		cfg.Width = 1
-	}
 	c := &Controller{d: d, cfg: cfg, done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
-
-// LoanRef returns the controller's published-loan slot. Drivers Adopt
-// loans into it (so pauses can interrupt them) and Drop after Reclaim.
-func (c *Controller) LoanRef() *gcwork.LoanRef { return &c.loan }
-
-// Width returns the configured borrow width.
-func (c *Controller) Width() int { return c.cfg.Width }
 
 // Start launches the driver goroutine.
 func (c *Controller) Start() {
@@ -141,8 +116,8 @@ func (c *Controller) Start() {
 	go c.run()
 }
 
-// Stop terminates the driver goroutine and waits for it to exit. An
-// outstanding loan is interrupted. Safe to call more than once, or on a
+// Stop terminates the driver goroutine and waits for it to exit, after
+// the quantum in progress. Safe to call more than once, or on a
 // controller that was never started.
 func (c *Controller) Stop() {
 	c.mu.Lock()
@@ -152,7 +127,6 @@ func (c *Controller) Stop() {
 	}
 	if !c.stopd {
 		c.stopd = true
-		c.loan.Interrupt()
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
@@ -160,14 +134,12 @@ func (c *Controller) Stop() {
 }
 
 // Quiesce blocks until the driver is parked between quanta. Called with
-// the world stopped, before pause phases touch collector state. An
-// outstanding worker loan is interrupted so the handshake completes
-// within one work item per borrowed worker. A panic the driver parked
-// since the last pause is re-raised here, on the caller's goroutine.
+// the world stopped, before pause phases touch collector state. A panic
+// the driver parked since the last pause is re-raised here, on the
+// caller's goroutine.
 func (c *Controller) Quiesce() {
 	c.mu.Lock()
 	c.yield = true
-	c.loan.Interrupt()
 	c.cond.Broadcast()
 	for !c.quiet {
 		c.cond.Wait()
@@ -185,7 +157,6 @@ func (c *Controller) Quiesce() {
 func (c *Controller) Release() {
 	c.mu.Lock()
 	c.yield = false
-	c.loan.Disarm()
 	if rn, ok := c.d.(ReleaseNotifier); ok {
 		rn.OnRelease()
 	}
@@ -240,15 +211,14 @@ func (c *Controller) run() {
 		c.mu.Unlock()
 
 		t0 := time.Now()
-		w := c.cfg.Width
-		if !c.guardedQuantum(w) {
+		if !c.guardedQuantum() {
 			return
 		}
 		if c.cfg.Stats != nil {
 			c.cfg.Stats.AddConcurrentWork(time.Since(t0))
 		}
 		if tr := c.cfg.Trace; tr != nil {
-			tr.Span(trace.ShardConc, trace.NameQuantum, t0, time.Since(t0), uint64(w), 0)
+			tr.Span(trace.ShardConc, trace.NameQuantum, t0, time.Since(t0), 0, 0)
 		}
 	}
 }
@@ -258,10 +228,9 @@ func (c *Controller) run() {
 // pause path, the driver acknowledges permanent quiescence, OnStop
 // fires, and false terminates the controller goroutine. The collector
 // degrades to its in-pause processing paths.
-func (c *Controller) guardedQuantum(width int) (ok bool) {
+func (c *Controller) guardedQuantum() (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			c.loan.Drop()
 			c.mu.Lock()
 			c.failure = r
 			c.quiet = true
@@ -271,7 +240,7 @@ func (c *Controller) guardedQuantum(width int) (ok bool) {
 			ok = false
 		}
 	}()
-	c.d.Quantum(width)
+	c.d.Quantum()
 	return true
 }
 

@@ -4,9 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"lxr/internal/gcwork"
-	"lxr/internal/mem"
 )
 
 // countDriver is a minimal CycleDriver: it has work until budget quanta
@@ -14,7 +11,6 @@ import (
 type countDriver struct {
 	budget   atomic.Int64
 	quanta   atomic.Int64
-	widths   chan int
 	panicOn  atomic.Bool
 	released atomic.Int64
 	stopped  atomic.Int64
@@ -22,18 +18,12 @@ type countDriver struct {
 
 func (d *countDriver) HasWork() bool { return d.budget.Load() > 0 }
 
-func (d *countDriver) Quantum(width int) {
+func (d *countDriver) Quantum() {
 	if d.panicOn.Load() {
 		panic("driver quantum failure")
 	}
 	d.budget.Add(-1)
 	d.quanta.Add(1)
-	if d.widths != nil {
-		select {
-		case d.widths <- width:
-		default:
-		}
-	}
 }
 
 func (d *countDriver) OnRelease() { d.released.Add(1) }
@@ -56,7 +46,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestControllerRunsQuantaAndParks(t *testing.T) {
 	d := &countDriver{}
 	d.budget.Store(5)
-	c := NewController(d, Config{Width: 3})
+	c := NewController(d, Config{})
 	c.Start()
 	defer c.Stop()
 	waitFor(t, "initial budget", func() bool { return d.quanta.Load() == 5 })
@@ -66,27 +56,12 @@ func TestControllerRunsQuantaAndParks(t *testing.T) {
 	waitFor(t, "kicked budget", func() bool { return d.quanta.Load() == 7 })
 }
 
-// TestControllerStaticWidth: every quantum receives
-// the configured width.
-func TestControllerStaticWidth(t *testing.T) {
-	d := &countDriver{widths: make(chan int, 8)}
-	d.budget.Store(3)
-	c := NewController(d, Config{Width: 3})
-	c.Start()
-	defer c.Stop()
-	for i := 0; i < 3; i++ {
-		if w := <-d.widths; w != 3 {
-			t.Fatalf("quantum width %d, want 3", w)
-		}
-	}
-}
-
 // TestControllerQuiesceRelease: Quiesce parks the driver even with work
 // outstanding; Release (which must fire OnRelease) resumes it.
 func TestControllerQuiesceRelease(t *testing.T) {
 	d := &countDriver{}
 	d.budget.Store(1 << 30)
-	c := NewController(d, Config{Width: 1})
+	c := NewController(d, Config{})
 	c.Start()
 	defer func() {
 		d.budget.Store(0)
@@ -113,7 +88,7 @@ func TestControllerPanicParkedAndDelivered(t *testing.T) {
 	d := &countDriver{}
 	d.budget.Store(1 << 30)
 	d.panicOn.Store(true)
-	c := NewController(d, Config{Width: 1})
+	c := NewController(d, Config{})
 	c.Start()
 	waitFor(t, "driver goroutine exit", func() bool { return d.stopped.Load() == 1 })
 
@@ -135,7 +110,7 @@ func TestControllerPanicParkedAndDelivered(t *testing.T) {
 // notices newly appeared work by itself.
 func TestControllerPollMode(t *testing.T) {
 	d := &countDriver{}
-	c := NewController(d, Config{Width: 1, Poll: time.Millisecond})
+	c := NewController(d, Config{Poll: time.Millisecond})
 	c.Start()
 	defer c.Stop()
 	time.Sleep(5 * time.Millisecond) // idle: no work yet
@@ -147,63 +122,9 @@ func TestControllerPollMode(t *testing.T) {
 // no-op, and double Stop does not hang.
 func TestControllerStopUnstarted(t *testing.T) {
 	d := &countDriver{}
-	c := NewController(d, Config{Width: 1})
+	c := NewController(d, Config{})
 	c.Stop()
 	c.Start()
 	c.Stop()
 	c.Stop()
-}
-
-// lendDriver lends real pool workers each quantum, so loan interruption
-// through the controller's LoanRef can be exercised end to end.
-type lendDriver struct {
-	pool      *gcwork.Pool
-	ctl       *Controller
-	processed atomic.Int64
-	pending   [][]mem.Address // driver-goroutine state, pause-touched only under quiesce
-}
-
-func (d *lendDriver) HasWork() bool { return len(d.pending) > 0 }
-
-func (d *lendDriver) Quantum(width int) {
-	segs := d.pending
-	d.pending = nil
-	loan := d.pool.Lend(width, segs, nil, func(w *gcwork.Worker, a mem.Address) {
-		d.processed.Add(1)
-	}, nil)
-	d.ctl.LoanRef().Adopt(loan)
-	loan.Reclaim()
-	d.ctl.LoanRef().Drop()
-	if loan.HasRemainder() {
-		d.pending = loan.TakeRemainder()
-	}
-}
-
-// TestControllerLoanInterruptConservation: pauses (Quiesce/Release)
-// repeatedly interrupt the driver's loans; every seeded item must be
-// processed exactly once, with the interrupted remainders resuming on
-// later quanta.
-func TestControllerLoanInterruptConservation(t *testing.T) {
-	pool := gcwork.NewPool(4)
-	defer pool.Stop()
-	d := &lendDriver{pool: pool}
-	const total = 200000
-	seed := make([]mem.Address, total)
-	for i := range seed {
-		seed[i] = mem.Address(i)
-	}
-	d.pending = [][]mem.Address{seed}
-	c := NewController(d, Config{Width: 2})
-	d.ctl = c
-	c.Start()
-	defer c.Stop()
-
-	for d.processed.Load() < total {
-		c.Quiesce()
-		// World "stopped": driver parked, loan reclaimed.
-		c.Release()
-	}
-	if got := d.processed.Load(); got != total {
-		t.Fatalf("processed %d items, want exactly %d", got, total)
-	}
 }

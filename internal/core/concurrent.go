@@ -11,17 +11,12 @@ import (
 // processes lazy decrements with priority, then sweeps blocks touched by
 // decrements, then advances the SATB trace.
 //
-// The goroutine, the quiesce/release handshake with pauses, loan
-// interruption and panic parking all live in the shared
-// conctrl.Controller; this type is its CycleDriver — it owns only LXR's
-// work state and the quantum logic. Work quanta are parallel: when the
-// borrow width is above 1 the driver borrows that many idle gcwork
-// workers (Pool.Lend) for each decrement drain and trace advance. A
-// pause that arrives while a loan is outstanding interrupts it through
-// the controller: the borrowed workers stop within one work item and
-// the unprocessed remainder stays on the interrupted loan, where the
-// pause resumes it across all workers (Loan.ResumeInPause) or the next
-// quantum folds it into a fresh loan.
+// The goroutine, the quiesce/release handshake with pauses and panic
+// parking all live in the shared conctrl.Controller; this type is its
+// CycleDriver — it owns only LXR's work state and the quantum logic.
+// Every quantum runs on the controller's own goroutine, bounded by
+// decChunk decrements or traceChunk trace items, so a pause waits for at
+// most one such slice before it owns the collector's state.
 type concurrent struct {
 	p   *LXR
 	ctl *conctrl.Controller
@@ -36,12 +31,6 @@ type concurrent struct {
 	recStack    []mem.Address
 	touched     map[int]struct{}
 
-	// intr retains an interrupted decrement loan: its unprocessed
-	// remainder is either resumed across all pause workers
-	// (processDecWork → Loan.ResumeInPause) or folded segment-granular
-	// into the next quantum's loan — never flattened into a copy.
-	intr *gcwork.Loan
-
 	// reclaimable collects blocks whose decrement-freed lines become
 	// available at the next pause. Releasing them concurrently would
 	// let an allocator reuse lines while this epoch's young objects
@@ -51,8 +40,8 @@ type concurrent struct {
 }
 
 const (
-	decChunk   = 4096 // decrements per single-threaded scheduling quantum
-	traceChunk = 2048 // trace items per single-threaded scheduling quantum
+	decChunk   = 4096 // decrements per scheduling quantum
+	traceChunk = 2048 // trace items per scheduling quantum
 )
 
 func newConcurrent(p *LXR) *concurrent {
@@ -64,7 +53,6 @@ func newConcurrent(p *LXR) *concurrent {
 func (c *concurrent) start() {
 	c.ctl = conctrl.NewController(c, conctrl.Config{
 		Stats: c.p.vm.Stats,
-		Width: c.p.cfg.ConcWorkers,
 		Trace: c.p.events,
 	})
 	c.ctl.Start()
@@ -82,8 +70,8 @@ func (c *concurrent) release() { c.ctl.Release() }
 // submitDecs hands a pause's decrement batch to the driver, which takes
 // the slice itself when it holds nothing (always, as the pipeline runs:
 // a pause finishes the previous batch before it builds the next) and
-// may then pop from it, append to it or pass it on as a loan's seed
-// until the batch has drained. Must be called while quiescent.
+// may then pop from it or append to it until the batch has drained.
+// Must be called while quiescent.
 func (c *concurrent) submitDecs(decs []mem.Address) {
 	if len(c.pendingDecs) == 0 {
 		c.pendingDecs = decs
@@ -104,22 +92,17 @@ func (c *concurrent) releaseReclaimable() {
 }
 
 // hasPendingDecs reports whether the previous epoch's decrements are
-// still unprocessed — as a flat batch, a recursion stack, or the
-// remainder of an interrupted loan. Must be called while quiescent.
+// still unprocessed — as a flat batch or a recursion stack. Must be
+// called while quiescent.
 func (c *concurrent) hasPendingDecs() bool {
-	if len(c.pendingDecs) > 0 || len(c.recStack) > 0 {
-		return true
-	}
-	return c.intr != nil && c.intr.HasRemainder()
+	return len(c.pendingDecs) > 0 || len(c.recStack) > 0
 }
 
 // takePending removes the unprocessed decrement work so the pause can
-// finish it: the interrupted loan (whose remainder the pause resumes
-// directly across all workers), any flat segments, and the blocks
-// already touched by partially completed batches (released by the pause
-// after it finishes the drain). Must be called while quiescent.
-func (c *concurrent) takePending() (intr *gcwork.Loan, segs [][]mem.Address, touched []int) {
-	intr, c.intr = c.intr, nil
+// finish it: the flat segments, and the blocks already touched by
+// partially completed batches (released by the pause after it finishes
+// the drain). Must be called while quiescent.
+func (c *concurrent) takePending() (segs [][]mem.Address, touched []int) {
 	if len(c.pendingDecs) > 0 {
 		segs = append(segs, c.pendingDecs)
 		c.pendingDecs = nil
@@ -132,16 +115,13 @@ func (c *concurrent) takePending() (intr *gcwork.Loan, segs [][]mem.Address, tou
 		touched = append(touched, b)
 		delete(c.touched, b)
 	}
-	return intr, segs, touched
+	return segs, touched
 }
 
 // HasWork implements conctrl.CycleDriver. Called with the controller
 // lock held; reads only driver-owned state and atomics.
 func (c *concurrent) HasWork() bool {
-	if len(c.pendingDecs) > 0 || len(c.recStack) > 0 || len(c.touched) > 0 {
-		return true
-	}
-	if c.intr != nil && c.intr.HasRemainder() {
+	if c.hasPendingDecs() || len(c.touched) > 0 {
 		return true
 	}
 	return c.p.satbActive.Load() && c.p.tracer.Pending()
@@ -149,20 +129,12 @@ func (c *concurrent) HasWork() bool {
 
 // Quantum implements conctrl.CycleDriver: one bounded slice of
 // concurrent work, highest priority first — decrements, then deferred
-// sweeping, then the trace. With width > 1 the decrement and trace
-// slices run on borrowed pool workers; a slice then lasts until the
-// work is exhausted or a pause interrupts the loan, whichever comes
-// first.
-func (c *concurrent) Quantum(width int) {
+// sweeping, then the trace.
+func (c *concurrent) Quantum() {
 	p := c.p
 	switch {
-	case len(c.recStack) > 0 || len(c.pendingDecs) > 0 ||
-		(c.intr != nil && c.intr.HasRemainder()):
-		if width > 1 {
-			c.drainDecsParallel(width)
-		} else {
-			c.drainDecsInline()
-		}
+	case c.hasPendingDecs():
+		c.drainDecs()
 	case len(c.touched) > 0:
 		// Decrements drained: queue the touched blocks for release at
 		// the next pause (lazy reclamation, §3.3.1 — the reclaim
@@ -174,28 +146,15 @@ func (c *concurrent) Quantum(width int) {
 		}
 	default:
 		if p.satbActive.Load() {
-			if width > 1 {
-				p.tracer.StepParallel(p.pool, width, c.ctl.LoanRef().Adopt)
-				c.ctl.LoanRef().Drop()
-			} else {
-				p.tracer.Step(traceChunk)
-			}
+			p.tracer.Step(traceChunk)
 		}
 	}
 }
 
-// drainDecsInline is the classic single-threaded decrement slice: up to
-// decChunk decrements applied on the driver goroutine itself. An
-// interrupted loan's remainder (left over from a wider configuration)
-// is folded back into the flat batch first.
-func (c *concurrent) drainDecsInline() {
+// drainDecs applies up to decChunk decrements, recursive ones first, on
+// the driver goroutine itself.
+func (c *concurrent) drainDecs() {
 	p := c.p
-	if c.intr != nil {
-		for _, s := range c.intr.TakeRemainder() {
-			c.pendingDecs = append(c.pendingDecs, s...)
-		}
-		c.intr = nil
-	}
 	for i := 0; i < decChunk; i++ {
 		var ref obj.Ref
 		if n := len(c.recStack); n > 0 {
@@ -210,43 +169,5 @@ func (c *concurrent) drainDecsInline() {
 		p.applyDec(0, ref,
 			func(child obj.Ref) { c.recStack = append(c.recStack, child) },
 			func(b int) { c.touched[b] = struct{}{} })
-	}
-}
-
-// drainDecsParallel drains the whole pending decrement batch — and its
-// recursive closure — on k borrowed pool workers. Seed segments pass to
-// the scheduler as-is: the flat batch, the recursion stack, and any
-// interrupted predecessor's remainder, none of them flattened together.
-// Each worker records touched blocks in its own slot of a per-worker
-// array (worker IDs are stable), merged lock-free after the loan is
-// reclaimed. If a pause interrupts the loan, the remainder stays on the
-// loan for the pause (or the next quantum) to resume.
-func (c *concurrent) drainDecsParallel(k int) {
-	p := c.p
-	var segs [][]mem.Address
-	if c.intr != nil {
-		segs = append(segs, c.intr.TakeRemainder()...)
-		c.intr = nil
-	}
-	if len(c.pendingDecs) > 0 {
-		segs = append(segs, c.pendingDecs)
-		c.pendingDecs = nil
-	}
-	if len(c.recStack) > 0 {
-		segs = append(segs, c.recStack)
-		c.recStack = nil
-	}
-	perWorker, setup, f := p.decDrainFuncs()
-	loan := p.pool.Lend(k, segs, setup, f, nil)
-	c.ctl.LoanRef().Adopt(loan)
-	loan.Reclaim()
-	c.ctl.LoanRef().Drop()
-	if loan.HasRemainder() {
-		c.intr = loan
-	}
-	for _, m := range perWorker {
-		for b := range m {
-			c.touched[b] = struct{}{}
-		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestConcurrentFailureDeliveredAtQuiesce: a panic parked on the
-// concurrent driver's controller (as the shared controller does for
-// loaned-worker panics) must be re-raised by the next quiesce — i.e. on
+// concurrent driver's controller (as the shared controller does for a
+// panicking quantum) must be re-raised by the next quiesce — i.e. on
 // the pause path, whose mutator goroutine the workload guard protects —
 // not swallowed and not left to kill the driver's own goroutine.
 func TestConcurrentFailureDeliveredAtQuiesce(t *testing.T) {

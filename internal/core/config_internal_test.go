@@ -13,14 +13,14 @@ import (
 // It also pins the number of settable fields, so a new knob needs an
 // edit here.
 func TestZeroConfigDefaults(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 8 {
-		t.Fatalf("Config has %d fields, want 8", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 7 {
+		t.Fatalf("Config has %d fields, want 7", n)
 	}
 	p := New(Config{})
 	defer p.pool.Stop()
 	c := p.cfg
-	if c.HeapBytes != 64<<20 || c.GCThreads != 4 || c.ConcWorkers != 2 {
-		t.Fatalf("heap %d, threads %d, borrow width %d", c.HeapBytes, c.GCThreads, c.ConcWorkers)
+	if c.HeapBytes != 64<<20 || c.GCThreads != 4 {
+		t.Fatalf("heap %d, threads %d", c.HeapBytes, c.GCThreads)
 	}
 	if c.SurvivalThresholdBytes != 8<<20 {
 		t.Fatalf("survival trigger at %d bytes", c.SurvivalThresholdBytes)

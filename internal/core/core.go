@@ -32,12 +32,6 @@ type Config struct {
 	HeapBytes int
 	// GCThreads sizes the parallel STW worker pool.
 	GCThreads int
-	// ConcWorkers is how many of the pool's workers the concurrent
-	// phases borrow between pauses (gcwork.Pool.Lend) to drain lazy
-	// decrements and advance the SATB trace in parallel. 1 selects the
-	// classic single-threaded concurrent quantum loop. Default: half
-	// of GCThreads, minimum 1; clamped to GCThreads.
-	ConcWorkers int
 	// SurvivalThresholdBytes is the RC trigger's expected-survivor
 	// bound per epoch (the paper uses 128 MB on multi-GB heaps; default
 	// here scales with the heap: HeapBytes/8, capped at 128 MB).
@@ -55,7 +49,7 @@ type Config struct {
 	NoLazyDecrements bool
 
 	// Tracer, when non-nil, attaches the GC event tracer: pause-phase
-	// spans, loan spans, pacing-trigger instants and sampled barrier
+	// spans, concurrent quantum spans, pacing-trigger instants and sampled barrier
 	// instants are recorded into its rings. nil (the default) leaves
 	// every instrumentation site as a single predictable branch.
 	Tracer *trace.Tracer
@@ -67,15 +61,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.GCThreads == 0 {
 		c.GCThreads = 4
-	}
-	if c.ConcWorkers == 0 {
-		c.ConcWorkers = c.GCThreads / 2
-	}
-	if c.ConcWorkers < 1 {
-		c.ConcWorkers = 1
-	}
-	if c.ConcWorkers > c.GCThreads {
-		c.ConcWorkers = c.GCThreads
 	}
 	if c.SurvivalThresholdBytes == 0 {
 		c.SurvivalThresholdBytes = int64(c.HeapBytes) / 8
@@ -198,10 +183,7 @@ func New(cfg Config) *LXR {
 		SurvivalThresholdBytes: cfg.SurvivalThresholdBytes,
 		Tracer:                 cfg.Tracer,
 	})
-	if cfg.Tracer != nil {
-		p.events = cfg.Tracer
-		p.pool.SetTracer(cfg.Tracer)
-	}
+	p.events = cfg.Tracer
 	p.conc = newConcurrent(p)
 	return p
 }
@@ -250,16 +232,14 @@ func (p *LXR) BlockTable() *immix.BlockTable { return p.bt }
 // RC exposes the reference-count table for tests.
 func (p *LXR) RC() *meta.RCTable { return p.rc }
 
-// GCWorkerStats exposes the pool's per-worker utilization, split into
-// in-pause and on-loan work (harness telemetry).
+// GCWorkerStats exposes the pool's per-worker in-pause utilization
+// (harness telemetry).
 func (p *LXR) GCWorkerStats() []gcwork.WorkerStat { return p.pool.WorkerStats() }
 
-// GCLoanStats returns how many between-pause worker loans ran and how
-// many work items they processed (harness telemetry).
-func (p *LXR) GCLoanStats() (loans, items int64) { return p.pool.LoanStats() }
-
-// ConcWorkers reports the configured between-pause borrow width.
-func (p *LXR) ConcWorkers() int { return p.cfg.ConcWorkers }
+// GCLoanStats always returns zero: concurrent work runs on the driver's
+// own goroutine and never borrows pool workers. It is kept only because
+// the benchmark module's ledger still reads it.
+func (p *LXR) GCLoanStats() (loans, items int64) { return 0, 0 }
 
 // --- mutator state -----------------------------------------------------------
 

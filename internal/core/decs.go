@@ -42,9 +42,9 @@ func (p *LXR) decDeath(shard int, ref obj.Ref, pushRec func(obj.Ref), record fun
 
 // applyDec applies one decrement (following forwarding installed by
 // evacuation) and performs death processing on a 1→0 transition. shard
-// selects the caller's stats shard: pause workers and loaned workers
-// pass their worker ID + 1 so per-decrement counter updates never
-// contend across threads; single-threaded callers pass 0.
+// selects the caller's stats shard: pause workers pass their worker
+// ID + 1 so per-decrement counter updates never contend across threads;
+// the concurrent driver passes 0.
 func (p *LXR) applyDec(shard int, ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
 	if !p.plausibleRef(ref) {
 		p.ctr.skip.AddAt(shard, 1)
@@ -61,32 +61,6 @@ func (p *LXR) applyDec(shard int, ref obj.Ref, pushRec func(obj.Ref), record fun
 	}
 }
 
-// decDrainFuncs builds the worker callbacks every parallel decrement
-// drain shares — the between-pause loans, the in-pause resumption of an
-// interrupted loan, and the -LD ablation's full in-pause drain. Each
-// worker records touched blocks in its own slot of a per-worker result
-// array (worker IDs are stable across the pool's lifetime) so the merge
-// needs no lock; setup is re-entrant so one perWorker array can span
-// several dispatches of the same logical drain.
-func (p *LXR) decDrainFuncs() (perWorker []map[int]struct{}, setup func(*gcwork.Worker), f func(*gcwork.Worker, mem.Address)) {
-	perWorker = make([]map[int]struct{}, p.pool.N)
-	setup = func(w *gcwork.Worker) {
-		m := perWorker[w.ID]
-		if m == nil {
-			m = map[int]struct{}{}
-			perWorker[w.ID] = m
-		}
-		w.Scratch = m
-	}
-	f = func(w *gcwork.Worker, a mem.Address) {
-		local := w.Scratch.(map[int]struct{})
-		p.applyDec(w.ID+1, obj.Ref(a),
-			func(c obj.Ref) { w.Push(c) },
-			func(b int) { local[b] = struct{}{} })
-	}
-	return perWorker, setup, f
-}
-
 // processDecsInPause drains a decrement batch with the parallel worker
 // pool (used by the -LD ablation, where every pause drains its own
 // batch).
@@ -94,23 +68,27 @@ func (p *LXR) processDecsInPause(decs []mem.Address) {
 	if len(decs) == 0 {
 		return
 	}
-	p.processDecWork(nil, [][]mem.Address{decs}, nil)
+	p.processDecWork([][]mem.Address{decs}, nil)
 }
 
-// processDecWork finishes decrement work inside a pause. An interrupted
-// loan's remainder is resumed segment-granular across all N pause
-// workers (Loan.ResumeInPause seeds DrainSegs directly — the loan-aware
-// pause path, no re-chunking through a flat copy), then any remaining
-// flat segments drain the same way. seedTouched carries blocks the
-// concurrent driver's partially completed batches had already touched;
-// they are released here together with the blocks this drain touches.
-func (p *LXR) processDecWork(intr *gcwork.Loan, segs [][]mem.Address, seedTouched []int) {
-	perWorker, setup, f := p.decDrainFuncs()
-	if intr != nil {
-		intr.ResumeInPause(setup, f, nil)
-	}
+// processDecWork finishes decrement work inside a pause, segment-granular
+// across all N pause workers. Each worker records touched blocks in its
+// own slot of a per-worker array (worker IDs are stable), so the merge
+// needs no lock. seedTouched carries blocks the concurrent driver's
+// partially completed batches had already touched; they are released
+// here together with the blocks this drain touches.
+func (p *LXR) processDecWork(segs [][]mem.Address, seedTouched []int) {
+	perWorker := make([]map[int]struct{}, p.pool.N)
 	if len(segs) > 0 {
-		p.pool.DrainSegs(segs, setup, f, nil)
+		p.pool.DrainSegs(segs, func(w *gcwork.Worker) {
+			perWorker[w.ID] = map[int]struct{}{}
+			w.Scratch = perWorker[w.ID]
+		}, func(w *gcwork.Worker, a mem.Address) {
+			local := w.Scratch.(map[int]struct{})
+			p.applyDec(w.ID+1, obj.Ref(a),
+				func(c obj.Ref) { w.Push(c) },
+				func(b int) { local[b] = struct{}{} })
+		}, nil)
 	}
 	touched := map[int]struct{}{}
 	for _, b := range seedTouched {

@@ -126,16 +126,13 @@ func (p *LXR) pausePipeline(cause string) string {
 
 	// 2. Finish unfinished lazy decrements first (§3.2.1): if the
 	// previous epoch's decrements have not drained, the pause completes
-	// them before anything else. An interrupted loan's remainder is
-	// resumed directly across all pause workers (Loan.ResumeInPause) —
-	// the concurrent drain continues at full width rather than being
-	// re-chunked through a flat batch.
+	// them before anything else, across all pause workers.
 	if p.conc.hasPendingDecs() {
 		st.Add(CtrPausesLazy, 1)
 		hadDec = true
 		ph = time.Now()
-		intr, segs, touched := p.conc.takePending()
-		p.processDecWork(intr, segs, touched)
+		segs, touched := p.conc.takePending()
+		p.processDecWork(segs, touched)
 		ev.Phase(trace.NameDecs, ph)
 	}
 

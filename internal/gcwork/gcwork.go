@@ -1,9 +1,8 @@
 // Package gcwork provides the parallel collection machinery: a
 // persistent, lock-free work-stealing scheduler that drains dynamically
 // generated work (mark stacks, increment and decrement queues), a
-// dynamically load-balanced ParallelFor for static partitioning, a
-// between-pause worker lending API for concurrent collection phases,
-// and segmented address buffers used by write barriers and RC queues.
+// dynamically load-balanced ParallelFor for static partitioning, and
+// segmented address buffers used by write barriers and RC queues.
 //
 // LXR uses parallelism in every collection phase (§3.5); the same pool
 // drives the baseline collectors' parallel tracing and copying. The
@@ -14,26 +13,16 @@
 // with atomic idle/epoch counters (no condition-variable broadcast
 // storm).
 //
-// # Worker lending
-//
-// Between pauses the pool's workers are parked and idle, while the
-// concurrent phase drivers (LXR's lazy-decrement/SATB thread, the
-// baselines' mark controllers) drain work single-threaded. Lend hands
-// up to n parked workers to such a driver for one interruptible drain;
-// Reclaim is the hand-back barrier. A loan holds the pool's dispatch
-// lock from Lend to Reclaim, so no pause phase (Drain, DrainSegs,
-// ParallelFor) can start while a loan is outstanding — and conversely a
-// loan cannot start inside a pause. Pauses that must begin while a loan
-// is draining call Loan.Interrupt, which makes the borrowed workers
-// stop within one work item and preserve every unprocessed address for
-// Reclaim to return.
+// Between pauses the pool's workers are parked: concurrent collection
+// work (LXR's lazy decrements and SATB trace, the baselines' concurrent
+// marks) runs on each collector's own controller goroutine, not here.
 //
 // # Panic containment
 //
 // A panic on a worker goroutine does not kill the process: it is
 // captured, the phase is aborted (abandoned work is discarded so the
 // pool stays reusable), and the panic is re-raised on the goroutine
-// that called Drain, DrainSegs, ParallelFor or Loan.Reclaim, wrapped in
+// that called Drain, DrainSegs or ParallelFor, wrapped in
 // *WorkerPanic. Callers that convert collection failures into recorded
 // data points (the workload harness) therefore observe worker failures
 // exactly like coordinator failures.
@@ -48,7 +37,6 @@ import (
 	"time"
 
 	"lxr/internal/mem"
-	"lxr/internal/trace"
 )
 
 // chunkSize is the work-stealing granularity: workers share work in
@@ -77,10 +65,9 @@ type Pool struct {
 	once    sync.Once
 	stopped bool
 
-	// runMu serialises phase dispatch (Drain/ParallelFor callers) and
-	// worker loans (Lend holds it until Reclaim — the hand-back
-	// barrier). It is never touched by workers: the publish/pop/steal
-	// hot paths inside a phase are mutex-free.
+	// runMu serialises phase dispatch (Drain/ParallelFor callers). It is
+	// never touched by workers: the publish/pop/steal hot paths inside a
+	// phase are mutex-free.
 	runMu sync.Mutex
 
 	inj injector // phase seed segments
@@ -89,21 +76,12 @@ type Pool struct {
 	idle     atomic.Int32  // workers currently searching for work
 	pubEpoch atomic.Uint64 // bumped on every chunk publication
 	done     atomic.Bool   // drain-complete flag
-	active   atomic.Int32  // workers participating in the current phase
 
 	spawned atomic.Int64 // worker goroutines ever created (telemetry)
-
-	loans     atomic.Int64 // loans ever started (telemetry)
-	loanItems atomic.Int64 // items processed on loaned workers (telemetry)
-
-	// tracer, when non-nil, receives loan lend→reclaim spans and
-	// interrupt instants on the concurrent timeline shard. Set before
-	// the pool is first used.
-	tracer *trace.Tracer
 }
 
 // NewPool creates a pool with n workers (minimum 1). Workers are started
-// lazily on the first Drain, ParallelFor or Lend.
+// lazily on the first Drain or ParallelFor.
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
@@ -111,31 +89,23 @@ func NewPool(n int) *Pool {
 	return &Pool{N: n}
 }
 
-// SetTracer attaches a GC event tracer to the pool (nil detaches).
-// Call before the pool's first use — the field is read unsynchronised
-// on loan paths.
-func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
-
 // Spawned returns how many worker goroutines this pool has ever created.
 // After any number of phases it stays at N — the persistence guarantee
 // tests assert.
 func (p *Pool) Spawned() int64 { return p.spawned.Load() }
 
-// WorkerStat is one worker's lifetime utilization, split by phase kind.
+// WorkerStat is one worker's lifetime utilization.
 type WorkerStat struct {
 	// PauseItems counts work items (addresses or ParallelFor indices)
 	// the worker processed inside phase dispatches — Drain, DrainSegs
 	// and ParallelFor, which all run with the world stopped.
 	PauseItems int64
-	// LoanItems counts work items the worker processed while on loan to
-	// a concurrent phase driver between pauses.
-	LoanItems int64
 }
 
 // WorkerStats returns each worker's utilization counters. Safe to call
-// at any time — it takes no locks, so it never blocks behind an
-// outstanding loan; counters are updated once per phase, not per item,
-// so a mid-phase sample lags by at most the phase in progress.
+// at any time — it takes no locks, so it never blocks behind a phase;
+// counters are updated once per phase, not per item, so a mid-phase
+// sample lags by at most the phase in progress.
 func (p *Pool) WorkerStats() []WorkerStat {
 	out := make([]WorkerStat, p.N)
 	ws := p.wsnap.Load()
@@ -143,18 +113,9 @@ func (p *Pool) WorkerStats() []WorkerStat {
 		return out // workers not started: all zeros
 	}
 	for i, w := range *ws {
-		out[i] = WorkerStat{
-			PauseItems: w.pauseItems.Load(),
-			LoanItems:  w.loanItems.Load(),
-		}
+		out[i] = WorkerStat{PauseItems: w.pauseItems.Load()}
 	}
 	return out
-}
-
-// LoanStats returns how many loans the pool has served and how many
-// work items were processed on loaned workers in total.
-func (p *Pool) LoanStats() (loans, items int64) {
-	return p.loans.Load(), p.loanItems.Load()
 }
 
 // job is one parked-worker activation: either a drain (f set) or a
@@ -170,9 +131,6 @@ type job struct {
 	n     int
 	next  *atomic.Int64
 	chunk int
-
-	loan *Loan       // non-nil when this activation is a between-pause loan
-	intr atomic.Bool // loan-interrupt flag (set by Loan.Interrupt)
 
 	// First worker panic of the job, re-raised on the dispatching
 	// caller (panic containment).
@@ -201,7 +159,7 @@ func (jb *job) takePanic() (any, []byte) {
 
 // WorkerPanic wraps a panic that occurred on a pool worker goroutine.
 // It is re-raised on the goroutine that dispatched the phase (Drain,
-// DrainSegs, ParallelFor) or reclaimed the loan, carrying the original
+// DrainSegs, ParallelFor), carrying the original
 // panic value and the worker goroutine's stack at the time of panic.
 type WorkerPanic struct {
 	Value any    // the worker's original panic value
@@ -234,7 +192,6 @@ type Worker struct {
 	Scratch any
 
 	pauseItems atomic.Int64 // items processed in STW phases (telemetry)
-	loanItems  atomic.Int64 // items processed on loan (telemetry)
 }
 
 // Push adds a work item for later processing. When the local stack grows
@@ -272,15 +229,15 @@ func (w *Worker) publish() {
 
 // next returns the worker's next work item, acquiring more work from its
 // deque, the injector or other workers as needed. ok=false means the
-// whole drain has terminated (or the phase's loan was interrupted).
-func (w *Worker) next(jb *job) (mem.Address, bool) {
+// whole drain has terminated.
+func (w *Worker) next() (mem.Address, bool) {
 	for {
 		if n := len(w.local); n > 0 {
 			a := w.local[n-1]
 			w.local = w.local[:n-1]
 			return a, true
 		}
-		if !w.acquire(jb) {
+		if !w.acquire() {
 			return mem.Nil, false
 		}
 	}
@@ -289,7 +246,7 @@ func (w *Worker) next(jb *job) (mem.Address, bool) {
 // acquire refills the local stack: own deque first, then a seed segment
 // from the injector, then stealing. When nothing is visible it enters
 // the idle protocol, returning false on global termination.
-func (w *Worker) acquire(jb *job) bool {
+func (w *Worker) acquire() bool {
 	p := w.pool
 	for {
 		if c := w.dq.pop(); c != nil {
@@ -303,7 +260,7 @@ func (w *Worker) acquire(jb *job) bool {
 		if w.stealOnce() {
 			return true
 		}
-		if !p.awaitWork(jb) {
+		if !p.awaitWork() {
 			return false
 		}
 	}
@@ -361,21 +318,20 @@ const idleSpinLimit = 128
 // the sweep finds nothing, the idle count still reads the participant
 // count, and no chunk was published since the sweep began (the epoch
 // counter is unchanged), there can be no work anywhere — workers only
-// create work while non-idle — and the drain is declared complete. A
-// pending loan interrupt also terminates the wait: interrupted workers
-// leave their unprocessed work in place for Loan.Reclaim to harvest.
-func (p *Pool) awaitWork(jb *job) bool {
+// create work while non-idle — and the drain is declared complete.
+func (p *Pool) awaitWork() bool {
 	p.idle.Add(1)
 	spins := 0
+	n := int32(p.N)
 	for {
-		if p.done.Load() || jb.intr.Load() {
+		if p.done.Load() {
 			return false
 		}
 		if p.workVisible() {
 			p.idle.Add(-1)
 			return true
 		}
-		if n := p.active.Load(); p.idle.Load() == n {
+		if p.idle.Load() == n {
 			e0 := p.pubEpoch.Load()
 			if !p.workVisible() && p.idle.Load() == n && p.pubEpoch.Load() == e0 {
 				p.done.Store(true)
@@ -427,8 +383,7 @@ func (p *Pool) start() {
 
 // Stop terminates the pool's worker goroutines. The pool must not be
 // used afterwards. Safe to call multiple times, or on a pool whose
-// workers never started. An outstanding loan blocks Stop until it is
-// reclaimed.
+// workers never started.
 func (p *Pool) Stop() {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -475,16 +430,9 @@ func (w *Worker) runDrain(jb *job) {
 	if jb.setup != nil {
 		jb.setup(w)
 	}
-	p := w.pool
 	items := int64(0)
 	for {
-		// A loan interrupt stops processing within one item; the
-		// worker's remaining local stack is left intact for Reclaim.
-		// Phase drains (loan == nil) skip the flag load entirely.
-		if jb.loan != nil && jb.intr.Load() {
-			break
-		}
-		a, ok := w.next(jb)
+		a, ok := w.next()
 		if !ok {
 			break
 		}
@@ -495,13 +443,8 @@ func (w *Worker) runDrain(jb *job) {
 		jb.teardown(w)
 	}
 	w.Scratch = nil
-	if jb.loan != nil {
-		w.loanItems.Add(items)
-		p.loanItems.Add(items)
-	} else {
-		w.pauseItems.Add(items)
-		w.local = w.local[:0] // empty on normal termination; defensive
-	}
+	w.pauseItems.Add(items)
+	w.local = w.local[:0] // empty on normal termination; defensive
 }
 
 func (w *Worker) runFor(jb *job) {
@@ -521,49 +464,33 @@ func (w *Worker) runFor(jb *job) {
 	w.pauseItems.Add(items)
 }
 
-// scavenge collects every unprocessed address left in worker locals,
+// scavenge drops every unprocessed address left in worker locals,
 // worker deques and the injector. It must only run while all workers
 // are parked (after the phase's WaitGroup has been waited on), when no
 // concurrent deque operations are possible.
-func (p *Pool) scavenge() [][]mem.Address {
-	var out [][]mem.Address
+func (p *Pool) scavenge() {
 	for _, w := range p.workers {
-		if len(w.local) > 0 {
-			out = append(out, w.local)
-			w.local = nil
-		}
-		for {
-			c := w.dq.pop()
-			if c == nil {
-				break
-			}
-			out = append(out, *c)
+		w.local = w.local[:0]
+		for w.dq.pop() != nil {
 		}
 	}
-	for {
-		s := p.inj.pop()
-		if s == nil {
-			break
-		}
-		out = append(out, s)
+	for p.inj.pop() != nil {
 	}
-	return out
 }
 
 // dispatch resets per-phase termination state, seeds the injector and
-// wakes the first n workers with jb.
-func (p *Pool) dispatch(jb *job, n int, segs [][]mem.Address) {
+// wakes every worker with jb.
+func (p *Pool) dispatch(jb *job, segs [][]mem.Address) {
 	p.done.Store(false)
 	p.idle.Store(0)
-	p.active.Store(int32(n))
 	for _, s := range segs {
 		for i := 0; i < len(s); i += chunkSize {
 			end := min(i+chunkSize, len(s))
 			p.inj.push(s[i:end:end])
 		}
 	}
-	jb.wg.Add(n)
-	for i := 0; i < n; i++ {
+	jb.wg.Add(p.N)
+	for i := 0; i < p.N; i++ {
 		p.wake[i] <- jb
 	}
 }
@@ -602,7 +529,7 @@ func (p *Pool) DrainSegs(segs [][]mem.Address, setup func(w *Worker), f func(w *
 	defer p.runMu.Unlock()
 	var wg sync.WaitGroup
 	jb := &job{setup: setup, f: f, teardown: teardown, wg: &wg}
-	p.dispatch(jb, p.N, segs)
+	p.dispatch(jb, segs)
 	wg.Wait()
 	p.rethrowWorkerPanic(jb)
 }
@@ -633,215 +560,4 @@ func (p *Pool) ParallelFor(n int, f func(worker, start, end int)) {
 	}
 	wg.Wait()
 	p.rethrowWorkerPanic(jb)
-}
-
-// --- worker lending ------------------------------------------------------------
-
-// Loan is a between-pause borrow of pool workers, started by Pool.Lend
-// and ended by Reclaim. While a loan is outstanding the pool's dispatch
-// lock is held, so no pause phase can begin until the loan is reclaimed
-// — the hand-back barrier the concurrent/pause ownership protocol
-// relies on.
-type Loan struct {
-	p  *Pool
-	jb *job
-
-	// Workers borrowed (loans use worker IDs 0..Workers-1).
-	Workers int
-
-	reclaimed bool
-	noop      bool
-
-	// Tracing state: lend time and the pool's loan-item total at lend,
-	// so Reclaim can attribute exactly this loan's items (loans are
-	// serialised by runMu, so the delta is never mixed across loans).
-	traceStart time.Time
-	traceItem0 int64
-	// rem is the unprocessed remainder: seeded at Lend for no-op loans
-	// (stopped pool), harvested by Reclaim otherwise. It is retained on
-	// the loan so an interrupted loan's work can be resumed — across
-	// all pause workers via ResumeInPause, or folded into the driver's
-	// next loan via TakeRemainder — without re-chunking through a flat
-	// copy.
-	rem [][]mem.Address
-}
-
-// Lend borrows up to n parked workers (clamped to the pool size) and
-// starts draining segs — plus everything transitively pushed by f — on
-// them. It returns immediately; the caller continues concurrently and
-// must call Reclaim exactly once to wait for completion and release the
-// pool. setup/teardown run once per borrowed worker, exactly as in
-// Drain. Lend blocks while a pause phase is running and, once it
-// returns, blocks pause phases until Reclaim — loans and phases never
-// overlap.
-//
-// On a stopped pool Lend returns an inert loan whose Reclaim hands back
-// the seed segments unprocessed.
-func (p *Pool) Lend(n int, segs [][]mem.Address, setup func(w *Worker), f func(w *Worker, a mem.Address), teardown func(w *Worker)) *Loan {
-	p.runMu.Lock()
-	if p.stopped {
-		// Checked before start(): lending against a stopped pool must
-		// not spawn workers that could never be stopped again.
-		p.runMu.Unlock()
-		return &Loan{noop: true, rem: segs}
-	}
-	p.start()
-	if n < 1 {
-		n = 1
-	}
-	if n > p.N {
-		n = p.N
-	}
-	var wg sync.WaitGroup
-	jb := &job{setup: setup, f: f, teardown: teardown, wg: &wg}
-	l := &Loan{p: p, jb: jb, Workers: n}
-	jb.loan = l
-	if p.tracer != nil {
-		l.traceStart = time.Now()
-		l.traceItem0 = p.loanItems.Load()
-	}
-	p.dispatch(jb, n, segs)
-	p.loans.Add(1)
-	return l
-}
-
-// Interrupt asks the loaned workers to stop promptly (within one work
-// item each), preserving all unprocessed work for Reclaim to return.
-// Safe to call from any goroutine, at any time, more than once — a
-// pause that wants the pool calls it before waiting on the concurrent
-// driver's quiescence.
-func (l *Loan) Interrupt() {
-	if l.noop {
-		return
-	}
-	if l.jb.intr.CompareAndSwap(false, true) {
-		if tr := l.p.tracer; tr != nil {
-			tr.Instant(trace.ShardConc, trace.NameInterrupt, uint64(l.Workers), 0)
-		}
-	}
-}
-
-// LoanRef is a single-slot, thread-safe published reference to a
-// driver's outstanding loan, shared with the pauses (or shutdown paths)
-// that must be able to interrupt it. It closes the adopt race: an
-// Interrupt arriving before the driver has adopted its freshly created
-// loan is remembered (armed) and applied on adoption. The zero value
-// is ready to use; all methods take only the ref's own lock, so they
-// may be called while holding a driver's state mutex.
-type LoanRef struct {
-	mu    sync.Mutex
-	loan  *Loan
-	armed bool // interrupt requested; applies to the next adopted loan
-}
-
-// Adopt publishes l as the outstanding loan. If an interrupt is armed —
-// a pause or shutdown requested it before adoption — l is interrupted
-// immediately.
-func (r *LoanRef) Adopt(l *Loan) {
-	r.mu.Lock()
-	r.loan = l
-	if r.armed {
-		l.Interrupt()
-	}
-	r.mu.Unlock()
-}
-
-// Drop clears the published loan after Reclaim. A stale Interrupt from
-// a racing pause is harmless: interrupts are scoped to the loan's own
-// job.
-func (r *LoanRef) Drop() {
-	r.mu.Lock()
-	r.loan = nil
-	r.mu.Unlock()
-}
-
-// Interrupt interrupts the published loan, if any, and stays armed so
-// that a loan adopted later is interrupted at adoption. Callers Disarm
-// when the condition that requested the interrupt (pause quiescence,
-// shutdown) has passed.
-func (r *LoanRef) Interrupt() {
-	r.mu.Lock()
-	r.armed = true
-	if r.loan != nil {
-		r.loan.Interrupt()
-	}
-	r.mu.Unlock()
-}
-
-// Disarm clears a previously armed interrupt; the driver may lend
-// uninterrupted again.
-func (r *LoanRef) Disarm() {
-	r.mu.Lock()
-	r.armed = false
-	r.mu.Unlock()
-}
-
-// Reclaim waits for the borrowed workers to park, releases the pool for
-// pause phases, and returns every unprocessed address (always empty
-// unless the loan was interrupted). It must be called exactly once, on
-// the goroutine that called Lend or one synchronised with it. A worker
-// panic during the loan is re-raised here wrapped in *WorkerPanic.
-//
-// The remainder is also retained on the loan, for HasRemainder,
-// TakeRemainder and ResumeInPause. A caller must either consume the
-// returned segments or leave them for those accessors — not both, or
-// the work would be processed twice.
-func (l *Loan) Reclaim() [][]mem.Address {
-	if l.noop {
-		return l.rem
-	}
-	if l.reclaimed {
-		panic("gcwork: Loan.Reclaim called twice")
-	}
-	l.reclaimed = true
-	l.jb.wg.Wait()
-	l.rem = l.p.scavenge()
-	if tr := l.p.tracer; tr != nil {
-		// Recorded before the pool is released so loan spans on the
-		// concurrent timeline never overlap the next loan's span.
-		tr.Span(trace.ShardConc, trace.NameLoan, l.traceStart, time.Since(l.traceStart),
-			uint64(l.Workers), uint64(l.p.loanItems.Load()-l.traceItem0))
-	}
-	l.p.runMu.Unlock()
-	if v, stack := l.jb.takePanic(); v != nil {
-		panic(&WorkerPanic{Value: v, Stack: stack})
-	}
-	return l.rem
-}
-
-// HasRemainder reports whether the reclaimed loan retains unprocessed
-// work.
-func (l *Loan) HasRemainder() bool {
-	for _, s := range l.rem {
-		if len(s) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// TakeRemainder removes and returns the retained remainder, so a driver
-// can fold an interrupted loan's unfinished work — segment-granular —
-// into its next loan.
-func (l *Loan) TakeRemainder() [][]mem.Address {
-	rem := l.rem
-	l.rem = nil
-	return rem
-}
-
-// ResumeInPause re-dispatches an interrupted loan's remainder across
-// ALL of the pool's workers as a pause phase: the retained segments
-// seed DrainSegs directly, so the pause finishes the loan's work at
-// full parallel width without re-chunking it through an intermediate
-// flat batch. Must be called after Reclaim, with the world stopped and
-// the lending driver quiescent (the pool's dispatch lock is free —
-// Reclaim released it). Returns whether any work was dispatched; a loan
-// on a stopped pool resumes nothing (the remainder is dropped, as at
-// shutdown).
-func (l *Loan) ResumeInPause(setup func(w *Worker), f func(w *Worker, a mem.Address), teardown func(w *Worker)) bool {
-	if l.noop || !l.HasRemainder() {
-		return false
-	}
-	l.p.DrainSegs(l.TakeRemainder(), setup, f, teardown)
-	return true
 }

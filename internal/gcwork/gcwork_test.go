@@ -335,3 +335,129 @@ func TestSharedAddrQueue(t *testing.T) {
 		t.Fatal("not cleared")
 	}
 }
+
+// TestWorkerPanicRoutedToDrainCaller: a panic in a drain body must not
+// kill the process — it must surface, wrapped in *WorkerPanic, on the
+// goroutine that dispatched the phase, and the pool must stay usable.
+func TestWorkerPanicRoutedToDrainCaller(t *testing.T) {
+	p := gcwork.NewPool(4)
+	defer p.Stop()
+	seeds := make([]mem.Address, 1000)
+	for i := range seeds {
+		seeds[i] = mem.Address(i + 1)
+	}
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		p.Drain(seeds, nil, func(w *gcwork.Worker, a mem.Address) {
+			if a == 500 {
+				panic("boom at 500")
+			}
+			if a > 0 && a < 100 {
+				w.Push(a + 10000) // keep transitive work flowing
+			}
+		}, nil)
+	}()
+	wp, ok := recovered.(*gcwork.WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *gcwork.WorkerPanic", recovered, recovered)
+	}
+	if wp.Value != "boom at 500" {
+		t.Fatalf("panic value %v, want original", wp.Value)
+	}
+	if len(wp.Stack) == 0 {
+		t.Fatal("worker stack not captured")
+	}
+	// Abandoned work from the aborted phase must not leak into the next.
+	var visits atomic.Int64
+	p.Drain([]mem.Address{1, 2}, nil, func(w *gcwork.Worker, a mem.Address) { visits.Add(1) }, nil)
+	if visits.Load() != 2 {
+		t.Fatalf("post-panic Drain visited %d, want 2", visits.Load())
+	}
+}
+
+// TestWorkerPanicRoutedToParallelForCaller: same containment for the
+// static-partition path.
+func TestWorkerPanicRoutedToParallelForCaller(t *testing.T) {
+	p := gcwork.NewPool(4)
+	defer p.Stop()
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		p.ParallelFor(1000, func(_, s, e int) {
+			for i := s; i < e; i++ {
+				if i == 321 {
+					panic(i)
+				}
+			}
+		})
+	}()
+	wp, ok := recovered.(*gcwork.WorkerPanic)
+	if !ok || wp.Value != 321 {
+		t.Fatalf("recovered %v, want *WorkerPanic{321}", recovered)
+	}
+	covered := make([]atomic.Int32, 100)
+	p.ParallelFor(100, func(_, s, e int) {
+		for i := s; i < e; i++ {
+			covered[i].Add(1)
+		}
+	})
+	for i := range covered {
+		if covered[i].Load() != 1 {
+			t.Fatalf("post-panic ParallelFor: index %d covered %d times", i, covered[i].Load())
+		}
+	}
+}
+
+// TestSharedAddrQueuePopSeg: PopSeg must hand back one segment at a
+// time, keep the length counter exact, and eventually drain everything.
+func TestSharedAddrQueuePopSeg(t *testing.T) {
+	var q gcwork.SharedAddrQueue
+	total := 0
+	for i := 0; i < 10; i++ {
+		seg := make([]mem.Address, i+1)
+		for j := range seg {
+			seg[j] = mem.Address(100*i + j)
+		}
+		q.Append(seg)
+		total += len(seg)
+	}
+	q.Push(999)
+	total++
+	got := 0
+	for {
+		s := q.PopSeg()
+		if s == nil {
+			break
+		}
+		if len(s) == 0 {
+			t.Fatal("PopSeg returned an empty segment")
+		}
+		got += len(s)
+		if q.Len() != total-got {
+			t.Fatalf("Len %d after popping %d of %d", q.Len(), got, total)
+		}
+	}
+	if got != total {
+		t.Fatalf("PopSeg drained %d, want %d", got, total)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("queue not empty: %d", q.Len())
+	}
+}
+
+// TestWorkerStatsCountPauseItems: utilization telemetry must count every
+// item of every phase kind — drained addresses and ParallelFor indices.
+func TestWorkerStatsCountPauseItems(t *testing.T) {
+	p := gcwork.NewPool(2)
+	defer p.Stop()
+	p.Drain([]mem.Address{1, 2, 3, 4, 5}, nil, func(w *gcwork.Worker, a mem.Address) {}, nil)
+	p.ParallelFor(7, func(_, _, _ int) {})
+	var pause int64
+	for _, ws := range p.WorkerStats() {
+		pause += ws.PauseItems
+	}
+	if pause != 12 {
+		t.Fatalf("worker stats pause items = %d, want 12", pause)
+	}
+}

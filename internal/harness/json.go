@@ -71,17 +71,9 @@ type RunSummary struct {
 	GCWorkMS   float64 `json:"gc_work_ms"`
 	ConcWorkMS float64 `json:"conc_work_ms"`
 
-	// Scheduler utilization: how the gcwork pool's workers were used,
-	// split by phase kind. worker_pause_items[i] / worker_loan_items[i]
-	// count work items worker i processed inside stop-the-world phases
-	// and on loan to the concurrent phases respectively; conc_loans and
-	// conc_loan_items aggregate the between-pause lending activity, and
-	// conc_workers records the configured borrow width.
-	ConcWorkers      int     `json:"conc_workers,omitempty"`
-	ConcLoans        int64   `json:"conc_loans,omitempty"`
-	ConcLoanItems    int64   `json:"conc_loan_items,omitempty"`
+	// Scheduler utilization: worker_pause_items[i] counts the work items
+	// gcwork pool worker i processed inside stop-the-world phases.
 	WorkerPauseItems []int64 `json:"worker_pause_items,omitempty"`
-	WorkerLoanItems  []int64 `json:"worker_loan_items,omitempty"`
 
 	// Intervals holds the periodic reporter's per-window pause/latency
 	// digests (lxr-bench -interval). Absent otherwise.
@@ -134,15 +126,10 @@ func (r *RunResult) Summary() RunSummary {
 	s.TotalSTWMS = float64(r.TotalSTW()) / float64(time.Millisecond)
 	s.GCWorkMS = float64(r.GCWork) / float64(time.Millisecond)
 	s.ConcWorkMS = float64(r.ConcWork) / float64(time.Millisecond)
-	s.ConcWorkers = r.ConcWorkers
-	s.ConcLoans = r.Loans
-	s.ConcLoanItems = r.LoanItems
 	if len(r.WorkerStats) > 0 {
 		s.WorkerPauseItems = make([]int64, len(r.WorkerStats))
-		s.WorkerLoanItems = make([]int64, len(r.WorkerStats))
 		for i, ws := range r.WorkerStats {
 			s.WorkerPauseItems[i] = ws.PauseItems
-			s.WorkerLoanItems[i] = ws.LoanItems
 		}
 	}
 	s.Intervals = r.Intervals

@@ -184,9 +184,7 @@ func runMutScaleOne(collector string, nMut int, cfg workload.MutScaleConfig, opt
 	res.ConcWork = v.Stats.ConcurrentWork()
 	res.MutBusy = v.Stats.MutatorBusy()
 	if t, ok := plan.(gcTelemetry); ok {
-		res.ConcWorkers = t.ConcWorkers()
 		res.WorkerStats = t.GCWorkerStats()
-		res.Loans, res.LoanItems = t.GCLoanStats()
 	}
 	return res
 }

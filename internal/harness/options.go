@@ -22,12 +22,11 @@ type CommonDefaults struct {
 // cmd/lxr-trace, registered in one place so the two binaries cannot
 // drift apart. Call Options after the flag set is parsed.
 type CommonFlags struct {
-	Scale       *string
-	GCThreads   *int
-	ConcWorkers *int
-	Interval    *time.Duration
-	Bench       *string
-	JSON        *string
+	Scale     *string
+	GCThreads *int
+	Interval  *time.Duration
+	Bench     *string
+	JSON      *string
 }
 
 // RegisterCommonFlags registers the shared session flags on fs.
@@ -36,12 +35,11 @@ func RegisterCommonFlags(fs *flag.FlagSet, def CommonDefaults) *CommonFlags {
 		def.Scale = "default"
 	}
 	return &CommonFlags{
-		Scale:       fs.String("scale", def.Scale, "workload scaling: quick or default"),
-		GCThreads:   fs.Int("gcthreads", 4, "parallel GC threads"),
-		ConcWorkers: fs.Int("concworkers", 0, "GC workers borrowed by concurrent phases between pauses (0 = half of gcthreads)"),
-		Interval:    fs.Duration("interval", 0, "periodic per-window report: snapshot merged histograms on this period and emit windowed latency/pause percentiles (e.g. 2s); windows whose p99 departs more than 2x from the trailing mean are marked drift:true and carry absolute timestamps"),
-		Bench:       fs.String("bench", def.Bench, "comma-separated benchmark subset (default all)"),
-		JSON:        fs.String("json", "", "write run summaries as JSON to this file ('-' = stdout)"),
+		Scale:     fs.String("scale", def.Scale, "workload scaling: quick or default"),
+		GCThreads: fs.Int("gcthreads", 4, "parallel GC threads"),
+		Interval:  fs.Duration("interval", 0, "periodic per-window report: snapshot merged histograms on this period and emit windowed latency/pause percentiles (e.g. 2s); windows whose p99 departs more than 2x from the trailing mean are marked drift:true and carry absolute timestamps"),
+		Bench:     fs.String("bench", def.Bench, "comma-separated benchmark subset (default all)"),
+		JSON:      fs.String("json", "", "write run summaries as JSON to this file ('-' = stdout)"),
 	}
 }
 
@@ -49,9 +47,8 @@ func RegisterCommonFlags(fs *flag.FlagSet, def CommonDefaults) *CommonFlags {
 // session Options. Errors are usage-style (print and exit 2).
 func (f *CommonFlags) Options() (Options, error) {
 	o := Options{
-		GCThreads:   *f.GCThreads,
-		ConcWorkers: *f.ConcWorkers,
-		Interval:    *f.Interval,
+		GCThreads: *f.GCThreads,
+		Interval:  *f.Interval,
 	}
 	switch *f.Scale {
 	case "quick":

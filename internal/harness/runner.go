@@ -43,10 +43,9 @@ const (
 // programming error in the experiment tables and panics.
 func newPlan(id string, heapBytes int, opts Options) vm.Plan {
 	plan, err := lxr.NewPlan(lxr.CollectorKind(id), core.Config{
-		HeapBytes:   heapBytes,
-		GCThreads:   opts.GCThreads,
-		ConcWorkers: opts.ConcWorkers,
-		Tracer:      opts.tracer,
+		HeapBytes: heapBytes,
+		GCThreads: opts.GCThreads,
+		Tracer:    opts.tracer,
 	})
 	if errors.Is(err, lxr.ErrMinHeap) {
 		return nil
@@ -61,10 +60,6 @@ func newPlan(id string, heapBytes int, opts Options) vm.Plan {
 type Options struct {
 	Scale     workload.Scale
 	GCThreads int
-	// ConcWorkers is how many gcwork workers the collectors' concurrent
-	// phases borrow between pauses (0 = collector default: half the GC
-	// threads). See core.Config.ConcWorkers.
-	ConcWorkers int
 	// Interval, when non-zero, runs a periodic reporter beside every
 	// execution: each window's pause and request-latency percentiles
 	// are computed by differencing cumulative histogram snapshots
@@ -160,10 +155,7 @@ type RunResult struct {
 	mergedPause *telemetry.Histogram // lazy union of PauseHist
 
 	// Scheduler utilization (collectors built on the gcwork pool).
-	ConcWorkers int                 // configured between-pause borrow width
-	WorkerStats []gcwork.WorkerStat // per-worker items, split pause/loan
-	Loans       int64               // between-pause loans served
-	LoanItems   int64               // items processed on loaned workers
+	WorkerStats []gcwork.WorkerStat // per-worker in-pause items
 
 	// Intervals holds the periodic reporter's per-window digests
 	// (Options.Interval; nil otherwise).
@@ -173,8 +165,6 @@ type RunResult struct {
 // gcTelemetry is implemented by plans exposing gcwork pool utilization.
 type gcTelemetry interface {
 	GCWorkerStats() []gcwork.WorkerStat
-	GCLoanStats() (loans, items int64)
-	ConcWorkers() int
 }
 
 // PauseHistMerged returns the union of the per-phase pause histograms
@@ -289,7 +279,7 @@ func RunOne(spec workload.Spec, collector string, heapFactor float64, rate float
 	}
 	res.OK = !failed
 	// Shut down before reading stats so the concurrent thread's final
-	// quanta (and loan telemetry) are fully accounted.
+	// quanta are fully accounted.
 	v.Shutdown()
 	res.Pauses = v.Stats.Pauses()
 	res.PauseHist = v.Stats.PauseHistograms()
@@ -299,9 +289,7 @@ func RunOne(spec workload.Spec, collector string, heapFactor float64, rate float
 	res.ConcWork = v.Stats.ConcurrentWork()
 	res.MutBusy = v.Stats.MutatorBusy()
 	if t, ok := plan.(gcTelemetry); ok {
-		res.ConcWorkers = t.ConcWorkers()
 		res.WorkerStats = t.GCWorkerStats()
-		res.Loans, res.LoanItems = t.GCLoanStats()
 	}
 	if dump != nil {
 		// All collector goroutines are down: the drain is quiescent.

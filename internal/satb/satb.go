@@ -84,38 +84,6 @@ func (t *Tracer) Step(budget int) bool {
 	return !t.Pending()
 }
 
-// StepParallel advances the trace on workers borrowed from the pool:
-// the pending stack and every queued inbox segment are lent to up to
-// `workers` parked pool workers, which drain the closure in parallel
-// between pauses. It returns true when the trace has no work left.
-//
-// Must be called on the tracer's owner thread (it moves the owner
-// stack into the loan). All hooks must be thread-safe, as for
-// DrainParallel. onLoan, when non-nil, receives the loan immediately
-// after it starts so the caller can register it for interruption by a
-// pause; when the loan is interrupted, every unprocessed reference is
-// returned to the inbox, so no trace work is ever lost.
-func (t *Tracer) StepParallel(pool *gcwork.Pool, workers int, onLoan func(*gcwork.Loan)) bool {
-	segs := t.inbox.TakeSegs()
-	if len(t.stack) > 0 {
-		segs = append(segs, t.stack)
-		t.stack = nil
-	}
-	if len(segs) == 0 {
-		return true
-	}
-	loan := pool.Lend(workers, segs, nil, func(w *gcwork.Worker, a mem.Address) {
-		t.visit(obj.Ref(a), w)
-	}, nil)
-	if onLoan != nil {
-		onLoan(loan)
-	}
-	for _, rem := range loan.Reclaim() {
-		t.inbox.Append(rem)
-	}
-	return !t.Pending()
-}
-
 // alreadyMarked reports whether ref's mark bit is set, so a visit can
 // stop before the Filter runs. The outcome is the one the old order
 // reached — rejected by the Filter or refused by TrySet, a marked ref
@@ -130,7 +98,7 @@ func (t *Tracer) alreadyMarked(ref obj.Ref) bool {
 }
 
 // visit marks ref (subject to Filter) and queues its reference slots:
-// on w's deque when a pool worker runs it (StepParallel, DrainParallel),
+// on w's deque when a pool worker runs it (DrainParallel),
 // on the owner's stack when w is nil (Step). It is safe on several
 // workers at once when the hooks are: TrySet decides which of two
 // racing visits scans the object.

@@ -147,10 +147,6 @@ func eventArgs(name string, arg, arg2 uint64) map[string]any {
 			"signal":    math.Float64frombits(arg),
 			"threshold": math.Float64frombits(arg2),
 		}
-	case name == "loan":
-		return map[string]any{"workers": arg, "items": arg2}
-	case name == "quantum":
-		return map[string]any{"width": arg}
 	case name == "rendezvous":
 		if arg == 0 {
 			return nil

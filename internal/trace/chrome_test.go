@@ -25,7 +25,7 @@ type decodedTrace struct {
 
 // goldenTracer builds a deterministic timeline resembling one LXR epoch:
 // a rendezvous span abutting a pause span with three nested phases on the
-// GC shard, a quantum containing a loan on the conctrl shard, a trigger
+// GC shard, a quantum on the conctrl shard, a trigger
 // instant on the policy shard and a sampled instant on a mutator lane.
 func goldenTracer(t *testing.T) *Tracer {
 	t.Helper()
@@ -41,9 +41,8 @@ func goldenTracer(t *testing.T) *Tracer {
 	span(tr, ShardGC, NameIncrements, us(130), us(40), 4096)
 	span(tr, ShardGC, NameSweep, us(140), us(20), 7)
 
-	// Conctrl shard: quantum [50,300) containing loan [60,90).
-	tr.Span(ShardConc, NameQuantum, tr.Epoch().Add(us(50)), us(250), 2, 0)
-	tr.Span(ShardConc, NameLoan, tr.Epoch().Add(us(60)), us(30), 2, 512)
+	// Conctrl shard: quantum [50,300).
+	tr.Span(ShardConc, NameQuantum, tr.Epoch().Add(us(50)), us(250), 0, 0)
 
 	// Policy + mutator instants (recorded "now", i.e. at positive ts).
 	tr.Trigger(tr.TriggerName("epoch"), 1.5, 1.0)
@@ -153,10 +152,6 @@ func TestWriteChromeGolden(t *testing.T) {
 		case ev.Ph == "B" && ev.Name == "pause:rc":
 			if ttsp := ev.Args["ttsp_us"].(float64); ttsp != 10 {
 				t.Errorf("pause ttsp_us = %v, want 10", ttsp)
-			}
-		case ev.Ph == "B" && ev.Name == "loan":
-			if ev.Args["workers"].(float64) != 2 || ev.Args["items"].(float64) != 512 {
-				t.Errorf("loan args = %v", ev.Args)
 			}
 		case ev.Ph == "i" && ev.Name == "trigger:epoch":
 			if ev.Args["signal"].(float64) != 1.5 || ev.Args["threshold"].(float64) != 1.0 {

@@ -1,7 +1,7 @@
 // Package trace is the GC event tracer: a sharded, fixed-capacity,
 // overwrite-oldest flight recorder for structured runtime events
-// (pauses, rendezvous, collector phases, concurrent quanta, worker
-// loans, pacing triggers, sampled barrier activity) with a Chrome
+// (pauses, rendezvous, collector phases, concurrent quanta, pacing
+// triggers, sampled barrier activity) with a Chrome
 // trace-event JSON exporter that opens directly in Perfetto.
 //
 // The design goals mirror internal/telemetry: the record path is
@@ -28,7 +28,7 @@
 // retained slot validates and the loss is exactly max(0, tickets−cap).
 // Slot fields are individually atomic, which keeps concurrent
 // drain-while-recording clean under the race detector; the stores cost
-// nothing that matters on paths that already took a pause or a loan.
+// nothing that matters on paths that already took a pause or a quantum.
 package trace
 
 import (
@@ -52,8 +52,8 @@ const (
 	// Spans and instants on the rendezvous/concurrent side.
 	NameRendezvous   // stop-request → world-stopped (dur = TTSP)
 	NameQuantum      // one concurrent-controller work quantum
-	NameLoan         // worker loan: lend → reclaim
-	NameInterrupt    // loan interrupted (instant)
+	NameLoan         // never emitted; named by the benchmark's ledger
+	NameInterrupt    // never emitted; named by the benchmark's ledger
 	NameBarrierSlow  // sampled write-barrier slow path (instant)
 	NameAllocPublish // allocation-counter publish grain (instant)
 

@@ -24,7 +24,7 @@ type Pause struct {
 
 // CounterShards is how many independently updated cells back each named
 // counter. Writers pick a cell by worker ID (Stats.AddAt), so parallel
-// pause workers, loaned between-pause workers and the coordinator never
+// pause workers, the concurrent thread and the coordinator never
 // contend on — or false-share — one cache line. Totals are merged at
 // read time by summing the cells, which preserves the exact semantics
 // of the previous single-cell implementation. Sized to cover the
@@ -60,9 +60,9 @@ func (c *counterCells) sum() int64 {
 //
 // The named counters are sharded per GC worker (see CounterShards): the
 // hot paths that increment them — decrement application, promotion,
-// defensive filtering — run on parallel pause workers and on workers
-// loaned to the concurrent phases, all of which would otherwise rendez-
-// vous on a single atomic cell. Writers with a stable worker ID use
+// defensive filtering — run on parallel pause workers and on the
+// concurrent thread, all of which would otherwise rendezvous on a
+// single atomic cell. Writers with a stable worker ID use
 // AddAt; everything else (coordinator code, tests) uses Add, which is
 // shard 0. Readers (Counter, Counters) merge the shards.
 type Stats struct {

@@ -33,7 +33,7 @@ func (l *legacyCounters) Counter(name string) int64 {
 
 // TestShardedCountersMatchLegacyTotals replays one deterministic
 // operation stream — spread across goroutines with distinct shard IDs,
-// as pause workers and loaned workers are — into both the sharded Stats
+// as pause workers are — into both the sharded Stats
 // and the legacy single-cell implementation, and requires identical
 // totals for every counter. This is the merge-correctness guarantee:
 // shard choice can never change what Counter/Counters report.
@@ -98,8 +98,7 @@ func TestCounterShardReduction(t *testing.T) {
 
 // BenchmarkCounterAdd compares the legacy single-cell counter against
 // the sharded implementation under parallel writers — the contention
-// profile of parallel pause workers and loaned between-pause workers
-// all bumping lxr.decrements. "handle" additionally skips the per-event
+// profile of parallel pause workers all bumping lxr.decrements. "handle" additionally skips the per-event
 // name lookup, as the LXR hot paths do.
 func BenchmarkCounterAdd(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) {

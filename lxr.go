@@ -82,10 +82,10 @@ type RuntimeConfig struct {
 	// GlobalRoots sizes the global root array (default 16).
 	GlobalRoots int
 	// LXR, when Collector is LXR (or one of its ablations), overrides
-	// the full LXR configuration (ablations, triggers, evacuation
-	// knobs). HeapBytes/GCThreads above still apply when the
-	// corresponding fields are zero. Any other collector refuses LXR
-	// settings it cannot honour (see NewPlan).
+	// the full LXR configuration (ablations, the survival trigger, the
+	// clean-block buffer). HeapBytes/GCThreads above still apply when
+	// the corresponding fields are zero. Any other collector refuses
+	// LXR settings it cannot honour (see NewPlan).
 	LXR *core.Config
 }
 
@@ -136,10 +136,9 @@ func NewRuntimeChecked(cfg RuntimeConfig) (*Runtime, error) {
 var ErrMinHeap = errors.New("lxr: ZGC requires a larger minimum heap")
 
 // NewPlan is the one place a collector name becomes a plan. c carries
-// the four settings every collector reads — heap budget (default 64 MB),
-// GC threads (default 4), between-pause borrow width (0 = half the GC
-// threads) and event tracer — and is the configuration an LXR row
-// starts from. A baseline collector handed any other LXR setting
+// the three settings every collector reads — heap budget (default
+// 64 MB), GC threads (default 4) and event tracer — and is the
+// configuration an LXR row starts from. A baseline collector handed any other LXR setting
 // returns an error rather than running without it.
 func NewPlan(id CollectorKind, c core.Config) (vm.Plan, error) {
 	if c.HeapBytes == 0 {
@@ -162,12 +161,11 @@ func NewPlan(id CollectorKind, c core.Config) (vm.Plan, error) {
 		return core.New(c), nil
 	}
 	heap, threads := c.HeapBytes, c.GCThreads
-	if c != (core.Config{HeapBytes: heap, GCThreads: threads, ConcWorkers: c.ConcWorkers, Tracer: c.Tracer}) {
+	if c != (core.Config{HeapBytes: heap, GCThreads: threads, Tracer: c.Tracer}) {
 		return nil, fmt.Errorf("lxr: collector %q cannot honour LXR-only settings (RuntimeConfig.LXR)", id)
 	}
 	var b interface {
 		vm.Plan
-		SetConcWorkers(int)
 		SetTracer(*trace.Tracer)
 	}
 	switch id {
@@ -193,9 +191,6 @@ func NewPlan(id CollectorKind, c core.Config) (vm.Plan, error) {
 		b = baselines.NewImmix(heap, threads, true)
 	default:
 		return nil, fmt.Errorf("lxr: unknown collector %q", id)
-	}
-	if c.ConcWorkers > 0 {
-		b.SetConcWorkers(c.ConcWorkers)
 	}
 	if c.Tracer != nil {
 		b.SetTracer(c.Tracer)

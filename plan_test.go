@@ -147,8 +147,7 @@ func TestBenchSurface(t *testing.T) {
 
 // TestNewPlanBuildsEveryCollector: every lxr.CollectorKind and every
 // collector id the harness accepts builds through lxr.NewPlan under its
-// own name, with the session's borrow width applied and ZGC's
-// minimum-heap refusal preserved.
+// own name, with ZGC's minimum-heap refusal preserved.
 func TestNewPlanBuildsEveryCollector(t *testing.T) {
 	kinds := []lxr.CollectorKind{
 		lxr.CollectorLXR, lxr.CollectorG1, lxr.CollectorShenandoah, lxr.CollectorZGC,
@@ -167,19 +166,12 @@ func TestNewPlanBuildsEveryCollector(t *testing.T) {
 		kinds = append(kinds, lxr.CollectorKind(id))
 	}
 	for _, k := range kinds {
-		plan, err := lxr.NewPlan(k, core.Config{HeapBytes: 64 << 20, GCThreads: 4, ConcWorkers: 3})
+		plan, err := lxr.NewPlan(k, core.Config{HeapBytes: 64 << 20, GCThreads: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
 		if plan.Name() != string(k) {
 			t.Errorf("%s built a plan named %s", k, plan.Name())
-		}
-		want := 3
-		if k == lxr.CollectorSerial {
-			want = 1 // clamped to its single GC thread
-		}
-		if w := plan.(interface{ ConcWorkers() int }).ConcWorkers(); w != want {
-			t.Errorf("%s: borrow width %d, want %d", k, w, want)
 		}
 		vm.New(plan, 4).Shutdown()
 	}
@@ -297,7 +289,7 @@ func TestEveryCollectorReportsItsTriggers(t *testing.T) {
 
 // TestRuntimeConfigLXRRefusedByBaselines: LXR-only settings handed to a
 // baseline collector are an error, not silently dropped; the settings
-// every collector honours (heap, threads, borrow width, tracer) pass.
+// every collector honours (heap, threads, tracer) pass.
 func TestRuntimeConfigLXRRefusedByBaselines(t *testing.T) {
 	_, err := lxr.NewRuntimeChecked(lxr.RuntimeConfig{
 		Collector: lxr.CollectorG1,
@@ -309,7 +301,7 @@ func TestRuntimeConfigLXRRefusedByBaselines(t *testing.T) {
 	rt, err := lxr.NewRuntimeChecked(lxr.RuntimeConfig{
 		Collector: lxr.CollectorG1,
 		HeapBytes: 16 << 20,
-		LXR:       &core.Config{ConcWorkers: 1, Tracer: trace.New(trace.Config{ShardCap: 1 << 10})},
+		LXR:       &core.Config{Tracer: trace.New(trace.Config{ShardCap: 1 << 10})},
 	})
 	if err != nil {
 		t.Fatalf("G1 refused the shared settings: %v", err)
