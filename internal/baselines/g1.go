@@ -3,7 +3,6 @@ package baselines
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -304,15 +303,11 @@ func (p *G1) collect() string {
 
 	var dirty []mem.Address
 	var satbSegs [][]mem.Address
-	var flushMu sync.Mutex
-	p.vm.EachMutatorParallel(p.pool, func(m *vm.Mutator) {
+	p.vm.EachMutator(func(m *vm.Mutator) {
 		ms := m.PlanState.(*g1Mut)
 		ms.alloc.Flush()
-		segs := ms.satbB.TakeSegs()
-		flushMu.Lock()
 		dirty = ms.dirty.TakeInto(dirty)
-		satbSegs = append(satbSegs, segs...)
-		flushMu.Unlock()
+		satbSegs = append(satbSegs, ms.satbB.TakeSegs()...)
 	})
 	dirty = append(dirty, p.mark.dirty.Take()...)
 	satbSegs = append(satbSegs, p.mark.satbIn.TakeSegs()...)
@@ -341,9 +336,9 @@ func (p *G1) collect() string {
 		p.pausesMixed++
 	}
 
-	// Root slots (parallel gather over rendezvous shards).
+	// Root slots.
 	ph = time.Now()
-	rootSlots := p.vm.RootSlots(p.pool, nil)
+	rootSlots := p.vm.RootSlots(nil)
 	ev.PhaseArg(trace.NameRoots, ph, uint64(len(rootSlots)))
 
 	// Work items: tagged roots, dirty slots (old regions only — young

@@ -186,7 +186,7 @@ func (p *Immix) collect() {
 	ev := p.events
 	ph := time.Now()
 	clearBitsParallel(p.pool, p.marks, p.lineMarks)
-	p.vm.EachMutatorParallel(p.pool, func(m *vm.Mutator) {
+	p.vm.EachMutator(func(m *vm.Mutator) {
 		ms := m.PlanState.(*immixMut)
 		ms.alloc.Flush()
 		// Discard barrier captures (segment-granular, no flattening);
@@ -196,7 +196,7 @@ func (p *Immix) collect() {
 	})
 	ev.Phase(trace.NameClear, ph)
 	ph = time.Now()
-	seeds := p.vm.SnapshotRootsParallel(p.pool, nil)
+	seeds := p.vm.SnapshotRoots(nil)
 	t := &satb.Tracer{
 		OM:    p.om,
 		Marks: p.marks,

@@ -146,7 +146,7 @@ func (p *SemiSpace) collect() {
 	ph := time.Now()
 
 	// Reset mutator allocators onto the to-space.
-	p.vm.EachMutatorParallel(p.pool, func(m *vm.Mutator) {
+	p.vm.EachMutator(func(m *vm.Mutator) {
 		ms := m.PlanState.(*ssMut)
 		ms.alloc.Flush()
 		ms.alloc.Kind = to
@@ -158,7 +158,7 @@ func (p *SemiSpace) collect() {
 	// Copy the transitive closure. Work items are tagged root indices
 	// or heap slot addresses of already-copied objects.
 	ph = time.Now()
-	rootSlots := p.vm.RootSlots(p.pool, nil)
+	rootSlots := p.vm.RootSlots(nil)
 	items := make([]mem.Address, 0, len(rootSlots))
 	for i := range rootSlots {
 		items = append(items, mem.Address(i)|ssRootTag)

@@ -380,13 +380,13 @@ func (p *Shen) runCycle() {
 			p.tracer.Begin()
 			ev.PhaseArg(trace.NameMarkStart, pt, uint64(len(p.cands)))
 			// SATB drains are multi-producer safe; only the seed
-			// snapshot needs gathering (parallel over shards).
+			// snapshot needs gathering.
 			pt = time.Now()
-			p.vm.EachMutatorParallel(p.pool, func(m *vm.Mutator) {
+			p.vm.EachMutator(func(m *vm.Mutator) {
 				ms := m.PlanState.(*shenMut)
 				p.satbIn.Append(ms.satbB.Take())
 			})
-			p.tracer.Seed(p.vm.SnapshotRootsParallel(p.pool, nil))
+			p.tracer.Seed(p.vm.SnapshotRoots(nil))
 			ev.Phase(trace.NameRoots, pt)
 			p.phase.Store(phMark)
 		})
@@ -418,7 +418,7 @@ func (p *Shen) runCycle() {
 	p.vm.RunCollection(nil, func() {
 		p.vm.StopTheWorld("final-mark", func() {
 			pt := time.Now()
-			p.vm.EachMutatorParallel(p.pool, func(m *vm.Mutator) {
+			p.vm.EachMutator(func(m *vm.Mutator) {
 				ms := m.PlanState.(*shenMut)
 				p.satbIn.Append(ms.satbB.Take())
 				// Evacuation copies into fresh blocks; flush bump spans
@@ -508,7 +508,7 @@ func (p *Shen) runCycle() {
 	p.vm.RunCollection(nil, func() {
 		dur := p.vm.StopTheWorld("final-update", func() {
 			pt := time.Now()
-			p.vm.FixRootsParallel(p.pool, func(r obj.Ref) obj.Ref { return p.om.Resolve(r) })
+			p.vm.FixRoots(func(r obj.Ref) obj.Ref { return p.om.Resolve(r) })
 			ev.Phase(trace.NameResolve, pt)
 			pt = time.Now()
 			// Mutator bump spans may hold stale refs written before the

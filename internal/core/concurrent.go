@@ -166,7 +166,7 @@ func (c *concurrent) drainDecs() {
 		} else {
 			break
 		}
-		p.applyDec(0, ref,
+		p.applyDec(true, ref,
 			func(child obj.Ref) { c.recStack = append(c.recStack, child) },
 			func(b int) { c.touched[b] = struct{}{} })
 	}

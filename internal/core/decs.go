@@ -7,14 +7,15 @@ import (
 	"lxr/internal/obj"
 )
 
-// decDeath handles an object whose count reached zero: it upholds the
-// SATB interruption invariant (never delete an unmarked object while a
-// trace is underway — mark and scan it first, §3.2.2), pushes recursive
-// decrements for its referents, and reclaims its memory.
-// shard is the caller's stats shard (worker ID + 1, or 0 off-worker);
-// pushRec receives child references; record receives the touched block.
-func (p *LXR) decDeath(shard int, ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
-	p.ctr.deadOld.AddAt(shard, 1)
+// decDeath handles an object whose last reference is gone: it upholds
+// the SATB interruption invariant (never delete an unmarked object while
+// a trace is underway — mark and scan it first, §3.2.2), pushes
+// recursive decrements for its referents, and reclaims its memory. The
+// count is cleared last, so on the concurrent driver the object's line
+// reads free only once the scan is over. pushRec receives child
+// references; record receives the touched block.
+func (p *LXR) decDeath(ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
+	p.ctr.deadOld.Add(1)
 	if p.satbActive.Load() && !p.marks.Get(ref) {
 		p.marks.Set(ref)
 		// Scan into the SATB trace before the memory can be reclaimed;
@@ -41,23 +42,30 @@ func (p *LXR) decDeath(shard int, ref obj.Ref, pushRec func(obj.Ref), record fun
 }
 
 // applyDec applies one decrement (following forwarding installed by
-// evacuation) and performs death processing on a 1→0 transition. shard
-// selects the caller's stats shard: pause workers pass their worker
-// ID + 1 so per-decrement counter updates never contend across threads;
-// the concurrent driver passes 0.
-func (p *LXR) applyDec(shard int, ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
+// evacuation) and performs death processing on a 1→0 transition.
+//
+// onDriver is true only on the concurrent driver. There, mutators
+// allocate alongside: a count that read 0 before the death scan would
+// let an allocator take the line, zero it and allocate over the dying
+// object, whose scan would then decrement the new object's live
+// referents. Outside pauses the driver is the only decrementer
+// (increments happen only in pauses), so it tests the count and leaves
+// a last count of 1 for decDeath to clear after the scan. Pause workers
+// decrement concurrently with each other, so they take the atomic 1→0;
+// no allocator runs in a pause.
+func (p *LXR) applyDec(onDriver bool, ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
 	if !p.plausibleRef(ref) {
-		p.ctr.skip.AddAt(shard, 1)
+		p.ctr.skip.Add(1)
 		return
 	}
 	ref = p.om.Resolve(ref)
 	if !p.saneRef(ref) {
-		p.ctr.skip.AddAt(shard, 1)
+		p.ctr.skip.Add(1)
 		return
 	}
-	p.ctr.decrements.AddAt(shard, 1)
-	if old := p.rc.Dec(ref); old == 1 {
-		p.decDeath(shard, ref, pushRec, record)
+	p.ctr.decrements.Add(1)
+	if onDriver && p.rc.Get(ref) == 1 || p.rc.Dec(ref) == 1 {
+		p.decDeath(ref, pushRec, record)
 	}
 }
 
@@ -85,7 +93,7 @@ func (p *LXR) processDecWork(segs [][]mem.Address, seedTouched []int) {
 			w.Scratch = perWorker[w.ID]
 		}, func(w *gcwork.Worker, a mem.Address) {
 			local := w.Scratch.(map[int]struct{})
-			p.applyDec(w.ID+1, obj.Ref(a),
+			p.applyDec(false, obj.Ref(a),
 				func(c obj.Ref) { w.Push(c) },
 				func(b int) { local[b] = struct{}{} })
 		}, nil)

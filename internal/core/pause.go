@@ -90,29 +90,16 @@ func (p *LXR) pausePipeline(cause string) string {
 	allocVol := p.allocSince.Swap(0)
 	allocObjs := p.allocObjects.Swap(0)
 	slowOps := p.barrierSlow.Swap(0)
-	// Each rendezvous shard is walked by exactly one worker, so workers
-	// accumulate into per-shard partials with no lock at all; the single
-	// serial merge below replaces what used to be one mutex acquisition
-	// per mutator inside the pause.
-	var parts [vm.MutatorShards]flushPartial
-	p.vm.EachMutatorShardParallel(p.pool, func(s int, m *vm.Mutator) {
+	p.vm.EachMutator(func(m *vm.Mutator) {
 		ms := m.PlanState.(*mutState)
 		ms.alloc.Flush()
-		pt := &parts[s]
-		pt.vol += ms.alloc.HarvestSinceEpoch() + ms.largeSince
-		pt.objs += ms.allocObjs
-		pt.slow += ms.slowOps
+		allocVol += ms.alloc.HarvestSinceEpoch() + ms.largeSince
+		allocObjs += ms.allocObjs
+		slowOps += ms.slowOps
 		ms.largeSince, ms.allocObjs, ms.slowOps = 0, 0, 0
-		pt.decs = append(pt.decs, ms.decBuf.TakeSegs()...)
-		pt.mods = append(pt.mods, ms.modBuf.TakeSegs()...)
+		decSegs = append(decSegs, ms.decBuf.TakeSegs()...)
+		modSegs = append(modSegs, ms.modBuf.TakeSegs()...)
 	})
-	for i := range parts {
-		allocVol += parts[i].vol
-		allocObjs += parts[i].objs
-		slowOps += parts[i].slow
-		decSegs = append(decSegs, parts[i].decs...)
-		modSegs = append(modSegs, parts[i].mods...)
-	}
 	decSegs = append(decSegs, p.conc.decs.TakeSegs()...)
 	modSegs = append(modSegs, p.conc.mods.TakeSegs()...)
 	nDecSeeds := 0
@@ -164,7 +151,7 @@ func (p *LXR) pausePipeline(cause string) string {
 	p.survived.Store(0)
 	p.copiedY.Store(0)
 	ph = time.Now()
-	p.collectRootSlots()
+	p.rootSlots = p.vm.RootSlots(p.rootSlots[:0])
 	if n := len(p.rootSlots); n > 0 {
 		// Item i is always rootTag|i and drains only read their seeds,
 		// so the segment is extended when the root count grows and
@@ -308,20 +295,9 @@ func (p *LXR) pausePipeline(cause string) string {
 	return kind
 }
 
-// flushPartial is one rendezvous shard's share of the step-1 mutator
-// flush: volume counters plus the harvested decrement and modified-field
-// buffer segments, merged serially after the parallel walk.
-type flushPartial struct {
-	vol, objs, slow int64
-	decs, mods      [][]mem.Address
-}
-
 // Serial-fallback thresholds for the pause's data-parallel loops. Waking
-// the worker pool costs a few microseconds, so small batches stay serial
-// (same reasoning as vm's parRootThreshold).
+// the worker pool costs a few microseconds, so small batches stay serial.
 const (
-	// parGatherThreshold gates the root-slot gathering loops.
-	parGatherThreshold = 256
 	// parResolveThreshold gates the decrement-batch resolve; resolve
 	// does real per-item work (forwarding-word loads), so it pays off
 	// at moderate batch sizes.
@@ -347,29 +323,12 @@ func (p *LXR) parFor(n, threshold int, f func(start, end int)) {
 
 // gatherRootDecs appends the referent of every non-nil root slot to dst:
 // the deferred decrements owed when these roots are dropped at the next
-// epoch. Workers filter disjoint ranges into per-worker partials merged
-// once (order is immaterial — they are decrement targets).
+// epoch.
 func (p *LXR) gatherRootDecs(dst []obj.Ref) []obj.Ref {
-	if len(p.rootSlots) < parGatherThreshold || p.pool == nil {
-		for _, s := range p.rootSlots {
-			if !(*s).IsNil() {
-				dst = append(dst, *s)
-			}
+	for _, s := range p.rootSlots {
+		if !(*s).IsNil() {
+			dst = append(dst, *s)
 		}
-		return dst
-	}
-	outs := make([][]obj.Ref, p.pool.N)
-	p.pool.ParallelFor(len(p.rootSlots), func(w, start, end int) {
-		out := outs[w]
-		for _, s := range p.rootSlots[start:end] {
-			if !(*s).IsNil() {
-				out = append(out, *s)
-			}
-		}
-		outs[w] = out
-	})
-	for _, out := range outs {
-		dst = append(dst, out...)
 	}
 	return dst
 }
@@ -382,13 +341,6 @@ var testPauseHook func(*LXR)
 // on a granule that already carries a reference count — a span handed
 // out twice (test instrumentation only).
 var testDoubleAllocHook func(p *LXR, src, dst obj.Ref, oldRC uint32, al *immix.Allocator)
-
-// collectRootSlots gathers pointers to every root slot (mutator shadow
-// stacks and globals) so increment processing can redirect them when the
-// referent is evacuated.
-func (p *LXR) collectRootSlots() {
-	p.rootSlots = p.vm.RootSlots(p.pool, p.rootSlots[:0])
-}
 
 // --- increment processing -----------------------------------------------------
 
@@ -449,7 +401,7 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 					return
 				}
 				if !p.saneRef(v) {
-					p.ctr.skip.AddAt(w.ID+1, 1)
+					p.ctr.skip.Add(1)
 					return
 				}
 				if nv := p.applyInc(w, sc, v); nv != v {
@@ -480,9 +432,9 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 			sc.alloc.Flush()
 			p.survived.Add(sc.survived)
 			p.copiedY.Add(sc.copied)
-			p.ctr.promoted.AddAt(w.ID+1, sc.promoted)
-			p.ctr.evacYoung.AddAt(w.ID+1, sc.copied)
-			p.ctr.stuck.AddAt(w.ID+1, sc.stuck)
+			p.ctr.promoted.Add(sc.promoted)
+			p.ctr.evacYoung.Add(sc.copied)
+			p.ctr.stuck.Add(sc.stuck)
 		})
 	p.vm.Stats.Add(CtrIncrements, seeded)
 }
@@ -521,7 +473,7 @@ func (p *LXR) applyInc(w *gcwork.Worker, sc *incScratch, val obj.Ref) obj.Ref {
 			continue // another worker is copying; spin until published
 		}
 		if !p.saneRef(val) {
-			p.ctr.skip.AddAt(w.ID+1, 1)
+			p.ctr.skip.Add(1)
 			return val
 		}
 		// Young object receiving its 0→1 increment (§3.3.2): it is
@@ -590,7 +542,7 @@ func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, cop
 	for slot := first; slot < end; slot += mem.WordSize {
 		if child := p.om.A.LoadRef(slot); !child.IsNil() {
 			if !p.plausibleRef(child) {
-				p.ctr.skip.AddAt(w.ID+1, 1)
+				p.ctr.skip.Add(1)
 				continue
 			}
 			w.Push(slot)

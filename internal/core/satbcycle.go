@@ -40,9 +40,8 @@ func (p *LXR) finalizeSATB() {
 func (p *LXR) sweepUnmarked() int64 {
 	var dead, freed atomic.Int64
 	n := p.bt.Blocks()
-	p.pool.ParallelFor(n, func(w, start, end int) {
-		// Totals are batched per claimed range: one add to the shared
-		// cell and one to the worker's counter shard, not one per block.
+	p.pool.ParallelFor(n, func(_, start, end int) {
+		// Totals are batched per claimed range, not added per block.
 		died, skipped, bytes := 0, 0, 0
 		for i := start; i < end; i++ {
 			idx := i + 1 // main blocks are 1-based
@@ -69,7 +68,7 @@ func (p *LXR) sweepUnmarked() int64 {
 		dead.Add(int64(died))
 		freed.Add(int64(bytes))
 		if skipped > 0 {
-			p.ctr.skip.AddAt(w+1, int64(skipped))
+			p.ctr.skip.Add(int64(skipped))
 		}
 	})
 	// Large object space.

@@ -1,10 +1,8 @@
 package vm
 
-// High-mutator-count rendezvous tests: these exercise the sharded
-// running-token protocol directly (they live inside package vm so they
-// can assert on shard state), with a stub plan so no collector logic
-// runs. The five-collector integration properties live in the external
-// parroots_test.go.
+// High-mutator-count rendezvous tests: these exercise the running-token
+// protocol directly (they live inside package vm so they can assert on
+// its state), with a stub plan so no collector logic runs.
 
 import (
 	"math/rand"
@@ -44,23 +42,18 @@ func (p *stubPlan) PollSafepoint(m *Mutator) {}
 func (p *stubPlan) CollectNow(cause string)  {}
 func (p *stubPlan) Shutdown()                {}
 
-// runningTokens sums the running-token counts across all shards. Only
-// meaningful under a stopped world (or a quiescent VM).
+// runningTokens reads the running-token count. Only meaningful under a
+// stopped world (or a quiescent VM).
 func runningTokens(v *VM) int {
-	n := 0
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.Lock()
-		n += sh.running
-		sh.mu.Unlock()
-	}
-	return n
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.running
 }
 
 // TestRendezvousStorm runs a 512-mutator register/park/deregister storm
 // against a concurrent stream of stop-the-world pauses and asserts
 // exact running-token conservation: every pause body observes zero
-// tokens across all shards, every mutator finishes (no lost wakeups),
+// tokens, every mutator finishes (no lost wakeups),
 // and at quiescence the token count and registered set are empty.
 func TestRendezvousStorm(t *testing.T) {
 	const (
@@ -86,10 +79,10 @@ func TestRendezvousStorm(t *testing.T) {
 						t.Errorf("pause %d: %d running tokens during pause body", i, got)
 					}
 					// The registered set must be consistent: every
-					// shard list entry agrees on its own placement.
+					// mutator the walk visits is a member at its index.
 					v.EachMutator(func(m *Mutator) {
-						if m.shard.muts[m.shardIdx] != m {
-							t.Errorf("pause %d: mutator %d shard placement corrupt", i, m.ID)
+						if m.idx >= len(v.muts) || v.muts[m.idx] != m {
+							t.Errorf("pause %d: mutator %d not registered at its index", i, m.ID)
 						}
 					})
 					pauses.Add(1)
@@ -139,9 +132,9 @@ func TestRendezvousStorm(t *testing.T) {
 }
 
 // TestStormSurvivesConcurrentStops runs registration churn against
-// back-to-back stop-the-worlds and asserts no mutator is lost: the
-// total park time recorded by the shards equals the sum over mutators,
-// and all goroutines terminate.
+// back-to-back stop-the-worlds and asserts no mutator is lost: every
+// pause body sees zero tokens, the registered set empties, and all
+// goroutines terminate.
 func TestStormSurvivesConcurrentStops(t *testing.T) {
 	const nMuts = 256
 	v := New(newStubPlan(), 0)
@@ -188,13 +181,12 @@ func TestStormSurvivesConcurrentStops(t *testing.T) {
 	}
 }
 
-// TestPausePanicRestartsShardedWorld parks mutators across many shards,
-// panics inside the pause body, and asserts the world restarts: every
-// parked mutator resumes and deregisters. This is the sharded-parking
-// regression for the restart-on-panic guarantee (the defer must
-// broadcast every shard's start condvar, not just one).
-func TestPausePanicRestartsShardedWorld(t *testing.T) {
-	const nMuts = 128 // > MutatorShards so every shard holds parked mutators
+// TestPausePanicRestartsParkedWorld parks many mutators, panics inside
+// the pause body, and asserts the world restarts: every parked mutator
+// resumes and deregisters (the deferred restart must broadcast the
+// start condvar).
+func TestPausePanicRestartsParkedWorld(t *testing.T) {
+	const nMuts = 128
 	v := New(newStubPlan(), 0)
 
 	var wg sync.WaitGroup
@@ -245,48 +237,6 @@ func TestPausePanicRestartsShardedWorld(t *testing.T) {
 	}
 }
 
-// TestConcSignalsMatchesWalkAtQuiescence asserts the sharded O(shards)
-// busy aggregate is bit-for-bit equal to the serial per-mutator walk at
-// a shared instant, including after parks and deregistrations.
-func TestConcSignalsMatchesWalkAtQuiescence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		v := New(newStubPlan(), 0)
-		n := 1 + rng.Intn(97)
-		done := make(chan struct{})
-		for i := 0; i < n; i++ {
-			sleep := time.Duration(rng.Intn(200)) * time.Microsecond
-			go func() {
-				m := v.RegisterMutator(1)
-				m.BlockedSleep(sleep)
-				done <- struct{}{}
-				// Park on the channel until the main goroutine has
-				// compared, then leave.
-				m.Blocked(func() { <-v.shutdownCh() })
-				m.Deregister()
-			}()
-		}
-		for i := 0; i < n; i++ {
-			<-done
-		}
-
-		// All registrations and parks are recorded; nothing in flight
-		// except the final Blocked parks, which are recorded on resume —
-		// the walk and the aggregate both see parkedNs as of now.
-		now := time.Now()
-		nowNs := now.Sub(v.sigEpoch).Nanoseconds()
-		walk, walkN := v.concSignalsWalk(now)
-		agg, aggN := v.busyAt(nowNs)
-		if walkN != aggN || walkN != n {
-			t.Fatalf("trial %d: mutator counts walk=%d agg=%d want %d", trial, walkN, aggN, n)
-		}
-		if walk != agg {
-			t.Fatalf("trial %d: busy mismatch walk=%dns agg=%dns (diff %d)", trial, walk, agg, walk-agg)
-		}
-		v.releaseShutdownCh()
-	}
-}
-
 // TestConcSignalsMonotoneUnderChurn samples ConcSignals busy time while
 // mutators register, run briefly and deregister, asserting every
 // windowed delta is non-negative: registration and retirement may never
@@ -324,32 +274,4 @@ func TestConcSignalsMonotoneUnderChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// shutdownCh / releaseShutdownCh give tests a broadcast channel that
-// Blocked mutators can wait on without the VM knowing about it.
-var (
-	testBlockMu sync.Mutex
-	testBlockCh = map[*VM]chan struct{}{}
-)
-
-func (v *VM) shutdownCh() chan struct{} {
-	testBlockMu.Lock()
-	defer testBlockMu.Unlock()
-	ch, ok := testBlockCh[v]
-	if !ok {
-		ch = make(chan struct{})
-		testBlockCh[v] = ch
-	}
-	return ch
-}
-
-func (v *VM) releaseShutdownCh() {
-	testBlockMu.Lock()
-	ch := testBlockCh[v]
-	delete(testBlockCh, v)
-	testBlockMu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }

@@ -22,49 +22,8 @@ type Pause struct {
 	TTSP time.Duration
 }
 
-// CounterShards is how many independently updated cells back each named
-// counter. Writers pick a cell by worker ID (Stats.AddAt), so parallel
-// pause workers, the concurrent thread and the coordinator never
-// contend on — or false-share — one cache line. Totals are merged at
-// read time by summing the cells, which preserves the exact semantics
-// of the previous single-cell implementation. Sized to cover the
-// coordinator plus every worker of the largest GC pool a real host
-// would configure (worker IDs beyond CounterShards-1 wrap and merely
-// share cells — totals stay exact, only the no-contention property
-// degrades).
-const CounterShards = 64
-
-// counterCells is the sharded backing store of one named counter: one
-// cache-line-padded atomic cell per shard.
-type counterCells struct {
-	cells [CounterShards]paddedCell
-}
-
-// paddedCell pads each atomic counter out to its own cache line so
-// per-worker increments on adjacent shards do not false-share.
-type paddedCell struct {
-	v atomic.Int64
-	_ [7]uint64
-}
-
-func (c *counterCells) sum() int64 {
-	var t int64
-	for i := range c.cells {
-		t += c.cells[i].v.Load()
-	}
-	return t
-}
-
 // Stats accumulates runtime statistics for one VM run: pause records,
 // collector/mutator time accounting, and named event counters.
-//
-// The named counters are sharded per GC worker (see CounterShards): the
-// hot paths that increment them — decrement application, promotion,
-// defensive filtering — run on parallel pause workers and on the
-// concurrent thread, all of which would otherwise rendezvous on a
-// single atomic cell. Writers with a stable worker ID use
-// AddAt; everything else (coordinator code, tests) uses Add, which is
-// shard 0. Readers (Counter, Counters) merge the shards.
 type Stats struct {
 	mu        sync.Mutex
 	pauses    []Pause
@@ -75,7 +34,7 @@ type Stats struct {
 	mutatorBusyNs atomic.Int64 // mutator busy time (excludes parked time)
 	pauseNs       atomic.Int64 // summed pause durations (lock-free TotalPause)
 
-	counters sync.Map // string -> *counterCells
+	counters sync.Map // string -> *atomic.Int64
 }
 
 // NewStats creates an empty Stats.
@@ -179,47 +138,33 @@ func (s *Stats) ConcurrentWork() time.Duration { return time.Duration(s.concurre
 // MutatorBusy returns accumulated mutator busy time.
 func (s *Stats) MutatorBusy() time.Duration { return time.Duration(s.mutatorBusyNs.Load()) }
 
-// cellsFor resolves (creating on first use) the sharded cells of a
-// named counter. The fast path is one lock-free sync.Map read.
-func (s *Stats) cellsFor(name string) *counterCells {
+// cell resolves (creating on first use) the cell of a named counter.
+// The fast path is one lock-free sync.Map read.
+func (s *Stats) cell(name string) *atomic.Int64 {
 	if c, ok := s.counters.Load(name); ok {
-		return c.(*counterCells)
+		return c.(*atomic.Int64)
 	}
-	c, _ := s.counters.LoadOrStore(name, new(counterCells))
-	return c.(*counterCells)
+	c, _ := s.counters.LoadOrStore(name, new(atomic.Int64))
+	return c.(*atomic.Int64)
 }
 
 // Add increments a named counter (barrier slow paths, objects reclaimed
-// by each mechanism, SATB traces started, ...) on shard 0. Code running
-// on a GC worker with a stable ID should prefer AddAt.
-func (s *Stats) Add(name string, delta int64) {
-	s.cellsFor(name).cells[0].v.Add(delta)
-}
+// by each mechanism, SATB traces started, ...).
+func (s *Stats) Add(name string, delta int64) { s.cell(name).Add(delta) }
 
-// AddAt increments a named counter on the given shard. Callers pass a
-// stable per-thread index — GC worker ID + 1, with 0 reserved for the
-// coordinator and other unsharded threads — so concurrent writers land
-// on distinct cache lines. Any shard value is accepted (it is reduced
-// modulo CounterShards); totals are unaffected by the shard choice.
-func (s *Stats) AddAt(shard int, name string, delta int64) {
-	s.cellsFor(name).cells[uint(shard)%CounterShards].v.Add(delta)
-}
-
-// Counter returns the value of a named counter: the sum over all of its
-// shards, exactly equal to the sum of all Add/AddAt deltas.
+// Counter returns the value of a named counter.
 func (s *Stats) Counter(name string) int64 {
 	if c, ok := s.counters.Load(name); ok {
-		return c.(*counterCells).sum()
+		return c.(*atomic.Int64).Load()
 	}
 	return 0
 }
 
-// Counters returns a snapshot of all named counters, each merged across
-// its shards.
+// Counters returns a snapshot of all named counters.
 func (s *Stats) Counters() map[string]int64 {
 	out := map[string]int64{}
 	s.counters.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*counterCells).sum()
+		out[k.(string)] = v.(*atomic.Int64).Load()
 		return true
 	})
 	return out
@@ -230,20 +175,14 @@ func (s *Stats) Counters() map[string]int64 {
 // application, promotion — resolve the handle once and skip the name
 // lookup on every event.
 type CounterHandle struct {
-	c *counterCells
+	c *atomic.Int64
 }
 
 // Handle resolves a named counter to a CounterHandle, creating the
 // counter if needed.
 func (s *Stats) Handle(name string) CounterHandle {
-	return CounterHandle{c: s.cellsFor(name)}
+	return CounterHandle{c: s.cell(name)}
 }
 
-// Add increments the counter on shard 0.
-func (h CounterHandle) Add(delta int64) { h.c.cells[0].v.Add(delta) }
-
-// AddAt increments the counter on the given shard (reduced modulo
-// CounterShards); see Stats.AddAt for the shard convention.
-func (h CounterHandle) AddAt(shard int, delta int64) {
-	h.c.cells[uint(shard)%CounterShards].v.Add(delta)
-}
+// Add increments the counter.
+func (h CounterHandle) Add(delta int64) { h.c.Add(delta) }

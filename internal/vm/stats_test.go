@@ -2,8 +2,6 @@ package vm_test
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,137 +9,35 @@ import (
 	"lxr/internal/vm"
 )
 
-// legacyCounters is the pre-sharding reference implementation (one
-// atomic cell per name behind a sync.Map), kept test-side so the
-// sharded implementation can be checked for — and benchmarked against —
-// exact total equivalence.
-type legacyCounters struct {
-	m sync.Map // string -> *atomic.Int64
-}
-
-func (l *legacyCounters) Add(name string, delta int64) {
-	c, _ := l.m.LoadOrStore(name, new(atomic.Int64))
-	c.(*atomic.Int64).Add(delta)
-}
-
-func (l *legacyCounters) Counter(name string) int64 {
-	if c, ok := l.m.Load(name); ok {
-		return c.(*atomic.Int64).Load()
-	}
-	return 0
-}
-
-// TestShardedCountersMatchLegacyTotals replays one deterministic
-// operation stream — spread across goroutines with distinct shard IDs,
-// as pause workers are — into both the sharded Stats
-// and the legacy single-cell implementation, and requires identical
-// totals for every counter. This is the merge-correctness guarantee:
-// shard choice can never change what Counter/Counters report.
-func TestShardedCountersMatchLegacyTotals(t *testing.T) {
-	s := vm.NewStats()
-	legacy := &legacyCounters{}
-	names := []string{"decs", "incs", "dead", "skip", "promoted"}
-	const workers = 8
-	const opsPerWorker = 20000
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := uint64(w)*0x9E3779B97F4A7C15 + 1
-			for i := 0; i < opsPerWorker; i++ {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				name := names[rng%uint64(len(names))]
-				delta := int64(rng%7) - 2 // mixed signs, deterministic per worker
-				s.AddAt(w+1, name, delta)
-				legacy.Add(name, delta)
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Coordinator traffic on shard 0, plus a handle-based hot path.
-	h := s.Handle("decs")
-	for i := 0; i < 1000; i++ {
-		s.Add("incs", 3)
-		legacy.Add("incs", 3)
-		h.AddAt(i%vm.CounterShards, 2)
-		legacy.Add("decs", 2)
-	}
-
-	for _, name := range names {
-		if got, want := s.Counter(name), legacy.Counter(name); got != want {
-			t.Errorf("counter %q: sharded %d != legacy %d", name, got, want)
-		}
-	}
-	all := s.Counters()
-	for _, name := range names {
-		if all[name] != legacy.Counter(name) {
-			t.Errorf("Counters()[%q] = %d, want %d", name, all[name], legacy.Counter(name))
-		}
-	}
-}
-
-// TestCounterShardReduction: out-of-range shard indices must reduce
-// into the fixed shard set without losing counts.
-func TestCounterShardReduction(t *testing.T) {
-	s := vm.NewStats()
-	for shard := -3; shard < 3*vm.CounterShards; shard++ {
-		s.AddAt(shard, "x", 1)
-	}
-	if got := s.Counter("x"); got != int64(3*vm.CounterShards+3) {
-		t.Fatalf("counter = %d, want %d", got, 3*vm.CounterShards+3)
-	}
-}
-
-// BenchmarkCounterAdd compares the legacy single-cell counter against
-// the sharded implementation under parallel writers — the contention
-// profile of parallel pause workers all bumping lxr.decrements. "handle" additionally skips the per-event
-// name lookup, as the LXR hot paths do.
+// BenchmarkCounterAdd compares a by-name Add against a pre-resolved
+// handle's Add under parallel writers — the profile of pause workers all
+// bumping lxr.decrements, which the LXR hot paths do through handles.
 func BenchmarkCounterAdd(b *testing.B) {
-	b.Run("legacy", func(b *testing.B) {
-		l := &legacyCounters{}
-		var id atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			id.Add(1)
-			for pb.Next() {
-				l.Add("ctr", 1)
-			}
-		})
-	})
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("name", func(b *testing.B) {
 		s := vm.NewStats()
-		var id atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
-			shard := int(id.Add(1))
 			for pb.Next() {
-				s.AddAt(shard, "ctr", 1)
+				s.Add("ctr", 1)
 			}
 		})
 	})
 	b.Run("handle", func(b *testing.B) {
-		s := vm.NewStats()
-		h := s.Handle("ctr")
-		var id atomic.Int64
+		h := vm.NewStats().Handle("ctr")
 		b.RunParallel(func(pb *testing.PB) {
-			shard := int(id.Add(1))
 			for pb.Next() {
-				h.AddAt(shard, 1)
+				h.Add(1)
 			}
 		})
 	})
 }
 
-// ExampleStats_AddAt documents the shard convention.
-func ExampleStats_AddAt() {
+// ExampleStats_Add: a by-name Add and a handle's Add land on one counter.
+func ExampleStats_Add() {
 	s := vm.NewStats()
-	s.AddAt(0, "lxr.decrements", 2) // coordinator
-	s.AddAt(1, "lxr.decrements", 3) // worker 0
-	s.AddAt(2, "lxr.decrements", 5) // worker 1
-	fmt.Println(s.Counter("lxr.decrements"))
-	// Output: 10
+	s.Add("lxr.decrements", 2)
+	s.Handle("lxr.decrements").Add(3)
+	fmt.Println(s.Counter("lxr.decrements"), s.Counters()["lxr.decrements"])
+	// Output: 5 5
 }
 
 // TestPauseHistogramsPerKind: RecordPause must attribute each pause to

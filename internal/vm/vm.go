@@ -67,47 +67,6 @@ type Plan interface {
 	Shutdown()
 }
 
-// MutatorShards is the number of rendezvous shards mutators are
-// striped across (striped the same way Stats stripes its counters).
-// Everything per-mutator on a stop-the-world or sampling path — the
-// running-token rendezvous, park wakeups, the registered-mutator set,
-// and the cumulative busy/park accounting — is per-shard, so no single
-// mutex or condvar ever serialises a thousand mutators.
-const MutatorShards = 32
-
-// mutShard is one stripe of the rendezvous state. A mutator is pinned
-// to a shard at registration (by ID) and only ever touches its own
-// shard's lock, so token traffic from N mutators spreads over
-// MutatorShards uncontended locks, and a world restart wakes each
-// shard's parked mutators on that shard's condvar instead of thundering
-// the whole fleet through one.
-type mutShard struct {
-	mu      sync.Mutex
-	start   *sync.Cond // mutators wait here while the world is stopped
-	stop    *sync.Cond // the stopper waits here for running to drain
-	running int        // mutators in this shard holding the running token
-	muts    []*Mutator // registered mutators (swap-remove, see shardIdx)
-
-	// Cumulative signal aggregates, guarded by mu (register/deregister
-	// hold it for the mutator list anyway; parks add one uncontended
-	// shard-lock acquisition): regSumNs / parkSumNs sum each live
-	// mutator's registration offset (from VM.sigEpoch) and recorded
-	// parked time, and doneBusyNs accumulates the final busy time of
-	// mutators that deregistered. ConcSignals derives the shard's total
-	// busy time from these three sums plus len(muts) — see ConcSignals.
-	// Updating them under mu makes registration, retirement and park
-	// recording atomic with respect to sampling, so sampled busy time
-	// never glitches across register/deregister churn.
-	regSumNs   int64
-	parkSumNs  int64
-	doneBusyNs int64
-
-	// live mirrors len(muts) so MutatorCount stays lock-free.
-	live atomic.Int64
-
-	_ [48]byte // pad to a cache-line multiple: shard state must not false-share
-}
-
 // VM coordinates mutators and the collector.
 type VM struct {
 	Plan    Plan
@@ -118,12 +77,16 @@ type VM struct {
 	phase  atomic.Int32 // non-zero: STW requested/active (lock-free fast-path fence)
 	stopMu sync.Mutex   // serialises stoppers (StopTheWorldTagged)
 	nextID atomic.Int64
-	shards [MutatorShards]mutShard
 
-	// sigEpoch is the time base for the sharded busy accounting:
-	// registration times are stored in the shard aggregates as offsets
-	// from it, so live busy time is derived from per-shard sums.
-	sigEpoch time.Time
+	// Rendezvous state, guarded by mu.
+	mu      sync.Mutex
+	start   *sync.Cond // mutators wait here while the world is stopped
+	stop    *sync.Cond // the stopper waits here for running to drain
+	running int        // mutators holding the running token
+	muts    []*Mutator // registered mutators (swap-remove, see Mutator.idx)
+	// doneBusyNs banks the final busy time of deregistered mutators, so
+	// ConcSignals stays monotone across registration churn.
+	doneBusyNs int64
 
 	gcLock  sync.Mutex // serialises collections
 	gcEpoch atomic.Uint64
@@ -146,17 +109,13 @@ func (v *VM) Tracer() *trace.Tracer { return v.tracer }
 // New creates a VM around a plan and boots it.
 func New(p Plan, globalRoots int) *VM {
 	v := &VM{
-		Plan:     p,
-		OM:       obj.Model{A: p.Arena()},
-		Stats:    NewStats(),
-		Globals:  make([]obj.Ref, globalRoots),
-		sigEpoch: time.Now(),
+		Plan:    p,
+		OM:      obj.Model{A: p.Arena()},
+		Stats:   NewStats(),
+		Globals: make([]obj.Ref, globalRoots),
 	}
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.start = sync.NewCond(&sh.mu)
-		sh.stop = sync.NewCond(&sh.mu)
-	}
+	v.start = sync.NewCond(&v.mu)
+	v.stop = sync.NewCond(&v.mu)
 	p.Boot(v)
 	return v
 }
@@ -173,37 +132,30 @@ func (v *VM) GCEpoch() uint64 { return v.gcEpoch.Load() }
 
 // --- running-token protocol --------------------------------------------------
 //
-// Every mutator holds a per-shard running token while it may touch the
-// heap. A stopper publishes the pause with a single atomic phase store
-// (the fence mutators check lock-free in PollPark), then drains each
-// shard in turn: under the shard lock, it waits until that shard's
-// token count reaches zero. Because token acquisition re-checks the
-// phase under the shard lock, a zero count can never grow again while
-// the phase is set, so the per-shard waits compose into a global
-// rendezvous without any global lock. Wakeups are sharded in both
-// directions: the last token-holder of a shard signals only that
-// shard's stopper condvar, and the restart broadcast wakes each shard's
-// parked mutators on their own condvar — no thundering herd through a
-// single cond no matter how many mutators are parked.
+// Every mutator holds the running token while it may touch the heap. A
+// stopper publishes the pause with a single atomic phase store (the
+// fence mutators check lock-free in PollPark), then waits under mu until
+// the token count reaches zero. Token acquisition re-checks the phase
+// under mu, so a zero count cannot grow again while the phase is set.
 
 func (m *Mutator) acquireRunning() {
-	sh := m.shard
-	sh.mu.Lock()
-	for m.VM.phase.Load() != 0 {
-		sh.start.Wait()
+	v := m.VM
+	v.mu.Lock()
+	for v.phase.Load() != 0 {
+		v.start.Wait()
 	}
-	sh.running++
-	sh.mu.Unlock()
+	v.running++
+	v.mu.Unlock()
 }
 
 func (m *Mutator) releaseRunning() {
-	sh := m.shard
-	sh.mu.Lock()
-	sh.running--
-	if sh.running == 0 && m.VM.phase.Load() != 0 {
-		sh.stop.Signal()
+	v := m.VM
+	v.mu.Lock()
+	v.running--
+	if v.running == 0 && v.phase.Load() != 0 {
+		v.stop.Signal()
 	}
-	sh.mu.Unlock()
+	v.mu.Unlock()
 }
 
 // StopTheWorld brings all mutators to safepoints, runs f, and releases
@@ -230,23 +182,17 @@ func (v *VM) StopTheWorldTagged(kind string, f func() string) time.Duration {
 	reqStart := time.Now()
 	v.stopMu.Lock()
 	v.phase.Store(1)
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.Lock()
-		for sh.running > 0 {
-			sh.stop.Wait()
-		}
-		sh.mu.Unlock()
+	v.mu.Lock()
+	for v.running > 0 {
+		v.stop.Wait()
 	}
+	v.mu.Unlock()
 
 	defer func() {
 		v.phase.Store(0)
-		for i := range v.shards {
-			sh := &v.shards[i]
-			sh.mu.Lock()
-			sh.start.Broadcast()
-			sh.mu.Unlock()
-		}
+		v.mu.Lock()
+		v.start.Broadcast()
+		v.mu.Unlock()
 		v.stopMu.Unlock()
 	}()
 
@@ -324,11 +270,9 @@ type Mutator struct {
 	// PlanState holds the plan's per-mutator state.
 	PlanState any
 
-	// Rendezvous placement: the shard this mutator is pinned to, and
-	// its index in the shard's mutator list (maintained by swap-remove
-	// under the shard lock).
-	shard    *mutShard
-	shardIdx int
+	// idx is the mutator's index in VM.muts (maintained by swap-remove
+	// under VM.mu).
+	idx int
 
 	// busy-time accounting for the LBO cycles metric
 	registered time.Time
@@ -347,18 +291,14 @@ func (v *VM) RegisterMutator(rootSlots int) *Mutator {
 		ID:       id,
 		VM:       v,
 		Roots:    make([]obj.Ref, rootSlots),
-		shard:    &v.shards[id%MutatorShards],
 		rngState: uint64(id)*0x9e3779b97f4a7c15 + 1,
 	}
 	m.acquireRunning()
 	m.registered = time.Now()
-	sh := m.shard
-	sh.mu.Lock()
-	m.shardIdx = len(sh.muts)
-	sh.muts = append(sh.muts, m)
-	sh.regSumNs += m.registered.Sub(v.sigEpoch).Nanoseconds()
-	sh.live.Store(int64(len(sh.muts)))
-	sh.mu.Unlock()
+	v.mu.Lock()
+	m.idx = len(v.muts)
+	v.muts = append(v.muts, m)
+	v.mu.Unlock()
 	v.Plan.BindMutator(m)
 	return m
 }
@@ -367,28 +307,22 @@ func (v *VM) RegisterMutator(rootSlots int) *Mutator {
 // The calling goroutine holds the running token throughout, so no
 // stop-the-world (and hence no root scan) can overlap the removal.
 func (m *Mutator) Deregister() {
-	m.VM.Plan.UnbindMutator(m)
-	sh := m.shard
-	sh.mu.Lock()
-	// Capture the final busy time inside the critical section: a sample
-	// taken just before it sees the live mutator's (strictly smaller)
-	// running busy, one taken after sees the banked value, so sampled
-	// busy time is monotone across the retirement.
+	v := m.VM
+	v.Plan.UnbindMutator(m)
+	v.mu.Lock()
+	// Capture the final busy time and bank it in the critical section
+	// that removes the mutator: a ConcSignals sample sees either the live
+	// mutator's (smaller) running busy or the banked value, never
+	// neither, so sampled busy time is monotone across the retirement.
 	busy := time.Since(m.registered) - time.Duration(m.parkedNs.Load())
-	last := len(sh.muts) - 1
-	sh.muts[m.shardIdx] = sh.muts[last]
-	sh.muts[m.shardIdx].shardIdx = m.shardIdx
-	sh.muts[last] = nil
-	sh.muts = sh.muts[:last]
-	// Retire the mutator's aggregates and bank its final busy time in
-	// the same critical section, so a ConcSignals sample sees either
-	// the live mutator or its banked retirement — never neither.
-	sh.regSumNs -= m.registered.Sub(m.VM.sigEpoch).Nanoseconds()
-	sh.parkSumNs -= m.parkedNs.Load()
-	sh.doneBusyNs += int64(busy)
-	sh.live.Store(int64(len(sh.muts)))
-	sh.mu.Unlock()
-	m.VM.Stats.AddMutatorBusy(busy)
+	last := len(v.muts) - 1
+	v.muts[m.idx] = v.muts[last]
+	v.muts[m.idx].idx = m.idx
+	v.muts[last] = nil
+	v.muts = v.muts[:last]
+	v.doneBusyNs += int64(busy)
+	v.mu.Unlock()
+	v.Stats.AddMutatorBusy(busy)
 	m.releaseRunning()
 }
 
@@ -403,13 +337,13 @@ func (m *Mutator) Safepoint() {
 // PollPark performs Safepoint's park-and-yield duties without the plan
 // poll. Plans whose Alloc inlines its own trigger check call it
 // directly so the poll is not dispatched twice per allocation. The
-// fast path is one atomic load of the phase fence — no lock, no shard.
+// fast path is one atomic load of the phase fence — no lock.
 func (m *Mutator) PollPark() {
 	if m.VM.phase.Load() != 0 {
 		t0 := time.Now()
 		m.releaseRunning()
 		m.acquireRunning()
-		m.recordPark(time.Since(t0))
+		m.parkedNs.Add(int64(time.Since(t0)))
 		return
 	}
 	// Periodically yield the processor so concurrent collector threads
@@ -421,19 +355,6 @@ func (m *Mutator) PollPark() {
 	}
 }
 
-// recordPark accounts a completed park on the mutator and on its
-// shard's cumulative aggregate (the ConcSignals input). The shard lock
-// keeps the aggregate consistent with the per-mutator counter for
-// samplers; it is the mutator's own shard, so the acquisition is
-// uncontended in steady state.
-func (m *Mutator) recordPark(d time.Duration) {
-	sh := m.shard
-	sh.mu.Lock()
-	sh.parkSumNs += int64(d)
-	sh.mu.Unlock()
-	m.parkedNs.Add(int64(d))
-}
-
 // Blocked executes f with the mutator's running token released, so that
 // stop-the-world can proceed while the mutator waits on channels, locks
 // or I/O. f must not touch the heap.
@@ -442,7 +363,7 @@ func (m *Mutator) Blocked(f func()) {
 	m.releaseRunning()
 	f()
 	m.acquireRunning()
-	m.recordPark(time.Since(t0))
+	m.parkedNs.Add(int64(time.Since(t0)))
 }
 
 // BlockedSleep sleeps with the running token released — equivalent to
@@ -453,7 +374,7 @@ func (m *Mutator) BlockedSleep(d time.Duration) {
 	m.releaseRunning()
 	time.Sleep(d)
 	m.acquireRunning()
-	m.recordPark(time.Since(t0))
+	m.parkedNs.Add(int64(time.Since(t0)))
 }
 
 // Alloc allocates an object with the given number of reference slots and
@@ -523,17 +444,18 @@ func (m *Mutator) Rand() uint64 {
 }
 
 // --- root scanning -----------------------------------------------------------
+//
+// The root walks below must only be called while the world is stopped
+// (or before mutators start): the registered set cannot change then,
+// because registration and deregistration hold the running token.
 
 // SnapshotRoots appends every root (all mutator shadow stacks plus the
-// global root slots) to dst. It must only be called while the world is
-// stopped. SnapshotRootsParallel fans the scan out over a worker pool.
+// global root slots) to dst.
 func (v *VM) SnapshotRoots(dst []obj.Ref) []obj.Ref {
-	for i := range v.shards {
-		for _, m := range v.shards[i].muts {
-			for _, r := range m.Roots {
-				if !r.IsNil() {
-					dst = append(dst, r)
-				}
+	for _, m := range v.muts {
+		for _, r := range m.Roots {
+			if !r.IsNil() {
+				dst = append(dst, r)
 			}
 		}
 	}
@@ -545,34 +467,37 @@ func (v *VM) SnapshotRoots(dst []obj.Ref) []obj.Ref {
 	return dst
 }
 
-// EachMutator invokes f for every registered mutator. Must only be
-// called while the world is stopped (or before mutators start).
-// EachMutatorParallel fans the walk out over a worker pool.
-func (v *VM) EachMutator(f func(m *Mutator)) {
-	for i := range v.shards {
-		for _, m := range v.shards[i].muts {
-			f(m)
-		}
-	}
-}
-
-// FixRoots rewrites every root slot through f (used by copying
-// collectors to redirect references to evacuated objects). World must be
-// stopped. FixRootsParallel fans the rewrite out over a worker pool.
-func (v *VM) FixRoots(f func(obj.Ref) obj.Ref) {
-	for i := range v.shards {
-		for _, m := range v.shards[i].muts {
-			for j, r := range m.Roots {
-				if !r.IsNil() {
-					m.Roots[j] = f(r)
-				}
+// RootSlots appends a pointer to every non-nil root slot (mutator
+// shadow stacks and globals) to dst, so evacuating collectors can
+// redirect each slot when its referent moves.
+func (v *VM) RootSlots(dst []*obj.Ref) []*obj.Ref {
+	for _, m := range v.muts {
+		for j := range m.Roots {
+			if !m.Roots[j].IsNil() {
+				dst = append(dst, &m.Roots[j])
 			}
 		}
 	}
-	for i, r := range v.Globals {
-		if !r.IsNil() {
-			v.Globals[i] = f(r)
+	for i := range v.Globals {
+		if !v.Globals[i].IsNil() {
+			dst = append(dst, &v.Globals[i])
 		}
+	}
+	return dst
+}
+
+// EachMutator invokes f for every registered mutator.
+func (v *VM) EachMutator(f func(m *Mutator)) {
+	for _, m := range v.muts {
+		f(m)
+	}
+}
+
+// FixRoots rewrites every non-nil root slot through f (used by copying
+// collectors to redirect references to evacuated objects).
+func (v *VM) FixRoots(f func(obj.Ref) obj.Ref) {
+	for _, s := range v.RootSlots(nil) {
+		*s = f(*s)
 	}
 }
 
@@ -583,78 +508,28 @@ func (v *VM) FixRoots(f func(obj.Ref) obj.Ref) {
 // time, and the live mutator count. The benchmark's gc_cpu_frac is
 // derived from it.
 //
-// The busy term is O(MutatorShards), not O(mutators): each shard
-// maintains cumulative registration/park/retired-busy sums, and a
-// shard's live busy time is len(muts)*now − regSum − parkSum — exactly
-// the per-mutator sum Σ(now−registered−parked), reassociated (Time
-// subtraction is exact int64 monotonic-clock arithmetic, so the
-// reassociation is bit-for-bit, not approximate). Each shard's sums
-// are read under its lock, and registration, retirement and park
-// recording update them atomically with respect to sampling, so busy
-// time is monotone across register/deregister churn; only a park in
-// flight at the sample instant is counted as busy until it completes,
-// so a window closing mid-park can observe a small negative delta.
+// The instant is read under mu, so it postdates every registration the
+// walk sees, and registration and retirement are atomic with respect to
+// the sample: busy time is monotone across register/deregister churn.
+// Only a park in flight at the sample instant counts as busy until it
+// completes, so a window closing mid-park can observe a small negative
+// delta.
 func (v *VM) ConcSignals() (mutBusy, gcWork, pause time.Duration, mutators int) {
-	var busy int64
-	var count int
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.Lock()
-		// The instant is read inside the lock so it postdates every
-		// registration the shard sums include: each shard term is then
-		// individually monotone across samples, and no registration can
-		// land between the clock read and the sums and contribute a
-		// negative sliver. Shards are therefore sampled at slightly
-		// staggered instants; the consumers difference cumulative
-		// windows, for which the stagger is harmless.
-		nowNs := time.Since(v.sigEpoch).Nanoseconds()
-		busy += int64(len(sh.muts))*nowNs - sh.regSumNs - sh.parkSumNs + sh.doneBusyNs
-		count += len(sh.muts)
-		sh.mu.Unlock()
+	v.mu.Lock()
+	now := time.Now()
+	busy := v.doneBusyNs
+	for _, m := range v.muts {
+		busy += now.Sub(m.registered).Nanoseconds() - m.parkedNs.Load()
 	}
-	return time.Duration(busy), v.Stats.GCWork(), v.Stats.TotalPause(), count
-}
-
-// busyAt computes total mutator busy time (live plus retired) at the
-// single instant nowNs (an offset from sigEpoch) from the shard
-// aggregates. It is the fixed-instant form of ConcSignals' busy term,
-// used by the walk-equivalence tests.
-func (v *VM) busyAt(nowNs int64) (busyNs int64, mutators int) {
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.Lock()
-		busyNs += int64(len(sh.muts))*nowNs - sh.regSumNs - sh.parkSumNs + sh.doneBusyNs
-		mutators += len(sh.muts)
-		sh.mu.Unlock()
-	}
-	return busyNs, mutators
-}
-
-// concSignalsWalk is the serial per-mutator reference the sharded
-// aggregates replace: it walks every registered mutator under the shard
-// locks and sums elapsed-minus-parked at the given instant (plus the
-// banked busy of retired mutators, which has no walkable form). Kept as
-// the oracle for the equivalence tests.
-func (v *VM) concSignalsWalk(now time.Time) (mutBusyNs int64, mutators int) {
-	for i := range v.shards {
-		sh := &v.shards[i]
-		sh.mu.Lock()
-		for _, m := range sh.muts {
-			mutBusyNs += now.Sub(m.registered).Nanoseconds() - m.parkedNs.Load()
-			mutators++
-		}
-		mutBusyNs += sh.doneBusyNs
-		sh.mu.Unlock()
-	}
-	return mutBusyNs, mutators
+	mutators = len(v.muts)
+	v.mu.Unlock()
+	return time.Duration(busy), v.Stats.GCWork(), v.Stats.TotalPause(), mutators
 }
 
 // MutatorCount returns the number of registered mutators. Approximate if
 // called while the world is running.
 func (v *VM) MutatorCount() int {
-	var n int64
-	for i := range v.shards {
-		n += v.shards[i].live.Load()
-	}
-	return int(n)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.muts)
 }

@@ -116,6 +116,10 @@ func TestSnapshotAndFixRoots(t *testing.T) {
 			if len(roots) != 2 {
 				t.Errorf("snapshot %v", roots)
 			}
+			slots := v.RootSlots(nil)
+			if len(slots) != 2 || slots[0] != &m.Roots[0] || slots[1] != &v.Globals[1] {
+				t.Errorf("RootSlots %v, want the addresses of Roots[0] and Globals[1]", slots)
+			}
 			v.FixRoots(func(r obj.Ref) obj.Ref { return r + 16 })
 		})
 	})
