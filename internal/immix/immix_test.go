@@ -221,7 +221,7 @@ func TestRecycledLineSkipRule(t *testing.T) {
 	}
 	// The first free line (3) follows a used line and must be skipped
 	// (conservative straddle rule): allocation starts at line 4.
-	if got := a.LineInBlock(); got != 4 {
+	if got := a.Line() % mem.LinesPerBlock; got != 4 {
 		t.Fatalf("allocation started at line %d, want 4", got)
 	}
 }

@@ -74,17 +74,8 @@ func (a Address) Block() int { return int(a >> BlockSizeLog) }
 // containing a.
 func (a Address) Line() int { return int(a >> LineSizeLog) }
 
-// LineInBlock returns the index within its block of the line containing a.
-func (a Address) LineInBlock() int { return int(a>>LineSizeLog) & (LinesPerBlock - 1) }
-
 // Granule returns the global granule index of the granule containing a.
 func (a Address) Granule() int { return int(a >> GranuleLog) }
-
-// Word returns the global word index of the word containing a.
-func (a Address) Word() int { return int(a >> WordLog) }
-
-// Plus returns the address advanced by n bytes.
-func (a Address) Plus(n int) Address { return a + Address(n) }
 
 // AlignUp rounds a up to the given power-of-two alignment.
 func (a Address) AlignUp(align int) Address {
@@ -96,9 +87,6 @@ func BlockStart(idx int) Address { return Address(idx) << BlockSizeLog }
 
 // LineStart returns the address of the first byte of global line idx.
 func LineStart(idx int) Address { return Address(idx) << LineSizeLog }
-
-// GranuleStart returns the address of the first byte of global granule idx.
-func GranuleStart(idx int) Address { return Address(idx) << GranuleLog }
 
 // Arena is a contiguous simulated heap. It is safe for concurrent use:
 // word accesses use sync/atomic so that mutator threads and collector
@@ -115,6 +103,8 @@ type Arena struct {
 // NewArena creates an arena with at least size bytes of usable heap.
 // The size is rounded up to a whole number of blocks, plus one extra
 // reserved block so that Address 0 is never a valid object address.
+// On Linux an arena of 2 MB or more is advised into huge pages
+// (huge_linux.go).
 func NewArena(size int) *Arena {
 	if size <= 0 {
 		panic(fmt.Sprintf("mem: invalid arena size %d", size))
@@ -122,7 +112,7 @@ func NewArena(size int) *Arena {
 	blocks := (size + BlockSize - 1) / BlockSize
 	blocks++ // reserve block 0 for the nil address
 	return &Arena{
-		words:  make([]uint64, blocks*WordsPerBlock),
+		words:  newWords(blocks * WordsPerBlock),
 		size:   Address(blocks) << BlockSizeLog,
 		blocks: blocks,
 	}
@@ -133,9 +123,6 @@ func (a *Arena) Size() int { return int(a.size) }
 
 // Blocks returns the total number of blocks, including reserved block 0.
 func (a *Arena) Blocks() int { return a.blocks }
-
-// FirstUsableBlock returns the index of the first block allocators may use.
-func (a *Arena) FirstUsableBlock() int { return 1 }
 
 // Contains reports whether addr lies within the arena (and is non-nil).
 func (a *Arena) Contains(addr Address) bool {
@@ -192,7 +179,7 @@ func (a *Arena) Prefetch(addr Address) {
 	}
 }
 
-// Zero clears n bytes starting at addr. addr and n must be word aligned.
+// ZeroRange clears the bytes in [start, end), which must be word aligned.
 // This is the bulk-zeroing path used when blocks or line spans are handed
 // to allocators. Each word is cleared atomically: a span can be zeroed
 // by an evacuation worker's allocator while another worker atomically
@@ -200,16 +187,10 @@ func (a *Arena) Prefetch(addr Address) {
 // (forwarding-word loads on values read through stale dirty/remset
 // slots), and mixing plain and atomic access to the same word is a data
 // race even when the probed value is discarded.
-func (a *Arena) Zero(addr Address, n int) {
-	w := int(addr >> WordLog)
-	for end := w + n/WordSize; w < end; w++ {
+func (a *Arena) ZeroRange(start, end Address) {
+	for w := start >> WordLog; w < end>>WordLog; w++ {
 		atomic.StoreUint64(&a.words[w], 0)
 	}
-}
-
-// ZeroRange clears the bytes in [start, end).
-func (a *Arena) ZeroRange(start, end Address) {
-	a.Zero(start, int(end-start))
 }
 
 // ZeroPrivate clears the bytes in [start, end) with plain (non-atomic)
@@ -249,16 +230,4 @@ func (a *Arena) Copy(dst, src Address, n int) {
 	for i := 0; i < n/WordSize; i++ {
 		atomic.StoreUint64(&a.words[dw+i], atomic.LoadUint64(&a.words[sw+i]))
 	}
-}
-
-// Checksum computes a simple additive checksum over [start, start+n).
-// It exists so that tests and workloads can "use" payload data, forcing
-// real memory traffic through caches the way benchmark kernels do.
-func (a *Arena) Checksum(start Address, n int) uint64 {
-	w := int(start >> WordLog)
-	var sum uint64
-	for _, v := range a.words[w : w+n/WordSize] {
-		sum += v
-	}
-	return sum
 }

@@ -38,7 +38,7 @@ func TestRCSaturatingCounts(t *testing.T) {
 
 func TestRCDecFloorsAtZero(t *testing.T) {
 	rc := meta.NewRCTable(arena())
-	a := mem.BlockStart(1).Plus(mem.Granule * 5)
+	a := mem.BlockStart(1) + 5*mem.Granule
 	if old := rc.Dec(a); old != 0 {
 		t.Fatal("dec of zero must be a no-op")
 	}
@@ -51,15 +51,15 @@ func TestRCNeighbouringGranulesIndependent(t *testing.T) {
 	rc := meta.NewRCTable(arena())
 	base := mem.BlockStart(1)
 	for i := 0; i < 64; i++ {
-		rc.Inc(base.Plus(i * mem.Granule))
+		rc.Inc(base + mem.Address(i*mem.Granule))
 	}
 	for i := 0; i < 64; i++ {
-		if got := rc.Get(base.Plus(i * mem.Granule)); got != 1 {
+		if got := rc.Get(base + mem.Address(i*mem.Granule)); got != 1 {
 			t.Fatalf("granule %d count %d", i, got)
 		}
 	}
-	rc.Set(base.Plus(3*mem.Granule), 0)
-	if rc.Get(base.Plus(2*mem.Granule)) != 1 || rc.Get(base.Plus(4*mem.Granule)) != 1 {
+	rc.Set(base+3*mem.Granule, 0)
+	if rc.Get(base+2*mem.Granule) != 1 || rc.Get(base+4*mem.Granule) != 1 {
 		t.Fatal("Set disturbed neighbours")
 	}
 }
@@ -70,7 +70,7 @@ func TestRCLineWordIsLineFreeness(t *testing.T) {
 	if !rc.LineFree(line) {
 		t.Fatal("fresh line not free")
 	}
-	rc.Inc(mem.LineStart(line).Plus(mem.Granule * 7))
+	rc.Inc(mem.LineStart(line) + 7*mem.Granule)
 	if rc.LineFree(line) {
 		t.Fatal("line with a count must not be free")
 	}
@@ -91,13 +91,13 @@ func TestRCParallelIncsAreExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
-				rc.Inc(base.Plus(i * mem.Granule))
+				rc.Inc(base + mem.Address(i*mem.Granule))
 			}
 		}()
 	}
 	wg.Wait()
 	for i := 0; i < 16; i++ {
-		if got := rc.Get(base.Plus(i * mem.Granule)); got != meta.RCMax {
+		if got := rc.Get(base + mem.Address(i*mem.Granule)); got != meta.RCMax {
 			t.Fatalf("granule %d = %d, want stuck", i, got)
 		}
 	}
@@ -126,7 +126,7 @@ func TestBitTableTrySetTryClear(t *testing.T) {
 func TestBitTableRanges(t *testing.T) {
 	bt := meta.NewBitTable(arena(), mem.GranuleLog)
 	start := mem.BlockStart(1)
-	end := start.Plus(mem.Granule * 40)
+	end := start + 40*mem.Granule
 	bt.SetRange(start, end)
 	for a := start; a < end; a += mem.Granule {
 		if !bt.Get(a) {
@@ -146,7 +146,7 @@ func TestBitTableRanges(t *testing.T) {
 
 func TestFieldLogTransitions(t *testing.T) {
 	fl := meta.NewFieldLogTable(arena())
-	slot := mem.BlockStart(1).Plus(24)
+	slot := mem.BlockStart(1) + 24
 	if fl.Get(slot) != meta.LogLogged {
 		t.Fatal("fresh state must be Logged (zeroed)")
 	}
@@ -172,12 +172,12 @@ func TestFieldLogTransitions(t *testing.T) {
 func TestFieldLogNeighbours(t *testing.T) {
 	fl := meta.NewFieldLogTable(arena())
 	base := mem.BlockStart(1)
-	fl.SetUnlogged(base.Plus(8))
-	if fl.Get(base) != meta.LogLogged || fl.Get(base.Plus(16)) != meta.LogLogged {
+	fl.SetUnlogged(base + 8)
+	if fl.Get(base) != meta.LogLogged || fl.Get(base+16) != meta.LogLogged {
 		t.Fatal("neighbouring fields disturbed")
 	}
-	fl.ClearRange(base, base.Plus(64))
-	if fl.Get(base.Plus(8)) != meta.LogLogged {
+	fl.ClearRange(base, base+64)
+	if fl.Get(base+8) != meta.LogLogged {
 		t.Fatal("ClearRange failed")
 	}
 }
@@ -209,7 +209,7 @@ func TestRCQuickInvariants(t *testing.T) {
 	// saturation the exact law is: count never exceeds 3, never drops
 	// below 0, and sticks once it reaches 3.
 	f := func(ops []bool, granule uint16) bool {
-		a := mem.BlockStart(1).Plus(int(granule) * mem.Granule)
+		a := mem.BlockStart(1) + mem.Address(int(granule)*mem.Granule)
 		rc.ClearRange(a, a+mem.Granule)
 		model := 0
 		stuck := false

@@ -146,12 +146,12 @@ func TestCopyToPreservesContentClearsForwarding(t *testing.T) {
 func TestStraddles(t *testing.T) {
 	m := model()
 	base := mem.BlockStart(1)
-	small := base.Plus(0)
+	small := base
 	m.WriteHeader(small, obj.Layout{Size: 32})
 	if m.Straddles(small) {
 		t.Fatal("32B at line start must not straddle")
 	}
-	atEnd := base.Plus(mem.LineSize - 16)
+	atEnd := base + (mem.LineSize - 16)
 	m.WriteHeader(atEnd, obj.Layout{Size: 32})
 	if !m.Straddles(atEnd) {
 		t.Fatal("object crossing a line boundary must straddle")

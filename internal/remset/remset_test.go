@@ -16,9 +16,9 @@ func setup() (*meta.LineCounters, *remset.Table) {
 
 func TestRecordTake(t *testing.T) {
 	_, rs := setup()
-	slot := mem.BlockStart(1).Plus(24)
+	slot := mem.BlockStart(1) + 24
 	rs.Record(slot)
-	rs.Record(slot.Plus(8))
+	rs.Record(slot + 8)
 	if rs.Len() != 2 {
 		t.Fatalf("len %d", rs.Len())
 	}
@@ -33,7 +33,7 @@ func TestRecordTake(t *testing.T) {
 
 func TestReuseCounterInvalidation(t *testing.T) {
 	lc, rs := setup()
-	slot := mem.BlockStart(1).Plus(40)
+	slot := mem.BlockStart(1) + 40
 	rs.Record(slot)
 	e := rs.TakeAll()[0]
 	if !rs.Valid(e) {

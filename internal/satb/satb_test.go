@@ -19,9 +19,9 @@ func buildGraph() (obj.Model, obj.Ref, obj.Ref, obj.Ref, obj.Ref) {
 		return addr
 	}
 	root := mk(mem.BlockStart(1), 2)
-	a := mk(mem.BlockStart(1).Plus(64), 1)
-	b := mk(mem.BlockStart(1).Plus(128), 0)
-	c := mk(mem.BlockStart(1).Plus(192), 0)
+	a := mk(mem.BlockStart(1)+64, 1)
+	b := mk(mem.BlockStart(1)+128, 0)
+	c := mk(mem.BlockStart(1)+192, 0)
 	om.StoreSlot(root, 0, a)
 	om.StoreSlot(a, 0, b)
 	return om, root, a, b, c
