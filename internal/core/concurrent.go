@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"lxr/internal/conctrl"
 	"lxr/internal/gcwork"
 	"lxr/internal/mem"
@@ -8,15 +10,17 @@ import (
 )
 
 // concurrent is LXR's concurrent collection driver (Fig. 2). It
-// processes lazy decrements with priority, then sweeps blocks touched by
-// decrements, then advances the SATB trace.
+// processes lazy decrements with priority, then queues the blocks they
+// touched, then sweeps what a completed trace left unmarked, then
+// advances the SATB trace.
 //
 // The goroutine, the quiesce/release handshake with pauses and panic
 // parking all live in the shared conctrl.Controller; this type is its
 // CycleDriver — it owns only LXR's work state and the quantum logic.
 // Every quantum runs on the controller's own goroutine, bounded by
-// decChunk decrements or traceChunk trace items, so a pause waits for at
-// most one such slice before it owns the collector's state.
+// decChunk decrements, sweepChunk blocks or traceChunk trace items, so a
+// pause waits for at most one such slice before it owns the collector's
+// state.
 type concurrent struct {
 	p   *LXR
 	ctl *conctrl.Controller
@@ -31,16 +35,23 @@ type concurrent struct {
 	recStack    []mem.Address
 	touched     map[int]struct{}
 
-	// reclaimable collects blocks whose decrement-freed lines become
-	// available at the next pause. Releasing them concurrently would
-	// let an allocator reuse lines while this epoch's young objects
-	// (whose increments arrive only at the pause) still look free in
-	// the RC table.
+	// reclaimable collects blocks whose decrement- or sweep-freed lines
+	// become available at the next pause. Releasing them concurrently
+	// would let an allocator reuse lines while this epoch's young
+	// objects (whose increments arrive only at the pause) still look
+	// free in the RC table.
 	reclaimable []int
+
+	// sweepNext is the next block the SATB reclamation sweep visits, 0
+	// when no sweep is armed; sweepDead and sweepFreed total what the
+	// sweep reclaimed so far (completeSATB, finishSweep).
+	sweepNext             int
+	sweepDead, sweepFreed atomic.Int64
 }
 
 const (
 	decChunk   = 4096 // decrements per scheduling quantum
+	sweepChunk = 32   // blocks swept per scheduling quantum
 	traceChunk = 2048 // trace items per scheduling quantum
 )
 
@@ -81,7 +92,8 @@ func (c *concurrent) submitDecs(decs []mem.Address) {
 }
 
 // releaseReclaimable releases the blocks completed decrement batches
-// touched. Runs inside a pause, while quiescent, before the young sweep.
+// touched and the driver's sweep freed. Runs inside a pause, while
+// quiescent, before the young sweep.
 func (c *concurrent) releaseReclaimable() {
 	if !c.hasPendingDecs() {
 		for _, b := range c.reclaimable {
@@ -121,15 +133,21 @@ func (c *concurrent) takePending() (segs [][]mem.Address, touched []int) {
 // HasWork implements conctrl.CycleDriver. Called with the controller
 // lock held; reads only driver-owned state and atomics.
 func (c *concurrent) HasWork() bool {
-	if c.hasPendingDecs() || len(c.touched) > 0 {
+	if c.hasPendingDecs() || len(c.touched) > 0 || c.sweepLeft() {
 		return true
 	}
 	return c.p.satbActive.Load() && c.p.tracer.Pending()
 }
 
+// sweepLeft reports whether an armed SATB reclamation sweep still has
+// blocks to visit. Must be called while quiescent or on the driver.
+func (c *concurrent) sweepLeft() bool {
+	return c.sweepNext != 0 && c.sweepNext <= c.p.bt.Blocks()
+}
+
 // Quantum implements conctrl.CycleDriver: one bounded slice of
 // concurrent work, highest priority first — decrements, then deferred
-// sweeping, then the trace.
+// release, then the SATB reclamation sweep, then the trace.
 func (c *concurrent) Quantum() {
 	p := c.p
 	switch {
@@ -144,9 +162,23 @@ func (c *concurrent) Quantum() {
 			c.reclaimable = append(c.reclaimable, b)
 			delete(c.touched, b)
 		}
+	case c.sweepLeft():
+		c.sweepBlocks()
 	default:
 		if p.satbActive.Load() {
 			p.tracer.Step(traceChunk)
+		}
+	}
+}
+
+// sweepBlocks advances the armed SATB reclamation sweep by up to
+// sweepChunk blocks (DESIGN.md, "Invariants worth knowing"). A block
+// that lost objects waits on reclaimable, like a decrement batch's.
+func (c *concurrent) sweepBlocks() {
+	end := min(c.sweepNext+sweepChunk, c.p.bt.Blocks()+1)
+	for ; c.sweepNext < end; c.sweepNext++ {
+		if c.p.sweepBlock(c.sweepNext) {
+			c.reclaimable = append(c.reclaimable, c.sweepNext)
 		}
 	}
 }

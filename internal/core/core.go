@@ -102,7 +102,7 @@ type LXR struct {
 	gcScheduled atomic.Bool
 
 	// satbActive is true from the pause that seeds a trace until the
-	// pause that completes reclamation for it.
+	// pause that completes it.
 	satbActive atomic.Bool
 
 	traceEpochs int // RC epochs the current trace has spanned

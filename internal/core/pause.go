@@ -30,7 +30,7 @@ const rootTag mem.Address = 1 << 63
 const (
 	CtrPauses         = "lxr.pauses"
 	CtrPausesSATB     = "lxr.pauses.satb"      // pauses that started an SATB trace
-	CtrPausesLazy     = "lxr.pauses.lazy"      // pauses that had to finish lazy decrements
+	CtrPausesLazy     = "lxr.pauses.lazy"      // pauses that had to finish lazy decrements or sweeping
 	CtrBarrierSlow    = "lxr.barrier.slow"     // field-logging slow paths
 	CtrIncrements     = "lxr.increments"       // increments applied
 	CtrDecrements     = "lxr.decrements"       // decrements applied
@@ -51,9 +51,9 @@ const (
 // blocks, manages the SATB trace lifecycle, and hands decrements to the
 // concurrent thread. The recorded pause kind is refined by what the
 // pause actually absorbed — "rc" (young RC epoch), "+dec" when it had
-// to finish decrements in the pause, "+mark" when it completed the SATB
-// trace (final mark + mature reclamation + evacuation-set selection) —
-// so the per-phase pause histograms separate those populations.
+// to finish lazy decrements or sweeping, "+mark" when it completed the
+// SATB trace — so the per-phase pause histograms separate those
+// populations.
 func (p *LXR) collectRC(cause string) {
 	kind := "rc"
 	dur := p.vm.StopTheWorldTagged(kind, func() string {
@@ -111,16 +111,24 @@ func (p *LXR) pausePipeline(cause string) string {
 	st.Add(CtrBarrierSlow, slowOps)
 	ev.PhaseArg(trace.NameFlush, ph, uint64(nDecSeeds))
 
-	// 2. Finish unfinished lazy decrements first (§3.2.1): if the
-	// previous epoch's decrements have not drained, the pause completes
-	// them before anything else, across all pause workers.
-	if p.conc.hasPendingDecs() {
+	// 2. Finish unfinished lazy work first (§3.2.1), across all pause
+	// workers: the previous epoch's decrements, then the reclamation
+	// sweep of a trace an earlier pause completed. Both precede the
+	// increments: a sweep that met this pause's promotions would take
+	// them, unmarked, for dead.
+	if hadDec = p.conc.hasPendingDecs() || p.conc.sweepLeft(); hadDec {
 		st.Add(CtrPausesLazy, 1)
-		hadDec = true
+	}
+	if p.conc.hasPendingDecs() {
 		ph = time.Now()
 		segs, touched := p.conc.takePending()
 		p.processDecWork(segs, touched)
 		ev.Phase(trace.NameDecs, ph)
+	}
+	if p.conc.sweepNext != 0 {
+		ph = time.Now()
+		p.finishSweep()
+		ev.Phase(trace.NameSATBFinal, ph)
 	}
 
 	// 3. SATB seeding and (maybe) completion. decSegs hold the
@@ -238,11 +246,14 @@ func (p *LXR) pausePipeline(cause string) string {
 	p.sweepNewLarge()
 	ev.PhaseArg(trace.NameSweep, ph, uint64(cleanYielded))
 
-	// 7. SATB completion: reclaim unmarked matures.
+	// 7. SATB completion. The driver sweeps what the trace left unmarked
+	// and the next pause finishes it (step 2); an emergency and the -SATB
+	// and -LD ablations sweep here, where the young sweep left no block
+	// dirty.
 	if traceComplete {
 		hadMark = true
 		ph = time.Now()
-		p.finalizeSATB()
+		p.completeSATB(cause == pauseCauseEmergency || p.cfg.NoConcurrentSATB || p.cfg.NoLazyDecrements)
 		ev.Phase(trace.NameSATBFinal, ph)
 	}
 
@@ -250,12 +261,13 @@ func (p *LXR) pausePipeline(cause string) string {
 	// — which recomputes the next epoch's allocation budget — then put
 	// the SATB cycle vote to it, which only an explicit collection and a
 	// persisting allocation failure force: a heap that is always full at
-	// block granularity fails an allocation at most pauses.
+	// block granularity fails an allocation at most pauses. No trace
+	// starts while a sweep is armed: its marks are not yet clear.
 	survived := p.survived.Load()
 	st.Add(CtrSurvivedBytes, survived)
 	ph = time.Now()
 	p.pacer.ObserveEpoch(allocVol, survived)
-	if !p.satbActive.Load() && p.pacer.CycleDue(cause == pauseCauseEmergency || cause == pauseCauseExplicit) {
+	if !p.satbActive.Load() && p.conc.sweepNext == 0 && p.pacer.CycleDue(cause == pauseCauseEmergency || cause == pauseCauseExplicit) {
 		p.startSATB()
 		st.Add(CtrPausesSATB, 1)
 		if p.cfg.NoConcurrentSATB || cause == pauseCauseEmergency && !traceComplete {
@@ -264,7 +276,7 @@ func (p *LXR) pausePipeline(cause string) string {
 			// pause — a mark pause for attribution.
 			hadMark = true
 			p.tracer.DrainParallel(p.pool)
-			p.finalizeSATB()
+			p.completeSATB(true)
 		}
 	}
 	ev.Phase(trace.NamePacer, ph)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"lxr/internal/immix"
 	"lxr/internal/mem"
@@ -19,69 +18,71 @@ func (p *LXR) startSATB() {
 	p.satbActive.Store(true)
 }
 
-// finalizeSATB runs in the pause where the trace completed: it reclaims
-// unmarked mature objects (cycles and stuck counts that reference
-// counting cannot collect), clears mark bits, and tells the pacer what
-// the trace freed.
-func (p *LXR) finalizeSATB() {
-	freed := p.sweepUnmarked()
-	p.parFor(p.marks.Words(), parClearThreshold, p.marks.ClearWords)
+// completeSATB runs in the pause where the trace completed. It ends the
+// trace and arms the reclamation sweep of every counted object the trace
+// left unmarked (§3.3.2, "SATB Reclamation"): the concurrent driver
+// sweeps the blocks between pauses and the next pause finishes the rest
+// before it counts anything. inPause sweeps here instead.
+func (p *LXR) completeSATB(inPause bool) {
 	p.tracer.Finish()
 	p.satbActive.Store(false)
-	p.pacer.ObserveTrace(freed)
+	p.conc.sweepNext = 1 // main blocks are 1-based
+	if inPause {
+		p.finishSweep()
+	}
 }
 
-// sweepUnmarked reclaims every mature object the completed trace left
-// unmarked. An unmarked object with a non-zero count was dead at the
-// snapshot: clearing its counts frees its lines; no recursive
-// decrements are needed because the entire unreachable subgraph is
-// unmarked and swept in the same pass (§3.3.2, "SATB Reclamation").
-// Returns the bytes of the objects it freed.
-func (p *LXR) sweepUnmarked() int64 {
-	var dead, freed atomic.Int64
-	n := p.bt.Blocks()
-	p.pool.ParallelFor(n, func(_, start, end int) {
-		// Totals are batched per claimed range, not added per block.
-		died, skipped, bytes := 0, 0, 0
-		for i := start; i < end; i++ {
-			idx := i + 1 // main blocks are 1-based
-			st := p.bt.State(idx)
-			if st != immix.StateFull && st != immix.StateRecycled {
-				continue
+// finishSweep completes the armed sweep in a pause, the driver
+// quiescent: the blocks the driver has not reached, then the large
+// objects. An unmarked counted object was dead at the snapshot, and so
+// is its whole subgraph: clearing counts needs no recursive decrements.
+// Blocks are released only as maybeReleaseAfterDecs allows (a dirty one
+// may hold young objects not yet counted). Then it clears the marks and
+// reports the dead and the bytes freed, which it returns.
+func (p *LXR) finishSweep() int64 {
+	c := p.conc
+	first := c.sweepNext
+	p.pool.ParallelFor(p.bt.Blocks()+1-first, func(_, start, end int) {
+		for idx := first + start; idx < first+end; idx++ {
+			if p.sweepBlock(idx) {
+				p.maybeReleaseAfterDecs(idx)
 			}
-			d, sk, b := p.sweepBlockUnmarked(idx)
-			died += d
-			skipped += sk
-			bytes += b
-			// Only full, unlisted blocks may change state here; blocks
-			// already on the recycled list stay put (their free lines
-			// are found on reuse).
-			if d > 0 && st == immix.StateFull {
-				switch p.classifyBlock(idx) {
-				case blockEmpty:
-					p.bt.ReleaseFree(idx)
-				case blockPartial:
-					p.bt.ReleaseRecycled(idx)
-				}
-			}
-		}
-		dead.Add(int64(died))
-		freed.Add(int64(bytes))
-		if skipped > 0 {
-			p.ctr.skip.Add(int64(skipped))
 		}
 	})
 	// Large object space.
 	p.bt.LOS().Each(func(a mem.Address) {
 		if p.rc.Get(a) != 0 && !p.marks.Get(a) {
 			p.rc.Set(a, 0)
-			freed.Add(int64(p.om.Size(a)))
+			c.sweepFreed.Add(int64(p.om.Size(a)))
 			p.bt.LOS().Free(a)
-			dead.Add(1)
+			c.sweepDead.Add(1)
 		}
 	})
-	p.vm.Stats.Add(CtrDeadSATB, dead.Load())
-	return freed.Load()
+	p.parFor(p.marks.Words(), parClearThreshold, p.marks.ClearWords)
+	p.vm.Stats.Add(CtrDeadSATB, c.sweepDead.Swap(0))
+	freed := c.sweepFreed.Swap(0)
+	p.pacer.ObserveTrace(freed)
+	c.sweepNext = 0
+	return freed
+}
+
+// sweepBlock sweeps block idx when it may hold counted small objects
+// (retired, recycled, or held by an allocator between pauses), adds
+// what died to the sweep's totals, and reports whether anything did.
+func (p *LXR) sweepBlock(idx int) bool {
+	switch p.bt.State(idx) {
+	case immix.StateFull, immix.StateRecycled, immix.StateReserved:
+		d, skipped, b := p.sweepBlockUnmarked(idx)
+		if skipped > 0 {
+			p.ctr.skip.Add(int64(skipped))
+		}
+		if d > 0 {
+			p.conc.sweepDead.Add(int64(d))
+			p.conc.sweepFreed.Add(int64(b))
+			return true
+		}
+	}
+	return false
 }
 
 // sweepBlockUnmarked clears the metadata of unmarked objects in one

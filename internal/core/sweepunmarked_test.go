@@ -102,6 +102,18 @@ func fillBlock(p *LXR, idx int, r *rand.Rand, f blockFill) {
 	}
 }
 
+// sweepFills are the block populations the sweep tests draw from.
+var sweepFills = []blockFill{
+	{maxSize: 64, promoted: 1, marked: 0.5},                                   // small objects, half dead
+	{maxSize: 64, promoted: 1, marked: 1},                                     // all marked
+	{maxSize: 256, promoted: 1, marked: 0},                                    // all dead
+	{maxSize: 8 * mem.LineSize, promoted: 0.8, marked: 0.5, gap: 0.3},         // straddlers among gaps
+	{maxSize: 8 * mem.LineSize, promoted: 0.9, marked: 0.3, endAtBlock: true}, // last object ends at the block boundary
+	{maxSize: 512, promoted: 0.7, marked: 0.6, gap: 0.2, strays: 40},          // stray counts
+	{maxSize: 4 * mem.LineSize, promoted: 0.9, marked: 0.2, gap: 0.1, strays: 200, endAtBlock: true},
+	{maxSize: 64, promoted: 0, strays: 3}, // young block with a few stray counts
+}
+
 // garbageWord draws payload that sometimes reads as a plausible header:
 // a small size, a size of many lines, one past the large threshold with
 // or without the large flag, or noise.
@@ -129,19 +141,9 @@ func garbageWord(r *rand.Rand) uint64 {
 // neighbouring block on either side).
 func TestSweepBlockUnmarkedMatchesPerGranuleReference(t *testing.T) {
 	const blocks = 4
-	fills := []blockFill{
-		{maxSize: 64, promoted: 1, marked: 0.5},                                   // small objects, half dead
-		{maxSize: 64, promoted: 1, marked: 1},                                     // all marked
-		{maxSize: 256, promoted: 1, marked: 0},                                    // all dead
-		{maxSize: 8 * mem.LineSize, promoted: 0.8, marked: 0.5, gap: 0.3},         // straddlers among gaps
-		{maxSize: 8 * mem.LineSize, promoted: 0.9, marked: 0.3, endAtBlock: true}, // last object ends at the block boundary
-		{maxSize: 512, promoted: 0.7, marked: 0.6, gap: 0.2, strays: 40},          // stray counts
-		{maxSize: 4 * mem.LineSize, promoted: 0.9, marked: 0.2, gap: 0.1, strays: 200, endAtBlock: true},
-		{maxSize: 64, promoted: 0, strays: 3}, // young block with a few stray counts
-	}
 	var deadTotal, skipTotal int
 	for trial := 0; trial < 600; trial++ {
-		f := fills[trial%len(fills)]
+		f := sweepFills[trial%len(sweepFills)]
 		fast, ref := sweepHeap(blocks), sweepHeap(blocks)
 		for idx := 1; idx < blocks; idx++ {
 			seed := int64(trial*blocks + idx)

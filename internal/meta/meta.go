@@ -210,16 +210,6 @@ func clearBits32(w *uint32, mask uint32) {
 	}
 }
 
-// setBits32 atomically sets the masked bits of *w.
-func setBits32(w *uint32, mask uint32) {
-	for {
-		old := atomic.LoadUint32(w)
-		if old&mask == mask || atomic.CompareAndSwapUint32(w, old, old|mask) {
-			return
-		}
-	}
-}
-
 // countedMask folds one line's RC word to a 16-bit mask: bit i is set
 // when granule i of the line carries a non-zero count. The first step
 // puts the counted positions on the even bits; the shift-or ladder
@@ -313,23 +303,6 @@ func (t *BitTable) TrySet(addr mem.Address) bool {
 	}
 }
 
-// TryClear atomically clears the bit for addr and reports whether this
-// call cleared it (false if it was already clear). It implements the
-// synchronized attemptToLog() of the field-logging barrier (Fig. 3):
-// the winner captures the to-be-overwritten value.
-func (t *BitTable) TryClear(addr mem.Address) bool {
-	w, m := t.index(addr)
-	for {
-		old := atomic.LoadUint32(&t.words[w])
-		if old&m == 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(&t.words[w], old, old&^m) {
-			return true
-		}
-	}
-}
-
 // ClearAll clears every bit in the table. Stopped world only: see
 // ClearWords.
 func (t *BitTable) ClearAll() { clear(t.words) }
@@ -374,33 +347,10 @@ func (t *BitTable) rangeWords(start, end mem.Address) (w0 int, s0 uint, w1 int, 
 	return int(u0 / 32), uint(u0 % 32), int(u1 / 32), uint(u1 % 32), true
 }
 
-// SetRange sets the bit for every unit the equivalent per-unit loop
+// ClearRange clears the bit for every unit the equivalent per-unit loop
 // over [start, end) would touch, word-at-a-time: fully covered words
 // are single atomic stores, the partially covered boundary words
 // masked CASes.
-func (t *BitTable) SetRange(start, end mem.Address) {
-	w0, s0, w1, s1, ok := t.rangeWords(start, end)
-	if !ok {
-		return
-	}
-	if w0 == w1 {
-		setBits32(&t.words[w0], (^uint32(0)<<s0)&^(^uint32(0)<<s1))
-		return
-	}
-	if s0 != 0 {
-		setBits32(&t.words[w0], ^uint32(0)<<s0)
-		w0++
-	}
-	for w := w0; w < w1; w++ {
-		atomic.StoreUint32(&t.words[w], ^uint32(0))
-	}
-	if s1 != 0 {
-		setBits32(&t.words[w1], ^(^uint32(0) << s1))
-	}
-}
-
-// ClearRange clears the bit for every unit overlapping [start, end),
-// with the same word-at-a-time structure as SetRange.
 func (t *BitTable) ClearRange(start, end mem.Address) {
 	w0, s0, w1, s1, ok := t.rangeWords(start, end)
 	if !ok {

@@ -103,7 +103,7 @@ func TestRCParallelIncsAreExact(t *testing.T) {
 	}
 }
 
-func TestBitTableTrySetTryClear(t *testing.T) {
+func TestBitTableTrySet(t *testing.T) {
 	bt := meta.NewBitTable(arena(), mem.GranuleLog)
 	a := mem.BlockStart(1)
 	if bt.Get(a) {
@@ -115,11 +115,9 @@ func TestBitTableTrySetTryClear(t *testing.T) {
 	if bt.TrySet(a) {
 		t.Fatal("second TrySet must lose")
 	}
-	if !bt.TryClear(a) {
-		t.Fatal("first TryClear must win")
-	}
-	if bt.TryClear(a) {
-		t.Fatal("second TryClear must lose")
+	bt.Clear(a)
+	if !bt.TrySet(a) {
+		t.Fatal("TrySet after Clear must win")
 	}
 }
 
@@ -127,20 +125,17 @@ func TestBitTableRanges(t *testing.T) {
 	bt := meta.NewBitTable(arena(), mem.GranuleLog)
 	start := mem.BlockStart(1)
 	end := start + 40*mem.Granule
-	bt.SetRange(start, end)
-	for a := start; a < end; a += mem.Granule {
-		if !bt.Get(a) {
-			t.Fatal("SetRange missed a unit")
-		}
-	}
-	if bt.Get(end) {
-		t.Fatal("SetRange overshot")
+	for a := start - mem.Granule; a <= end; a += mem.Granule {
+		bt.Set(a)
 	}
 	bt.ClearRange(start, end)
 	for a := start; a < end; a += mem.Granule {
 		if bt.Get(a) {
 			t.Fatal("ClearRange missed a unit")
 		}
+	}
+	if !bt.Get(start-mem.Granule) || !bt.Get(end) {
+		t.Fatal("ClearRange overshot")
 	}
 }
 

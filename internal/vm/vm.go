@@ -233,12 +233,6 @@ func (v *VM) RunCollection(m *Mutator, f func()) {
 	v.gcEpoch.Add(1)
 }
 
-// Collect performs a synchronous collection from a non-mutator
-// goroutine (e.g. the harness between workload phases). CollectNow
-// implementations are self-contained: they serialise against other
-// collections themselves.
-func (v *VM) Collect() { v.Plan.CollectNow("explicit") }
-
 // CollectIfEpoch runs f (a collection) only if no collection completed
 // since the caller observed epoch e. It returns true if f ran. Failing
 // allocators use it so a burst of concurrent failures produces a single
@@ -412,11 +406,6 @@ func (m *Mutator) WritePayload(src obj.Ref, word int, v uint64) {
 func (m *Mutator) ReadPayload(src obj.Ref, word int) uint64 {
 	src = m.VM.OM.Resolve(src)
 	return m.VM.OM.A.Load(m.VM.OM.PayloadAddr(src) + mem.Address(word)*mem.WordSize)
-}
-
-// PayloadWords returns the payload size in words.
-func (m *Mutator) PayloadWords(src obj.Ref) int {
-	return m.VM.OM.PayloadBytes(m.VM.OM.Resolve(src)) / mem.WordSize
 }
 
 // NumRefs returns the reference-slot count of an object.
