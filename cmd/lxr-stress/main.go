@@ -46,25 +46,7 @@ func main() {
 			m := rt.RegisterMutator(8)
 			defer m.Deregister()
 
-			// Live structure: a ring of nodes, each with a checksum.
-			const ringLen = 512
-			var first lxr.Ref
-			var prev lxr.Ref
-			for i := 0; i < ringLen; i++ {
-				n := m.Alloc(1, 1, 16)
-				m.WritePayload(n, 0, uint64(id)<<32|uint64(i))
-				if prev != 0 {
-					m.Store(prev, 0, n)
-				} else {
-					m.Roots[0] = n
-				}
-				prev = n
-				m.Roots[1] = n
-			}
-			first = m.Roots[0]
-			m.Store(prev, 0, first) // close the ring
-			m.Roots[1] = 0
-
+			buildRing(m, id, ringLen, nil)
 			rounds := 0
 			for time.Now().Before(deadline) {
 				// Churn.
@@ -76,18 +58,8 @@ func main() {
 					m.Roots[2] = g
 				}
 				m.Roots[2] = 0
-				// Walk the full ring and verify payloads.
-				cur := m.Roots[0]
-				for i := 0; i < ringLen; i++ {
-					want := uint64(id)<<32 | uint64(i)
-					if got := m.ReadPayload(cur, 0); got != want {
-						failures <- fmt.Sprintf("mutator %d: node %d payload %x want %x", id, i, got, want)
-						return
-					}
-					cur = m.Load(cur, 0)
-				}
-				if cur != m.Roots[0] {
-					failures <- fmt.Sprintf("mutator %d: ring no longer closed", id)
+				if msg := checkRing(m, id, ringLen); msg != "" {
+					failures <- fmt.Sprintf("mutator %d: %s", id, msg)
 					return
 				}
 				rounds++
@@ -109,4 +81,48 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("OK")
+}
+
+// ringLen is the node count of each mutator's live ring.
+const ringLen = 512
+
+// buildRing links n fresh nodes into a ring held by m.Roots[0], node i
+// carrying id<<32|i, using m.Roots[1] for the node last linked. Every
+// store goes through a root: Alloc may run a copying collection, after
+// which a local reference to an older node points at its from-space
+// copy. between, when non-nil, runs after node i is linked.
+func buildRing(m *lxr.Mutator, id, n int, between func(i int)) {
+	for i := 0; i < n; i++ {
+		node := m.Alloc(1, 1, 16)
+		m.WritePayload(node, 0, uint64(id)<<32|uint64(i))
+		if i == 0 {
+			m.Roots[0] = node
+		} else {
+			m.Store(m.Roots[1], 0, node)
+		}
+		m.Roots[1] = node
+		if between != nil {
+			between(i)
+		}
+	}
+	m.Store(m.Roots[1], 0, m.Roots[0]) // close the ring
+	m.Roots[1] = 0
+}
+
+// checkRing walks the ring buildRing made and returns what is wrong
+// with it, or "" when every payload holds and the walk comes back to
+// the start.
+func checkRing(m *lxr.Mutator, id, n int) string {
+	cur := m.Roots[0]
+	for i := 0; i < n; i++ {
+		want := uint64(id)<<32 | uint64(i)
+		if got := m.ReadPayload(cur, 0); got != want {
+			return fmt.Sprintf("node %d payload %x want %x", i, got, want)
+		}
+		cur = m.Load(cur, 0)
+	}
+	if cur != m.Roots[0] {
+		return "ring no longer closed"
+	}
+	return ""
 }

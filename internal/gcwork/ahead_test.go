@@ -13,12 +13,13 @@ import (
 // Worker.Ahead's contract: the item it returns for k is the one the
 // k-th pop from now hands this worker, provided nothing is pushed in
 // between. The local stack is the owner's alone — publishing moves its
-// oldest items to the deque, thieves take from deques only — so the
-// contract must hold on every worker however chunks move between them.
+// oldest items to the shared stack, and other workers take chunks only
+// from there — so the contract must hold on every worker however chunks
+// move between them.
 //
 // Each item with a fan-out pushes that many children: 3000 forces two
 // publishes out of one call (the stack publishes a chunk of 512 at
-// 1024), and the published chunks are what the other workers steal.
+// 1024), and the published chunks are what the other workers take.
 // After a call that pushed, the worker re-reads its lookahead; after
 // one that did not, the lookahead it already holds must simply shift.
 func TestAheadPredictsPopsAcrossPublishAndSteal(t *testing.T) {
@@ -26,7 +27,7 @@ func TestAheadPredictsPopsAcrossPublishAndSteal(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		pool := gcwork.NewPool(workers)
 		pred := make([][]mem.Address, workers) // per worker: the items it expects next, in pop order
-		var visits, checked, thieves atomic.Int64
+		var visits, checked, takers atomic.Int64
 		var owner atomic.Int32      // the worker that took the seed segment
 		ran := make([]int, workers) // items each worker processed
 		var bad atomic.Value
@@ -63,14 +64,14 @@ func TestAheadPredictsPopsAcrossPublishAndSteal(t *testing.T) {
 				w.Push(mem.Address(next.Add(1)))
 			}
 			if a >= 1<<40 && workers > 1 {
-				// Hold the seeds' owner until a thief has run one of the
-				// chunks it just published, or the drain is over before
-				// the other workers have woken.
-				for wait := time.Now(); thieves.Load() == 0 && time.Since(wait) < 5*time.Second; {
+				// Hold the seeds' owner until another worker has run one
+				// of the chunks it just published, or the drain is over
+				// before the other workers have woken.
+				for wait := time.Now(); takers.Load() == 0 && time.Since(wait) < 5*time.Second; {
 					runtime.Gosched()
 				}
 			} else if a < 1<<40 && w.ID != int(owner.Load()) {
-				thieves.Add(1)
+				takers.Add(1)
 			}
 			if n > 0 {
 				exp = exp[:0]
@@ -102,8 +103,9 @@ func TestAheadPredictsPopsAcrossPublishAndSteal(t *testing.T) {
 		if checked.Load() < visits.Load()/2 {
 			t.Fatalf("%d workers: only %d of %d pops were predicted", workers, checked.Load(), visits.Load())
 		}
-		// The seeds are one injector segment, so one worker takes them
-		// all; anything another worker ran, it stole.
+		// The seeds are one chunk on the shared stack, so one worker
+		// takes them all; anything another worker ran, it took from a
+		// chunk the seeds' owner published.
 		busy := 0
 		for _, n := range ran {
 			if n > 0 {
@@ -111,7 +113,7 @@ func TestAheadPredictsPopsAcrossPublishAndSteal(t *testing.T) {
 			}
 		}
 		if workers > 1 && busy < 2 {
-			t.Fatalf("one worker ran everything: the steal boundary was not exercised")
+			t.Fatalf("one worker ran everything: the publish boundary was not exercised")
 		}
 	}
 	if _, ok := (&gcwork.Worker{}).Ahead(1); ok {

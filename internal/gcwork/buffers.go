@@ -68,29 +68,18 @@ func (b *AddrBuffer) TakeSegs() [][]mem.Address {
 	return out
 }
 
-// qShards is the shard count of SharedAddrQueue. Shards are picked by
-// address (Push) or round-robin (Append), so concurrent producers —
-// barrier flushes, parallel pause workers seeding the tracer — rarely
-// collide on the same shard lock.
-const qShards = 8
-
-// SharedAddrQueue is a sharded queue of address segments shared between
-// mutator flushes and collector threads. Appended slices are taken over
-// by the queue as whole segments (no copy); the caller must not append
-// to a slice after handing it over. Ordering across producers is not
+// SharedAddrQueue is a queue of address segments shared between mutator
+// flushes and collector threads, under one mutex. Appended slices are
+// taken over by the queue as whole segments (no copy); the caller must
+// not append to a slice after handing it over. Ordering is not
 // preserved — all consumers (tracer inbox, RC queues) are order-
-// insensitive.
+// insensitive. The count n is kept outside the lock, so Len and the
+// empty check take none.
 type SharedAddrQueue struct {
-	shards [qShards]qShard
-	rr     atomic.Uint32 // round-robin cursor for Append
-	n      atomic.Int64
-}
-
-type qShard struct {
 	mu   sync.Mutex
 	segs [][]mem.Address
 	cur  []mem.Address
-	_    [4]uint64 // pad against false sharing between shard locks
+	n    atomic.Int64
 }
 
 // Append hands a slice of addresses to the queue as one segment.
@@ -99,25 +88,23 @@ func (q *SharedAddrQueue) Append(as []mem.Address) {
 		return
 	}
 	q.n.Add(int64(len(as)))
-	sh := &q.shards[q.rr.Add(1)%qShards]
-	sh.mu.Lock()
-	sh.segs = append(sh.segs, as)
-	sh.mu.Unlock()
+	q.mu.Lock()
+	q.segs = append(q.segs, as)
+	q.mu.Unlock()
 }
 
-// Push adds one address, sharded by its value.
+// Push adds one address.
 func (q *SharedAddrQueue) Push(a mem.Address) {
 	q.n.Add(1)
-	sh := &q.shards[(uint64(a)>>mem.GranuleLog)%qShards]
-	sh.mu.Lock()
-	if len(sh.cur) == cap(sh.cur) {
-		if sh.cur != nil {
-			sh.segs = append(sh.segs, sh.cur)
+	q.mu.Lock()
+	if len(q.cur) == cap(q.cur) {
+		if q.cur != nil {
+			q.segs = append(q.segs, q.cur)
 		}
-		sh.cur = make([]mem.Address, 0, segSize)
+		q.cur = make([]mem.Address, 0, segSize)
 	}
-	sh.cur = append(sh.cur, a)
-	sh.mu.Unlock()
+	q.cur = append(q.cur, a)
+	q.mu.Unlock()
 }
 
 // Take removes and returns everything queued as one flat slice.
@@ -137,53 +124,35 @@ func (q *SharedAddrQueue) PopSeg() []mem.Address {
 	if q.n.Load() == 0 {
 		return nil
 	}
-	// Rotate the starting shard so a lone consumer does not drain (and
-	// lock) shard 0 preferentially while producers keep filling it.
-	start := q.rr.Add(1)
-	for i := 0; i < qShards; i++ {
-		sh := &q.shards[(start+uint32(i))%qShards]
-		sh.mu.Lock()
-		if n := len(sh.segs); n > 0 {
-			s := sh.segs[n-1]
-			sh.segs[n-1] = nil
-			sh.segs = sh.segs[:n-1]
-			sh.mu.Unlock()
-			q.n.Add(-int64(len(s)))
-			return s
-		}
-		if len(sh.cur) > 0 {
-			s := sh.cur
-			sh.cur = nil
-			sh.mu.Unlock()
-			q.n.Add(-int64(len(s)))
-			return s
-		}
-		sh.mu.Unlock()
+	q.mu.Lock()
+	var s []mem.Address
+	if n := len(q.segs); n > 0 {
+		s = q.segs[n-1]
+		q.segs[n-1] = nil
+		q.segs = q.segs[:n-1]
+	} else {
+		s, q.cur = q.cur, nil
 	}
-	return nil
+	q.mu.Unlock()
+	q.n.Add(-int64(len(s)))
+	return s
 }
 
 // TakeSegs removes and returns everything queued, segment-granular.
 func (q *SharedAddrQueue) TakeSegs() [][]mem.Address {
-	var out [][]mem.Address
-	for i := range q.shards {
-		sh := &q.shards[i]
-		sh.mu.Lock()
-		segs, cur := sh.segs, sh.cur
-		sh.segs, sh.cur = nil, nil
-		sh.mu.Unlock()
-		taken := 0
-		for _, s := range segs {
-			taken += len(s)
-			out = append(out, s)
-		}
-		if len(cur) > 0 {
-			taken += len(cur)
-			out = append(out, cur)
-		}
-		if taken > 0 {
-			q.n.Add(-int64(taken))
-		}
+	q.mu.Lock()
+	out, cur := q.segs, q.cur
+	q.segs, q.cur = nil, nil
+	q.mu.Unlock()
+	if len(cur) > 0 {
+		out = append(out, cur)
+	}
+	taken := 0
+	for _, s := range out {
+		taken += len(s)
+	}
+	if taken > 0 {
+		q.n.Add(-int64(taken))
 	}
 	return out
 }

@@ -1,17 +1,18 @@
-// Package gcwork provides the parallel collection machinery: a
-// persistent, lock-free work-stealing scheduler that drains dynamically
-// generated work (mark stacks, increment and decrement queues), a
-// dynamically load-balanced ParallelFor for static partitioning, and
-// segmented address buffers used by write barriers and RC queues.
+// Package gcwork provides the parallel collection machinery: a pool of
+// persistent workers that drains dynamically generated work (mark
+// stacks, increment and decrement queues), a dynamically load-balanced
+// ParallelFor for static partitioning, and segmented address buffers
+// used by write barriers and RC queues.
 //
 // LXR uses parallelism in every collection phase (§3.5); the same pool
-// drives the baseline collectors' parallel tracing and copying. The
-// scheduler is built for sub-millisecond pauses: worker goroutines are
-// created once per Pool and parked between phases (no goroutine spawn
-// inside a pause), work distribution uses per-worker Chase-Lev deques
-// (no mutex on any publish, pop or steal), and termination is detected
-// with atomic idle/epoch counters (no condition-variable broadcast
-// storm).
+// drives the baseline collectors' parallel tracing and copying. Worker
+// goroutines are created once per Pool and parked between phases, so no
+// goroutine is spawned inside a pause. Each worker runs from its own
+// local stack; past two chunks it publishes one on the pool's shared
+// chunk stack, where a worker with nothing left takes it. The shared
+// stack, the idle count and the done flag sit under one mutex, and idle
+// workers wait on a condition variable: a drain is over when the last
+// worker to run dry finds every other one already waiting.
 //
 // Between pauses the pool's workers are parked: concurrent collection
 // work (LXR's lazy decrements and SATB trace, the baselines' concurrent
@@ -30,17 +31,15 @@ package gcwork
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lxr/internal/mem"
 )
 
-// chunkSize is the work-stealing granularity: workers share work in
-// chunks of addresses, which also naturally partitions very large
+// chunkSize is the sharing granularity: workers share work in chunks of
+// addresses, which also naturally partitions very large
 // reference arrays (the scalability fix noted in §3.5).
 const chunkSize = 512
 
@@ -66,16 +65,16 @@ type Pool struct {
 	stopped bool
 
 	// runMu serialises phase dispatch (Drain/ParallelFor callers). It is
-	// never touched by workers: the publish/pop/steal hot paths inside a
-	// phase are mutex-free.
+	// never touched by workers.
 	runMu sync.Mutex
 
-	inj injector // phase seed segments
-
-	// Termination state for the drain in progress.
-	idle     atomic.Int32  // workers currently searching for work
-	pubEpoch atomic.Uint64 // bumped on every chunk publication
-	done     atomic.Bool   // drain-complete flag
+	// The drain in progress: its shared chunk stack, how many workers
+	// wait on cond for a chunk, and whether the drain is over.
+	mu     sync.Mutex
+	cond   sync.Cond // L is &mu
+	chunks [][]mem.Address
+	idle   int
+	done   bool
 
 	spawned atomic.Int64 // worker goroutines ever created (telemetry)
 }
@@ -129,32 +128,15 @@ type job struct {
 	// parallel-for
 	pf    func(worker, start, end int)
 	n     int
-	next  *atomic.Int64
+	next  atomic.Int64
 	chunk int
 
-	// First worker panic of the job, re-raised on the dispatching
-	// caller (panic containment).
-	panicMu    sync.Mutex
+	// First worker panic of the job, recorded under the pool's mu and
+	// re-raised on the dispatching caller (panic containment).
 	panicVal   any
 	panicStack []byte
 
-	wg *sync.WaitGroup
-}
-
-// recordPanic stores the first worker panic of the job.
-func (jb *job) recordPanic(v any, stack []byte) {
-	jb.panicMu.Lock()
-	if jb.panicVal == nil {
-		jb.panicVal, jb.panicStack = v, stack
-	}
-	jb.panicMu.Unlock()
-}
-
-// takePanic returns the recorded worker panic, if any.
-func (jb *job) takePanic() (any, []byte) {
-	jb.panicMu.Lock()
-	defer jb.panicMu.Unlock()
-	return jb.panicVal, jb.panicStack
+	wg sync.WaitGroup
 }
 
 // WorkerPanic wraps a panic that occurred on a pool worker goroutine.
@@ -184,9 +166,7 @@ func (e *WorkerPanic) String() string {
 type Worker struct {
 	ID    int
 	local []mem.Address
-	dq    deque
 	pool  *Pool
-	rng   uint64
 	// Scratch lets phases carry per-worker state (e.g. copy allocators).
 	// It is cleared when the phase ends.
 	Scratch any
@@ -195,8 +175,8 @@ type Worker struct {
 }
 
 // Push adds a work item for later processing. When the local stack grows
-// past two chunks, one chunk is published on the worker's own deque for
-// stealing.
+// past two chunks, its oldest chunk is published on the pool's shared
+// stack for an idle worker to take.
 func (w *Worker) Push(a mem.Address) {
 	w.local = append(w.local, a)
 	if len(w.local) >= 2*chunkSize {
@@ -208,8 +188,8 @@ func (w *Worker) Push(a mem.Address) {
 // this worker if nothing is pushed in between, so a processing function
 // can prefetch for it while it works on the item in hand. ok is false
 // when the local stack holds fewer than k items: the lookahead stops at
-// the stack's floor and never sees the worker's published chunks, the
-// injector or other workers' deques, whose next taker is not known.
+// the stack's floor and never sees the shared stack, whose next taker is
+// not known.
 func (w *Worker) Ahead(k int) (a mem.Address, ok bool) {
 	if n := len(w.local); k >= 1 && k <= n {
 		return w.local[n-k], true
@@ -217,19 +197,24 @@ func (w *Worker) Ahead(k int) (a mem.Address, ok bool) {
 	return mem.Nil, false
 }
 
-// publish moves the oldest chunkSize local items onto the worker's deque
-// and announces the publication to idle workers via the epoch counter.
+// publish moves the oldest chunkSize local items onto the shared stack
+// and wakes a waiting worker, if there is one.
 func (w *Worker) publish() {
-	c := make(chunk, chunkSize)
+	c := make([]mem.Address, chunkSize)
 	copy(c, w.local[:chunkSize])
 	w.local = append(w.local[:0], w.local[chunkSize:]...)
-	w.dq.push(&c)
-	w.pool.pubEpoch.Add(1)
+	p := w.pool
+	p.mu.Lock()
+	p.chunks = append(p.chunks, c)
+	if p.idle > 0 {
+		p.cond.Signal()
+	}
+	p.mu.Unlock()
 }
 
-// next returns the worker's next work item, acquiring more work from its
-// deque, the injector or other workers as needed. ok=false means the
-// whole drain has terminated.
+// next returns the worker's next work item, taking a chunk from the
+// shared stack when the local one is empty. ok=false means the whole
+// drain has terminated.
 func (w *Worker) next() (mem.Address, bool) {
 	for {
 		if n := len(w.local); n > 0 {
@@ -243,132 +228,48 @@ func (w *Worker) next() (mem.Address, bool) {
 	}
 }
 
-// acquire refills the local stack: own deque first, then a seed segment
-// from the injector, then stealing. When nothing is visible it enters
-// the idle protocol, returning false on global termination.
+// acquire refills the empty local stack with a chunk from the shared
+// one, waiting while other workers still run. It returns false when the
+// drain is over: the worker that finds the shared stack empty while
+// every other worker already waits ends it, since a worker only creates
+// work while it holds some.
 func (w *Worker) acquire() bool {
 	p := w.pool
-	for {
-		if c := w.dq.pop(); c != nil {
-			w.local = append(w.local, *c...)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.done {
+		if n := len(p.chunks); n > 0 {
+			w.local = append(w.local, p.chunks[n-1]...)
+			p.chunks[n-1] = nil
+			p.chunks = p.chunks[:n-1]
 			return true
 		}
-		if s := p.inj.pop(); s != nil {
-			w.local = append(w.local, s...)
-			return true
+		if p.idle == p.N-1 {
+			p.finish()
+			break
 		}
-		if w.stealOnce() {
-			return true
-		}
-		if !p.awaitWork() {
-			return false
-		}
-	}
-}
-
-// stealOnce sweeps the other workers' deques once, starting from a
-// random victim, and ingests the first chunk it wins.
-func (w *Worker) stealOnce() bool {
-	p := w.pool
-	n := len(p.workers)
-	if n < 2 {
-		return false
-	}
-	off := int(w.nextRand() % uint64(n))
-	for i := 0; i < n; i++ {
-		v := p.workers[(off+i)%n]
-		if v == w {
-			continue
-		}
-		for {
-			c, contended := v.dq.steal()
-			if c != nil {
-				w.local = append(w.local, *c...)
-				return true
-			}
-			if !contended {
-				break
-			}
-			// Lost the CAS to another thief: the victim may still hold
-			// work, retry it before moving on.
-		}
+		p.idle++
+		p.cond.Wait()
+		p.idle--
 	}
 	return false
 }
 
-// nextRand is a per-worker xorshift64 (steal-victim randomisation).
-func (w *Worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rng = x
-	return x
-}
-
-// idleSpinLimit bounds busy-waiting: beyond it idle workers sleep in
-// short quanta so an imbalanced phase does not burn a core per spinner.
-const idleSpinLimit = 128
-
-// awaitWork parks the calling worker in the idle protocol until either
-// new work becomes visible (true) or the drain terminates (false).
-//
-// Termination detection is lock-free: a worker that observes all
-// participating workers idle sweeps every deque and the injector; if
-// the sweep finds nothing, the idle count still reads the participant
-// count, and no chunk was published since the sweep began (the epoch
-// counter is unchanged), there can be no work anywhere — workers only
-// create work while non-idle — and the drain is declared complete.
-func (p *Pool) awaitWork() bool {
-	p.idle.Add(1)
-	spins := 0
-	n := int32(p.N)
-	for {
-		if p.done.Load() {
-			return false
-		}
-		if p.workVisible() {
-			p.idle.Add(-1)
-			return true
-		}
-		if p.idle.Load() == n {
-			e0 := p.pubEpoch.Load()
-			if !p.workVisible() && p.idle.Load() == n && p.pubEpoch.Load() == e0 {
-				p.done.Store(true)
-				return false
-			}
-		}
-		spins++
-		if spins < idleSpinLimit {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
-
-// workVisible reports whether any published work exists.
-func (p *Pool) workVisible() bool {
-	if !p.inj.empty() {
-		return true
-	}
-	for _, w := range p.workers {
-		if !w.dq.empty() {
-			return true
-		}
-	}
-	return false
+// finish ends the drain in progress and wakes every waiting worker.
+// The caller holds mu.
+func (p *Pool) finish() {
+	p.done = true
+	p.cond.Broadcast()
 }
 
 // start lazily creates the persistent workers.
 func (p *Pool) start() {
 	p.once.Do(func() {
+		p.cond.L = &p.mu
 		workers := make([]*Worker, p.N)
 		p.wake = make([]chan *job, p.N)
 		for i := 0; i < p.N; i++ {
-			w := &Worker{ID: i, pool: p, rng: uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
-			w.dq.init()
-			workers[i] = w
+			workers[i] = &Worker{ID: i, pool: p}
 			p.wake[i] = make(chan *job, 1)
 		}
 		p.workers = workers
@@ -407,13 +308,19 @@ func (p *Pool) workerLoop(w *Worker, wake chan *job) {
 
 // runJob executes one activation with panic containment: a panic in the
 // processing function is recorded on the job (for the dispatcher to
-// re-raise), the phase's termination flag is raised so sibling workers
-// stop promptly, and this worker's abandoned local work is dropped.
+// re-raise), the drain is ended so sibling workers stop once their
+// local stacks are empty, and this worker's abandoned local work is
+// dropped.
 func (p *Pool) runJob(w *Worker, jb *job) {
 	defer func() {
 		if r := recover(); r != nil {
-			jb.recordPanic(r, debug.Stack())
-			p.done.Store(true)
+			stack := debug.Stack()
+			p.mu.Lock()
+			if jb.panicVal == nil {
+				jb.panicVal, jb.panicStack = r, stack
+			}
+			p.finish()
+			p.mu.Unlock()
 			w.local = w.local[:0]
 			w.Scratch = nil
 		}
@@ -464,44 +371,30 @@ func (w *Worker) runFor(jb *job) {
 	w.pauseItems.Add(items)
 }
 
-// scavenge drops every unprocessed address left in worker locals,
-// worker deques and the injector. It must only run while all workers
-// are parked (after the phase's WaitGroup has been waited on), when no
-// concurrent deque operations are possible.
-func (p *Pool) scavenge() {
-	for _, w := range p.workers {
-		w.local = w.local[:0]
-		for w.dq.pop() != nil {
-		}
-	}
-	for p.inj.pop() != nil {
-	}
-}
-
-// dispatch resets per-phase termination state, seeds the injector and
-// wakes every worker with jb.
-func (p *Pool) dispatch(jb *job, segs [][]mem.Address) {
-	p.done.Store(false)
-	p.idle.Store(0)
+// run resets the drain state, seeds the shared stack with zero-copy
+// chunk views of segs, runs jb on every worker and re-raises the first
+// worker panic. Chunks a panicked phase abandoned are dropped here.
+func (p *Pool) run(jb *job, segs [][]mem.Address) {
+	p.start()
+	p.runMu.Lock()
+	defer p.runMu.Unlock()
+	p.mu.Lock()
+	clear(p.chunks)
+	p.chunks, p.idle, p.done = p.chunks[:0], 0, false
 	for _, s := range segs {
 		for i := 0; i < len(s); i += chunkSize {
 			end := min(i+chunkSize, len(s))
-			p.inj.push(s[i:end:end])
+			p.chunks = append(p.chunks, s[i:end:end])
 		}
 	}
+	p.mu.Unlock()
 	jb.wg.Add(p.N)
 	for i := 0; i < p.N; i++ {
 		p.wake[i] <- jb
 	}
-}
-
-// rethrowWorkerPanic propagates a contained worker panic to the
-// dispatching caller. Abandoned work is scavenged first so the pool's
-// structures are empty when the next phase starts.
-func (p *Pool) rethrowWorkerPanic(jb *job) {
-	if v, stack := jb.takePanic(); v != nil {
-		p.scavenge()
-		panic(&WorkerPanic{Value: v, Stack: stack})
+	jb.wg.Wait()
+	if jb.panicVal != nil {
+		panic(&WorkerPanic{Value: jb.panicVal, Stack: jb.panicStack})
 	}
 }
 
@@ -520,18 +413,11 @@ func (p *Pool) Drain(seed []mem.Address, setup func(w *Worker), f func(w *Worker
 }
 
 // DrainSegs is Drain with segment-granular seed injection: each segment
-// is handed to the scheduler as-is (split into steal-granularity views —
-// no flattening copy), so address buffers and shared queues can pass
+// is handed to the scheduler as-is (split into chunk-sized views — no
+// flattening copy), so address buffers and shared queues can pass
 // their internal segments straight through.
 func (p *Pool) DrainSegs(segs [][]mem.Address, setup func(w *Worker), f func(w *Worker, a mem.Address), teardown func(w *Worker)) {
-	p.start()
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	var wg sync.WaitGroup
-	jb := &job{setup: setup, f: f, teardown: teardown, wg: &wg}
-	p.dispatch(jb, segs)
-	wg.Wait()
-	p.rethrowWorkerPanic(jb)
+	p.run(&job{setup: setup, f: f, teardown: teardown}, segs)
 }
 
 // ParallelFor runs f over [0, n) split into contiguous ranges across the
@@ -544,20 +430,5 @@ func (p *Pool) ParallelFor(n int, f func(worker, start, end int)) {
 	if n <= 0 {
 		return
 	}
-	p.start()
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	chunk := n / (4 * p.N)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	jb := &job{pf: f, n: n, next: &next, chunk: chunk, wg: &wg}
-	wg.Add(p.N)
-	for i := 0; i < p.N; i++ {
-		p.wake[i] <- jb
-	}
-	wg.Wait()
-	p.rethrowWorkerPanic(jb)
+	p.run(&job{pf: f, n: n, chunk: max(n/(4*p.N), 1)}, nil)
 }

@@ -115,9 +115,9 @@ func TestPoolWorkersPersistAcrossPhases(t *testing.T) {
 	}
 }
 
-// TestDrainStressPushStorm exercises the lock-free publish/steal paths
-// under -race: a deep, bushy work graph forces constant publication and
-// stealing while every worker's local stack churns.
+// TestDrainStressPushStorm exercises publishing and taking chunks under
+// -race: a deep, bushy work graph keeps every worker's local stack
+// churning and the shared stack constantly fed and drained.
 func TestDrainStressPushStorm(t *testing.T) {
 	p := gcwork.NewPool(8)
 	defer p.Stop()
@@ -163,8 +163,8 @@ func TestDrainSegsSegmentInjection(t *testing.T) {
 	}
 }
 
-// TestSharedAddrQueueConcurrent hammers the sharded queue from many
-// producers while a consumer drains, verifying nothing is lost.
+// TestSharedAddrQueueConcurrent hammers the queue from many producers
+// while a consumer drains, verifying nothing is lost.
 func TestSharedAddrQueueConcurrent(t *testing.T) {
 	var q gcwork.SharedAddrQueue
 	const producers = 8
@@ -219,10 +219,10 @@ func benchSeeds() []mem.Address {
 	return s
 }
 
-// BenchmarkDrain compares the persistent lock-free scheduler ("new")
-// against the seed implementation ("legacy": per-Drain goroutine spawn,
-// one mutex+cond-guarded global chunk stack) on an identical transitive
-// workload.
+// BenchmarkDrain compares the pool ("new") against the first
+// implementation ("legacy") on an identical transitive workload. Both
+// share work through one mutex-and-cond chunk stack; legacy spawns its
+// workers on every drain and copies every seed chunk.
 func BenchmarkDrain(b *testing.B) {
 	b.Run("new", func(b *testing.B) {
 		p := gcwork.NewPool(4)
@@ -256,10 +256,9 @@ func BenchmarkDrain(b *testing.B) {
 }
 
 // BenchmarkDrainFanOut isolates work-distribution cost: a large flat
-// seed with a trivial body, so chunk hand-off (seed splitting, publish,
-// steal) dominates. The legacy implementation copies every seed chunk
-// and serialises all hand-offs through one mutex+cond; the new
-// scheduler injects zero-copy seed views and steals lock-free.
+// seed with a trivial body, so chunk hand-off dominates. The legacy
+// implementation copies every seed chunk; the pool seeds its stack with
+// zero-copy views.
 func BenchmarkDrainFanOut(b *testing.B) {
 	seeds := make([]mem.Address, 1<<16)
 	for i := range seeds {
@@ -284,7 +283,8 @@ func BenchmarkDrainFanOut(b *testing.B) {
 
 // BenchmarkDrainEmpty measures pure per-phase dispatch overhead — the
 // cost a pause pays for every one of its parallel phases even when a
-// phase has little work (dozens of these run inside each STW pause).
+// phase has little work (dozens of these run inside each STW pause):
+// waking parked workers against spawning fresh ones.
 func BenchmarkDrainEmpty(b *testing.B) {
 	b.Run("new", func(b *testing.B) {
 		p := gcwork.NewPool(4)

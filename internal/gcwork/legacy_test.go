@@ -1,9 +1,10 @@
 package gcwork_test
 
-// legacyPool is a trimmed copy of the seed's gcwork implementation — a
-// per-Drain goroutine spawn with one mutex+cond-guarded global chunk
-// stack — kept test-side only, as the baseline for BenchmarkDrain's
-// old-vs-new comparison.
+// legacyPool is a trimmed copy of the first gcwork implementation, kept
+// test-side only as the baseline for BenchmarkDrain's old-vs-new
+// comparison. It shares work the way the pool does, through one
+// mutex-and-cond chunk stack; it differs in spawning its workers on
+// every drain and in copying every seed chunk.
 
 import (
 	"sync"

@@ -98,7 +98,7 @@ func (t *Tracer) alreadyMarked(ref obj.Ref) bool {
 }
 
 // visit marks ref (subject to Filter) and queues its reference slots:
-// on w's deque when a pool worker runs it (DrainParallel),
+// on w's local stack when a pool worker runs it (DrainParallel),
 // on the owner's stack when w is nil (Step). It is safe on several
 // workers at once when the hooks are: TrySet decides which of two
 // racing visits scans the object.
