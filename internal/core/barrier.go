@@ -176,7 +176,7 @@ func (p *LXR) pollTrigger(m *vm.Mutator, ms *mutState) {
 
 // PollSafepoint implements vm.Plan: the RC trigger fast path (see
 // pollTrigger). The pacer folds the survival-rate trigger into a single
-// allocation-budget comparison (policy.RCPacer.AllocLimit).
+// allocation-budget comparison (policy.RCPacer.Due).
 func (p *LXR) PollSafepoint(m *vm.Mutator) {
 	if ms, ok := m.PlanState.(*mutState); ok {
 		p.pollTrigger(m, ms)

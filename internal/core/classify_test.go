@@ -14,7 +14,7 @@ func classifyBlockRef(rc *meta.RCTable, idx int) blockClass {
 	base := idx * mem.LinesPerBlock
 	free, used := 0, 0
 	for l := base; l < base+mem.LinesPerBlock; l++ {
-		if rc.LineFree(l) {
+		if rc.LineWord(l) == 0 {
 			free++
 		} else {
 			used++

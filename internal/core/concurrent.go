@@ -184,22 +184,25 @@ func (c *concurrent) sweepBlocks() {
 }
 
 // drainDecs applies up to decChunk decrements, recursive ones first, on
-// the driver goroutine itself.
+// the driver goroutine itself, prefetching for the item PrefetchAhead
+// pops ahead on the stack it pops from (DESIGN.md, "Lookahead prefetch").
 func (c *concurrent) drainDecs() {
 	p := c.p
-	for i := 0; i < decChunk; i++ {
-		var ref obj.Ref
-		if n := len(c.recStack); n > 0 {
-			ref = obj.Ref(c.recStack[n-1])
-			c.recStack = c.recStack[:n-1]
-		} else if n := len(c.pendingDecs); n > 0 {
-			ref = obj.Ref(c.pendingDecs[n-1])
-			c.pendingDecs = c.pendingDecs[:n-1]
-		} else {
-			break
+	var t decTally
+	push := func(child obj.Ref) { c.recStack = append(c.recStack, child) }
+	record := func(b int) { c.touched[b] = struct{}{} }
+	for i := 0; i < decChunk && c.hasPendingDecs(); i++ {
+		stack := &c.recStack
+		if len(*stack) == 0 {
+			stack = &c.pendingDecs
 		}
-		p.applyDec(true, ref,
-			func(child obj.Ref) { c.recStack = append(c.recStack, child) },
-			func(b int) { c.touched[b] = struct{}{} })
+		n := len(*stack) - 1
+		ref := obj.Ref((*stack)[n])
+		*stack = (*stack)[:n]
+		if n >= gcwork.PrefetchAhead {
+			p.prefetchDec((*stack)[n-gcwork.PrefetchAhead])
+		}
+		p.applyDec(true, ref, &t, push, record)
 	}
+	p.addDecTally(&t)
 }

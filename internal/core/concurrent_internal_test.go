@@ -55,7 +55,7 @@ func TestDriverDeathScanHoldsItsLine(t *testing.T) {
 	p.rc.Set(child, 1)
 
 	var scanned []obj.Ref
-	p.applyDec(true, dying, func(c obj.Ref) {
+	p.applyDec(true, dying, &decTally{}, func(c obj.Ref) {
 		if w := p.rc.LineWord(dying.Line()); w == 0 {
 			t.Errorf("the dying object's line reads free while its death scan is still running")
 		}

@@ -7,6 +7,15 @@ import (
 	"lxr/internal/obj"
 )
 
+// decTally counts a drain's decrements and deaths; it reaches the shared
+// counters once per driver quantum or pause worker.
+type decTally struct{ decs, deaths int64 }
+
+func (p *LXR) addDecTally(t *decTally) {
+	p.ctr.decrements.Add(t.decs)
+	p.ctr.deadOld.Add(t.deaths)
+}
+
 // decDeath handles an object whose last reference is gone: it upholds
 // the SATB interruption invariant (never delete an unmarked object while
 // a trace is underway — mark and scan it first, §3.2.2), pushes
@@ -15,20 +24,18 @@ import (
 // reads free only once the scan is over. pushRec receives child
 // references; record receives the touched block.
 func (p *LXR) decDeath(ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
-	p.ctr.deadOld.Add(1)
-	if p.satbActive.Load() && !p.marks.Get(ref) {
+	// Seeds go into the SATB trace before the memory can be reclaimed,
+	// through the tracer's thread-safe inbox, so both the concurrent
+	// thread and in-pause parallel workers may use this.
+	seed := p.satbActive.Load() && !p.marks.Get(ref)
+	if seed {
 		p.marks.Set(ref)
-		// Scan into the SATB trace before the memory can be reclaimed;
-		// seeds go through the tracer's thread-safe inbox so both the
-		// concurrent thread and in-pause parallel workers may use this.
-		p.om.EachSlot(ref, func(_ int, _ mem.Address, v obj.Ref) {
-			if !v.IsNil() {
-				p.tracer.SeedOne(v)
-			}
-		})
 	}
 	p.om.EachSlot(ref, func(_ int, _ mem.Address, v obj.Ref) {
 		if !v.IsNil() {
+			if seed {
+				p.tracer.SeedOne(v)
+			}
 			pushRec(v)
 		}
 	})
@@ -41,74 +48,78 @@ func (p *LXR) decDeath(ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
 	record(ref.Block())
 }
 
-// applyDec applies one decrement (following forwarding installed by
-// evacuation) and performs death processing on a 1→0 transition.
+// applyDec applies one decrement and performs death processing on a
+// 1→0 transition. The count is read first: a stuck count, and a 2 on the
+// driver, decide without the header (DESIGN.md, "Metadata before memory").
 //
 // onDriver is true only on the concurrent driver. There, mutators
 // allocate alongside: a count that read 0 before the death scan would
 // let an allocator take the line, zero it and allocate over the dying
 // object, whose scan would then decrement the new object's live
 // referents. Outside pauses the driver is the only decrementer
-// (increments happen only in pauses), so it tests the count and leaves
-// a last count of 1 for decDeath to clear after the scan. Pause workers
-// decrement concurrently with each other, so they take the atomic 1→0;
-// no allocator runs in a pause.
-func (p *LXR) applyDec(onDriver bool, ref obj.Ref, pushRec func(obj.Ref), record func(int)) {
+// (increments happen only in pauses), so the count it reads is the
+// count it changes, and it leaves a last count of 1 for decDeath to
+// clear after the scan. Pause workers decrement concurrently with each
+// other, so they take the atomic 1→0; no allocator runs in a pause.
+func (p *LXR) applyDec(onDriver bool, ref obj.Ref, t *decTally, pushRec func(obj.Ref), record func(int)) {
 	if !p.plausibleRef(ref) {
-		p.ctr.skip.Add(1)
+		p.skipDec(ref, -1)
 		return
 	}
-	ref = p.om.Resolve(ref)
-	if !p.saneRef(ref) {
-		p.ctr.skip.Add(1)
+	rc := p.rc.Get(ref)
+	if rc == 0 {
+		ref = p.om.Resolve(ref)
+		rc = p.rc.Get(ref)
+	}
+	if (verifyEnabled || rc < 2 || rc == 2 && !onDriver) && !p.saneRef(ref) {
+		p.skipDec(ref, int(rc))
 		return
 	}
-	p.ctr.decrements.Add(1)
-	if onDriver && p.rc.Get(ref) == 1 || p.rc.Dec(ref) == 1 {
+	t.decs++
+	if onDriver && rc == 1 || p.rc.Dec(ref) == 1 {
+		t.deaths++
 		p.decDeath(ref, pushRec, record)
 	}
 }
 
-// processDecsInPause drains a decrement batch with the parallel worker
-// pool (used by the -LD ablation, where every pause drains its own
-// batch).
-func (p *LXR) processDecsInPause(decs []mem.Address) {
-	if len(decs) == 0 {
-		return
+// prefetchDec hints the header of a queued decrement that may be a death.
+func (p *LXR) prefetchDec(a mem.Address) {
+	if r := obj.Ref(a); p.plausibleRef(r) && p.rc.Get(r) <= 1 {
+		p.om.A.Prefetch(a)
 	}
-	p.processDecWork([][]mem.Address{decs}, nil)
 }
 
 // processDecWork finishes decrement work inside a pause, segment-granular
-// across all N pause workers. Each worker records touched blocks in its
+// across all N pause workers, each prefetching for the item a few pops
+// ahead as drainDecs does. Each worker records touched blocks in its
 // own slot of a per-worker array (worker IDs are stable), so the merge
 // needs no lock. seedTouched carries blocks the concurrent driver's
 // partially completed batches had already touched; they are released
-// here together with the blocks this drain touches.
+// here together with the blocks this drain touches (once released, a
+// block is no longer Full, so one met twice is released once).
 func (p *LXR) processDecWork(segs [][]mem.Address, seedTouched []int) {
 	perWorker := make([]map[int]struct{}, p.pool.N)
 	if len(segs) > 0 {
 		p.pool.DrainSegs(segs, func(w *gcwork.Worker) {
 			perWorker[w.ID] = map[int]struct{}{}
-			w.Scratch = perWorker[w.ID]
+			w.Scratch = &decTally{}
 		}, func(w *gcwork.Worker, a mem.Address) {
-			local := w.Scratch.(map[int]struct{})
-			p.applyDec(false, obj.Ref(a),
+			if next, ok := w.Ahead(gcwork.PrefetchAhead); ok {
+				p.prefetchDec(next)
+			}
+			local := perWorker[w.ID]
+			p.applyDec(false, obj.Ref(a), w.Scratch.(*decTally),
 				func(c obj.Ref) { w.Push(c) },
 				func(b int) { local[b] = struct{}{} })
-		}, nil)
+		}, func(w *gcwork.Worker) { p.addDecTally(w.Scratch.(*decTally)) })
 	}
-	touched := map[int]struct{}{}
 	for _, b := range seedTouched {
-		touched[b] = struct{}{}
+		p.maybeReleaseAfterDecs(b)
 	}
 	for _, m := range perWorker {
 		for b := range m {
-			touched[b] = struct{}{}
+			p.maybeReleaseAfterDecs(b)
 		}
-	}
-	for b := range touched {
-		p.maybeReleaseAfterDecs(b)
 	}
 }
 

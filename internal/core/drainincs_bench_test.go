@@ -10,9 +10,10 @@ import (
 	"lxr/internal/vm"
 )
 
-// This file uses nothing newer than drainIncrements' signature, so the
-// parent's column of a before/after table comes from dropping it into
-// the parent tree unchanged (EXPERIMENTS.md, "Metadata before memory").
+// This file uses nothing newer than drainIncrements' and the driver's
+// drainDecs' signatures, so the parent's column of a before/after table
+// comes from dropping it into the parent tree unchanged (EXPERIMENTS.md,
+// "Metadata before memory").
 
 // incFields is how many logged fields an incHeap seeds the drain with.
 const incFields = 60000
@@ -25,8 +26,9 @@ const incFields = 60000
 // otherwise in blocks the allocator does not call young, so that each is
 // promoted in place as batch-mutate's survivors are; and 60000 logged
 // fields of mature objects rewired at random, of which the given share
-// now point at young objects.
-func incHeap(youngShare float64, evac bool) (*LXR, *vm.VM, [][]mem.Address) {
+// now point at young objects. It returns the mature objects too, in
+// address order.
+func incHeap(youngShare float64, evac bool) (*LXR, *vm.VM, [][]mem.Address, []obj.Ref) {
 	const (
 		matures = 40000
 		youngs  = 20000
@@ -80,7 +82,7 @@ func incHeap(youngShare float64, evac bool) (*LXR, *vm.VM, [][]mem.Address) {
 			seg = make([]mem.Address, 0, 1024)
 		}
 	}
-	return p, v, append(segs, seg)
+	return p, v, append(segs, seg), mature
 }
 
 // evict streams through a buffer larger than the private caches, as the
@@ -119,7 +121,7 @@ func BenchmarkDrainIncrements(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p, v, segs := incHeap(bc.young, bc.evac)
+				p, v, segs, _ := incHeap(bc.young, bc.evac)
 				benchSink += evict()
 				b.StartTimer()
 				p.drainIncrements(segs)
@@ -127,6 +129,80 @@ func BenchmarkDrainIncrements(b *testing.B) {
 				v.Shutdown()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*incFields), "ns/field")
+		})
+	}
+}
+
+// decN is how many decrements a decHeap seeds the driver's drain with.
+const decN = 30000
+
+// decHeap is incHeap's heap readied for a decrement batch: its first
+// 10000 mature objects are stuck, and the other 30000, in random order,
+// are the batch's targets. Each target is stuck, at 2, or at 1 with one
+// stuck child, in the given shares.
+func decHeap(stuck, two float64) (*LXR, *vm.VM, []mem.Address) {
+	p, v, _, mature := incHeap(0, false)
+	r := rand.New(rand.NewSource(2))
+	children, targets := mature[:len(mature)-decN], mature[len(mature)-decN:]
+	for _, c := range children {
+		p.rc.Set(c, 3)
+	}
+	decs := make([]mem.Address, 0, decN)
+	for _, i := range r.Perm(decN) {
+		x := targets[i]
+		switch f := r.Float64(); {
+		case f < stuck:
+			p.rc.Set(x, 3)
+		case f < stuck+two:
+			p.rc.Set(x, 2)
+		default:
+			p.rc.Set(x, 1)
+			for s := 1; s < 3; s++ {
+				p.om.StoreSlot(x, s, 0)
+			}
+			p.om.StoreSlot(x, 0, children[r.Intn(len(children))])
+		}
+		decs = append(decs, x)
+	}
+	return p, v, decs
+}
+
+// BenchmarkDrainDecrements reports the concurrent driver's decrement
+// drain's cost per seeded decrement on a cold heap, in drainDecs quanta:
+// on stuck counts, on counts of 2, on deaths (each with one child, whose
+// stuck count takes the recursive decrement), and on the two listed
+// workloads' mixes as counted on 10 s runs — batch-mutate's decrements
+// read 89.5 % stuck counts, 4.5 % counts of 2 and 6 % last counts;
+// serve-aging's are all but 0.1 % deaths. A death consumes its target,
+// so every iteration builds a fresh heap with the timer stopped: run it
+// with a fixed count (-benchtime 20x), and at -cpu 1 for the spread.
+func BenchmarkDrainDecrements(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		stuck, two float64
+	}{
+		{"stuck", 1, 0},
+		{"count-2", 0, 1},
+		{"death", 0, 0},
+		{"batch-mutate", 0.895, 0.045},
+		{"serve-aging", 0, 0.001},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, v, decs := decHeap(bc.stuck, bc.two)
+				p.conc.quiesce()
+				p.conc.pendingDecs = decs
+				benchSink += evict()
+				b.StartTimer()
+				for p.conc.hasPendingDecs() {
+					p.conc.drainDecs()
+				}
+				b.StopTimer()
+				p.conc.release()
+				v.Shutdown()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*decN), "ns/dec")
 		})
 	}
 }

@@ -282,12 +282,12 @@ func (p *LXR) pausePipeline(cause string) string {
 	ev.Phase(trace.NamePacer, ph)
 
 	// 9. Hand decrements over: lazily to the concurrent thread, or — for
-	// the -LD ablation — processed right here (which makes every pause a
-	// decrement pause for attribution purposes).
+	// the -LD ablation — processed right here by the pause workers (which
+	// makes every pause a decrement pause for attribution purposes).
 	ph = time.Now()
 	if p.cfg.NoLazyDecrements {
 		hadDec = true
-		p.processDecsInPause(decs)
+		p.processDecWork([][]mem.Address{decs}, nil)
 	} else {
 		p.conc.submitDecs(decs)
 	}

@@ -109,3 +109,12 @@ func (p *LXR) saneRef(v obj.Ref) bool {
 	}
 	return true
 }
+
+// skipDec counts a decrement whose target is implausible (rc -1: no
+// count read) or has no sane header; under LXR_VERIFY it panics.
+func (p *LXR) skipDec(ref obj.Ref, rc int) {
+	if verifyEnabled {
+		panic(fmt.Sprintf("lxr verify epoch %d: decrement of %x (rc %d) names no object", p.epoch.Load(), uint64(ref), rc))
+	}
+	p.ctr.skip.Add(1)
+}

@@ -75,9 +75,6 @@ func (t *FieldLogTable) FinishLog(slot mem.Address) { t.set(slot, LogLogged) }
 // CAS. G1 and Immix+WB call it; LXR's pauses arm by the word (ArmWord).
 func (t *FieldLogTable) SetUnlogged(slot mem.Address) { t.set(slot, LogUnlogged) }
 
-// SetLogged forces the Logged state: ClearRange's reference model.
-func (t *FieldLogTable) SetLogged(slot mem.Address) { t.set(slot, LogLogged) }
-
 func (t *FieldLogTable) set(slot mem.Address, v uint32) {
 	w, s := flIndex(slot)
 	for {

@@ -101,9 +101,6 @@ func (t *RCTable) LineWord(idx int) uint32 {
 	return atomic.LoadUint32(&t.words[idx])
 }
 
-// LineFree reports whether global line idx holds no counted objects.
-func (t *RCTable) LineFree(idx int) bool { return t.LineWord(idx) == 0 }
-
 // ClearRange zeroes the counts of every granule in [start, end). This
 // is the span-reset path of every bump allocation span, so it goes a
 // word at a time (clearPairs) rather than up to 2048 CAS loops a block.

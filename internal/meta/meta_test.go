@@ -67,15 +67,15 @@ func TestRCNeighbouringGranulesIndependent(t *testing.T) {
 func TestRCLineWordIsLineFreeness(t *testing.T) {
 	rc := meta.NewRCTable(arena())
 	line := 100
-	if !rc.LineFree(line) {
+	if rc.LineWord(line) != 0 {
 		t.Fatal("fresh line not free")
 	}
 	rc.Inc(mem.LineStart(line) + 7*mem.Granule)
-	if rc.LineFree(line) {
+	if rc.LineWord(line) == 0 {
 		t.Fatal("line with a count must not be free")
 	}
 	rc.ClearRange(mem.LineStart(line), mem.LineStart(line+1))
-	if !rc.LineFree(line) {
+	if rc.LineWord(line) != 0 {
 		t.Fatal("cleared line must be free")
 	}
 }

@@ -112,7 +112,7 @@ func TestFieldLogClearRangeMatchesScalar(t *testing.T) {
 		s, e := randRange(r, lo, hi, mem.WordSize)
 		fast.ClearRange(s, e)
 		for a := s; a < e; a += mem.WordSize {
-			slow.SetLogged(a)
+			slow.FinishLog(a)
 		}
 		for a := lo; a < hi; a += mem.WordSize {
 			if f, w := fast.Get(a), slow.Get(a); f != w {
@@ -286,8 +286,8 @@ func TestRCFreeLineBitsMatchesLineFree(t *testing.T) {
 		rc.FreeLineBits(firstLine, &bm)
 		for l := 0; l < mem.LinesPerBlock; l++ {
 			got := bm[l/32]&(1<<uint(l%32)) != 0
-			if want := rc.LineFree(firstLine + l); got != want {
-				t.Fatalf("trial %d line %d: bitmap %v, LineFree %v", trial, l, got, want)
+			if want := rc.LineWord(firstLine+l) == 0; got != want {
+				t.Fatalf("trial %d line %d: bitmap %v, line word zero %v", trial, l, got, want)
 			}
 		}
 	}

@@ -149,19 +149,9 @@ func (m Model) PayloadAddr(ref Ref) mem.Address {
 	return ref + HeaderBytes + mem.Address(m.NumRefs(ref))*mem.WordSize
 }
 
-// PayloadBytes returns the payload size in bytes.
-func (m Model) PayloadBytes(ref Ref) int {
-	return m.Size(ref) - HeaderBytes - m.NumRefs(ref)*mem.WordSize
-}
-
 // End returns the address one past the last byte of the object.
 func (m Model) End(ref Ref) mem.Address {
 	return ref + mem.Address(m.Size(ref))
-}
-
-// Straddles reports whether the object spans more than one line.
-func (m Model) Straddles(ref Ref) bool {
-	return (m.End(ref) - 1).Line() != ref.Line()
 }
 
 // EachSlot invokes f with (slotIndex, slotAddr, value) for every

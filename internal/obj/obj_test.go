@@ -54,8 +54,8 @@ func TestSlotsAndPayloadDisjoint(t *testing.T) {
 	if m.LoadSlot(ref, 0) != 0x100 || m.LoadSlot(ref, 1) != 0x200 {
 		t.Fatal("slot round trip failed")
 	}
-	if m.PayloadBytes(ref) != 16 {
-		t.Fatalf("payload bytes %d", m.PayloadBytes(ref))
+	if pb := m.Size(ref) - obj.HeaderBytes - m.NumRefs(ref)*mem.WordSize; pb != 16 {
+		t.Fatalf("payload bytes %d", pb)
 	}
 }
 
@@ -145,15 +145,16 @@ func TestCopyToPreservesContentClearsForwarding(t *testing.T) {
 
 func TestStraddles(t *testing.T) {
 	m := model()
+	straddles := func(r obj.Ref) bool { return (m.End(r) - 1).Line() != r.Line() }
 	base := mem.BlockStart(1)
 	small := base
 	m.WriteHeader(small, obj.Layout{Size: 32})
-	if m.Straddles(small) {
+	if straddles(small) {
 		t.Fatal("32B at line start must not straddle")
 	}
 	atEnd := base + (mem.LineSize - 16)
 	m.WriteHeader(atEnd, obj.Layout{Size: 32})
-	if !m.Straddles(atEnd) {
+	if !straddles(atEnd) {
 		t.Fatal("object crossing a line boundary must straddle")
 	}
 }

@@ -71,10 +71,6 @@ func NewRCPacer(cfg RCPacerConfig) *RCPacer {
 	return p
 }
 
-// AllocLimit returns the current epoch allocation budget in bytes (the
-// value Due compares allocBytes against) — exposed for tests.
-func (p *RCPacer) AllocLimit() int64 { return p.allocLimit.Load() }
-
 // Due reports whether an RC pause is due: the epoch's allocation volume
 // has reached the survival-predicted budget.
 func (p *RCPacer) Due(allocBytes int64) bool {

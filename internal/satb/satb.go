@@ -41,9 +41,6 @@ type Tracer struct {
 // Begin starts a new trace epoch. Mark bits must already be clear.
 func (t *Tracer) Begin() { t.active = true }
 
-// Active reports whether a trace epoch is underway.
-func (t *Tracer) Active() bool { return t.active }
-
 // Seed enqueues snapshot references (roots captured at the trace-start
 // pause, or overwritten values captured by the write barrier). Safe to
 // call from pauses while the tracer thread is quiescent, or from the
