@@ -657,13 +657,3 @@ func (d *g1Marker) Quantum() {
 func (d *g1Marker) OnRelease() { d.idle.Store(false) }
 
 const traceQuantum = 4096
-
-// PausesYoung returns young pause count (telemetry).
-func (p *G1) PausesYoung() int64 { return p.pausesYoung }
-
-// PausesMixed returns mixed pause count (telemetry).
-func (p *G1) PausesMixed() int64 { return p.pausesMixed }
-
-// EvacFailures returns how many objects were promoted in place because
-// the evacuation copy space was exhausted (telemetry).
-func (p *G1) EvacFailures() int64 { return p.evacFailures.Load() }

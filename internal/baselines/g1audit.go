@@ -20,14 +20,6 @@ import (
 // SetG1AuditForTest. The cost is a full heap walk per mixed pause.
 var g1AuditEnabled = os.Getenv("LXR_VERIFY") != ""
 
-// SetG1AuditForTest toggles the mixed-collection audit independently of
-// the environment (test instrumentation).
-func SetG1AuditForTest(on bool) { g1AuditEnabled = on }
-
-// MixedAudits reports how many mixed pauses ran the evacuation audit,
-// so tests can assert the property was actually exercised.
-func (p *G1) MixedAudits() int64 { return p.mixedAudits.Load() }
-
 // auditMixedEvacuation runs inside a mixed pause, with the world
 // stopped, after the evacuation drain and the tracer's ResolvePending
 // and before the region-free loop. It asserts the remset-driven

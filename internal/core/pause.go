@@ -356,14 +356,19 @@ var testDoubleAllocHook func(p *LXR, src, dst obj.Ref, oldRC uint32, al *immix.A
 
 // --- increment processing -----------------------------------------------------
 
+// promoRing is how many promotions an increment drain worker keeps in flight.
+const promoRing = 8
+
 // incScratch is one pause worker's private state for the increment
 // drain: its survivor copy allocator (young evacuation needs no lock)
 // and the epoch's promotion tallies, which reach the shared cells once
 // per worker at teardown instead of once per promoted object.
 type incScratch struct {
 	alloc            immix.Allocator
-	survived, copied int64 // young bytes surviving, and the share of them evacuated
-	promoted, stuck  int64 // objects promoted; counts pinned at the maximum
+	ring             [promoRing]struct{ slot, val mem.Address } // promotions in flight: heap slots whose targets read count 0
+	head, queued     int                                        // the oldest ring entry, and how many there are
+	survived, copied int64                                      // young bytes surviving, and the share of them evacuated
+	promoted, stuck  int64                                      // objects promoted; counts pinned at the maximum
 }
 
 func (sc *incScratch) noteStuck(old uint32) {
@@ -388,9 +393,13 @@ func (p *LXR) forwardingLive() bool {
 // or rootTag-tagged root indices.
 //
 // The drain is a chain of dependent misses into a heap the mutator has
-// just streamed through — slot, then the target's count — so each item
-// first prefetches the slot of the item a few pops ahead on the
-// worker's stack (a root index is no arena address and is ignored).
+// just streamed through — slot, the target's count, a promotion's header
+// — so each item first prefetches the slot of the item a few pops ahead
+// on the worker's stack (a root index is no arena address and is
+// ignored), and a heap slot whose target's count reads 0 waits in the
+// worker's ring behind a prefetch of that header (DESIGN.md, "Lookahead
+// prefetch"). The ring empties whenever the local stack does, so no
+// worker looks for shared work, idles or ends with a promotion queued.
 func (p *LXR) drainIncrements(segs [][]mem.Address) {
 	seeded := int64(0)
 	for _, s := range segs {
@@ -406,41 +415,18 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 				p.om.A.Prefetch(a)
 			}
 			sc := w.Scratch.(*incScratch)
-			if item&rootTag != 0 {
-				slot := p.rootSlots[int(item&^rootTag)]
-				v := *slot
-				if v.IsNil() {
-					return
+			p.incItem(w, sc, item)
+			if _, ok := w.Ahead(1); !ok {
+				for sc.queued > 0 {
+					p.applyOldest(w, sc)
 				}
-				if !p.saneRef(v) {
-					p.ctr.skip.Add(1)
-					return
-				}
-				if nv := p.applyInc(w, sc, v); nv != v {
-					*slot = nv
-				}
-				return
-			}
-			// Re-arm the barrier for this field and the fifteen sharing its
-			// log word: one plain store (DESIGN.md, "Re-arming by the word").
-			p.logs.ArmWord(item)
-			v := p.om.A.LoadRef(item)
-			if v.IsNil() {
-				return
-			}
-			if verifyEnabled {
-				if !p.plausibleRef(v) {
-					p.diagnoseSlot(item, v)
-				} else if s := p.om.Size(v); s < 16 || (s > 16<<10 && !p.om.IsLarge(v)) || p.om.NumRefs(v) > 8000 {
-					p.diagnoseSlot(item, v)
-				}
-			}
-			if nv := p.applyInc(w, sc, v); nv != v {
-				p.om.A.StoreRef(item, nv)
 			}
 		},
 		func(w *gcwork.Worker) {
 			sc := w.Scratch.(*incScratch)
+			if sc.queued != 0 {
+				panic(fmt.Sprintf("lxr: increment drain worker %d ended with %d promotions queued", w.ID, sc.queued))
+			}
 			sc.alloc.Flush()
 			p.survived.Add(sc.survived)
 			p.copiedY.Add(sc.copied)
@@ -451,10 +437,64 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 	p.vm.Stats.Add(CtrIncrements, seeded)
 }
 
+// incItem takes one drain item: it applies its increment at once, or
+// queues a heap slot whose target reads count 0 in the ring.
+func (p *LXR) incItem(w *gcwork.Worker, sc *incScratch, item mem.Address) {
+	if item&rootTag != 0 {
+		slot := p.rootSlots[int(item&^rootTag)]
+		v := *slot
+		if v.IsNil() {
+			return
+		}
+		if !p.saneRef(v) {
+			p.skipInc(item, v)
+			return
+		}
+		*slot = p.applyInc(w, sc, item, v)
+		return
+	}
+	// Re-arm the barrier for this field and the fifteen sharing its
+	// log word: one plain store (DESIGN.md, "Re-arming by the word").
+	p.logs.ArmWord(item)
+	v := p.om.A.LoadRef(item)
+	if v.IsNil() {
+		return
+	}
+	if verifyEnabled {
+		if !p.plausibleRef(v) {
+			p.diagnoseSlot(item, v)
+		} else if s := p.om.Size(v); s < 16 || (s > 16<<10 && !p.om.IsLarge(v)) || p.om.NumRefs(v) > 8000 {
+			p.diagnoseSlot(item, v)
+		}
+	}
+	if p.rc.Get(v) != 0 {
+		p.applyInc(w, sc, item, v) // a counted object never moves
+		return
+	}
+	if sc.queued == promoRing {
+		p.applyOldest(w, sc)
+	}
+	p.om.A.Prefetch(v)
+	e := &sc.ring[(sc.head+sc.queued)%promoRing]
+	e.slot, e.val = item, v
+	sc.queued++
+}
+
+// applyOldest applies the oldest queued promotion; applyInc re-reads the
+// count, so a target promoted meanwhile takes a plain increment.
+func (p *LXR) applyOldest(w *gcwork.Worker, sc *incScratch) {
+	e := sc.ring[sc.head]
+	sc.head, sc.queued = (sc.head+1)%promoRing, sc.queued-1
+	if nv := p.applyInc(w, sc, e.slot, e.val); nv != e.val {
+		p.om.A.StoreRef(e.slot, nv)
+	}
+}
+
 // applyInc applies one coalesced increment to val, the non-nil referent
-// of a slot, and returns the address the slot must hold afterwards: val
-// itself, or the copy when val was evacuated — by this call, on the
-// first increment a young object receives, or earlier.
+// of slot (a heap slot address, or rootTag|i for root i), and returns
+// the address the slot must hold afterwards: val itself, or the copy
+// when val was evacuated — by this call, on the first increment a young
+// object receives, or earlier.
 //
 // The count decides before the object is touched. A counted object is
 // never forwarded, so its increment needs no header load (DESIGN.md,
@@ -463,7 +503,7 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 // promotion's, between its count and its abandon, which leaves the
 // object where it is. Only a zero count — a young object, or a young
 // evacuation's source — goes on to the forwarding word.
-func (p *LXR) applyInc(w *gcwork.Worker, sc *incScratch, val obj.Ref) obj.Ref {
+func (p *LXR) applyInc(w *gcwork.Worker, sc *incScratch, slot mem.Address, val obj.Ref) obj.Ref {
 	for {
 		if p.rc.Get(val) != 0 {
 			if verifyEnabled {
@@ -485,7 +525,7 @@ func (p *LXR) applyInc(w *gcwork.Worker, sc *incScratch, val obj.Ref) obj.Ref {
 			continue // another worker is copying; spin until published
 		}
 		if !p.saneRef(val) {
-			p.ctr.skip.Add(1)
+			p.skipInc(slot, val)
 			return val
 		}
 		// Young object receiving its 0→1 increment (§3.3.2): it is
@@ -554,7 +594,7 @@ func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, cop
 	for slot := first; slot < end; slot += mem.WordSize {
 		if child := p.om.A.LoadRef(slot); !child.IsNil() {
 			if !p.plausibleRef(child) {
-				p.ctr.skip.Add(1)
+				p.skipInc(slot, child)
 				continue
 			}
 			w.Push(slot)

@@ -36,14 +36,12 @@ func (p *LXR) verifyHeap(stage string) {
 			stack = append(stack, *s)
 		}
 	}
-	count := 0
 	for len(stack) > 0 {
 		ref := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if ref.IsNil() || !seen.TrySet(ref) {
 			continue
 		}
-		count++
 		if !p.plausibleRef(ref) {
 			panic(fmt.Sprintf("lxr verify[%s] epoch %d: implausible reachable ref %x", stage, p.epoch.Load(), uint64(ref)))
 		}
@@ -67,7 +65,6 @@ func (p *LXR) verifyHeap(stage string) {
 			}
 		})
 	}
-	_ = count
 }
 
 // verifyFresh asserts that a new object's reference slots read Logged,
@@ -101,13 +98,7 @@ func (p *LXR) saneRef(v obj.Ref) bool {
 		return false
 	}
 	s := p.om.Size(v)
-	if s < obj.MinSize {
-		return false
-	}
-	if s > obj.LargeThreshold && !p.om.IsLarge(v) {
-		return false
-	}
-	return true
+	return s >= obj.MinSize && (s <= obj.LargeThreshold || p.om.IsLarge(v))
 }
 
 // skipDec counts a decrement whose target is implausible (rc -1: no
@@ -115,6 +106,19 @@ func (p *LXR) saneRef(v obj.Ref) bool {
 func (p *LXR) skipDec(ref obj.Ref, rc int) {
 	if verifyEnabled {
 		panic(fmt.Sprintf("lxr verify epoch %d: decrement of %x (rc %d) names no object", p.epoch.Load(), uint64(ref), rc))
+	}
+	p.ctr.skip.Add(1)
+}
+
+// skipInc counts an increment whose referent v, read from slot (rootTag|i
+// for root i), names no object; under LXR_VERIFY it panics.
+func (p *LXR) skipInc(slot mem.Address, v obj.Ref) {
+	if verifyEnabled {
+		rc := -1 // no count read: v is outside the arena or misaligned
+		if p.plausibleRef(v) {
+			rc = int(p.rc.Get(v))
+		}
+		panic(fmt.Sprintf("lxr verify epoch %d: increment from slot %x to %x (rc %d) names no object", p.epoch.Load(), uint64(slot), uint64(v), rc))
 	}
 	p.ctr.skip.Add(1)
 }

@@ -88,11 +88,6 @@ func NewPool(n int) *Pool {
 	return &Pool{N: n}
 }
 
-// Spawned returns how many worker goroutines this pool has ever created.
-// After any number of phases it stays at N — the persistence guarantee
-// tests assert.
-func (p *Pool) Spawned() int64 { return p.spawned.Load() }
-
 // WorkerStat is one worker's lifetime utilization.
 type WorkerStat struct {
 	// PauseItems counts work items (addresses or ParallelFor indices)

@@ -149,11 +149,6 @@ func (m Model) PayloadAddr(ref Ref) mem.Address {
 	return ref + HeaderBytes + mem.Address(m.NumRefs(ref))*mem.WordSize
 }
 
-// End returns the address one past the last byte of the object.
-func (m Model) End(ref Ref) mem.Address {
-	return ref + mem.Address(m.Size(ref))
-}
-
 // EachSlot invokes f with (slotIndex, slotAddr, value) for every
 // reference slot of the object at ref. It is the object-scanning
 // primitive used by tracers, increment processing and recursive
