@@ -8,6 +8,7 @@ import (
 	"lxr/internal/gcwork"
 	"lxr/internal/immix"
 	"lxr/internal/mem"
+	"lxr/internal/meta"
 	"lxr/internal/obj"
 	"lxr/internal/policy"
 	"lxr/internal/trace"
@@ -400,11 +401,9 @@ func (p *LXR) forwardingLive() bool {
 // worker's ring behind a prefetch of that header (DESIGN.md, "Lookahead
 // prefetch"). The ring empties whenever the local stack does, so no
 // worker looks for shared work, idles or ends with a promotion queued.
+// One serial pass over the seeds re-arms the logged fields after the
+// drain (DESIGN.md, "Re-arming by the word").
 func (p *LXR) drainIncrements(segs [][]mem.Address) {
-	seeded := int64(0)
-	for _, s := range segs {
-		seeded += int64(len(s))
-	}
 	p.pool.DrainSegs(segs,
 		func(w *gcwork.Worker) {
 			// Survivors compact into partially free blocks.
@@ -434,11 +433,21 @@ func (p *LXR) drainIncrements(segs [][]mem.Address) {
 			p.ctr.evacYoung.Add(sc.copied)
 			p.ctr.stuck.Add(sc.stuck)
 		})
+	seeded := int64(0)
+	for _, s := range segs {
+		seeded += int64(len(s))
+		for _, item := range s {
+			if item&rootTag == 0 {
+				p.logs.ArmWord(item) // this field and the fifteen sharing its log word: one plain store
+			}
+		}
+	}
 	p.vm.Stats.Add(CtrIncrements, seeded)
 }
 
 // incItem takes one drain item: it applies its increment at once, or
-// queues a heap slot whose target reads count 0 in the ring.
+// queues a heap slot whose target reads count 0 in the ring. A counted
+// target's count is read once, and its header not at all.
 func (p *LXR) incItem(w *gcwork.Worker, sc *incScratch, item mem.Address) {
 	if item&rootTag != 0 {
 		slot := p.rootSlots[int(item&^rootTag)]
@@ -453,9 +462,6 @@ func (p *LXR) incItem(w *gcwork.Worker, sc *incScratch, item mem.Address) {
 		*slot = p.applyInc(w, sc, item, v)
 		return
 	}
-	// Re-arm the barrier for this field and the fifteen sharing its
-	// log word: one plain store (DESIGN.md, "Re-arming by the word").
-	p.logs.ArmWord(item)
 	v := p.om.A.LoadRef(item)
 	if v.IsNil() {
 		return
@@ -467,8 +473,12 @@ func (p *LXR) incItem(w *gcwork.Worker, sc *incScratch, item mem.Address) {
 			p.diagnoseSlot(item, v)
 		}
 	}
-	if p.rc.Get(v) != 0 {
-		p.applyInc(w, sc, item, v) // a counted object never moves
+	if c := p.rc.Get(v); c != 0 {
+		if verifyEnabled {
+			p.applyInc(w, sc, item, v)
+		} else if c < meta.RCMax {
+			sc.noteStuck(p.rc.Inc(v)) // a counted object never moves
+		}
 		return
 	}
 	if sc.queued == promoRing {

@@ -167,23 +167,18 @@ type gcTelemetry interface {
 	GCWorkerStats() []gcwork.WorkerStat
 }
 
-// PauseHistMerged returns the union of the per-phase pause histograms
-// (all pauses regardless of phase), computed once.
-func (r *RunResult) PauseHistMerged() *telemetry.Histogram {
+// PausePercentile returns the p-th percentile pause in milliseconds,
+// from the union of the per-phase pause histograms (all pauses
+// regardless of phase), merged once (bucket error documented on
+// telemetry.Config; exact at p=100).
+func (r *RunResult) PausePercentile(p float64) float64 {
 	if r.mergedPause == nil {
 		r.mergedPause = telemetry.NewHistogram(telemetry.PauseConfig())
 		for _, h := range r.PauseHist {
 			r.mergedPause.Add(h)
 		}
 	}
-	return r.mergedPause
-}
-
-// PausePercentile returns the p-th percentile pause in milliseconds,
-// from the merged pause histogram (bucket error documented on
-// telemetry.Config; exact at p=100).
-func (r *RunResult) PausePercentile(p float64) float64 {
-	return float64(r.PauseHistMerged().Percentile(p)) / float64(time.Millisecond)
+	return float64(r.mergedPause.Percentile(p)) / float64(time.Millisecond)
 }
 
 // LatencyPercentileMS returns the p-th percentile request latency in

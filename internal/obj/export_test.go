@@ -6,3 +6,8 @@ import "lxr/internal/mem"
 func (m Model) End(ref Ref) mem.Address {
 	return ref + mem.Address(m.Size(ref))
 }
+
+// TypeID returns the application type id of the object at ref.
+func (m Model) TypeID(ref Ref) uint8 {
+	return uint8(m.A.Load(ref) >> 56)
+}

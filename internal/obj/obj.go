@@ -117,11 +117,6 @@ func (m Model) NumRefs(ref Ref) int {
 	return int(uint16(m.A.Load(ref) >> 32))
 }
 
-// TypeID returns the application type id of the object at ref.
-func (m Model) TypeID(ref Ref) uint8 {
-	return uint8(m.A.Load(ref) >> 56)
-}
-
 // IsLarge reports whether the object was allocated in the large object
 // space.
 func (m Model) IsLarge(ref Ref) bool {

@@ -34,6 +34,7 @@ type Tracer struct {
 
 	inbox gcwork.SharedAddrQueue
 	stack []mem.Address
+	fresh []mem.Address // DrainParallel's unmarked seeds, reused across pauses
 
 	active bool
 }
@@ -128,15 +129,23 @@ func (t *Tracer) visit(ref obj.Ref, w *gcwork.Worker) {
 }
 
 // DrainParallel completes the closure using a worker pool inside a
-// pause. All hooks must be thread-safe. Used by the -SATB ablation
-// (tracing in the pause, Table 7) and by baselines' final-mark pauses.
+// pause. All hooks must be thread-safe. Used by LXR's closing mark, the
+// -SATB ablation (Table 7) and baselines' final-mark pauses. A serial
+// pass first drops the nil and marked seeds, as visit would (nearly all
+// of a closing mark's), and only the rest fan out. It never writes a
+// seed segment: LXR's pause copies them into its decrement batch.
 func (t *Tracer) DrainParallel(pool *gcwork.Pool) {
-	segs := t.inbox.TakeSegs()
-	if len(t.stack) > 0 {
-		segs = append(segs, t.stack)
-	}
+	segs := append(t.inbox.TakeSegs(), t.stack)
 	t.stack = nil
-	pool.DrainSegs(segs, nil, func(w *gcwork.Worker, a mem.Address) {
+	t.fresh = t.fresh[:0]
+	for _, s := range segs {
+		for _, a := range s {
+			if r := obj.Ref(a); !r.IsNil() && !t.alreadyMarked(r) {
+				t.fresh = append(t.fresh, a)
+			}
+		}
+	}
+	pool.Drain(t.fresh, nil, func(w *gcwork.Worker, a mem.Address) {
 		t.visit(obj.Ref(a), w)
 	}, nil)
 }

@@ -161,17 +161,11 @@ func NewHistogram(cfg Config) *Histogram {
 func (h *Histogram) Config() Config { return h.l.cfg }
 
 // Record adds one sample.
-func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }
-
-// RecordN adds n identical samples.
-func (h *Histogram) RecordN(v int64, n int64) {
-	if n <= 0 {
-		return
-	}
+func (h *Histogram) Record(v int64) {
 	v = h.l.clamp(v)
-	h.counts[h.l.indexOf(v)] += n
-	h.total += n
-	h.sum += v * n
+	h.counts[h.l.indexOf(v)]++
+	h.total++
+	h.sum += v
 	if v > h.max {
 		h.max = v
 	}

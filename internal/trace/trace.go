@@ -194,10 +194,6 @@ type ring struct {
 	slot []slot
 }
 
-func newRing(capPow2 int) *ring {
-	return &ring{mask: uint64(capPow2 - 1), slot: make([]slot, capPow2)}
-}
-
 // record claims a ticket and publishes ev. Lock-free except when a
 // writer has been lapped mid-publish (requires capacity concurrent
 // in-flight writes on one shard — vanishingly rare at real sizes).
@@ -302,7 +298,7 @@ func New(cfg Config) *Tracer {
 		}
 	}
 	for i := range t.shards {
-		t.shards[i] = newRing(p)
+		t.shards[i] = &ring{mask: uint64(p - 1), slot: make([]slot, p)}
 	}
 	return t
 }
