@@ -13,8 +13,8 @@ import (
 // It also pins the number of settable fields, so a new knob needs an
 // edit here.
 func TestZeroConfigDefaults(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 7 {
-		t.Fatalf("Config has %d fields, want 7", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 6 {
+		t.Fatalf("Config has %d fields, want 6", n)
 	}
 	p := New(Config{})
 	defer p.pool.Stop()

@@ -36,9 +36,6 @@ type Config struct {
 	// bound per epoch (the paper uses 128 MB on multi-GB heaps; default
 	// here scales with the heap: HeapBytes/8, capped at 128 MB).
 	SurvivalThresholdBytes int64
-	// CleanBufferSlots sizes the lock-free clean-block buffer (default
-	// 32, the §5.4 sensitivity knob).
-	CleanBufferSlots int
 
 	// Ablations (Table 7 "Concurrency" columns).
 
@@ -145,10 +142,7 @@ type LXR struct {
 // New creates an LXR plan.
 func New(cfg Config) *LXR {
 	cfg.setDefaults()
-	bt := immix.NewBlockTable(immix.Config{
-		HeapBytes:        cfg.HeapBytes,
-		CleanBufferSlots: cfg.CleanBufferSlots,
-	})
+	bt := immix.NewBlockTable(immix.Config{HeapBytes: cfg.HeapBytes})
 	p := &LXR{
 		cfg:      cfg,
 		bt:       bt,

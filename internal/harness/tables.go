@@ -336,27 +336,17 @@ func RunFigure7(opts Options, factors []float64) []LBORow {
 	return rows
 }
 
-// RunSensitivity regenerates the §5.4 sensitivity studies that are
-// runtime-configurable on this substrate: the lock-free clean-block
-// buffer size (8/32/64/128 entries, on the fastest-allocating workload)
-// and the survival-threshold trigger. Block size and RC width are
-// compile-time geometry here (as in the paper's implementation, where
-// each variant is a separate build); see EXPERIMENTS.md.
+// RunSensitivity regenerates the §5.4 sensitivity study that is
+// runtime-configurable on this substrate: the survival-threshold
+// trigger, on the fastest-allocating workload. Block size and RC width
+// are compile-time geometry here (as in the paper's implementation,
+// where each variant is a separate build); see EXPERIMENTS.md.
 func RunSensitivity(opts Options) {
 	opts = opts.WithDefaults()
 	spec, _ := workload.ByName("lusearch")
 	sz := opts.Scale.Size(spec)
 	w := tabwriter.NewWriter(opts.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Sensitivity (5.4): clean-block buffer size, lusearch @2x")
-	fmt.Fprintln(w, "BufferSlots\tTime(ms)")
-	for _, slots := range []int{8, 32, 64, 128} {
-		p := core.New(core.Config{HeapBytes: 2 * sz.MinHeapBytes, GCThreads: opts.GCThreads, CleanBufferSlots: slots})
-		v := vm.New(p, 8)
-		br := workload.RunBatch(v, sz)
-		v.Shutdown()
-		fmt.Fprintf(w, "%d\t%d\n", slots, br.Wall.Milliseconds())
-	}
-	fmt.Fprintln(w, "Survival threshold sweep, lusearch @2x")
+	fmt.Fprintln(w, "Sensitivity (5.4): survival threshold sweep, lusearch @2x")
 	fmt.Fprintln(w, "Threshold\tTime(ms)\tPauses")
 	for _, th := range []int64{1 << 20, 4 << 20, 16 << 20, 64 << 20} {
 		p := core.New(core.Config{HeapBytes: 2 * sz.MinHeapBytes, GCThreads: opts.GCThreads, SurvivalThresholdBytes: th})

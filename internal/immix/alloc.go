@@ -274,7 +274,8 @@ func (al *Allocator) setSpan(start, end mem.Address, recycled bool) {
 	// block is allocator-private until its first object is published, so
 	// it takes the bulk memclr path; recycled line spans sit inside
 	// published blocks and must keep the word-atomic path (stale-ref
-	// forwarding probes can land inside them — see Arena.Zero).
+	// forwarding probes can land inside them: DESIGN.md, "Private-block
+	// bulk zeroing").
 	if recycled {
 		al.BT.Arena.ZeroRange(start, end)
 	} else {

@@ -1,13 +1,14 @@
 // Package immix implements the Immix hierarchical heap structure shared
 // by LXR and the baseline collectors: a table of 32 KB blocks divided
-// into 256 B lines, lock-free global free/recycled block lists, a bounded
-// clean-block buffer (§3.5), thread-local bump-pointer allocators with
-// line recycling and dynamic overflow (§3.1), and a large object space.
+// into 256 B lines, global free and recycled block lists and the heap
+// budget under one lock, thread-local bump-pointer allocators with line
+// recycling and dynamic overflow (§3.1), and a large object space.
 package immix
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"lxr/internal/mem"
@@ -16,7 +17,7 @@ import (
 // Block states (low nibble of the per-block state word).
 const (
 	StateUntracked uint32 = iota // block 0 / outside any space
-	StateFree                    // on the free list or clean buffer
+	StateFree                    // on the free list
 	StateReserved                // held by a thread-local allocator
 	StateFull                    // retired, contains objects
 	StateRecycled                // partially free, on the recycled list
@@ -48,28 +49,30 @@ const (
 const KindShift = 16
 
 // BlockTable tracks the state of every block in an arena plus the global
-// free and recycled lists. All operations on the lists are lock-free
-// (Treiber stacks with an ABA tag), matching the paper's lock-free block
-// allocators (§3.5).
+// free and recycled lists. The lists, and every reservation against the
+// heap budget, are made under one mutex; a mutator takes it once per
+// 32 KB block (the paper's lock-free block allocators, §3.5, are in
+// DESIGN.md, "Tried and removed").
 type BlockTable struct {
 	Arena *mem.Arena
 
 	state []uint32 // per-block state word
-	next  []uint32 // freelist links (block index, 0 = end)
 	live  []int32  // per-block live-byte scratch for liveness analyses
 
-	freeHead atomic.Uint64 // packed (tag<<32 | idx)
-	recyHead atomic.Uint64
+	// mu guards free and recy, and the large object space's runs and
+	// objects. The budget check and the counter it reserves against —
+	// inUse for the main space, los.inUse for large objects — are made
+	// under it together, so the two spaces never overshoot the budget
+	// between them.
+	mu   sync.Mutex
+	free []int32 // clean blocks, a LIFO stack: the last released first
+	recy []int32 // partially free blocks, a LIFO stack
 
-	freeCount atomic.Int32 // blocks on the free list + clean buffer
+	// Written under mu, read lock-free: occupancy feeds pacing triggers
+	// on paths that must not block.
+	freeCount atomic.Int32 // blocks on the free list
 	recyCount atomic.Int32
 	inUse     atomic.Int32 // blocks held by allocators, full, or large
-
-	// cleanBuf is the bounded lock-free clean-block buffer from §3.5
-	// ("a 4 MB lock-free global block allocation buffer"): a small array
-	// of slots that front the free list to reduce contention at very
-	// high allocation rates. Slot value 0 means empty.
-	cleanBuf []atomic.Uint32
 
 	// budgetBlocks is the collector's heap budget in blocks; the arena
 	// may be larger (it also holds the large object range).
@@ -97,9 +100,6 @@ type Config struct {
 	// LOSBytes is the capacity reserved in the arena for the large
 	// object range. It defaults to HeapBytes (budget still shared).
 	LOSBytes int
-	// CleanBufferSlots sizes the lock-free clean-block buffer.
-	// Defaults to 32 entries, the paper's default (§5.4).
-	CleanBufferSlots int
 }
 
 // NewBlockTable builds an arena and its block table.
@@ -110,26 +110,23 @@ func NewBlockTable(cfg Config) *BlockTable {
 	if cfg.LOSBytes == 0 {
 		cfg.LOSBytes = cfg.HeapBytes
 	}
-	if cfg.CleanBufferSlots == 0 {
-		cfg.CleanBufferSlots = 32
-	}
 	mainBytes := (cfg.HeapBytes + mem.BlockSize - 1) / mem.BlockSize * mem.BlockSize
 	arena := mem.NewArena(mainBytes + cfg.LOSBytes)
 	n := arena.Blocks()
 	bt := &BlockTable{
 		Arena:        arena,
 		state:        make([]uint32, n),
-		next:         make([]uint32, n),
 		live:         make([]int32, n),
-		cleanBuf:     make([]atomic.Uint32, cfg.CleanBufferSlots),
 		budgetBlocks: cfg.HeapBytes / mem.BlockSize,
 		mainBlocks:   mainBytes / mem.BlockSize,
 		dirtyBits:    make([]uint32, (n+31)/32),
 	}
+	bt.free = make([]int32, 0, bt.mainBlocks)
+	bt.recy = make([]int32, 0, bt.mainBlocks)
 	// Blocks run [1, mainBlocks] for the main space; the rest is LOS.
 	for i := bt.mainBlocks; i >= 1; i-- {
 		bt.state[i] = StateFree
-		bt.pushList(&bt.freeHead, i)
+		bt.free = append(bt.free, int32(i))
 	}
 	bt.freeCount.Store(int32(bt.mainBlocks))
 	bt.los = newLargeSpace(bt, bt.mainBlocks+1, n-1)
@@ -144,9 +141,6 @@ func (bt *BlockTable) Blocks() int { return bt.mainBlocks }
 
 // BudgetBlocks returns the heap budget in blocks.
 func (bt *BlockTable) BudgetBlocks() int { return bt.budgetBlocks }
-
-// HeapBytes returns the heap budget in bytes.
-func (bt *BlockTable) HeapBytes() int { return bt.budgetBlocks * mem.BlockSize }
 
 // --- state word accessors --------------------------------------------------
 
@@ -229,32 +223,17 @@ func (bt *BlockTable) ClearLiveAll() {
 // stores: see meta.BitTable.ClearWords.
 func (bt *BlockTable) ClearLiveRange(lo, hi int) { clear(bt.live[lo:hi]) }
 
-// --- lock-free lists --------------------------------------------------------
+// --- block lists -------------------------------------------------------------
 
-func (bt *BlockTable) pushList(head *atomic.Uint64, idx int) {
-	for {
-		old := head.Load()
-		bt.next[idx] = uint32(old) // current head index
-		new := (old>>32+1)<<32 | uint64(uint32(idx))
-		if head.CompareAndSwap(old, new) {
-			return
-		}
+// pop takes the top of a block stack; the caller holds mu.
+func pop(list *[]int32) (int, bool) {
+	n := len(*list)
+	if n == 0 {
+		return 0, false
 	}
-}
-
-func (bt *BlockTable) popList(head *atomic.Uint64) (int, bool) {
-	for {
-		old := head.Load()
-		idx := uint32(old)
-		if idx == 0 {
-			return 0, false
-		}
-		next := atomic.LoadUint32(&bt.next[idx])
-		new := (old>>32+1)<<32 | uint64(next)
-		if head.CompareAndSwap(old, new) {
-			return int(idx), true
-		}
-	}
+	idx := (*list)[n-1]
+	*list = (*list)[:n-1]
+	return int(idx), true
 }
 
 // FreeBlocks returns the number of clean blocks available.
@@ -269,47 +248,36 @@ func (bt *BlockTable) InUseBlocks() int { return int(bt.inUse.Load()) }
 
 // BudgetRemaining returns how many more blocks the heap budget allows,
 // counting both main-space blocks in use and large-object blocks.
+// Lock-free; under mu it is exact.
 func (bt *BlockTable) BudgetRemaining() int {
 	used := int(bt.inUse.Load()) + bt.los.BlocksInUse()
 	return bt.budgetBlocks - used
 }
 
-// AcquireClean hands out a completely free block, trying the clean
-// buffer first, then the free list. Returns false when the heap budget
-// or the free list is exhausted.
-func (bt *BlockTable) AcquireClean() (int, bool) {
-	if bt.BudgetRemaining() <= 0 {
-		return 0, false
-	}
-	return bt.acquireCleanAny()
-}
+// AcquireClean hands out a completely free block. Returns false when the
+// heap budget or the free list is exhausted.
+func (bt *BlockTable) AcquireClean() (int, bool) { return bt.acquireClean(true) }
 
 // AcquireCleanNoBudget hands out a free block ignoring the heap budget
 // (bounded by the arena's physical main-space size). Evacuation uses it
 // as a to-space reserve: a collection must not fail for lack of copy
 // space while physically free blocks exist — the space drains right
 // back when the evacuated blocks are freed at the end of the pause.
-func (bt *BlockTable) AcquireCleanNoBudget() (int, bool) {
-	return bt.acquireCleanAny()
-}
+func (bt *BlockTable) AcquireCleanNoBudget() (int, bool) { return bt.acquireClean(false) }
 
-func (bt *BlockTable) acquireCleanAny() (int, bool) {
-	// Fast path: the bounded clean buffer.
-	for i := range bt.cleanBuf {
-		if idx := bt.cleanBuf[i].Load(); idx != 0 {
-			if bt.cleanBuf[i].CompareAndSwap(idx, 0) {
-				bt.claim(int(idx), StateReserved)
-				bt.freeCount.Add(-1)
-				return int(idx), true
-			}
-		}
+func (bt *BlockTable) acquireClean(budget bool) (int, bool) {
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	if budget && bt.BudgetRemaining() <= 0 {
+		return 0, false
 	}
-	idx, ok := bt.popList(&bt.freeHead)
+	idx, ok := pop(&bt.free)
 	if !ok {
 		return 0, false
 	}
-	bt.claim(idx, StateReserved)
+	bt.SetState(idx, StateReserved)
 	bt.freeCount.Add(-1)
+	bt.inUse.Add(1)
 	return idx, true
 }
 
@@ -318,48 +286,50 @@ func (bt *BlockTable) acquireCleanAny() (int, bool) {
 // (they hold live objects), so reusing their free lines is always
 // allowed — this is what lets Immix absorb allocation without consuming
 // clean blocks.
+//
+// A listed block is always StateRecycled, so there is nothing to skip:
+// it leaves that state only here or in RebuildFromSweep (which empties
+// the list), both under mu. The collector's other writers act only on
+// blocks they find StateFull (maybeReleaseAfterDecs, sweepYoung) or
+// StateFull/StateReserved (the baselines' frees), and a block is put on
+// the list from StateFull, so it is never listed twice. Any other state
+// here is a broken invariant.
 func (bt *BlockTable) AcquireRecycled() (int, bool) {
-	for {
-		idx, ok := bt.popList(&bt.recyHead)
-		if !ok {
-			return 0, false
-		}
-		bt.recyCount.Add(-1)
-		// Validate: a block may have changed state since being listed.
-		if bt.State(idx) == StateRecycled {
-			bt.SetState(idx, StateReserved)
-			return idx, true
-		}
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	idx, ok := pop(&bt.recy)
+	if !ok {
+		return 0, false
 	}
+	bt.recyCount.Add(-1)
+	if s := bt.State(idx); s != StateRecycled {
+		panic(fmt.Sprintf("immix: block %d on the recycled list in state %d", idx, s))
+	}
+	bt.SetState(idx, StateReserved)
+	return idx, true
 }
 
-func (bt *BlockTable) claim(idx int, s uint32) {
-	bt.SetState(idx, s)
-	bt.inUse.Add(1)
-}
-
-// ReleaseFree returns a block to the clean pool (buffer first, then the
-// free list). The caller must have removed all objects from it.
+// ReleaseFree returns a block to the free list. The caller must have
+// removed all objects from it.
 func (bt *BlockTable) ReleaseFree(idx int) {
 	bt.ClearFlag(idx, FlagYoung|FlagDirty|FlagDefrag|FlagEvacuating)
+	bt.mu.Lock()
 	bt.SetState(idx, StateFree)
+	bt.free = append(bt.free, int32(idx))
 	bt.inUse.Add(-1)
 	bt.freeCount.Add(1)
-	for i := range bt.cleanBuf {
-		if bt.cleanBuf[i].Load() == 0 && bt.cleanBuf[i].CompareAndSwap(0, uint32(idx)) {
-			return
-		}
-	}
-	bt.pushList(&bt.freeHead, idx)
+	bt.mu.Unlock()
 }
 
 // ReleaseRecycled puts a partially free block on the recycled list. The
 // block still holds live objects and remains counted as in use.
 func (bt *BlockTable) ReleaseRecycled(idx int) {
 	bt.ClearFlag(idx, FlagYoung|FlagDirty)
+	bt.mu.Lock()
 	bt.SetState(idx, StateRecycled)
+	bt.recy = append(bt.recy, int32(idx))
 	bt.recyCount.Add(1)
-	bt.pushList(&bt.recyHead, idx)
+	bt.mu.Unlock()
 }
 
 // Retire marks a block full (still counted in use).
@@ -435,41 +405,32 @@ const (
 // main-space block and returns its post-collection class. Must be
 // called with the world stopped and all allocators flushed.
 func (bt *BlockTable) RebuildFromSweep(classify func(idx int) BlockClass) {
-	// Drain the lists and the clean buffer.
-	for {
-		if _, ok := bt.popList(&bt.freeHead); !ok {
-			break
-		}
-	}
-	for {
-		if _, ok := bt.popList(&bt.recyHead); !ok {
-			break
-		}
-	}
-	for i := range bt.cleanBuf {
-		bt.cleanBuf[i].Store(0)
-	}
-	free, recy, inUse := 0, 0, 0
 	for i := 1; i <= bt.mainBlocks; i++ {
 		bt.ClearFlag(i, FlagYoung|FlagDirty|FlagDefrag|FlagEvacuating)
 		switch classify(i) {
 		case ClassFree:
 			bt.SetState(i, StateFree)
-			bt.pushList(&bt.freeHead, i)
-			free++
 		case ClassPartial:
 			bt.SetState(i, StateRecycled)
-			bt.pushList(&bt.recyHead, i)
-			recy++
-			inUse++
 		default:
 			bt.SetState(i, StateFull)
-			inUse++
 		}
 	}
-	bt.freeCount.Store(int32(free))
-	bt.recyCount.Store(int32(recy))
-	bt.inUse.Store(int32(inUse))
+	// The lists, from the states just set: classify runs outside mu.
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
+	bt.free, bt.recy = bt.free[:0], bt.recy[:0]
+	for i := 1; i <= bt.mainBlocks; i++ {
+		switch bt.State(i) {
+		case StateFree:
+			bt.free = append(bt.free, int32(i))
+		case StateRecycled:
+			bt.recy = append(bt.recy, int32(i))
+		}
+	}
+	bt.freeCount.Store(int32(len(bt.free)))
+	bt.recyCount.Store(int32(len(bt.recy)))
+	bt.inUse.Store(int32(bt.mainBlocks - len(bt.free)))
 	bt.TakeDirty() // world is stopped: discard exactly the queued set
 }
 

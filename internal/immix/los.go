@@ -1,7 +1,6 @@
 package immix
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"lxr/internal/mem"
@@ -10,9 +9,11 @@ import (
 // LargeSpace manages objects larger than half a block (16 KB) in a
 // dedicated block range at the top of the arena, per §3.1 ("objects
 // larger than half a block in size are delegated to a large object
-// allocator"). Allocation is first-fit over free runs under a mutex;
-// the hot path of the system is the bump allocator, so contention here
-// is negligible, as it is in MMTk's LOS.
+// allocator"). Allocation is first-fit over free runs under the block
+// table's mutex, which also guards the main space's lists, so the two
+// spaces reserve against the heap budget in one place; the hot path of
+// the system is the bump allocator, so contention here is negligible,
+// as it is in MMTk's LOS.
 type LargeSpace struct {
 	bt    *BlockTable
 	first int // first LOS block index
@@ -23,12 +24,12 @@ type LargeSpace struct {
 	// states, mark bits) left behind by a previous occupant.
 	OnAlloc func(start, end mem.Address)
 
-	mu      sync.Mutex
+	// Guarded by bt.mu.
 	runs    []run               // free runs, kept sorted by start
 	objects map[mem.Address]int // object start -> blocks occupied
 
 	// inUse counts blocks occupied by live large objects. Written only
-	// under mu, but read lock-free: occupancy feeds pacing triggers
+	// under bt.mu, but read lock-free: occupancy feeds pacing triggers
 	// evaluated on GC safepoint paths and on the conctrl controller
 	// goroutine (with the controller lock held), which must stay
 	// non-blocking.
@@ -56,32 +57,45 @@ func (ls *LargeSpace) BlocksInUse() int {
 // heap budget is exhausted.
 func (ls *LargeSpace) Alloc(size int) (mem.Address, bool) {
 	blocks := (size + mem.BlockSize - 1) / mem.BlockSize
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if ls.bt.budgetBlocks-int(ls.bt.inUse.Load())-int(ls.inUse.Load()) < blocks {
+	addr, ok := ls.reserve(blocks)
+	if !ok {
+		return mem.Nil, false
+	}
+	// Whole blocks just reserved and named by nobody, not even objects,
+	// so Each cannot yield them yet: the private-block case (DESIGN.md,
+	// "Private-block bulk zeroing").
+	end := addr + mem.Address(blocks*mem.BlockSize)
+	ls.bt.Arena.ZeroPrivate(addr, end)
+	if ls.OnAlloc != nil {
+		ls.OnAlloc(addr, end)
+	}
+	ls.bt.mu.Lock()
+	ls.objects[addr] = blocks
+	ls.bt.mu.Unlock()
+	return addr, true
+}
+
+// reserve takes the first free run of at least blocks blocks, checking
+// and charging the heap budget under bt.mu. The object is listed only
+// once Alloc has initialised it.
+func (ls *LargeSpace) reserve(blocks int) (mem.Address, bool) {
+	ls.bt.mu.Lock()
+	defer ls.bt.mu.Unlock()
+	if ls.bt.BudgetRemaining() < blocks {
 		return mem.Nil, false
 	}
 	for i, r := range ls.runs {
 		if r.n >= blocks {
-			start := r.start
 			if r.n == blocks {
 				ls.runs = append(ls.runs[:i], ls.runs[i+1:]...)
 			} else {
 				ls.runs[i] = run{r.start + blocks, r.n - blocks}
 			}
 			ls.inUse.Add(int32(blocks))
-			addr := mem.BlockStart(start)
-			ls.objects[addr] = blocks
-			ls.bt.SetState(start, StateLargeHead)
-			for b := start + 1; b < start+blocks; b++ {
+			addr := mem.BlockStart(r.start)
+			ls.bt.SetState(r.start, StateLargeHead)
+			for b := r.start + 1; b < r.start+blocks; b++ {
 				ls.bt.SetState(b, StateLargeBody)
-			}
-			// Whole blocks just reserved and named by nobody: the
-			// private-block case (DESIGN.md, "Private-block bulk zeroing").
-			end := addr + mem.Address(blocks*mem.BlockSize)
-			ls.bt.Arena.ZeroPrivate(addr, end)
-			if ls.OnAlloc != nil {
-				ls.OnAlloc(addr, end)
 			}
 			return addr, true
 		}
@@ -91,8 +105,8 @@ func (ls *LargeSpace) Alloc(size int) (mem.Address, bool) {
 
 // Free releases the blocks of the large object starting at addr.
 func (ls *LargeSpace) Free(addr mem.Address) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
+	ls.bt.mu.Lock()
+	defer ls.bt.mu.Unlock()
 	blocks, ok := ls.objects[addr]
 	if !ok {
 		return
@@ -115,12 +129,12 @@ func (ls *LargeSpace) Contains(addr mem.Address) bool {
 // Each invokes f for the start address of every live large object.
 // The snapshot is taken under the lock; f runs outside it.
 func (ls *LargeSpace) Each(f func(addr mem.Address)) {
-	ls.mu.Lock()
+	ls.bt.mu.Lock()
 	addrs := make([]mem.Address, 0, len(ls.objects))
 	for a := range ls.objects {
 		addrs = append(addrs, a)
 	}
-	ls.mu.Unlock()
+	ls.bt.mu.Unlock()
 	for _, a := range addrs {
 		f(a)
 	}
@@ -128,8 +142,8 @@ func (ls *LargeSpace) Each(f func(addr mem.Address)) {
 
 // Count returns the number of live large objects.
 func (ls *LargeSpace) Count() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
+	ls.bt.mu.Lock()
+	defer ls.bt.mu.Unlock()
 	return len(ls.objects)
 }
 

@@ -82,10 +82,10 @@ type RuntimeConfig struct {
 	// GlobalRoots sizes the global root array (default 16).
 	GlobalRoots int
 	// LXR, when Collector is LXR (or one of its ablations), overrides
-	// the full LXR configuration (ablations, the survival trigger, the
-	// clean-block buffer). HeapBytes/GCThreads above still apply when
-	// the corresponding fields are zero. Any other collector refuses
-	// LXR settings it cannot honour (see NewPlan).
+	// the full LXR configuration (ablations, the survival trigger).
+	// HeapBytes/GCThreads above still apply when the corresponding
+	// fields are zero. Any other collector refuses LXR settings it
+	// cannot honour (see NewPlan).
 	LXR *core.Config
 }
 
