@@ -243,8 +243,8 @@ func (p *Immix) collect() {
 	ev.Phase(trace.NameSweepRebuild, ph)
 }
 
-// markLines marks every line the object covers, plus the conservative
-// trailing line.
+// markLines marks every line the object covers, the last included: the
+// allocator skips no free line.
 func (p *Immix) markLines(ref obj.Ref) {
 	if p.om.IsLarge(ref) {
 		return

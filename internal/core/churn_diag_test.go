@@ -20,11 +20,11 @@ func DiagnoseRefForTest(plan vm.Plan, cur obj.Ref, st *vm.Stats) string {
 	p := plan.(*LXR)
 	blk := cur.Block()
 	return fmt.Sprintf(
-		"ref=%#x rc=%d lineword=%#x blk=%d state=%v young=%v dirty=%v evac=%v defrag=%v marks=%v straddle=%v satbActive=%v epoch=%d hdr=%#x | deadSATB=%d deadOld=%d satbPauses=%d pauses=%d lazyPauses=%d decs=%d skips=%d",
+		"ref=%#x rc=%d lineword=%#x blk=%d state=%v young=%v dirty=%v evac=%v defrag=%v marks=%v covered=%v satbActive=%v epoch=%d hdr=%#x | deadSATB=%d deadOld=%d satbPauses=%d pauses=%d lazyPauses=%d decs=%d skips=%d",
 		uint64(cur), p.rc.Get(cur), p.rc.LineWord(cur.Line()), blk, p.bt.State(blk),
 		p.bt.HasFlag(blk, immix.FlagYoung), p.bt.HasFlag(blk, immix.FlagDirty),
 		p.bt.HasFlag(blk, immix.FlagEvacuating), p.bt.HasFlag(blk, immix.FlagDefrag),
-		p.marks.Get(cur), p.straddle.Get(cur),
+		p.marks.Get(cur), p.rc.Covered(cur.Line()),
 		p.satbActive.Load(), p.epoch.Load(),
 		p.om.A.Load(mem.Address(cur)),
 		st.Counter(CtrDeadSATB), st.Counter(CtrDeadOld),

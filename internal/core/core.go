@@ -71,15 +71,14 @@ func (c *Config) setDefaults() {
 type LXR struct {
 	cfg Config
 
-	bt       *immix.BlockTable
-	om       obj.Model
-	rc       *meta.RCTable
-	straddle *meta.BitTable // granule: straddle marker, not an object start
-	logs     *meta.FieldLogTable
-	marks    *meta.BitTable // granule: SATB mark bits
-	tracer   *satb.Tracer
-	pool     *gcwork.Pool
-	vm       *vm.VM
+	bt     *immix.BlockTable
+	om     obj.Model
+	rc     *meta.RCTable // counts of object starts, and the lines objects cover
+	logs   *meta.FieldLogTable
+	marks  *meta.BitTable // granule: SATB mark bits
+	tracer *satb.Tracer
+	pool   *gcwork.Pool
+	vm     *vm.VM
 	// events is the GC event tracer (nil = tracing off; every use is
 	// one nil-check branch). The SATB tracer above is unrelated.
 	events   *trace.Tracer
@@ -144,32 +143,29 @@ func New(cfg Config) *LXR {
 	cfg.setDefaults()
 	bt := immix.NewBlockTable(immix.Config{HeapBytes: cfg.HeapBytes})
 	p := &LXR{
-		cfg:      cfg,
-		bt:       bt,
-		om:       obj.Model{A: bt.Arena},
-		rc:       meta.NewRCTable(bt.Arena),
-		straddle: meta.NewBitTable(bt.Arena, mem.GranuleLog),
-		logs:     meta.NewFieldLogTable(bt.Arena),
-		marks:    meta.NewBitTable(bt.Arena, mem.GranuleLog),
-		pool:     gcwork.NewPool(cfg.GCThreads),
+		cfg:   cfg,
+		bt:    bt,
+		om:    obj.Model{A: bt.Arena},
+		rc:    meta.NewRCTable(bt.Arena),
+		logs:  meta.NewFieldLogTable(bt.Arena),
+		marks: meta.NewBitTable(bt.Arena, mem.GranuleLog),
+		pool:  gcwork.NewPool(cfg.GCThreads),
 	}
 	// Fresh large objects must start with clean side metadata: stale
 	// field-log states from a previous occupant would corrupt coalescing
 	// (a stale Busy state would even hang the barrier).
 	bt.LOS().OnAlloc = func(start, end mem.Address) {
 		p.logs.ClearRange(start, end)
-		p.straddle.ClearRange(start, end)
 		p.marks.ClearRange(start, end)
 	}
 	p.tracer = &satb.Tracer{
 		OM:    p.om,
 		Marks: p.marks,
-		// Mature-only SATB: skip unpromoted objects (zero RC) and
-		// straddle markers, which are not object starts (§3.2.2). The
-		// plausibility check shields the tracer from stale queue
+		// Mature-only SATB: skip unpromoted objects (zero RC, §3.2.2).
+		// The plausibility check shields the tracer from stale queue
 		// entries whose memory has been reclaimed and reused.
 		Filter: func(r obj.Ref) bool {
-			return p.plausibleRef(r) && p.rc.Get(r) != 0 && !p.straddle.Get(r) && p.saneRef(r)
+			return p.plausibleRef(r) && p.rc.Get(r) != 0 && p.saneRef(r)
 		},
 	}
 	p.pacer = policy.NewRCPacer(policy.RCPacerConfig{
@@ -257,8 +253,8 @@ type mutState struct {
 // BindMutator implements vm.Plan.
 func (p *LXR) BindMutator(m *vm.Mutator) {
 	ms := &mutState{lxr: p, shard: trace.MutShard(uint64(m.ID))}
-	// The RC table is the line map: a line a promoted object straddles
-	// keeps a non-zero word too (markStraddleLines).
+	// The RC table is the line map: a line a promoted object reaches
+	// past its first keeps a cover entry (markStraddleLines).
 	ms.alloc = immix.Allocator{BT: p.bt, Lines: p.rc, OnSpan: p.onSpan}
 	m.PlanState = ms
 }
@@ -284,11 +280,10 @@ func (p *LXR) UnbindMutator(m *vm.Mutator) {
 	m.PlanState = nil
 }
 
-// onSpan prepares a span handed to a bump allocator: all metadata is
-// cleared so new objects start with Logged fields, no straddle markers
-// and no stale marks.
+// onSpan prepares a span handed to a bump allocator: new objects start
+// with Logged fields and no stale marks. Its counts and cover entries
+// are zero already: that is what made its lines free.
 func (p *LXR) onSpan(start, end mem.Address) {
 	p.logs.ClearRange(start, end)
-	p.straddle.ClearRange(start, end)
 	p.marks.ClearRange(start, end)
 }

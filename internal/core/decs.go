@@ -124,16 +124,22 @@ func (p *LXR) processDecWork(segs [][]mem.Address, seedTouched []int) {
 }
 
 // maybeReleaseAfterDecs re-examines a block in which decrements freed
-// objects (lazy reclamation, §3.3.1). Only full, unlisted blocks without
-// fresh allocation change state: a dirty block waits for the young sweep.
+// objects (lazy reclamation, §3.3.1) and releases it as afterDecs says.
 func (p *LXR) maybeReleaseAfterDecs(idx int) {
-	if p.bt.State(idx) != immix.StateFull || p.bt.HasFlag(idx, immix.FlagDirty) {
-		return
-	}
-	switch p.classifyBlock(idx) {
+	switch p.afterDecs(idx) {
 	case blockEmpty:
 		p.bt.ReleaseFree(idx)
 	case blockPartial:
 		p.bt.ReleaseRecycled(idx)
 	}
+}
+
+// afterDecs classifies a block in which objects died. Only full, unlisted
+// blocks without fresh allocation change state: a dirty block waits for
+// the young sweep, and any other reads blockFullLive.
+func (p *LXR) afterDecs(idx int) blockClass {
+	if p.bt.State(idx) != immix.StateFull || p.bt.HasFlag(idx, immix.FlagDirty) {
+		return blockFullLive
+	}
+	return p.classifyBlock(idx)
 }

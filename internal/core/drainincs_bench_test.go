@@ -21,14 +21,14 @@ const incFields = 60000
 // incHeap is a 16 MB heap laid out as a pause finds it after a
 // batch-mutate epoch: 40000 mature 96-byte objects (3 reference slots)
 // spread over 9 MB among dead fillers, 60% of their counts stuck at 3
-// and the rest at 1; 20000 young 64-byte objects (uncounted, each
-// pointing at one other), in all-young blocks when evac is set and
+// and the rest at 1; 20000 young objects of youngSize bytes (uncounted,
+// each pointing at one other), in all-young blocks when evac is set and
 // otherwise in blocks the allocator does not call young, so that each is
 // promoted in place as batch-mutate's survivors are; and 60000 logged
 // fields of mature objects rewired at random, of which the given share
 // now point at young objects. It returns the mature objects too, in
 // address order.
-func incHeap(youngShare float64, evac bool) (*LXR, *vm.VM, [][]mem.Address, []obj.Ref) {
+func incHeap(youngShare float64, evac bool, youngSize int) (*LXR, *vm.VM, [][]mem.Address, []obj.Ref) {
 	const (
 		matures = 40000
 		youngs  = 20000
@@ -55,8 +55,8 @@ func incHeap(youngShare float64, evac bool) (*LXR, *vm.VM, [][]mem.Address, []ob
 	}
 	young := make([]obj.Ref, youngs)
 	for i := range young {
-		a, _ := al.Alloc(64)
-		p.om.WriteHeader(a, obj.Layout{NumRefs: 1, Size: 64})
+		a, _ := al.Alloc(youngSize)
+		p.om.WriteHeader(a, obj.Layout{NumRefs: 1, Size: youngSize})
 		young[i] = a
 	}
 	al.Flush()
@@ -103,7 +103,10 @@ var benchSink uint64
 // of them stuck), at young objects promoted in place or evacuated on
 // their first increment (each with its own field scanned in turn), and
 // at batch-mutate's mix: about 60% of increments on stuck counts, 23%
-// counted CASes and 17% promotions in place. A drain consumes its heap —
+// counted CASes and 17% promotions in place. Young objects are 64 bytes,
+// so none crosses a 256-byte line, except in straddle-target: 80 bytes,
+// back to back, so that about a quarter reach into the next line and
+// their promotion writes its cover entry. A drain consumes its heap —
 // young objects are promoted, counts rise — so every iteration builds a
 // fresh one with the timer stopped: run it with a fixed count
 // (-benchtime 20x), and at -cpu 1 for the spread.
@@ -112,16 +115,18 @@ func BenchmarkDrainIncrements(b *testing.B) {
 		name  string
 		young float64
 		evac  bool
+		size  int // young object bytes
 	}{
-		{"mature-target", 0, false},
-		{"promote-target", 1, false},
-		{"evac-target", 1, true},
-		{"batch-mutate", 0.17, false},
+		{"mature-target", 0, false, 64},
+		{"promote-target", 1, false, 64},
+		{"straddle-target", 1, false, 80},
+		{"evac-target", 1, true, 64},
+		{"batch-mutate", 0.17, false, 64},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p, v, segs, _ := incHeap(bc.young, bc.evac)
+				p, v, segs, _ := incHeap(bc.young, bc.evac, bc.size)
 				benchSink += evict()
 				b.StartTimer()
 				p.drainIncrements(segs)
@@ -141,7 +146,7 @@ const decN = 30000
 // are the batch's targets. Each target is stuck, at 2, or at 1 with one
 // stuck child, in the given shares.
 func decHeap(stuck, two float64) (*LXR, *vm.VM, []mem.Address) {
-	p, v, _, mature := incHeap(0, false)
+	p, v, _, mature := incHeap(0, false, 64)
 	r := rand.New(rand.NewSource(2))
 	children, targets := mature[:len(mature)-decN], mature[len(mature)-decN:]
 	for _, c := range children {

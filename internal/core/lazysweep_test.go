@@ -123,9 +123,8 @@ func TestLazySweepFinishesBeforeIncrements(t *testing.T) {
 // heaps and sweeps them two ways: the driver's quanta for a varying
 // share of the blocks, then the pause that finishes the rest and
 // releases what the driver queued; and the whole sweep in one pause.
-// Both must leave bit-identical RC and straddle tables and block
-// states, count the same dead and skipped, and report the same freed
-// bytes.
+// Both must leave identical RC words, cover entries and block states,
+// count the same dead and skipped, and report the same freed bytes.
 func TestLazySweepMatchesInPauseSweep(t *testing.T) {
 	heap := func() *LXR {
 		p := New(Config{HeapBytes: 4 << 20, GCThreads: 2})
@@ -170,10 +169,9 @@ func TestLazySweepMatchesInPauseSweep(t *testing.T) {
 				t.Fatalf("trial %d (%+v): RC word of line %d (block %d) = %#08x, in-pause %#08x",
 					trial, f, l, l/mem.LinesPerBlock, g, w)
 			}
-		}
-		for i := 0; i < lazy.straddle.Words(); i++ {
-			if g, w := lazy.straddle.Word(i), now.straddle.Word(i); g != w {
-				t.Fatalf("trial %d (%+v): straddle word %d = %#08x, in-pause %#08x", trial, f, i, g, w)
+			if g, w := lazy.rc.Covered(l), now.rc.Covered(l); g != w {
+				t.Fatalf("trial %d (%+v): cover entry of line %d (block %d) = %v, in-pause %v",
+					trial, f, l, l/mem.LinesPerBlock, g, w)
 			}
 		}
 		for idx := 1; idx <= blocks; idx++ {

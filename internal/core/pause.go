@@ -583,9 +583,9 @@ func (p *LXR) youngEvacCandidate(ref obj.Ref) bool {
 }
 
 // finishPromotion performs the duties owed to a young object surviving
-// its first collection, at its final address: account survival, write
-// straddle-line markers so the allocator will not reuse its interior
-// lines (§3.1), arm the write barrier for its fields by the word (ending
+// its first collection, at its final address: account survival, cover
+// every line it reaches past its first so the allocator will not reuse
+// them (§3.1), arm the write barrier for its fields by the word (ending
 // its implicitly-dead status), keep it live for an in-flight SATB trace, and
 // enqueue recursive increments for its referents.
 func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, copied bool) {
@@ -612,51 +612,37 @@ func (p *LXR) finishPromotion(w *gcwork.Worker, sc *incScratch, ref obj.Ref, cop
 	}
 }
 
-// markStraddleLines writes a non-zero RC-table entry (and a straddle
-// bit, excluding the granule from object-start enumeration) for each
-// trailing line except the last, so the line allocator cannot reuse
-// them (§3.1).
+// markStraddleLines covers every line a small or medium object reaches
+// past its first, the last included, so the allocator cannot reuse them.
 func (p *LXR) markStraddleLines(ref obj.Ref, size int) {
-	if p.om.IsLarge(ref) || size <= mem.LineSize {
-		return
-	}
-	endLine := (ref + mem.Address(size) - 1).Line()
-	if maxLine := (ref.Block()+1)*mem.LinesPerBlock - 1; endLine > maxLine {
-		endLine = maxLine // objects never span blocks (see reclaimObjectMeta)
-	}
-	for l := ref.Line() + 1; l < endLine; l++ {
-		a := mem.LineStart(l)
-		p.rc.Set(a, 1)
-		p.straddle.Set(a)
+	if !p.om.IsLarge(ref) {
+		p.rc.Cover(ref, size, 1)
 	}
 }
 
 // --- young sweep ---------------------------------------------------------------
 
-// sweepYoung examines every block allocated into this epoch. Lines whose
-// RC-table words are zero hold only dead young objects; whole-zero
-// blocks return to the clean pool (most memory is reclaimed here,
-// without copying or decrement processing). Returns the number of clean
-// blocks yielded.
+// sweepYoung examines every block allocated into this epoch. Lines with
+// zero RC words and cover entries hold only dead young objects; wholly
+// free blocks return to the clean pool (most memory is reclaimed here,
+// without copying or decrements). It returns the clean blocks yielded.
 func (p *LXR) sweepYoung() int {
 	dirty := p.bt.TakeDirty()
 	var freed atomic.Int64
 	p.pool.ParallelFor(len(dirty), func(_, start, end int) {
+		var rel releaseSet
 		for _, idx := range dirty[start:end] {
-			if p.bt.State(idx) != immix.StateFull {
-				p.bt.ClearFlag(idx, immix.FlagYoung|immix.FlagDirty)
-				continue
+			c := blockFullLive
+			if p.bt.State(idx) == immix.StateFull {
+				c = p.classifyBlock(idx)
 			}
-			switch p.classifyBlock(idx) {
-			case blockEmpty:
-				p.bt.ReleaseFree(idx)
-				freed.Add(1)
-			case blockPartial:
-				p.bt.ReleaseRecycled(idx)
-			default:
+			if c == blockFullLive {
 				p.bt.ClearFlag(idx, immix.FlagYoung|immix.FlagDirty)
 			}
+			rel.add(idx, c)
 		}
+		p.bt.Release(rel[blockEmpty], rel[blockPartial])
+		freed.Add(int64(len(rel[blockEmpty])))
 	})
 	p.vm.Stats.Add(CtrYoungFreeBlk, freed.Load())
 	return int(freed.Load())
@@ -670,10 +656,22 @@ const (
 	blockFullLive
 )
 
-// classifyBlock inspects a block's RC-table line words. Classification
-// needs only "any line free / any line used", so the scan runs word-at-
-// a-time over the RC table with early exit (meta.RCTable.LineSummary)
-// instead of 128 per-line interface probes per block.
+// releaseSet holds a sweep worker's empty and partly free blocks, by
+// class, for one BlockTable.Release: a lock per chunk, not per block.
+// Add a block once: it stays StateFull until the release.
+type releaseSet [2][]int32
+
+func (r *releaseSet) add(idx int, c blockClass) {
+	if c != blockFullLive {
+		r[c] = append(r[c], int32(idx))
+	}
+}
+
+// classifyBlock inspects a block's RC words and cover entries.
+// Classification needs only "any line free / any line used", so the
+// scan runs word-at-a-time over the RC table with early exit
+// (meta.RCTable.LineSummary) instead of 128 per-line interface probes
+// per block.
 func (p *LXR) classifyBlock(idx int) blockClass {
 	anyFree, anyUsed := p.rc.LineSummary(idx*mem.LinesPerBlock, mem.LinesPerBlock)
 	switch {

@@ -36,18 +36,20 @@ func (p *LXR) completeSATB(inPause bool) {
 // quiescent: the blocks the driver has not reached, then the large
 // objects. An unmarked counted object was dead at the snapshot, and so
 // is its whole subgraph: clearing counts needs no recursive decrements.
-// Blocks are released only as maybeReleaseAfterDecs allows (a dirty one
-// may hold young objects not yet counted). Then it clears the marks and
-// reports the dead and the bytes freed, which it returns.
+// Blocks are released only as afterDecs allows (a dirty one may hold
+// young objects not yet counted), a batch per worker. Then it clears the
+// marks and reports the dead and the bytes freed, which it returns.
 func (p *LXR) finishSweep() int64 {
 	c := p.conc
 	first := c.sweepNext
 	p.pool.ParallelFor(p.bt.Blocks()+1-first, func(_, start, end int) {
+		var rel releaseSet
 		for idx := first + start; idx < first+end; idx++ {
 			if p.sweepBlock(idx) {
-				p.maybeReleaseAfterDecs(idx)
+				rel.add(idx, p.afterDecs(idx))
 			}
 		}
+		p.bt.Release(rel[blockEmpty], rel[blockPartial])
 	})
 	// Large object space.
 	p.bt.LOS().Each(func(a mem.Address) {
@@ -88,17 +90,14 @@ func (p *LXR) sweepBlock(idx int) bool {
 // sweepBlockUnmarked clears the metadata of unmarked objects in one
 // block, returning how many died, how many counted granules were
 // skipped because they do not decode to an object, and the bytes the
-// dead objects held. It walks metadata
-// words, not granules: a free line costs one RC-word load, a live line
-// three loads (meta.RCTable.UnmarkedStarts), and only a granule whose
-// mask bit is set — an unmarked, counted object start — is looked at.
-// The mask is taken per line, when the walk reaches it: reclaiming an
-// object clears the straddle markers on its later lines, and those
-// lines must then read as the per-granule walk would have read them.
+// dead objects held. It walks metadata words, not granules: a free line
+// costs one RC-word load, a live line two (meta.RCTable.UnmarkedStarts),
+// and only a granule whose mask bit is set — an unmarked, counted
+// object start — is looked at.
 func (p *LXR) sweepBlockUnmarked(idx int) (dead, skipped, bytes int) {
 	first := idx * mem.LinesPerBlock
 	for l := first; l < first+mem.LinesPerBlock; l++ {
-		for m := p.rc.UnmarkedStarts(l, p.marks, p.straddle); m != 0; m &= m - 1 {
+		for m := p.rc.UnmarkedStarts(l, p.marks); m != 0; m &= m - 1 {
 			a := mem.LineStart(l) + mem.Address(bits.TrailingZeros32(m))<<mem.GranuleLog
 			if !p.saneRef(a) {
 				// A counted granule that does not decode to an object:
@@ -114,25 +113,12 @@ func (p *LXR) sweepBlockUnmarked(idx int) (dead, skipped, bytes int) {
 	return dead, skipped, bytes
 }
 
-// reclaimObjectMeta clears the RC count and straddle markers of a dead
+// reclaimObjectMeta clears the RC count and the cover entries of a dead
 // object so its lines become reusable, and returns the object's size.
 func (p *LXR) reclaimObjectMeta(ref obj.Ref) int {
 	size := p.om.Size(ref)
 	p.rc.Set(ref, 0)
-	if size > mem.LineSize {
-		endLine := (ref + mem.Address(size) - 1).Line()
-		// Objects never span blocks; clamping bounds the metadata walk
-		// even if the header was clobbered, so one corrupt object can
-		// never wipe another block's counts.
-		if maxLine := (ref.Block()+1)*mem.LinesPerBlock - 1; endLine > maxLine {
-			endLine = maxLine
-		}
-		for l := ref.Line() + 1; l < endLine; l++ {
-			a := mem.LineStart(l)
-			p.rc.Set(a, 0)
-			p.straddle.Clear(a)
-		}
-	}
+	p.rc.Cover(ref, size, 0)
 	return size
 }
 

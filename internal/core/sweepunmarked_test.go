@@ -10,13 +10,13 @@ import (
 )
 
 // sweepBlockUnmarkedRef is the per-granule loop the word-parallel sweep
-// replaced: three metadata probes for every granule of the block, then
+// replaced: two metadata probes for every granule of the block, then
 // the same per-object path.
 func sweepBlockUnmarkedRef(p *LXR, idx int) (dead, skipped, bytes int) {
 	start := mem.BlockStart(idx)
 	for g := 0; g < mem.GranulesPerBlock; g++ {
 		a := start + mem.Address(g)<<mem.GranuleLog
-		if p.rc.Get(a) == 0 || p.straddle.Get(a) || p.marks.Get(a) {
+		if p.rc.Get(a) == 0 || p.marks.Get(a) {
 			continue
 		}
 		if !p.saneRef(a) {
@@ -32,14 +32,14 @@ func sweepBlockUnmarkedRef(p *LXR, idx int) (dead, skipped, bytes int) {
 }
 
 // sweepHeap is the slice of an LXR plan the unmarked sweep reads and
-// writes: an arena of object headers and the three granule tables.
+// writes: an arena of object headers, the RC table with its cover
+// entries, and the granule mark table.
 func sweepHeap(blocks int) *LXR {
 	a := mem.NewArena(blocks * mem.BlockSize)
 	return &LXR{
-		om:       obj.Model{A: a},
-		rc:       meta.NewRCTable(a),
-		marks:    meta.NewBitTable(a, mem.GranuleLog),
-		straddle: meta.NewBitTable(a, mem.GranuleLog),
+		om:    obj.Model{A: a},
+		rc:    meta.NewRCTable(a),
+		marks: meta.NewBitTable(a, mem.GranuleLog),
 	}
 }
 
@@ -54,8 +54,8 @@ type blockFill struct {
 }
 
 // fillBlock bump-allocates objects over block idx as promotion would
-// leave them — header, count, straddle markers on the interior lines of
-// a multi-line object, mark bit — and then scatters stray counts: on
+// leave them — header, count, cover entries on every line an object
+// reaches past its first, mark bit — and then scatters stray counts: on
 // free granules (a zero header: not an object) and inside objects, whose
 // payload is random and may decode to a header of any size, including
 // one that runs over real objects or past the end of the block.
@@ -136,8 +136,8 @@ func garbageWord(r *rand.Rand) uint64 {
 // randomized blocks into two heaps, sweeps one with the word-parallel
 // walk and one with the per-granule reference, and asks for the same
 // dead count, the same skip count, the same freed bytes (the pacer's
-// SATB vote runs on them) and bit-identical RC and straddle
-// tables over the whole arena (a clobbered header must not reach into a
+// SATB vote runs on them) and identical RC words and cover entries over
+// the whole arena (a clobbered header must not reach into a
 // neighbouring block on either side).
 func TestSweepBlockUnmarkedMatchesPerGranuleReference(t *testing.T) {
 	const blocks = 4
@@ -164,10 +164,9 @@ func TestSweepBlockUnmarkedMatchesPerGranuleReference(t *testing.T) {
 				t.Fatalf("trial %d (%+v): RC word of line %d (block %d) = %#08x, reference %#08x",
 					trial, f, l, l/mem.LinesPerBlock, g, w)
 			}
-		}
-		for i := 0; i < fast.straddle.Words(); i++ {
-			if g, w := fast.straddle.Word(i), ref.straddle.Word(i); g != w {
-				t.Fatalf("trial %d (%+v): straddle word %d = %#08x, reference %#08x", trial, f, i, g, w)
+			if g, w := fast.rc.Covered(l), ref.rc.Covered(l); g != w {
+				t.Fatalf("trial %d (%+v): cover entry of line %d (block %d) = %v, reference %v",
+					trial, f, l, l/mem.LinesPerBlock, g, w)
 			}
 		}
 		deadTotal += dead

@@ -51,9 +51,9 @@ func (p *LXR) verifyHeap(stage string) {
 				stage, p.epoch.Load(), uint64(ref), size, ref.Block(), p.bt.State(ref.Block()), p.bt.Word(ref.Block()), p.rc.Get(ref), p.marks.Get(ref)))
 		}
 		if p.rc.Get(ref) == 0 {
-			panic(fmt.Sprintf("lxr verify[%s] epoch %d: reachable ref %x has rc 0 (block %d state %d flags %x young=%v size=%d straddle=%v mark=%v)",
+			panic(fmt.Sprintf("lxr verify[%s] epoch %d: reachable ref %x has rc 0 (block %d state %d flags %x young=%v size=%d covered=%v mark=%v)",
 				stage, p.epoch.Load(), uint64(ref), ref.Block(), p.bt.State(ref.Block()), p.bt.Word(ref.Block()),
-				p.bt.HasFlag(ref.Block(), immix.FlagYoung), size, p.straddle.Get(ref), p.marks.Get(ref)))
+				p.bt.HasFlag(ref.Block(), immix.FlagYoung), size, p.rc.Covered(ref.Line()), p.marks.Get(ref)))
 		}
 		p.om.EachSlot(ref, func(i int, slot mem.Address, v obj.Ref) {
 			if st := p.logs.Get(slot); st != meta.LogUnlogged {

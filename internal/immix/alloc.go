@@ -17,11 +17,11 @@ type LineMap interface {
 }
 
 // Allocator is a thread-local Immix bump-pointer allocator. It allocates
-// into a reserved block, recycles free line spans in partially free
-// blocks (skipping the conservatively-unavailable first free line after
-// a used line, §3.1), sends medium objects that do not fit the current
+// into a reserved block, recycles every run of free lines in partially
+// free blocks (§3.1), sends medium objects that do not fit the current
 // span to a dynamic-overflow block, and zeroes memory immediately before
-// handing it out.
+// handing it out. It skips no free line, so its LineMap must mark every
+// line a live object occupies, the last one included.
 type Allocator struct {
 	BT *BlockTable
 	// Lines makes the allocator prefer partially free blocks, the
@@ -138,9 +138,7 @@ func (al *Allocator) allocOverflow(size int) (mem.Address, bool) {
 
 // nextSpanInBlock advances the bump span to the next run of free lines
 // in the current (recycled) block, scanning the cached free-line bitmap
-// word-at-a-time. Following Immix, the first free line after a used
-// line is treated as unavailable so that objects straddling into it are
-// never clobbered.
+// word-at-a-time.
 func (al *Allocator) nextSpanInBlock() bool {
 	if al.block == 0 || al.Lines == nil {
 		return false
@@ -154,11 +152,6 @@ func (al *Allocator) nextSpanInBlock() bool {
 	base := al.block * mem.LinesPerBlock
 	al.setSpan(mem.LineStart(base+start), mem.LineStart(base+end), true)
 	return true
-}
-
-// lineBitSet reports whether line l of the bitmap is free.
-func lineBitSet(bm *[mem.LinesPerBlock / 32]uint32, l int) bool {
-	return bm[l>>5]&(1<<uint(l&31)) != 0
 }
 
 // nextFreeLine returns the index of the first free line >= l, or
@@ -190,44 +183,24 @@ func nextUsedLine(bm *[mem.LinesPerBlock / 32]uint32, l int) int {
 	return mem.LinesPerBlock
 }
 
-// nextSpan finds the next bumpable span of free lines at or after scan
-// in a block's free-line bitmap, applying the conservative straddle
-// rule. It is the pure core of nextSpanInBlock, shared with ScanSpans
-// and property-tested against the per-line reference scan.
+// nextSpan finds the next run of free lines at or after scan in a
+// block's free-line bitmap. It is the pure core of nextSpanInBlock,
+// shared with ScanSpans and property-tested against the per-line
+// reference scan.
 func nextSpan(bm *[mem.LinesPerBlock / 32]uint32, scan int) (start, end int, ok bool) {
-	l := scan
-	for l < mem.LinesPerBlock {
-		l = nextFreeLine(bm, l)
-		if l >= mem.LinesPerBlock {
-			break
-		}
-		if l > 0 {
-			// Conservative straddle rule: skip the first free line
-			// following a used line (or a previously returned span).
-			l++
-			if l >= mem.LinesPerBlock || !lineBitSet(bm, l) {
-				continue
-			}
-		}
-		start = l
-		l = nextUsedLine(bm, l)
-		return start, l, true
+	start = nextFreeLine(bm, scan)
+	if start >= mem.LinesPerBlock {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	return start, nextUsedLine(bm, start), true
 }
 
 func (al *Allocator) acquireBlock() bool {
 	al.retireCurrent()
 	if al.Lines != nil {
-		// Iterative on purpose: the recycled list can hold a long run of
-		// blocks whose only free lines are consumed by the conservative
-		// straddle rule, and the allocation slow path must not deepen
-		// the stack once per such block.
-		for {
-			idx, ok := al.BT.AcquireRecycled()
-			if !ok {
-				break
-			}
+		// A listed block keeps the free line it was listed for: no
+		// allocator takes one of its lines until it is popped.
+		if idx, ok := al.BT.AcquireRecycled(); ok {
 			al.BT.SetKind(idx, al.Kind)
 			al.BT.NoteDirty(idx)
 			al.BlocksRecycled++
@@ -237,8 +210,6 @@ func (al *Allocator) acquireBlock() bool {
 			if al.nextSpanInBlock() {
 				return true
 			}
-			// No bumpable span survived the conservative rule; retire
-			// the block and take the next recycled one.
 			al.retireCurrent()
 		}
 	}

@@ -311,24 +311,33 @@ func (bt *BlockTable) AcquireRecycled() (int, bool) {
 
 // ReleaseFree returns a block to the free list. The caller must have
 // removed all objects from it.
-func (bt *BlockTable) ReleaseFree(idx int) {
-	bt.ClearFlag(idx, FlagYoung|FlagDirty|FlagDefrag|FlagEvacuating)
-	bt.mu.Lock()
-	bt.SetState(idx, StateFree)
-	bt.free = append(bt.free, int32(idx))
-	bt.inUse.Add(-1)
-	bt.freeCount.Add(1)
-	bt.mu.Unlock()
-}
+func (bt *BlockTable) ReleaseFree(idx int) { bt.Release([]int32{int32(idx)}, nil) }
 
 // ReleaseRecycled puts a partially free block on the recycled list. The
 // block still holds live objects and remains counted as in use.
-func (bt *BlockTable) ReleaseRecycled(idx int) {
-	bt.ClearFlag(idx, FlagYoung|FlagDirty)
+func (bt *BlockTable) ReleaseRecycled(idx int) { bt.Release(nil, []int32{int32(idx)}) }
+
+// Release does ReleaseFree for each block of free and ReleaseRecycled for
+// each of recycled under one lock (none if both are empty), so a sweep
+// worker locks once per batch, not per block. It retains neither slice.
+func (bt *BlockTable) Release(free, recycled []int32) {
+	if len(free)+len(recycled) == 0 {
+		return
+	}
 	bt.mu.Lock()
-	bt.SetState(idx, StateRecycled)
-	bt.recy = append(bt.recy, int32(idx))
-	bt.recyCount.Add(1)
+	for _, idx := range free {
+		bt.ClearFlag(int(idx), FlagYoung|FlagDirty|FlagDefrag|FlagEvacuating)
+		bt.SetState(int(idx), StateFree)
+	}
+	for _, idx := range recycled {
+		bt.ClearFlag(int(idx), FlagYoung|FlagDirty)
+		bt.SetState(int(idx), StateRecycled)
+	}
+	bt.free = append(bt.free, free...)
+	bt.recy = append(bt.recy, recycled...)
+	bt.inUse.Add(-int32(len(free)))
+	bt.freeCount.Add(int32(len(free)))
+	bt.recyCount.Add(int32(len(recycled)))
 	bt.mu.Unlock()
 }
 

@@ -54,6 +54,79 @@ func TestRecycledListValidatesState(t *testing.T) {
 	bt.AcquireRecycled()
 }
 
+// TestReleaseBatchMatchesOneByOne: Release leaves the table as the same
+// ReleaseFree and ReleaseRecycled calls one block at a time do — states,
+// flags, counters, and the order the lists hand the blocks back — and
+// as each call's contract says.
+func TestReleaseBatchMatchesOneByOne(t *testing.T) {
+	one, batch := table(t, 4), table(t, 4)
+	free0 := batch.FreeBlocks()
+	var free, recycled []int32
+	var held []int
+	for i := 0; i < 24; i++ {
+		a, _ := one.AcquireClean()
+		b, _ := batch.AcquireClean()
+		if a != b {
+			t.Fatalf("fresh tables handed out blocks %d and %d", a, b)
+		}
+		for _, bt := range []*immix.BlockTable{one, batch} {
+			bt.Retire(a)
+			bt.SetFlag(a, immix.FlagYoung|immix.FlagDirty|immix.FlagDefrag)
+		}
+		held = append(held, a)
+	}
+	for i, a := range held {
+		switch i % 3 {
+		case 0:
+			one.ReleaseFree(a)
+			free = append(free, int32(a))
+		case 1:
+			one.ReleaseRecycled(a)
+			recycled = append(recycled, int32(a))
+		}
+	}
+	batch.Release(nil, nil)
+	batch.Release(free, recycled)
+	if batch.FreeBlocks() != free0-len(held)+len(free) || batch.RecycledBlocks() != len(recycled) ||
+		batch.InUseBlocks() != len(held)-len(free) {
+		t.Fatalf("batched counters %s after freeing %d and recycling %d of %d", batch, len(free), len(recycled), len(held))
+	}
+	all := immix.FlagYoung | immix.FlagDirty | immix.FlagDefrag
+	for i, a := range held {
+		want, kept := []uint32{immix.StateFree, immix.StateRecycled, immix.StateFull}[i%3],
+			[]uint32{0, immix.FlagDefrag, all}[i%3]
+		if batch.State(a) != want || batch.Word(a)&all != kept {
+			t.Fatalf("block %d: state %d flags %#x, want state %d flags %#x", a, batch.State(a), batch.Word(a)&all, want, kept)
+		}
+	}
+	if one.String() != batch.String() {
+		t.Fatalf("one by one %s, batched %s", one, batch)
+	}
+	for idx := 1; idx <= one.Blocks(); idx++ {
+		if one.State(idx) != batch.State(idx) || one.Word(idx) != batch.Word(idx) {
+			t.Fatalf("block %d: one by one state %d word %#x, batched state %d word %#x",
+				idx, one.State(idx), one.Word(idx), batch.State(idx), batch.Word(idx))
+		}
+	}
+	for {
+		a, okA := one.AcquireRecycled()
+		b, okB := batch.AcquireRecycled()
+		if a != b || okA != okB {
+			t.Fatalf("recycled list: one by one (%d, %v), batched (%d, %v)", a, okA, b, okB)
+		}
+		if !okA {
+			break
+		}
+	}
+	for i := range free {
+		a, _ := one.AcquireClean()
+		b, _ := batch.AcquireClean()
+		if a != b {
+			t.Fatalf("free list pop %d: one by one %d, batched %d", i, a, b)
+		}
+	}
+}
+
 func TestBudgetEnforced(t *testing.T) {
 	bt := table(t, 1) // 32 blocks
 	n := 0
@@ -266,7 +339,10 @@ func TestAllocatorZeroesMemory(t *testing.T) {
 	}
 }
 
-func TestRecycledLineSkipRule(t *testing.T) {
+// TestRecycledLineExactRule: the line map marks every line an object
+// occupies, so the allocator reuses the first free line after a used
+// one and takes the whole run of free lines as one span.
+func TestRecycledLineExactRule(t *testing.T) {
 	bt := table(t, 2)
 	// Build a line map: lines 0-2 used, 3-7 free, rest used.
 	used := map[int]bool{}
@@ -278,16 +354,26 @@ func TestRecycledLineSkipRule(t *testing.T) {
 	bt.Retire(idx)
 	bt.ReleaseRecycled(idx)
 
-	lm := mapLines{used}
-	al := immix.Allocator{BT: bt, Lines: lm}
+	var spans [][2]mem.Address
+	al := immix.Allocator{BT: bt, Lines: mapLines{used},
+		OnSpan: func(s, e mem.Address) { spans = append(spans, [2]mem.Address{s, e}) }}
 	a, ok := al.Alloc(64)
 	if !ok {
 		t.Fatal("alloc failed")
 	}
-	// The first free line (3) follows a used line and must be skipped
-	// (conservative straddle rule): allocation starts at line 4.
-	if got := a.Line() % mem.LinesPerBlock; got != 4 {
-		t.Fatalf("allocation started at line %d, want 4", got)
+	// The first free line (3) follows a used line and is reused.
+	if got := a.Line() % mem.LinesPerBlock; got != 3 {
+		t.Fatalf("allocation started at line %d, want 3", got)
+	}
+	// One span, lines 3-7: five free lines, all bumpable.
+	want := [2]mem.Address{mem.LineStart(base + 3), mem.LineStart(base + 8)}
+	if len(spans) != 1 || spans[0] != want {
+		t.Fatalf("spans %x, want [%x]", spans, want)
+	}
+	for i := 1; i < 5*mem.LineSize/64; i++ {
+		if b, ok := al.Alloc(64); !ok || b.Block() != idx {
+			t.Fatalf("alloc %d left the span's block: %x ok=%v", i, b, ok)
+		}
 	}
 }
 
@@ -307,8 +393,8 @@ func TestOverflowAllocationZeroes(t *testing.T) {
 	used := map[int]bool{}
 	idx, _ := bt.AcquireClean()
 	base := idx * mem.LinesPerBlock
-	// Two free lines at 10-11 (span of 256B after skip); everything
-	// else used, forcing a medium object to overflow.
+	// Two free lines at 10-11 (a 512 B span); everything else used,
+	// forcing a medium object to overflow.
 	for l := 0; l < mem.LinesPerBlock; l++ {
 		used[base+l] = !(l == 10 || l == 11)
 	}

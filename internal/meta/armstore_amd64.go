@@ -12,3 +12,7 @@ package meta
 // earlier miss. CI greps the compiled ArmWord and ArmWords for a LOCK
 // prefix or a memory XCHG.
 func (t *FieldLogTable) armWord(w int) { t.words[w] = unloggedWord }
+
+// storeCover is a plain MOVL for RCTable.Cover, whose entries have one
+// writer at a time; CI greps the compiled Cover as it does ArmWord.
+func (t *RCTable) storeCover(l int, v uint32) { t.cover[l] = v }

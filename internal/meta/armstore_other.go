@@ -10,3 +10,6 @@ import "sync/atomic"
 // one word are a reported data race however equal the values. The split
 // is mem's storeRelease's.
 func (t *FieldLogTable) armWord(w int) { atomic.StoreUint32(&t.words[w], unloggedWord) }
+
+// storeCover is atomic for armWord's reasons (see RCTable.Cover).
+func (t *RCTable) storeCover(l int, v uint32) { atomic.StoreUint32(&t.cover[l], v) }

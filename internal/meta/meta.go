@@ -1,7 +1,8 @@
 // Package meta implements the side metadata tables LXR keeps off to the
-// side of the heap: the 2-bit reference-count table, the unlogged bits
-// used by the field-logging write barrier, SATB mark bits, and the
-// per-line reuse counters G1 uses to validate remembered-set entries.
+// side of the heap: the 2-bit reference-count table with its per-line
+// cover entries, the unlogged bits used by the field-logging write
+// barrier, SATB mark bits, and the per-line reuse counters G1 uses to
+// validate remembered-set entries.
 //
 // All tables are addressed by arena geometry (granule, word, or line
 // index) so that metadata for an object is reachable from its address
@@ -25,17 +26,19 @@ const (
 	countsPerWord = 32 / RCBits // 16 counts per uint32
 )
 
-// RCTable holds one 2-bit reference count per granule. A line's worth of
-// counts (16 granules × 2 bits) is exactly one uint32, so "is this line
-// free" is a single load — the property the Immix line allocator scans.
+// RCTable holds one 2-bit reference count per granule, a line's worth
+// in one uint32, and per line a cover entry: non-zero while a counted
+// object starting on an earlier line reaches into it. A line is free
+// when both are zero: two loads, the property the line allocator scans.
 type RCTable struct {
 	words []uint32
+	cover []uint32 // one per line, parallel to words
 }
 
 // NewRCTable creates an RC table covering the whole arena.
 func NewRCTable(a *mem.Arena) *RCTable {
-	nGranules := a.Size() / mem.Granule
-	return &RCTable{words: make([]uint32, nGranules/countsPerWord)}
+	n := a.Size() / mem.Granule / countsPerWord
+	return &RCTable{words: make([]uint32, n), cover: make([]uint32, n)}
 }
 
 func rcIndex(addr mem.Address) (word int, shift uint) {
@@ -82,8 +85,7 @@ func (t *RCTable) Dec(addr mem.Address) uint32 {
 	}
 }
 
-// Set stores an exact count for addr (used for straddle-line markers and
-// for clearing the counts of SATB-identified dead objects).
+// Set stores an exact count for addr (clearing a dead object's count).
 func (t *RCTable) Set(addr mem.Address, v uint32) {
 	w, s := rcIndex(addr)
 	for {
@@ -96,9 +98,28 @@ func (t *RCTable) Set(addr mem.Address, v uint32) {
 }
 
 // LineWord returns the raw uint32 holding all counts for global line idx.
-// A zero value means every granule on the line is free.
+// A zero value means no object starts on the line.
 func (t *RCTable) LineWord(idx int) uint32 {
 	return atomic.LoadUint32(&t.words[idx])
+}
+
+// Covered reports whether global line idx has its cover entry set.
+func (t *RCTable) Covered(idx int) bool { return atomic.LoadUint32(&t.cover[idx]) != 0 }
+
+// Cover stores v in the cover entry of every line the size bytes at
+// addr reach past their first: 1 when the object is promoted, in a
+// pause, 0 when it dies. Only the object holding a line's first byte
+// reaches into it from an earlier line, and a line is allocated over
+// only once its entry reads 0, so an entry has one writer at a time and
+// storeCover is a plain store on race-free amd64, as armWord is.
+func (t *RCTable) Cover(addr mem.Address, size int, v uint32) {
+	hi := (addr + mem.Address(size) - 1).Line() + 1
+	if end := (addr.Block() + 1) * mem.LinesPerBlock; hi > end {
+		hi = end // objects never span blocks, even with a clobbered header
+	}
+	for l := addr.Line() + 1; l < hi; l++ {
+		t.storeCover(l, v)
+	}
 }
 
 // ClearRange zeroes the counts of every granule in [start, end). This
@@ -137,16 +158,22 @@ func clearPairs(ws []uint32, start, end mem.Address, unitLog uint) {
 	}
 }
 
+// lineUsed is non-zero when line i of the counts ws and covers cs is used.
+func lineUsed(ws, cs []uint32, i int) uint32 {
+	return atomic.LoadUint32(&ws[i]) | atomic.LoadUint32(&cs[i])
+}
+
 // FreeLineBits fills bits with one bit per line of the block whose
-// first global line is firstLine (bit set = line free, i.e. its RC word
-// is zero). One call prepares a whole block's free-line bitmap for the
-// allocator's word-at-a-time span scan (immix.LineMap).
+// first global line is firstLine (set = free: RC word and cover entry
+// both zero), the whole block's bitmap for the allocator's
+// word-at-a-time span scan (immix.LineMap).
 func (t *RCTable) FreeLineBits(firstLine int, bits *[mem.LinesPerBlock / 32]uint32) {
 	for i := range bits {
-		ws := t.words[firstLine+i*32 : firstLine+i*32+32 : firstLine+i*32+32]
+		lo, hi := firstLine+i*32, firstLine+i*32+32
+		ws, cs := t.words[lo:hi:hi], t.cover[lo:hi:hi]
 		var w uint32
 		for b := range ws {
-			if atomic.LoadUint32(&ws[b]) == 0 {
+			if lineUsed(ws, cs, b) == 0 {
 				w |= 1 << uint(b)
 			}
 		}
@@ -154,9 +181,9 @@ func (t *RCTable) FreeLineBits(firstLine int, bits *[mem.LinesPerBlock / 32]uint
 	}
 }
 
-// LineSummary scans the n line words starting at global line firstLine
-// and reports whether any line is free (RC word zero) and whether any
-// line is used. Sweep classification needs only these two facts — empty
+// LineSummary scans the n lines starting at global line firstLine and
+// reports whether any is free (RC word and cover entry zero) and whether
+// any is used. Sweep classification needs only these two facts — empty
 // (!anyUsed), partial (anyFree && anyUsed), or full (!anyFree) — so the
 // scan stops as soon as both are known, which for the common partially
 // occupied block is after a handful of loads instead of a fixed
@@ -167,19 +194,20 @@ func (t *RCTable) FreeLineBits(firstLine int, bits *[mem.LinesPerBlock / 32]uint
 // switches to hunting for a free word — with immediate exit — if the
 // run breaks before the end.
 func (t *RCTable) LineSummary(firstLine, n int) (anyFree, anyUsed bool) {
-	ws := t.words[firstLine : firstLine+n : firstLine+n]
+	end := firstLine + n
+	ws, cs := t.words[firstLine:end:end], t.cover[firstLine:end:end]
 	if len(ws) == 0 {
 		return false, false
 	}
 	i := 0
 	for ; i+4 <= len(ws); i += 4 {
-		if atomic.LoadUint32(&ws[i])|atomic.LoadUint32(&ws[i+1])|
-			atomic.LoadUint32(&ws[i+2])|atomic.LoadUint32(&ws[i+3]) != 0 {
+		if lineUsed(ws, cs, i)|lineUsed(ws, cs, i+1)|
+			lineUsed(ws, cs, i+2)|lineUsed(ws, cs, i+3) != 0 {
 			break
 		}
 	}
 	for ; i < len(ws); i++ {
-		if atomic.LoadUint32(&ws[i]) != 0 {
+		if lineUsed(ws, cs, i) != 0 {
 			break
 		}
 	}
@@ -190,7 +218,7 @@ func (t *RCTable) LineSummary(firstLine, n int) (anyFree, anyUsed bool) {
 		return true, true
 	}
 	for i = 1; i < len(ws); i++ {
-		if atomic.LoadUint32(&ws[i]) == 0 {
+		if lineUsed(ws, cs, i) == 0 {
 			return true, true
 		}
 	}
@@ -220,17 +248,17 @@ func countedMask(w uint32) uint32 {
 }
 
 // UnmarkedStarts returns the 16-bit mask of granules on global line idx
-// that carry a non-zero count and have neither their marks nor their
-// straddle bit set: the object starts a completed SATB trace left
-// unmarked. One line is one RC word and half a word of each granule bit
-// table, so three loads decide sixteen granules — and a zero RC word
-// decides them with one. Both bit tables must be granule-unit tables.
-func (t *RCTable) UnmarkedStarts(idx int, marks, straddle *BitTable) uint32 {
+// that carry a non-zero count and have no mark bit set: the object
+// starts a completed SATB trace left unmarked. One line is one RC word
+// and half a word of the granule mark table, so two loads decide
+// sixteen granules — and a zero RC word decides them with one. marks
+// must be a granule-unit table.
+func (t *RCTable) UnmarkedStarts(idx int, marks *BitTable) uint32 {
 	w := atomic.LoadUint32(&t.words[idx])
 	if w == 0 {
 		return 0
 	}
-	return countedMask(w) &^ (marks.lineBits(idx) | straddle.lineBits(idx))
+	return countedMask(w) &^ marks.lineBits(idx)
 }
 
 // BitTable is a 1-bit-per-unit table with atomic set/clear/test, used for

@@ -269,26 +269,81 @@ func TestArmWordsRacingWorkers(t *testing.T) {
 	}
 }
 
+// lineState writes one line's (RC word, cover entry) pair: a count of
+// 1..3 on a random granule when counted, and the cover entry of a
+// 32-byte object on the previous line's last granule when covered.
+func lineState(rc *meta.RCTable, r *rand.Rand, line int, counted, covered bool) {
+	start := mem.LineStart(line)
+	rc.ClearRange(start, start+mem.LineSize)
+	if counted {
+		rc.Set(start+mem.Address(r.Intn(16))*mem.Granule, uint32(1+r.Intn(3)))
+	}
+	v := uint32(0)
+	if covered {
+		v = 1
+	}
+	rc.Cover(start-mem.Granule, 2*mem.Granule, v)
+}
+
+// freeModel draws a block's (RC word, cover) pairs — every combination,
+// at a density chosen per trial, with leading free runs of every length
+// for LineSummary's unrolled scan; no object reaches into a block's
+// first line — writes them, and returns the scalar model: a line is
+// free when neither is set.
+func freeModel(rc *meta.RCTable, r *rand.Rand, firstLine int) []bool {
+	free := make([]bool, mem.LinesPerBlock)
+	used := r.Intn(101)
+	run := r.Intn(mem.LinesPerBlock + 1) // lines forced free at the front
+	for l := range free {
+		counted := l >= run && r.Intn(100) < used
+		covered := l >= run && l > 0 && r.Intn(100) < used
+		lineState(rc, r, firstLine+l, counted, covered)
+		free[l] = !counted && !covered
+	}
+	return free
+}
+
 func TestRCFreeLineBitsMatchesLineFree(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	rc := meta.NewRCTable(arena())
 	lo, _ := testRegion()
 	firstLine := lo.Line()
-	for trial := 0; trial < 50; trial++ {
-		for l := 0; l < mem.LinesPerBlock; l++ {
-			start := mem.LineStart(firstLine + l)
-			rc.ClearRange(start, start+mem.LineSize)
-			if r.Intn(2) == 0 {
-				rc.Set(start+mem.Address(r.Intn(16))*mem.Granule, uint32(1+r.Intn(3)))
-			}
-		}
+	for trial := 0; trial < 200; trial++ {
+		free := freeModel(rc, r, firstLine)
 		var bm [mem.LinesPerBlock / 32]uint32
 		rc.FreeLineBits(firstLine, &bm)
 		for l := 0; l < mem.LinesPerBlock; l++ {
-			got := bm[l/32]&(1<<uint(l%32)) != 0
-			if want := rc.LineWord(firstLine+l) == 0; got != want {
-				t.Fatalf("trial %d line %d: bitmap %v, line word zero %v", trial, l, got, want)
+			if got := bm[l/32]&(1<<uint(l%32)) != 0; got != free[l] {
+				t.Fatalf("trial %d line %d: bitmap free %v, model (rc %#08x, covered %v) free %v",
+					trial, l, got, rc.LineWord(firstLine+l), rc.Covered(firstLine+l), free[l])
 			}
+		}
+	}
+}
+
+// TestLineSummaryMatchesScalarModel asks LineSummary, over random
+// windows of random blocks, for the two facts the scalar model over
+// (RC word, cover) pairs gives: some line free, some line used.
+func TestLineSummaryMatchesScalarModel(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	rc := meta.NewRCTable(arena())
+	lo, _ := testRegion()
+	firstLine := lo.Line()
+	for trial := 0; trial < 2000; trial++ {
+		free := freeModel(rc, r, firstLine)
+		off := r.Intn(mem.LinesPerBlock + 1)
+		n := r.Intn(mem.LinesPerBlock - off + 1)
+		if trial%4 == 0 {
+			off, n = 0, mem.LinesPerBlock // the whole block, as classifyBlock asks
+		}
+		var wantFree, wantUsed bool
+		for _, f := range free[off : off+n] {
+			wantFree = wantFree || f
+			wantUsed = wantUsed || !f
+		}
+		if gotFree, gotUsed := rc.LineSummary(firstLine+off, n); gotFree != wantFree || gotUsed != wantUsed {
+			t.Fatalf("trial %d lines [%d, %d): LineSummary (free %v, used %v), model (free %v, used %v)",
+				trial, off, off+n, gotFree, gotUsed, wantFree, wantUsed)
 		}
 	}
 }

@@ -9,34 +9,32 @@ import (
 )
 
 // The SATB sweep's mask kernel decides a line's sixteen granules from
-// one RC word and half a word of each granule bit table. Its scalar
-// model is the per-granule probe the sweep used to make: counted, not a
-// straddle marker, not marked.
+// one RC word and half a word of the granule mark table. Its scalar
+// model is the per-granule probe the sweep used to make: counted, not
+// marked.
 
-// lineTables is one RC table and two granule bit tables over a shared
+// lineTables is one RC table and one granule mark table over a shared
 // arena, with the scalar model of UnmarkedStarts beside them.
 type lineTables struct {
-	rc              *meta.RCTable
-	marks, straddle *meta.BitTable
+	rc    *meta.RCTable
+	marks *meta.BitTable
 }
 
 func newLineTables() lineTables {
 	a := arena()
 	return lineTables{
-		rc:       meta.NewRCTable(a),
-		marks:    meta.NewBitTable(a, mem.GranuleLog),
-		straddle: meta.NewBitTable(a, mem.GranuleLog),
+		rc:    meta.NewRCTable(a),
+		marks: meta.NewBitTable(a, mem.GranuleLog),
 	}
 }
 
 // load writes the line's metadata: rcWord holds sixteen 2-bit counts,
-// the low sixteen bits of markBits and straddleBits one bit per granule.
-func (lt lineTables) load(line int, rcWord, markBits, straddleBits uint32) {
+// the low sixteen bits of markBits one bit per granule.
+func (lt lineTables) load(line int, rcWord, markBits uint32) {
 	for g := 0; g < mem.GranulesPerLine; g++ {
 		a := mem.LineStart(line) + mem.Address(g)<<mem.GranuleLog
 		lt.rc.Set(a, rcWord>>(2*g)&meta.RCMax)
 		setBit(lt.marks, a, markBits>>g&1 != 0)
-		setBit(lt.straddle, a, straddleBits>>g&1 != 0)
 	}
 }
 
@@ -48,12 +46,12 @@ func setBit(t *meta.BitTable, a mem.Address, on bool) {
 	}
 }
 
-// scalar is the per-granule model: three probes per granule.
+// scalar is the per-granule model: two probes per granule.
 func (lt lineTables) scalar(line int) uint32 {
 	var m uint32
 	for g := 0; g < mem.GranulesPerLine; g++ {
 		a := mem.LineStart(line) + mem.Address(g)<<mem.GranuleLog
-		if lt.rc.Get(a) != 0 && !lt.straddle.Get(a) && !lt.marks.Get(a) {
+		if lt.rc.Get(a) != 0 && !lt.marks.Get(a) {
 			m |= 1 << g
 		}
 	}
@@ -63,15 +61,15 @@ func (lt lineTables) scalar(line int) uint32 {
 // check loads one line and its neighbours (which must not leak into the
 // line's mask: an even line shares its bit-table words with the odd
 // line after it) and compares kernel and model.
-func (lt lineTables) check(t *testing.T, line int, rcWord, markBits, straddleBits, noise uint32) {
+func (lt lineTables) check(t *testing.T, line int, rcWord, markBits, noise uint32) {
 	t.Helper()
-	lt.load(line-1, noise, ^noise, noise>>7)
-	lt.load(line+1, ^noise, noise>>3, ^noise>>11)
-	lt.load(line, rcWord, markBits, straddleBits)
-	got, want := lt.rc.UnmarkedStarts(line, lt.marks, lt.straddle), lt.scalar(line)
+	lt.load(line-1, noise, ^noise)
+	lt.load(line+1, ^noise, noise>>3)
+	lt.load(line, rcWord, markBits)
+	got, want := lt.rc.UnmarkedStarts(line, lt.marks), lt.scalar(line)
 	if got != want {
-		t.Fatalf("line %d rc=%#08x marks=%#04x straddle=%#04x: kernel %#04x, scalar model %#04x",
-			line, rcWord, markBits&0xffff, straddleBits&0xffff, got, want)
+		t.Fatalf("line %d rc=%#08x marks=%#04x: kernel %#04x, scalar model %#04x",
+			line, rcWord, markBits&0xffff, got, want)
 	}
 }
 
@@ -80,18 +78,18 @@ func TestUnmarkedStartsMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	lines := []int{mem.LinesPerBlock + 2, mem.LinesPerBlock + 3} // one of each parity
 	// Every position, every count value (3 is the stuck count), alone on
-	// the line, crossed with that granule's mark and straddle bits.
+	// the line, crossed with that granule's mark bit.
 	for _, line := range lines {
 		for g := 0; g < mem.GranulesPerLine; g++ {
 			for c := uint32(1); c <= meta.RCMax; c++ {
-				for flags := uint32(0); flags < 4; flags++ {
-					lt.check(t, line, c<<(2*g), (flags&1)<<g, (flags>>1)<<g, r.Uint32())
+				for mark := uint32(0); mark < 2; mark++ {
+					lt.check(t, line, c<<(2*g), mark<<g, r.Uint32())
 				}
 			}
 		}
 	}
 	// A line of stuck counts, and a fully counted line with every
-	// mark/straddle pattern drawn at random.
+	// mark pattern drawn at random.
 	for trial := 0; trial < 4000; trial++ {
 		line := lines[trial%2]
 		rcWord := r.Uint32()
@@ -103,21 +101,21 @@ func TestUnmarkedStartsMatchesScalar(t *testing.T) {
 		case 2:
 			rcWord &= r.Uint32() & r.Uint32() // sparse
 		}
-		lt.check(t, line, rcWord, r.Uint32(), r.Uint32(), r.Uint32())
+		lt.check(t, line, rcWord, r.Uint32(), r.Uint32())
 	}
 }
 
 func FuzzUnmarkedStarts(f *testing.F) {
-	f.Add(uint32(0), uint32(0), uint32(0), uint32(0), false)
-	f.Add(^uint32(0), uint32(0), uint32(0), ^uint32(0), true)
-	f.Add(uint32(0xc000_0003), uint32(0x8001), uint32(0x0001), uint32(0x1234_5678), false)
-	f.Add(uint32(0x5555_5555), uint32(0xaaaa), uint32(0x5555), uint32(0), true)
+	f.Add(uint32(0), uint32(0), uint32(0), false)
+	f.Add(^uint32(0), uint32(0), ^uint32(0), true)
+	f.Add(uint32(0xc000_0003), uint32(0x8001), uint32(0x1234_5678), false)
+	f.Add(uint32(0x5555_5555), uint32(0xaaaa), uint32(0), true)
 	lt := newLineTables()
-	f.Fuzz(func(t *testing.T, rcWord, markBits, straddleBits, noise uint32, odd bool) {
+	f.Fuzz(func(t *testing.T, rcWord, markBits, noise uint32, odd bool) {
 		line := mem.LinesPerBlock + 2
 		if odd {
 			line++
 		}
-		lt.check(t, line, rcWord, markBits, straddleBits, noise)
+		lt.check(t, line, rcWord, markBits, noise)
 	})
 }

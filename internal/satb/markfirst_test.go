@@ -91,8 +91,8 @@ func newStaleHeap(seed int64) *staleHeap {
 	return h
 }
 
-// filter is LXR's, less the straddle table: in the arena and aligned,
-// counted, and a believable header.
+// filter is LXR's: in the arena and aligned, counted, and a believable
+// header.
 func (h *staleHeap) filter(r obj.Ref) bool {
 	if r.IsNil() || r&(mem.Granule-1) != 0 || !h.om.A.Contains(r) || h.rc.Get(r) == 0 {
 		return false
