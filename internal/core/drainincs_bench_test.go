@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lxr/internal/immix"
@@ -85,6 +86,19 @@ func incHeap(youngShare float64, evac bool, youngSize int) (*LXR, *vm.VM, [][]me
 	return p, v, append(segs, seg), mature
 }
 
+// settle readies a built heap for timing: it touches every page of the
+// arena, so the blocks a drain copies or allocates into fault in before
+// the timer starts, and it finishes the Go collector's cycle, whose
+// trigger the previous iterations' arenas pull into the timed region
+// otherwise.
+func settle(p *LXR) {
+	a := p.om.A
+	for addr := mem.Address(0); int(addr) < a.Size(); addr += 4096 {
+		a.Store(addr, a.Load(addr))
+	}
+	runtime.GC()
+}
+
 // evict streams through a buffer larger than the private caches, as the
 // mutator's epoch does between two pauses.
 var evictBuf = make([]uint64, 32<<20/8)
@@ -108,8 +122,8 @@ var benchSink uint64
 // back to back, so that about a quarter reach into the next line and
 // their promotion writes its cover entry. A drain consumes its heap —
 // young objects are promoted, counts rise — so every iteration builds a
-// fresh one with the timer stopped: run it with a fixed count
-// (-benchtime 20x), and at -cpu 1 for the spread.
+// fresh one and settles it with the timer stopped: run it with a fixed
+// count (-benchtime 100x), and at -cpu 1 for the spread.
 func BenchmarkDrainIncrements(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -127,6 +141,7 @@ func BenchmarkDrainIncrements(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				p, v, segs, _ := incHeap(bc.young, bc.evac, bc.size)
+				settle(p)
 				benchSink += evict()
 				b.StartTimer()
 				p.drainIncrements(segs)
@@ -179,8 +194,9 @@ func decHeap(stuck, two float64) (*LXR, *vm.VM, []mem.Address) {
 // workloads' mixes as counted on 10 s runs — batch-mutate's decrements
 // read 89.5 % stuck counts, 4.5 % counts of 2 and 6 % last counts;
 // serve-aging's are all but 0.1 % deaths. A death consumes its target,
-// so every iteration builds a fresh heap with the timer stopped: run it
-// with a fixed count (-benchtime 20x), and at -cpu 1 for the spread.
+// so every iteration builds and settles a fresh heap with the timer
+// stopped: run it with a fixed count (-benchtime 100x), and at -cpu 1
+// for the spread.
 func BenchmarkDrainDecrements(b *testing.B) {
 	for _, bc := range []struct {
 		name       string
@@ -197,6 +213,7 @@ func BenchmarkDrainDecrements(b *testing.B) {
 				b.StopTimer()
 				p, v, decs := decHeap(bc.stuck, bc.two)
 				p.conc.quiesce()
+				settle(p)
 				p.conc.pendingDecs = decs
 				benchSink += evict()
 				b.StartTimer()

@@ -38,7 +38,9 @@ func (p *LXR) completeSATB(inPause bool) {
 // is its whole subgraph: clearing counts needs no recursive decrements.
 // Blocks are released only as afterDecs allows (a dirty one may hold
 // young objects not yet counted), a batch per worker. Then it clears the
-// marks and reports the dead and the bytes freed, which it returns.
+// marks and reports the dead and the bytes the sweep returned to the
+// allocator (freed lines, and freed large objects by size), which it
+// returns.
 func (p *LXR) finishSweep() int64 {
 	c := p.conc
 	first := c.sweepNext
@@ -70,56 +72,66 @@ func (p *LXR) finishSweep() int64 {
 
 // sweepBlock sweeps block idx when it may hold counted small objects
 // (retired, recycled, or held by an allocator between pauses), adds
-// what died to the sweep's totals, and reports whether anything did.
+// what died and the lines it freed to the sweep's totals, and reports
+// whether anything died.
 func (p *LXR) sweepBlock(idx int) bool {
 	switch p.bt.State(idx) {
 	case immix.StateFull, immix.StateRecycled, immix.StateReserved:
-		d, skipped, b := p.sweepBlockUnmarked(idx)
-		if skipped > 0 {
-			p.ctr.skip.Add(int64(skipped))
-		}
-		if d > 0 {
+		if d, lines := p.sweepBlockUnmarked(idx); d > 0 {
 			p.conc.sweepDead.Add(int64(d))
-			p.conc.sweepFreed.Add(int64(b))
+			p.conc.sweepFreed.Add(int64(lines) * mem.LineSize)
 			return true
 		}
 	}
 	return false
 }
 
-// sweepBlockUnmarked clears the metadata of unmarked objects in one
-// block, returning how many died, how many counted granules were
-// skipped because they do not decode to an object, and the bytes the
-// dead objects held. It walks metadata words, not granules: a free line
-// costs one RC-word load, a live line two (meta.RCTable.UnmarkedStarts),
-// and only a granule whose mask bit is set — an unmarked, counted
-// object start — is looked at.
-func (p *LXR) sweepBlockUnmarked(idx int) (dead, skipped, bytes int) {
+// sweepBlockUnmarked clears the counts and covers of the counted
+// objects a completed trace left unmarked in block idx, from metadata
+// alone, and returns how many died and how many lines it returned to the
+// allocator (RC word and cover zero after, not before). Every count is
+// an object start, and a covered line belongs to the last counted start
+// before it, so the walk carries one bit: that start died (DESIGN.md,
+// "The owner walk"). A line with no dead start and no dead owner before
+// it is left after the RC word and mark loads.
+func (p *LXR) sweepBlockUnmarked(idx int) (dead, freedLines int) {
+	ownerDead := false
 	first := idx * mem.LinesPerBlock
 	for l := first; l < first+mem.LinesPerBlock; l++ {
-		for m := p.rc.UnmarkedStarts(l, p.marks); m != 0; m &= m - 1 {
-			a := mem.LineStart(l) + mem.Address(bits.TrailingZeros32(m))<<mem.GranuleLog
-			if !p.saneRef(a) {
-				// A counted granule that does not decode to an object:
-				// clear the stray count but leave neighbours alone.
-				p.rc.Set(a, 0)
-				skipped++
-				continue
+		counted, dying := p.rc.UnmarkedStarts(l, p.marks)
+		if dying == 0 && !ownerDead {
+			continue // nothing dies here, and a cover here is a live owner's
+		}
+		covered := p.rc.Covered(l)
+		if counted == 0 && !covered {
+			continue // a free line after a dead owner
+		}
+		if covered && ownerDead {
+			p.rc.Uncover(l)
+			covered = false
+		}
+		if dying != 0 {
+			if verifyEnabled {
+				p.verifyDeadStarts(l, dying)
 			}
-			bytes += p.reclaimObjectMeta(a)
-			dead++
+			p.rc.ClearStarts(l, dying)
+			dead += bits.OnesCount32(dying)
+		}
+		if counted != 0 {
+			ownerDead = dying&(1<<(31-bits.LeadingZeros32(counted))) != 0
+		}
+		if counted == dying && !covered {
+			freedLines++
 		}
 	}
-	return dead, skipped, bytes
+	return dead, freedLines
 }
 
-// reclaimObjectMeta clears the RC count and the cover entries of a dead
-// object so its lines become reusable, and returns the object's size.
-func (p *LXR) reclaimObjectMeta(ref obj.Ref) int {
-	size := p.om.Size(ref)
+// reclaimObjectMeta clears the RC count and the cover entries of an
+// object that died by decrement, so its lines become reusable.
+func (p *LXR) reclaimObjectMeta(ref obj.Ref) {
 	p.rc.Set(ref, 0)
-	p.rc.Cover(ref, size, 0)
-	return size
+	p.rc.Cover(ref, p.om.Size(ref), 0)
 }
 
 // plausibleRef reports whether v could be an object reference: non-nil,

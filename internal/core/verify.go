@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 
 	"lxr/internal/immix"
@@ -99,6 +100,19 @@ func (p *LXR) saneRef(v obj.Ref) bool {
 	}
 	s := p.om.Size(v)
 	return s >= obj.MinSize && (s <= obj.LargeThreshold || p.om.IsLarge(v))
+}
+
+// verifyDeadStarts decodes each start the SATB sweep is about to clear
+// on global line l (LXR_VERIFY only). The sweep reads no header: it
+// trusts that every count is an object start, so a count that names no
+// object panics here, naming its granule.
+func (p *LXR) verifyDeadStarts(l int, starts uint32) {
+	for m := starts; m != 0; m &= m - 1 {
+		a := mem.LineStart(l) + mem.Address(bits.TrailingZeros32(m))<<mem.GranuleLog
+		if !p.saneRef(a) {
+			panic(fmt.Sprintf("lxr verify epoch %d: SATB sweep: count %d at granule %x names no object", p.epoch.Load(), p.rc.Get(a), uint64(a)))
+		}
+	}
 }
 
 // skipDec counts a decrement whose target is implausible (rc -1: no

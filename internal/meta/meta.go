@@ -247,19 +247,46 @@ func countedMask(w uint32) uint32 {
 	return (x | x>>8) & 0xffff
 }
 
-// UnmarkedStarts returns the 16-bit mask of granules on global line idx
-// that carry a non-zero count and have no mark bit set: the object
-// starts a completed SATB trace left unmarked. One line is one RC word
-// and half a word of the granule mark table, so two loads decide
-// sixteen granules — and a zero RC word decides them with one. marks
-// must be a granule-unit table.
-func (t *RCTable) UnmarkedStarts(idx int, marks *BitTable) uint32 {
+// spreadMask is countedMask's inverse: bit i of the 16-bit mask m
+// becomes both bits of granule i's count. The ladder runs the other
+// way, spreading the low half word onto the even bits, and x | x<<1
+// fills each pair.
+func spreadMask(m uint32) uint32 {
+	x := m & 0xffff
+	x = (x | x<<8) & 0x00ff_00ff
+	x = (x | x<<4) & 0x0f0f_0f0f
+	x = (x | x<<2) & 0x3333_3333
+	x = (x | x<<1) & 0x5555_5555
+	return x | x<<1
+}
+
+// UnmarkedStarts returns two 16-bit masks of the granules on global
+// line idx: counted, those that carry a non-zero count, and unmarked,
+// those of them with no mark bit set — the object starts a completed
+// SATB trace left unmarked. One line is one RC word and half a word of
+// the granule mark table, so two loads decide sixteen granules — and a
+// zero RC word decides them with one. marks must be a granule-unit
+// table.
+func (t *RCTable) UnmarkedStarts(idx int, marks *BitTable) (counted, unmarked uint32) {
 	w := atomic.LoadUint32(&t.words[idx])
 	if w == 0 {
-		return 0
+		return 0, 0
 	}
-	return countedMask(w) &^ marks.lineBits(idx)
+	counted = countedMask(w)
+	return counted, counted &^ marks.lineBits(idx)
 }
+
+// ClearStarts zeroes the counts of the granules of global line idx
+// whose bits are set in the 16-bit mask starts, all of them with one
+// masked CAS on the line's RC word.
+func (t *RCTable) ClearStarts(idx int, starts uint32) {
+	clearBits32(&t.words[idx], spreadMask(starts))
+}
+
+// Uncover zeroes the cover entry of global line idx, for a sweep that
+// knows the line's owner died without its size. The entry has one
+// writer at a time (see Cover).
+func (t *RCTable) Uncover(idx int) { t.storeCover(idx, 0) }
 
 // BitTable is a 1-bit-per-unit table with atomic set/clear/test, used for
 // unlogged bits (one per 8-byte field) and SATB mark bits (one per

@@ -8,10 +8,11 @@ import (
 	"lxr/internal/meta"
 )
 
-// The SATB sweep's mask kernel decides a line's sixteen granules from
-// one RC word and half a word of the granule mark table. Its scalar
-// model is the per-granule probe the sweep used to make: counted, not
-// marked.
+// The SATB sweep's mask kernels decide a line's sixteen granules from
+// one RC word and half a word of the granule mark table, and clear the
+// dead among them with one masked CAS. Their scalar models are the
+// per-granule probes and stores the sweep used to make: counted, not
+// marked; one count zeroed at a time.
 
 // lineTables is one RC table and one granule mark table over a shared
 // arena, with the scalar model of UnmarkedStarts beside them.
@@ -47,15 +48,17 @@ func setBit(t *meta.BitTable, a mem.Address, on bool) {
 }
 
 // scalar is the per-granule model: two probes per granule.
-func (lt lineTables) scalar(line int) uint32 {
-	var m uint32
+func (lt lineTables) scalar(line int) (counted, unmarked uint32) {
 	for g := 0; g < mem.GranulesPerLine; g++ {
 		a := mem.LineStart(line) + mem.Address(g)<<mem.GranuleLog
-		if lt.rc.Get(a) != 0 && !lt.marks.Get(a) {
-			m |= 1 << g
+		if lt.rc.Get(a) != 0 {
+			counted |= 1 << g
+			if !lt.marks.Get(a) {
+				unmarked |= 1 << g
+			}
 		}
 	}
-	return m
+	return counted, unmarked
 }
 
 // check loads one line and its neighbours (which must not leak into the
@@ -66,10 +69,11 @@ func (lt lineTables) check(t *testing.T, line int, rcWord, markBits, noise uint3
 	lt.load(line-1, noise, ^noise)
 	lt.load(line+1, ^noise, noise>>3)
 	lt.load(line, rcWord, markBits)
-	got, want := lt.rc.UnmarkedStarts(line, lt.marks), lt.scalar(line)
-	if got != want {
-		t.Fatalf("line %d rc=%#08x marks=%#04x: kernel %#04x, scalar model %#04x",
-			line, rcWord, markBits&0xffff, got, want)
+	counted, unmarked := lt.rc.UnmarkedStarts(line, lt.marks)
+	wantCounted, wantUnmarked := lt.scalar(line)
+	if counted != wantCounted || unmarked != wantUnmarked {
+		t.Fatalf("line %d rc=%#08x marks=%#04x: kernel counted %#04x unmarked %#04x, scalar model %#04x %#04x",
+			line, rcWord, markBits&0xffff, counted, unmarked, wantCounted, wantUnmarked)
 	}
 }
 
@@ -117,5 +121,67 @@ func FuzzUnmarkedStarts(f *testing.F) {
 			line++
 		}
 		lt.check(t, line, rcWord, markBits, noise)
+	})
+}
+
+// clearCheck loads a line and its neighbours (which must come out
+// unchanged) into two RC tables, clears the granules of starts with
+// ClearStarts in one and with the per-granule scalar loop in the other,
+// and compares the three lines' RC words.
+func clearCheck(t *testing.T, kernel, model *meta.RCTable, line int, rcWord, starts, noise uint32) {
+	t.Helper()
+	for _, rc := range []*meta.RCTable{kernel, model} {
+		for l, w := range map[int]uint32{line - 1: noise, line: rcWord, line + 1: ^noise} {
+			for g := 0; g < mem.GranulesPerLine; g++ {
+				rc.Set(mem.LineStart(l)+mem.Address(g)<<mem.GranuleLog, w>>(2*g)&meta.RCMax)
+			}
+		}
+	}
+	kernel.ClearStarts(line, starts)
+	for g := 0; g < mem.GranulesPerLine; g++ {
+		if starts>>g&1 != 0 {
+			model.Set(mem.LineStart(line)+mem.Address(g)<<mem.GranuleLog, 0)
+		}
+	}
+	for l := line - 1; l <= line+1; l++ {
+		if got, want := kernel.LineWord(l), model.LineWord(l); got != want {
+			t.Fatalf("line %d rc=%#08x starts=%#04x: line %d reads %#08x after ClearStarts, scalar model %#08x",
+				line, rcWord, starts&0xffff, l, got, want)
+		}
+	}
+}
+
+func TestClearStartsMatchesScalar(t *testing.T) {
+	a := arena()
+	kernel, model := meta.NewRCTable(a), meta.NewRCTable(a)
+	r := rand.New(rand.NewSource(48))
+	line := mem.LinesPerBlock + 2
+	// Every position alone, at every count, cleared and left.
+	for g := 0; g < mem.GranulesPerLine; g++ {
+		for c := uint32(1); c <= meta.RCMax; c++ {
+			clearCheck(t, kernel, model, line, c<<(2*g), 1<<g, r.Uint32())
+			clearCheck(t, kernel, model, line, c<<(2*g), ^uint32(1<<g), r.Uint32())
+		}
+	}
+	// Random words, stuck lines and masks with bits above the sixteenth,
+	// which must be ignored.
+	for trial := 0; trial < 4000; trial++ {
+		rcWord := r.Uint32()
+		if trial%3 == 0 {
+			rcWord = ^uint32(0)
+		}
+		clearCheck(t, kernel, model, line, rcWord, r.Uint32(), r.Uint32())
+	}
+}
+
+func FuzzClearStarts(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint32(0))
+	f.Add(^uint32(0), uint32(0xffff), ^uint32(0))
+	f.Add(uint32(0xc000_0003), uint32(0x8001), uint32(0x1234_5678))
+	f.Add(uint32(0x5555_5555), uint32(0xffff_aaaa), uint32(0))
+	a := arena()
+	kernel, model := meta.NewRCTable(a), meta.NewRCTable(a)
+	f.Fuzz(func(t *testing.T, rcWord, starts, noise uint32) {
+		clearCheck(t, kernel, model, mem.LinesPerBlock+2, rcWord, starts, noise)
 	})
 }

@@ -104,9 +104,10 @@ func (p *RCPacer) CycleDue(forced bool) bool {
 	return true
 }
 
-// ObserveTrace records what the trace of the last snapshot freed, as a
-// yield per byte allocated since the snapshot before it. An interval
-// without allocation carries no rate.
+// ObserveTrace records what the trace of the last snapshot freed — the
+// bytes its sweep returned to the allocator — as a yield per byte
+// allocated since the snapshot before it. An interval without
+// allocation carries no rate.
 func (p *RCPacer) ObserveTrace(freedBytes int64) {
 	if p.interval <= 0 {
 		return
